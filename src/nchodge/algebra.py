@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +23,9 @@ from .errors import ConstructionError, ModulusError, ReductionMismatchError
 from .modring import ModMatrix, _dense_rref, split_modulus
 
 MAX_VALIDATION_REPORTS = 20
+# the largest modulus m with (m - 1)**2 < 2**63: dense elimination and the
+# structure-constant tables multiply two residues in int64
+MAX_MODULUS = isqrt((1 << 63) - 1) + 1
 
 
 class StructureConstantsAlgebra:
@@ -30,6 +34,10 @@ class StructureConstantsAlgebra:
     def __init__(self, modulus: int, basis: Sequence[str], unit, constants,
                  name: str | None = None, check: bool = True):
         p, power = split_modulus(modulus)
+        if modulus > MAX_MODULUS:
+            raise ModulusError(
+                f"modulus {modulus} is too large: exact int64 arithmetic needs "
+                f"(m - 1)^2 < 2^63, i.e. m <= {MAX_MODULUS}")
         self.modulus = int(modulus)
         self.p = p
         self.power = power

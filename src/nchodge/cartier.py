@@ -44,6 +44,7 @@ from .hochcyc import (
     face_matrix,
     hc_dims,
     hh_dims,
+    hodge_ss,
     rotation_matrix,
 )
 from .modring import (
@@ -857,18 +858,16 @@ class DegenerationLedger:
 
 def conjugate_ledger(a: StructureConstantsAlgebra, N: int,
                      cap: int | None = None) -> DegenerationLedger:
-    """Per-degree comparison of cyclic homology with the stacked
-    Hochschild dimensions. The abutment can never exceed the stack; if it
-    does the pipeline is broken and this raises."""
-    cyc = build_cyclic_object(a, N, cap=cap)
-    hh = hh_dims(a, N, cyc=cyc)
-    hc = hc_dims(a, N, cyc=cyc)
+    """Per-degree view of the `hodge_ss` verdict: cyclic homology against
+    the stacked Hochschild dimensions. The abutment can never exceed the
+    stack; if it does the pipeline is broken and this raises."""
+    rep = hodge_ss(a, N, cap=cap, pages_budget=0)
     ledger = DegenerationLedger(p=a.p, N=N)
-    for n in range(0, N - 1):
-        total = sum(hh[n - 2 * l] for l in range(n // 2 + 1))
-        if hc[n] > total:
+    for n, total in sorted(rep.hodge_sums.items()):
+        hc = rep.abutment[n]
+        if hc > total:
             raise InternalCheckError(
                 f"cyclic homology exceeds the Hodge stack in degree {n}: "
-                f"{hc[n]} > {total}")
-        ledger.rows.append(LedgerRow(degree=n, hc=hc[n], hodge_sum=total))
+                f"{hc} > {total}")
+        ledger.rows.append(LedgerRow(degree=n, hc=hc, hodge_sum=total))
     return ledger

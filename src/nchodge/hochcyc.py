@@ -1,16 +1,31 @@
 """Hochschild and cyclic homology of a structure constant algebra.
 
-The cyclic object has level n equal to the (n+1)-fold tensor power of A
-on the monomial basis, with faces multiplying adjacent factors (the last
-face wraps around), degeneracies inserting the unit, and the signed
-rotation as cyclic operator. All operators are assembled as sparse
-matrices by direct index arithmetic on base-d digit strings, so levels
-with millions of monomials stay cheap as long as products have few terms.
+Two chain models of the same mixed complex live here, both assembled as
+sparse matrices by direct index arithmetic on digit strings.
 
-From these come the b and b' complexes, the Connes operator B, the mixed
-(b, B) bicomplex whose totalization computes cyclic homology, the
-two-column periodic bicomplex built from (1 - t) and the cyclic norm, the
-SBI rank bookkeeping, and the Hodge filtration report.
+The normalized mixed complex (`NormalizedMixedComplex`) has level n equal
+to A tensor Abar^n, Abar = A / k1, with the normalized b and Connes B. It
+carries the HH and HC numbers: `hh_dims` and `hc_dims` (the `hh` and `hc`
+commands), `sbi_check` (`sbi`), the HH/HC verdict of `hodge_ss` (`hodge`,
+and `ledger`, which is a view of it), and the HH/HC references of the
+subdivision routes in `cartier` (`edgewise-check`, `conjugate`). Its
+levels are (d - 1)^n / d^n times the size of the unnormalized ones, and
+those commands spend their time ranking them.
+
+The unnormalized cyclic object (`CyclicLevelMaps`) has level n equal to
+the (n+1)-fold tensor power of A on the monomial basis, with faces
+multiplying adjacent factors (the last face wraps around), degeneracies
+inserting the unit, and the signed rotation as cyclic operator. It stays
+for what needs the cyclic structure itself: `verify_identities`, the p-fold
+subdivision in `cartier`, and the page tables of `hodge --pages`. Page E_0
+is chain level (Gr_l C_n), so those tables depend on the chain model, and
+the pinned `nc-hodge/1` payloads and the `--pages-budget` sizes are those of
+the unnormalized complex.
+
+From these come the b and b' complexes, the mixed (b, B) bicomplex whose
+totalization computes cyclic homology, the two-column periodic bicomplex
+built from (1 - t) and the cyclic norm, the SBI rank bookkeeping, and the
+Hodge filtration report.
 """
 
 from __future__ import annotations
@@ -319,9 +334,149 @@ def connes_B(cyc: CyclicLevelMaps, n: int) -> ModMatrix:
     return cyc.B(n)
 
 
+# ---------------- the normalized mixed complex ----------------
+
+def estimate_normalized_entries(a: StructureConstantsAlgebra, N: int) -> int:
+    """Entries of b and B of the normalized mixed complex through level N.
+
+    A column of level m meets m + 1 faces of at most tbar * ubar terms (a
+    middle product projected onto Abar) and m + 1 rotations of at most
+    ubar * ubar terms (the unit times the projected slot 0).
+    """
+    d, tbar, ubar = a.dim, a.max_terms(), int(np.count_nonzero(a.unit))
+    return sum(d * (d - 1) ** m * (m + 1) * ubar * (tbar + ubar) for m in range(N + 1))
+
+
+def _unit_complement(a: StructureConstantsAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """(pr, others): Abar = A / k1 gets the basis e_j, j in others, i.e.
+    every j except the first k0 with unit[k0] a unit mod p, and pr is the
+    (d - 1) x d matrix of A -> Abar in it (e_k0 goes to -sum_j u_j/u_k0 e_j)."""
+    nz = np.nonzero(a.unit % a.p)[0]
+    if nz.size == 0:
+        raise ShapeError("unit vector is zero")
+    k0 = int(nz[0])
+    inv = pow(int(a.unit[k0]), -1, a.modulus)
+    others = np.array([j for j in range(a.dim) if j != k0], dtype=np.int64)
+    pr = np.zeros((a.dim - 1, a.dim), dtype=np.int64)
+    pr[np.arange(a.dim - 1), others] = 1
+    pr[:, k0] = [(-int(a.unit[j]) * inv) % a.modulus for j in others]
+    return pr, others
+
+
+def _merge_entries(table: np.ndarray, strides: tuple[int, int, int],
+                   base_in: np.ndarray, base_out: np.ndarray, sign: int):
+    """COO entries of a map merging two input digits into one output digit:
+    for every nonzero table[x, y, k], input base_in + x*sx + y*sy goes to
+    output base_out + k*sk, where (sx, sy, sk) = strides."""
+    sx, sy, sk = strides
+    x, y, k = np.nonzero(table)
+    rows = (k * sk)[:, None] + base_out[None, :]
+    cols = (x * sx + y * sy)[:, None] + base_in[None, :]
+    vals = np.broadcast_to((sign * table[x, y, k])[:, None], rows.shape)
+    return rows.ravel(), cols.ravel(), vals.ravel()
+
+
+class NormalizedMixedComplex:
+    """The normalized mixed complex (A tensor Abar^n, b, B) through level N.
+
+    Level n is indexed little-endian with slot 0 fastest: slot 0 in base d
+    over the basis of A, slots 1..n in base d - 1 over the basis of Abar
+    from `_unit_complement`. The operators are pr o b o sec and pr o B o sec
+    of the unnormalized ones (sec picks the representatives e_j), built
+    directly from projected structure-constant tables: products into slot
+    0 (face 0 and the wrap-around face) keep the full product, middle
+    products are projected onto Abar, and
+
+        B(a0 (x) .. (x) an) = sum_i (-1)^(n i) 1 (x) a_i .. a_n (x) pr(a0) .. a_(i-1).
+    """
+
+    def __init__(self, a: StructureConstantsAlgebra, N: int,
+                 cap: int | None = None):
+        if N < 1:
+            raise WindowError("need at least levels 0 and 1")
+        if a.power != 1:
+            raise ModulusError("homology pipelines run over F_p")
+        cap = DEFAULT_ENTRY_CAP if cap is None else cap
+        est = estimate_normalized_entries(a, N)
+        if est > cap:
+            raise ResourceError(
+                f"normalized mixed complex through level {N} needs about {est} "
+                f"entries, cap is {cap}", estimate=est, cap=cap)
+        self.algebra = a
+        self.N = N
+        d = a.dim
+        self.dims = [d * (d - 1) ** n for n in range(N + 1)]
+        self._pr, others = _unit_complement(a)
+        c = a.constants
+        self._first = c[:, others, :]                # a0 * a1, full
+        self._wrap = c[others, :, :]                 # an * a0, full
+        mid = c[np.ix_(others, others)].astype(object) @ self._pr.T.astype(object)
+        self._mid = (mid % a.modulus).astype(np.int64)  # pr(ai * ai+1)
+        self._b: dict[int, ModMatrix] = {}
+        self._B: dict[int, ModMatrix] = {}
+
+    def dim(self, n: int) -> int:
+        return self.dims[n]
+
+    def b(self, n: int) -> ModMatrix:
+        mod = self.algebra.modulus
+        if n == 0:
+            return ModMatrix.zeros(0, self.dims[0], mod)
+        if n not in self._b:
+            d = self.algebra.dim
+            e = d - 1
+            parts = []
+            rest = d * np.arange(e ** (n - 1), dtype=np.int64)
+            parts.append(_merge_entries(self._first, (1, d, 1), e * rest, rest, 1))
+            for i in range(1, n):
+                lo = d * e ** (i - 1)
+                low = np.arange(lo, dtype=np.int64)
+                high = np.arange(e ** (n - 1 - i), dtype=np.int64) * (lo * e)
+                base_in = (low[:, None] + high[None, :] * e).ravel()
+                base_out = (low[:, None] + high[None, :]).ravel()
+                parts.append(_merge_entries(self._mid, (lo, lo * e, lo),
+                                            base_in, base_out, face_sign(i)))
+            parts.append(_merge_entries(self._wrap, (d * e ** (n - 1), 1, 1),
+                                        rest, rest, face_sign(n)))
+            rows, cols, vals = (np.concatenate(z) for z in zip(*parts))
+            self._b[n] = ModMatrix.from_arrays((self.dims[n - 1], self.dims[n]),
+                                               mod, rows, cols, vals)
+        return self._b[n]
+
+    def B(self, n: int) -> ModMatrix:
+        if n >= self.N:
+            raise WindowError(f"B at level {n} needs level {n + 1} (window tops at {self.N})")
+        if n not in self._B:
+            a = self.algebra
+            d, mod = a.dim, a.modulus
+            e = d - 1
+            r = np.arange(e ** n, dtype=np.int64)
+            j, x = np.nonzero(self._pr)
+            coef = self._pr[j, x]
+            words = j[:, None] + e * r[None, :]     # digits pr(a0), a1, .., an
+            cols = x[:, None] + d * r[None, :]
+            rows_l, cols_l, vals_l = [], [], []
+            for i in range(n + 1):
+                cut = e ** i
+                rot = words // cut + (words % cut) * e ** (n + 1 - i)
+                sign = -1 if (n * i) % 2 else 1
+                for u in np.nonzero(a.unit)[0]:
+                    rows_l.append(int(u) + d * rot)
+                    cols_l.append(cols)
+                    v = sign * (coef * int(a.unit[u]) % mod)
+                    vals_l.append(np.broadcast_to(v[:, None], rot.shape))
+            self._B[n] = ModMatrix.from_arrays(
+                (self.dims[n + 1], self.dims[n]), mod,
+                np.concatenate([z.ravel() for z in rows_l]),
+                np.concatenate([z.ravel() for z in cols_l]),
+                np.concatenate([z.ravel() for z in vals_l]))
+        return self._B[n]
+
+
 # ---------------- complexes and dimensions ----------------
 
-def b_complex(cyc: CyclicLevelMaps) -> ChainComplexWindow:
+def b_complex(cyc) -> ChainComplexWindow:
+    """The b complex of a carrier, normalized or not."""
     dims = {n: cyc.dim(n) for n in range(cyc.N + 1)}
     diffs = {n: cyc.b(n) for n in range(1, cyc.N + 1)}
     return ChainComplexWindow(0, cyc.N, dims, diffs, cyc.algebra.modulus,
@@ -336,14 +491,15 @@ def bprime_complex(cyc: CyclicLevelMaps) -> ChainComplexWindow:
 
 
 def hh_dims(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
-            cyc: CyclicLevelMaps | None = None) -> dict[int, int]:
+            carrier: NormalizedMixedComplex | None = None) -> dict[int, int]:
     """Hochschild homology dimensions on the window [0, N-1]."""
-    cyc = cyc or build_cyclic_object(a, N, cap=cap)
-    return b_complex(cyc).homology_dims()
+    if carrier is None:
+        carrier = NormalizedMixedComplex(a, N, cap=cap)
+    return b_complex(carrier).homology_dims()
 
 
-def bB_bicomplex(cyc: CyclicLevelMaps) -> BicomplexWindow:
-    """The mixed bicomplex: cell (x, y) holds chains of degree y - x,
+def bB_bicomplex(cyc) -> BicomplexWindow:
+    """The mixed bicomplex of a carrier, normalized or not: cell (x, y) holds chains of degree y - x,
     verticals are b, horizontals are B; total degree n sums the chain
     degrees n, n-2, n-4, ...
     """
@@ -366,17 +522,14 @@ def bB_bicomplex(cyc: CyclicLevelMaps) -> BicomplexWindow:
                            complete_y=False, check=False)
 
 
-def hc_total(cyc: CyclicLevelMaps):
-    return bB_bicomplex(cyc).total_complex()
-
-
 def hc_dims(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
-            cyc: CyclicLevelMaps | None = None) -> dict[int, int]:
+            carrier: NormalizedMixedComplex | None = None) -> dict[int, int]:
     """Cyclic homology dimensions, reported on the window [0, N-2]."""
     if N < 2:
         raise WindowError("cyclic homology needs N >= 2")
-    cyc = cyc or build_cyclic_object(a, N, cap=cap)
-    tot, _ = hc_total(cyc)
+    if carrier is None:
+        carrier = NormalizedMixedComplex(a, N, cap=cap)
+    tot, _ = bB_bicomplex(carrier).total_complex()
     return {n: tot.homology_dim(n) for n in range(0, N - 1)}
 
 
@@ -427,10 +580,18 @@ class SBIReport:
     sign_tag: str = SIGN_CONVENTION
 
 
-def sbi_check(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
-              _flip_B_at: int | None = None) -> SBIReport:
+def sbi_check(a: StructureConstantsAlgebra, N: int, cap: int | None = None) -> SBIReport:
     """Dimension-level exactness of the inclusion/projection/connecting
-    triangle relating Hochschild and cyclic homology.
+    triangle relating Hochschild and cyclic homology, on the normalized
+    mixed complex (see `sbi_ranks`)."""
+    if N < 6:
+        raise WindowError("the triangle check needs at least 4 usable degrees, so N >= 6")
+    return sbi_ranks(NormalizedMixedComplex(a, N, cap=cap))
+
+
+def sbi_ranks(cyc) -> SBIReport:
+    """The SBI rank bookkeeping on a mixed complex carrier: any object with
+    `N`, `algebra`, `dim(n)`, `b(n)` and `B(n)` through level N.
 
     For each degree n in [2, N-1] the three checks are
       dim HC_n       = rank I_n + rank S_n,
@@ -438,30 +599,17 @@ def sbi_check(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
       dim HH_{n-1}   = rank D_n + rank I_{n-1},
     where I includes Hochschild chains as the leftmost column, S projects
     away that column (shifting total degree by two), and D is the
-    connecting map realized by B on the adjacent column. `_flip_B_at` is a
-    test hook that negates one horizontal level to confirm the checker
-    notices a corrupted complex.
+    connecting map realized by B on the adjacent column. If the
+    totalization fails d^2 = 0 the report has complex_valid=False.
     """
-    if N < 6:
-        raise WindowError("the triangle check needs at least 4 usable degrees, so N >= 6")
-    cyc = build_cyclic_object(a, N, cap=cap)
-    bicx = bB_bicomplex(cyc)
-    if _flip_B_at is not None:
-        tampered = dict(bicx.d_h)
-        for (x, y) in list(tampered):
-            if y - x == _flip_B_at:
-                tampered[(x, y)] = -tampered[(x, y)]
-        try:
-            bicx = BicomplexWindow(bicx.X, bicx.Y, bicx.dims, bicx.d_v, tampered,
-                                   bicx.modulus, sign_tag=bicx.sign_tag,
-                                   complete_x=True, check=True)
-        except NotAComplexError:
-            hh = hh_dims(a, N, cyc=cyc)
-            return SBIReport(N=N, degrees=[], hh=hh, hc={},
-                             complex_valid=False, exact=False)
-    tot, blocks = bicx.total_complex()
+    N = cyc.N
+    tot, blocks = bB_bicomplex(cyc).total_complex()
     hh = b_complex(cyc).homology_dims()
-    hc = {n: tot.homology_dim(n) for n in range(0, N)}
+    try:
+        hc = {n: tot.homology_dim(n) for n in range(0, N)}
+    except NotAComplexError:
+        return SBIReport(N=N, degrees=[], hh=hh, hc={},
+                         complex_valid=False, exact=False)
     mod = cyc.algebra.modulus
 
     def include(n: int) -> ModMatrix:
@@ -523,71 +671,6 @@ def sbi_check(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
                      spots=spots, complex_valid=True, exact=all_ok)
 
 
-# ---------------- normalized complex ----------------
-
-def _unit_complement_projection(a: StructureConstantsAlgebra):
-    p = a.modulus
-    u = a.unit % p
-    k0 = None
-    for idx, val in enumerate(u):
-        if val % a.p != 0:
-            k0 = idx
-            break
-    if k0 is None:
-        raise ShapeError("unit vector is zero")
-    inv = pow(int(u[k0]), -1, p)
-    others = [j for j in range(a.dim) if j != k0]
-    proj = np.zeros((a.dim - 1, a.dim), dtype=np.int64)
-    sec = np.zeros((a.dim, a.dim - 1), dtype=np.int64)
-    for row, j in enumerate(others):
-        proj[row, j] = 1
-        proj[row, k0] = (-int(u[j]) * inv) % p
-        sec[j, row] = 1
-    return ModMatrix.from_dense(proj, p), ModMatrix.from_dense(sec, p)
-
-
-def normalized_complex(a: StructureConstantsAlgebra, N: int,
-                       cap: int | None = None,
-                       cyc: CyclicLevelMaps | None = None) -> ChainComplexWindow:
-    """The degeneracy-free quotient: degree n is A tensor (A/k1) tensor n.
-
-    The projection kills exactly the images of the degeneracies, b
-    descends, and the quotient has the same homology with far smaller
-    spaces, which makes it a useful cross-check.
-    """
-    cyc = cyc or build_cyclic_object(a, N, cap=cap)
-    from scipy import sparse as sp
-
-    pr, se = _unit_complement_projection(a)
-    mod = a.modulus
-    eye = sp.identity(a.dim, dtype=np.int64, format="csc")
-
-    # digit packing is little-endian with slot 0 fastest, and kron(A, B)
-    # lets B act on the fast block, so the slot-0 identity sits innermost
-    def proj_n(n: int) -> ModMatrix:
-        out = eye
-        for _ in range(n):
-            out = sp.kron(pr.csc(), out, format="csc")
-        return ModMatrix(out.shape, mod, out)
-
-    def sec_n(n: int) -> ModMatrix:
-        out = eye
-        for _ in range(n):
-            out = sp.kron(se.csc(), out, format="csc")
-        return ModMatrix(out.shape, mod, out)
-
-    dims = {n: a.dim * (a.dim - 1) ** n for n in range(N + 1)}
-    diffs = {}
-    for n in range(1, N + 1):
-        diffs[n] = proj_n(n - 1) @ cyc.b(n) @ sec_n(n)
-    return ChainComplexWindow(0, N, dims, diffs, mod, vlo=0, vhi=N - 1, check=True)
-
-
-def normalized_hh_dims(a: StructureConstantsAlgebra, N: int,
-                       cap: int | None = None) -> dict[int, int]:
-    return normalized_complex(a, N, cap=cap).homology_dims()
-
-
 # ---------------- Hodge filtration ----------------
 
 @dataclass
@@ -610,15 +693,17 @@ def hodge_ss(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
 
     The first page in filtration degree l and total degree n is
     HH_{n - 2l}; the abutment is cyclic homology. The verdict compares
-    dim HC_n with the sum of the first page along each antidiagonal. Page
-    tables from the generic spectral sequence engine are attached when the
-    totalization is small enough to afford explicit kernel bases.
+    dim HC_n with the sum of the first page along each antidiagonal, both
+    computed on the normalized mixed complex. Page tables from the generic
+    spectral sequence engine are attached when the unnormalized
+    totalization (pages_budget counts its coordinates) is small enough to
+    afford explicit kernel bases.
     """
     if N < 2:
         raise WindowError("need N >= 2")
-    cyc = build_cyclic_object(a, N, cap=cap)
-    hh = hh_dims(a, N, cyc=cyc)
-    hc = hc_dims(a, N, cyc=cyc)
+    carrier = NormalizedMixedComplex(a, N, cap=cap)
+    hh = hh_dims(a, N, carrier=carrier)
+    hc = hc_dims(a, N, carrier=carrier)
     e1 = {}
     sums = {}
     for n in range(0, N - 1):
@@ -630,10 +715,12 @@ def hodge_ss(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
     degenerate = all(hc[n] == sums[n] for n in range(0, N - 1))
     page_tables = None
     certified = False
-    tot_size = sum(cyc.dim(m) for m in range(N + 1))
+    # E_0 is chain level, so pages come from the unnormalized object
+    tot_size = sum(a.dim ** (m + 1) for m in range(N + 1))
     if tot_size <= pages_budget:
         from .specseq import pages as ss_pages
 
+        cyc = CyclicLevelMaps(a, N, cap=cap)
         tot, blocks, filt = filtration_by_columns(bB_bicomplex(cyc))
         page_tables = ss_pages(filt, r_max=r_max)
         certified = True

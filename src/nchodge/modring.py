@@ -11,6 +11,8 @@ fill-in passes a density threshold. No floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -28,29 +30,49 @@ FILL_THRESHOLD = 0.25
 TO_DENSE_LIMIT = 1 << 24
 
 
+# Miller-Rabin with these bases is deterministic for n < 3.3 * 10**24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test (exact for n < 3.3 * 10**24)."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
+@lru_cache(maxsize=None)
 def split_modulus(m: int) -> tuple[int, int]:
-    """Return (p, k) with m = p**k, k in {1, 2} and p prime."""
+    """Return (p, k) with m = p**k, k in {1, 2} and p prime.
+
+    Moduli must lie below 2**32: then a residue times a limb of at least one
+    bit, summed over fewer than 2**31 terms, fits in int64, which is what
+    ModMatrix.__matmul__ needs to stay exact.
+    """
+    if not 2 <= m < 1 << 32:
+        raise ModulusError(f"modulus {m} is outside [2, 2^32)")
     if is_prime(m):
         return m, 1
-    r = int(np.sqrt(float(m)))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 2 and cand * cand == m and is_prime(cand):
-            return cand, 2
+    r = isqrt(m)
+    if r * r == m and is_prime(r):
+        return r, 2
     raise ModulusError(f"modulus {m} is not a prime or a prime square")
 
 
@@ -112,7 +134,7 @@ def _reduced(mat: sp.csc_matrix, modulus: int) -> sp.csc_matrix:
 class ModMatrix:
     """A matrix of residues mod a prime or prime square."""
 
-    __slots__ = ("shape", "modulus", "_csc")
+    __slots__ = ("shape", "modulus", "_csc", "_rank")
 
     def __init__(self, shape: tuple[int, int], modulus: int, csc: sp.csc_matrix):
         split_modulus(modulus)
@@ -124,6 +146,7 @@ class ModMatrix:
         self.shape = (int(rows), int(cols))
         self.modulus = int(modulus)
         self._csc = _reduced(csc, modulus)
+        self._rank: int | None = None
 
     # ---------------- constructors ----------------
 
@@ -209,6 +232,12 @@ class ModMatrix:
     def is_zero(self) -> bool:
         return self.nnz == 0
 
+    def rank(self) -> int:
+        """Rank over F_p, computed by rank_fp once per matrix."""
+        if self._rank is None:
+            self._rank = rank_fp(self)
+        return self._rank
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModMatrix):
             return NotImplemented
@@ -233,8 +262,18 @@ class ModMatrix:
         self._join(other)
         if self.shape[1] != other.shape[0]:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        prod = self._csc @ other._csc
-        return ModMatrix((self.shape[0], other.shape[1]), self.modulus, prod.tocsc())
+        m, right = self.modulus, other._csc
+        # an output entry sums at most k products of two residues, k the
+        # largest column count of the right factor; its row count bounds k
+        # without a pass over the columns
+        k = right.shape[0]
+        if k * (m - 1) ** 2 >= 1 << 63:
+            k = int(np.diff(right.indptr).max(initial=0))
+        if k * (m - 1) ** 2 < 1 << 63:
+            prod = self._csc @ right
+        else:
+            prod = _limb_product(self._csc, right, m, k)
+        return ModMatrix((self.shape[0], other.shape[1]), m, prod.tocsc())
 
     def __add__(self, other: "ModMatrix") -> "ModMatrix":
         self._join(other)
@@ -252,10 +291,14 @@ class ModMatrix:
         return self.scale(-1)
 
     def scale(self, k: int) -> "ModMatrix":
-        k = k.value if isinstance(k, ResidueScalar) else int(k)
+        m = self.modulus
+        k = (k.value if isinstance(k, ResidueScalar) else int(k)) % m
         out = self._csc.copy()
-        out.data = out.data * (k % self.modulus)
-        return ModMatrix(self.shape, self.modulus, out)
+        if k * (m - 1) < 1 << 63:
+            out.data = out.data * k
+        else:
+            out.data = np.array([v * k % m for v in out.data.tolist()], dtype=np.int64)
+        return ModMatrix(self.shape, m, out)
 
     def transpose(self) -> "ModMatrix":
         return ModMatrix((self.shape[1], self.shape[0]), self.modulus,
@@ -292,6 +335,25 @@ class ModMatrix:
                 cols = np.nonzero(cols)[0]
             mat = mat[:, cols]
         return ModMatrix(mat.shape, self.modulus, mat.tocsc())
+
+
+def _limb_product(left: sp.csc_matrix, right: sp.csc_matrix, m: int,
+                  k: int) -> sp.csc_matrix:
+    """left @ right mod m, exactly, when k * (m - 1)**2 would overflow int64.
+
+    The right factor is cut into s-bit limbs with
+    max(k, 2) * (m - 1) * (2**s - 1) < 2**63, so every limb product is exact
+    in int64, and the reduced limb products are recombined by Horner's rule
+    mod m; max(k, 2) also keeps (m - 1) * 2**s + m below 2**63.
+    """
+    s = ((((1 << 63) - 1) // (max(k, 2) * (m - 1))) + 1).bit_length() - 1
+    out = None
+    for shift in reversed(range(0, (m - 1).bit_length(), s)):
+        limb = right.copy()
+        limb.data = (right.data >> shift) & ((1 << s) - 1)
+        part = _reduced(left @ limb, m)
+        out = part if out is None else _reduced(out * (1 << s) + part, m)
+    return out
 
 
 def hstack(mats: Sequence[ModMatrix]) -> ModMatrix:
@@ -559,7 +621,7 @@ def homology_dim(d_in: ModMatrix, d_out: ModMatrix) -> int:
             f"d_in has {d_in.shape[0]} rows")
     if not (d_out @ d_in).is_zero():
         raise NotAComplexError("d_out @ d_in is not zero")
-    dim = d_out.shape[1] - rank_fp(d_out) - rank_fp(d_in)
+    dim = d_out.shape[1] - d_out.rank() - d_in.rank()
     if dim < 0:
         raise NotAComplexError("negative homology dimension; ranks inconsistent")
     return dim
@@ -580,7 +642,7 @@ def induced_map_rank(f: ModMatrix, d_dom: ModMatrix, d_cod_in: ModMatrix) -> int
         raise ShapeError("f and d_cod_in must share their codomain")
     m = f.modulus
     big = block([[f, d_cod_in], [d_dom, None]], m)
-    r = rank_fp(big) - rank_fp(d_dom) - rank_fp(d_cod_in)
+    r = rank_fp(big) - d_dom.rank() - d_cod_in.rank()
     if r < 0:
         raise NotAComplexError("induced rank came out negative")
     return r

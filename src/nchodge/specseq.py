@@ -70,9 +70,21 @@ class _Approximants:
         self.lmin = filt.levels[0]
         self.lmax = filt.levels[-1]
         self._cache: dict[tuple[int, int, int], ModMatrix] = {}
+        # every span handed out is the first one built with its degree and
+        # content, so the memos below, keyed by the ids of spans, are shared
+        # by all (r, l) that reach the same span, and those ids stay valid
+        self._canon: dict[tuple, ModMatrix] = {}
+        self._denoms: dict[tuple[int, int], ModMatrix] = {}
+        self._d_ranks: dict[tuple[int, int], int] = {}
 
     def _clamp(self, l: int) -> int:
         return min(max(l, self.lmin - 1), self.lmax)
+
+    def _canonical(self, mat: ModMatrix, n: int) -> ModMatrix:
+        csc = mat.csc()
+        key = (n, mat.shape, csc.indptr.tobytes(), csc.indices.tobytes(),
+               csc.data.tobytes())
+        return self._canon.setdefault(key, mat)
 
     def _empty(self, n: int) -> ModMatrix:
         return ModMatrix.zeros(self.c.dim(n), 0, self.c.modulus)
@@ -83,7 +95,7 @@ class _Approximants:
         if r < 0:
             r = 0
         if n < c.lo or n > c.hi:
-            return self._empty(n)
+            return self._canonical(self._empty(n), n)
         key = (self._clamp(l), self._clamp(l - r), n)
         hit = self._cache.get(key)
         if hit is not None:
@@ -98,30 +110,38 @@ class _Approximants:
             ker = kernel_basis_fp(sub)
             incl = ModMatrix.from_index_map(np.nonzero(src)[0], c.dim(n), c.modulus)
             out = incl @ ker
-        self._cache[key] = out
+        out = self._cache[key] = self._canonical(out, n)
         return out
 
     def b_span(self, r: int, l: int, n: int) -> ModMatrix:
-        """Columns spanning the denominator of E_r(l, n)."""
+        """Columns spanning the denominator of E_r(l, n), built once per
+        content, so entry_dim and d_rank share its memoized rank."""
         stay = self.z_span(r - 1, l - 1, n)
         deeper = self.z_span(r - 1, l + r - 1, n + 1)
-        arrived = self.c.d(n + 1) @ deeper if deeper.shape[1] else self._empty(n)
-        return hstack([stay, arrived])
+        key = (id(stay), id(deeper))
+        hit = self._denoms.get(key)
+        if hit is None:
+            arrived = self.c.d(n + 1) @ deeper if deeper.shape[1] else self._empty(n)
+            hit = self._denoms[key] = self._canonical(hstack([stay, arrived]), n)
+        return hit
 
     def entry_dim(self, r: int, l: int, n: int) -> int:
         z = self.z_span(r, l, n)
         if z.shape[1] == 0:
             return 0
-        return z.shape[1] - rank_fp(self.b_span(r, l, n))
+        return z.shape[1] - self.b_span(r, l, n).rank()
 
     def d_rank(self, r: int, l: int, n: int) -> int:
         """Rank of d_r : E_r(l, n) -> E_r(l - r, n - 1)."""
         z = self.z_span(r, l, n)
         if z.shape[1] == 0:
             return 0
-        moved = self.c.d(n) @ z
         denom = self.b_span(r, l - r, n - 1)
-        return rank_fp(hstack([moved, denom])) - rank_fp(denom)
+        key = (id(z), id(denom))
+        if key not in self._d_ranks:
+            moved = self.c.d(n) @ z
+            self._d_ranks[key] = rank_fp(hstack([moved, denom])) - denom.rank()
+        return self._d_ranks[key]
 
 
 def pages(filt: IncreasingFiltration, r_max: int = 3) -> list[SSPage]:

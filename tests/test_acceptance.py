@@ -30,9 +30,11 @@ from nchodge.hochcyc import (
     hh_dims,
     hodge_degenerates,
     sbi_check,
+    sbi_ranks,
 )
 from nchodge.modring import ModMatrix
 from nchodge.witt import verify_w2_ring
+from .test_hochcyc import FlippedB
 
 BIG_CAP = 1 << 26
 ID_BUDGET = 1 << 20
@@ -176,8 +178,10 @@ def test_c09_connes_triangle_dim_exact_and_controls():
     for name in corpus_names():
         rep = sbi_check(build(name, 3), 6, cap=BIG_CAP)
         assert rep.complex_valid and rep.exact, name
+    # the control negates B at level 1 of the unnormalized carrier
     for name in ("dual-numbers", "trunc-poly-3"):
-        flipped = sbi_check(build(name, 3), 6, cap=BIG_CAP, _flip_B_at=1)
+        cyc = build_cyclic_object(build(name, 3), 6, cap=BIG_CAP)
+        flipped = sbi_ranks(FlippedB(cyc, 1))
         assert not flipped.exact, name
     print("PASS: inclusion/shift/connecting triangle dim-exact, "
           "flipped-sign control detected")

@@ -91,10 +91,32 @@ def test_malformed_json_exit_2_with_position(capsys, tmp_path):
 
 
 def test_cap_exit_3_reports_sizes(capsys):
-    rc, _, err = run(capsys, "hh", "upper-tri-2", "-N", "6", "--cap", "1000",
-                     "--quiet")
+    rc, _, err = run(capsys, "hh", "m2", "-N", "6", "--cap", "1000", "--quiet")
     assert rc == 3
     assert "1000" in err and "estimate" in err
+
+
+def test_modulus_past_the_int64_bound_exit_2(capsys):
+    rc, _, err = run(capsys, "hh", "dual-numbers", "-p", "4294967291", "--quiet")
+    assert rc == 2
+    assert "2^63" in err
+
+
+def test_lift_modulus_past_the_int64_bound_exit_2(capsys):
+    # p fits, but the lift works mod p**2
+    rc, _, err = run(capsys, "lift-check", "m2", "-p", "3037000453", "--quiet")
+    assert rc == 2
+    assert "2^" in err
+
+
+def test_wide_prime_pages_match_the_reference_prime(capsys):
+    argv = ("hodge", "upper-tri-2", "-N", "5", "--pages")
+    rc_wide, wide = run_json(capsys, *argv, "-p", "2147483647")
+    rc_ref, ref = run_json(capsys, *argv, "-p", "16777213")
+    assert rc_wide == rc_ref == 0
+    for payload in (wide, ref):
+        del payload["p"], payload["modulus"]
+    assert wide == ref
 
 
 def test_ledger_degenerate_exit_0(capsys):

@@ -10,11 +10,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse as sp
 
 from nchodge.algebra import truncated_poly
 from nchodge.corpus import build, corpus_names
 from nchodge.errors import ResourceError, WindowError
 from nchodge.hochcyc import (
+    CyclicLevelMaps,
+    NormalizedMixedComplex,
     bB_bicomplex,
     b_complex,
     bprime_complex,
@@ -23,16 +26,17 @@ from nchodge.hochcyc import (
     connes_B,
     degeneracy_matrix,
     estimate_entries,
+    estimate_normalized_entries,
     face_matrix,
     hc_dims,
     hh_dims,
     hodge_degenerates,
     hodge_ss,
-    normalized_complex,
-    normalized_hh_dims,
     rotation_matrix,
     sbi_check,
+    sbi_ranks,
 )
+from nchodge.modring import ModMatrix
 from .oracles import ref_degeneracy_dense, ref_face_dense, ref_rotation_dense
 
 
@@ -162,16 +166,93 @@ def test_periodic_two_column_complex_matches_hc():
 
 # ---------------- normalized chains ----------------
 
+class ProjectionOracle:
+    """pr o op o sec on the unnormalized cyclic object, by Kronecker products.
+
+    pr: A -> Abar kills the unit along its first coordinate that is a unit
+    mod p, sec picks the representatives e_j of the other coordinates; slot
+    0 keeps A, so the identity sits innermost (slot 0 is the fastest digit).
+    """
+
+    def __init__(self, a, N):
+        self.cyc = CyclicLevelMaps(a, N)
+        mod, d = a.modulus, a.dim
+        k0 = int(np.nonzero(a.unit % a.p)[0][0])
+        others = [j for j in range(d) if j != k0]
+        inv = pow(int(a.unit[k0]), -1, mod)
+        pr = np.zeros((d - 1, d), dtype=np.int64)
+        sec = np.zeros((d, d - 1), dtype=np.int64)
+        for row, j in enumerate(others):
+            pr[row, j] = 1
+            pr[row, k0] = (-int(a.unit[j]) * inv) % mod
+            sec[j, row] = 1
+        self.mod, self.d, self.pr, self.sec = mod, d, pr, sec
+
+    def _power(self, m, n):
+        out = sp.identity(self.d, dtype=np.int64, format="csc")
+        for _ in range(n):
+            out = sp.kron(sp.csc_matrix(m), out, format="csc")
+        return ModMatrix(out.shape, self.mod, out)
+
+    def b(self, n):
+        return self._power(self.pr, n - 1) @ self.cyc.b(n) @ self._power(self.sec, n)
+
+    def B(self, n):
+        return self._power(self.pr, n + 1) @ self.cyc.B(n) @ self._power(self.sec, n)
+
+
+def test_normalized_operators_match_projection_oracle():
+    for p in (3, 5, 7):
+        for name in corpus_names():
+            a = build(name, p)
+            N = 4 if a.dim <= 4 else 3
+            oracle = ProjectionOracle(a, N)
+            nc = NormalizedMixedComplex(a, N)
+            for n in range(1, N + 1):
+                assert nc.b(n) == oracle.b(n), (name, p, n)
+            for n in range(N):
+                assert nc.B(n) == oracle.B(n), (name, p, n)
+
+
 def test_normalized_matches_full_hh():
     for name in ("dual-numbers", "m2", "upper-tri-2", "group-z3", "trunc-poly-3"):
         a = build(name, 3)
-        assert normalized_hh_dims(a, 4) == hh_dims(a, 4), name
+        assert hh_dims(a, 4) == b_complex(build_cyclic_object(a, 4)).homology_dims(), name
+
+
+def test_normalized_and_plain_routes_agree_on_corpus():
+    for p in (3, 5, 7):
+        for name in corpus_names():
+            a = build(name, p)
+            N = 5 if a.dim <= 3 else 4
+            plain, normal = CyclicLevelMaps(a, N), NormalizedMixedComplex(a, N)
+            assert hh_dims(a, N, carrier=plain) == hh_dims(a, N, carrier=normal), (name, p)
+            assert hc_dims(a, N, carrier=plain) == hc_dims(a, N, carrier=normal), (name, p)
+            got, want = sbi_ranks(normal), sbi_ranks(plain)
+            assert got.exact and got.complex_valid, (name, p)
+            assert (got.hh, got.hc, got.ranks, got.spots) == \
+                (want.hh, want.hc, want.ranks, want.spots), (name, p)
 
 
 def test_normalized_dims_shrink():
     a = build("dual-numbers", 3)
-    c = normalized_complex(a, 5)
+    c = NormalizedMixedComplex(a, 5)
     assert [c.dim(n) for n in range(6)] == [2, 2, 2, 2, 2, 2]
+    empty = NormalizedMixedComplex(build("ground-field", 3), 3)
+    assert empty.dims == [1, 0, 0, 0]
+    assert empty.B(0).shape == (0, 1) and empty.b(1).shape == (1, 0)
+
+
+def test_normalized_estimate_bounds_the_entries_built():
+    for name in corpus_names():
+        a = build(name, 3)
+        nc = NormalizedMixedComplex(a, 4)
+        built = sum(nc.b(n).nnz for n in range(1, 5)) + sum(nc.B(n).nnz for n in range(4))
+        assert built <= estimate_normalized_entries(a, 4), name
+    # the unnormalized top level of group-z4 at N = 9 has 4^10 coordinates,
+    # the normalized one 4 * 3^9
+    assert estimate_normalized_entries(build("group-z4", 3), 9) < (1 << 24) \
+        < estimate_entries(build("group-z4", 3), 9)
 
 
 # ---------------- the inclusion / shift / connecting triangle ----------------
@@ -188,8 +269,27 @@ def test_sbi_exact_for_matrix_algebra():
     assert rep.complex_valid and rep.exact
 
 
+class FlippedB:
+    """A carrier whose Connes operator is negated at one level."""
+
+    def __init__(self, cyc, level):
+        self.cyc, self.level = cyc, level
+        self.N, self.algebra = cyc.N, cyc.algebra
+
+    def dim(self, n):
+        return self.cyc.dim(n)
+
+    def b(self, n):
+        return self.cyc.b(n)
+
+    def B(self, n):
+        return -self.cyc.B(n) if n == self.level else self.cyc.B(n)
+
+
 def test_sbi_detects_flipped_connecting_map():
-    rep = sbi_check(build("dual-numbers", 3), 6, _flip_B_at=1)
+    # on the unnormalized carrier: negating the normalized B at level 1
+    # leaves a valid, exact triangle for the dual numbers
+    rep = sbi_ranks(FlippedB(build_cyclic_object(build("dual-numbers", 3), 6), 1))
     assert not rep.complex_valid
     assert not rep.exact
 

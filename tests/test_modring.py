@@ -15,6 +15,7 @@ from nchodge.modring import (
     homology_dim,
     hstack,
     induced_map_rank,
+    is_prime,
     kernel_basis_fp,
     rank_fp,
     solve_fp,
@@ -36,6 +37,47 @@ def test_split_modulus():
         split_modulus(12)
     with pytest.raises(ModulusError):
         split_modulus(8)
+    assert split_modulus(65521 ** 2) == (65521, 2)
+    with pytest.raises(ModulusError):
+        split_modulus(3037000453 ** 2)  # past 2^32; used to hang in trial division
+    with pytest.raises(ModulusError):
+        split_modulus(1 << 32)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # 561 is a Carmichael number, 3215031751 a strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime(561) and not is_prime(3215031751)
+    assert is_prime(2 ** 31 - 1) and is_prime(4294967291) and is_prime(2 ** 61 - 1)
+
+
+def test_matmul_is_exact_past_the_int64_product_bound():
+    m = 65521 ** 2
+    row = ModMatrix.from_dense([[m - 1, m - 1]], m)
+    col = ModMatrix.from_dense([[m - 1], [m - 1]], m)
+    assert dense(row @ col) == [[2]]
+    assert dense(row.scale(-1)) == [[1, 1]]
+    rng = np.random.default_rng(3)
+    for mod in (2 ** 31 - 1, 4294967291, m):
+        a = rng.integers(0, mod, (7, 9))
+        b = rng.integers(0, mod, (9, 5))
+        want = [[sum(int(x) * int(y) for x, y in zip(r, c)) % mod for c in b.T] for r in a]
+        assert dense(ModMatrix.from_dense(a, mod) @ ModMatrix.from_dense(b, mod)) == want
+
+
+def test_rank_is_computed_once_per_matrix(monkeypatch):
+    from nchodge import modring
+
+    calls = []
+    real = modring.rank_fp
+    monkeypatch.setattr(modring, "rank_fp", lambda mat: calls.append(mat) or real(mat))
+    d_in = ModMatrix.from_dense([[1], [0]], 5)
+    d_out = ModMatrix.from_dense([[0, 1]], 5)
+    assert homology_dim(d_in, d_out) == homology_dim(d_in, d_out) == 0
+    assert len(calls) == 2
 
 
 def test_residue_scalar_arithmetic():

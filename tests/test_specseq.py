@@ -10,7 +10,7 @@ from nchodge.complexes import ChainComplexWindow, IncreasingFiltration, filtrati
 from nchodge.corpus import build
 from nchodge.errors import WindowError
 from nchodge.hochcyc import bB_bicomplex, build_cyclic_object, hc_dims, hh_dims, hodge_ss
-from nchodge.modring import ModMatrix
+from nchodge.modring import ModMatrix, hstack, kernel_basis_fp, rank_fp
 from nchodge.specseq import abutment_check, degenerates_at, pages, span_length
 
 
@@ -50,6 +50,48 @@ def hodge_filtration(name, N, p=3):
     cyc = build_cyclic_object(build(name, p), N)
     tot, blocks, filt = filtration_by_columns(bB_bicomplex(cyc))
     return filt
+
+
+def uncached_page(filt, r):
+    """Entries and differential ranks of page r straight from the
+    definitions, every span and rank computed afresh."""
+    c = filt.carrier
+
+    def z(r, l, n):
+        empty = ModMatrix.zeros(c.dim(n), 0, c.modulus)
+        src = filt.mask(l, n)
+        if n < c.lo or n > c.hi or not src.any():
+            return empty
+        sub = c.d(n).restrict(~filt.mask(l - max(r, 0), n - 1), src)
+        incl = ModMatrix.from_index_map(np.nonzero(src)[0], c.dim(n), c.modulus)
+        return incl @ kernel_basis_fp(sub)
+
+    def denom(r, l, n):
+        deeper = z(r - 1, l + r - 1, n + 1)
+        arrived = c.d(n + 1) @ deeper if deeper.shape[1] else ModMatrix.zeros(c.dim(n), 0, c.modulus)
+        return hstack([z(r - 1, l - 1, n), arrived])
+
+    lmin, lmax = filt.levels[0], filt.levels[-1]
+    degs = range(c.vlo, c.vhi + 1)
+    table = {(l, n): z(r, l, n).shape[1] and z(r, l, n).shape[1] - rank_fp(denom(r, l, n))
+             for n in degs for l in range(lmin, lmax + 1)}
+    d_ranks = {}
+    for n in list(degs) + [c.vhi + 1]:
+        for l in range(lmin, lmax + r + 1):
+            src = z(r, l, n)
+            low = denom(r, l - r, n - 1)
+            d_ranks[(l, n)] = src.shape[1] and \
+                rank_fp(hstack([c.d(n) @ src, low])) - rank_fp(low)
+    return table, d_ranks
+
+
+def test_memoized_pages_match_uncached_definitions():
+    # the ground field has equal dimensions in neighbouring degrees, so
+    # spans of different degrees can share content
+    for name, N in (("ground-field", 5), ("dual-numbers", 4), ("group-z3", 3)):
+        filt = hodge_filtration(name, N)
+        for page in pages(filt, r_max=3):
+            assert (page.table, page.d_ranks) == uncached_page(filt, page.r), (name, page.r)
 
 
 def test_first_page_is_hochschild():
