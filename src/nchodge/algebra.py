@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionError, ModulusError, ReductionMismatchError
-from .modring import ModMatrix, _dense_rref, split_modulus
+from .modring import ModMatrix, _dense_rref, matmul_mod, split_modulus
 
 MAX_VALIDATION_REPORTS = 20
 # the largest modulus m with (m - 1)**2 < 2**63: dense elimination and the
@@ -62,16 +62,25 @@ class StructureConstantsAlgebra:
     # ---------------- basic operations ----------------
 
     def multiply(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        return np.einsum("i,j,ijk->k", x, y, self.constants) % self.modulus
+        m, d = self.modulus, self.dim
+        x = np.asarray(x, dtype=np.int64) % m
+        y = np.asarray(y, dtype=np.int64) % m
+        xy = np.outer(x, y) % m
+        return matmul_mod(xy.reshape(1, d * d), self.constants.reshape(d * d, d), m)[0]
 
     def power_of(self, x, k: int) -> np.ndarray:
-        """x**k by repeated multiplication, k >= 1."""
-        out = np.asarray(x, dtype=np.int64) % self.modulus
-        for _ in range(k - 1):
-            out = self.multiply(out, x)
-        return out
+        """x**k by square-and-multiply, k >= 1."""
+        if k < 1:
+            raise ValueError(f"power_of needs k >= 1, got {k}")
+        base = np.asarray(x, dtype=np.int64) % self.modulus
+        out = None
+        while True:
+            if k & 1:
+                out = base if out is None else self.multiply(out, base)
+            k >>= 1
+            if not k:
+                return out
+            base = self.multiply(base, base)
 
     def terms(self, i: int, j: int) -> list[tuple[int, int]]:
         """Nonzero products e_i e_j = sum v * e_k as a list of (k, v)."""
@@ -88,9 +97,10 @@ class StructureConstantsAlgebra:
         return int(vals.max()) if self.dim else 0
 
     def left_mult_matrix(self, x) -> ModMatrix:
-        x = np.asarray(x, dtype=np.int64)
-        mat = np.einsum("i,ijk->kj", x, self.constants) % self.modulus
-        return ModMatrix.from_dense(mat, self.modulus)
+        m, d = self.modulus, self.dim
+        x = np.asarray(x, dtype=np.int64) % m
+        mat = matmul_mod(x.reshape(1, d), self.constants.reshape(d, d * d), m)
+        return ModMatrix.from_dense(mat.reshape(d, d).T, m)
 
     def is_commutative(self) -> bool:
         return bool(np.all(self.constants == self.constants.transpose(1, 0, 2)))
@@ -172,9 +182,12 @@ def dump_algebra(a: StructureConstantsAlgebra, path: str) -> None:
 def validate_algebra(a: StructureConstantsAlgebra) -> list[str]:
     """All associativity and unit failures, as readable strings."""
     failures: list[str] = []
-    c, m = a.constants, a.modulus
-    left = np.einsum("ijm,mkl->ijkl", c, c) % m
-    right = np.einsum("jkm,iml->ijkl", c, c) % m
+    c, m, d = a.constants, a.modulus, a.dim
+    # (e_i e_j) e_k and e_i (e_j e_k) as exact mod-m matrix products
+    flat = c.reshape(d * d, d)
+    swapped = c.transpose(1, 0, 2).reshape(d, d * d)  # [j, (i, k)] = c[i, j, k]
+    left = matmul_mod(flat, c.reshape(d, d * d), m).reshape(d, d, d, d)
+    right = matmul_mod(flat, swapped, m).reshape(d, d, d, d).transpose(2, 0, 1, 3)
     bad = np.argwhere((left - right) % m != 0)
     seen = set()
     for i, j, k, _ in bad:
@@ -186,8 +199,8 @@ def validate_algebra(a: StructureConstantsAlgebra) -> list[str]:
         if len(failures) >= MAX_VALIDATION_REPORTS:
             failures.append("... further failures suppressed")
             return failures
-    lu = np.einsum("i,ijk->jk", a.unit, c) % m
-    ru = np.einsum("j,ijk->ik", a.unit, c) % m
+    lu = matmul_mod(a.unit.reshape(1, d), c.reshape(d, d * d), m).reshape(d, d)
+    ru = matmul_mod(a.unit.reshape(1, d), swapped, m).reshape(d, d)
     eye = np.eye(a.dim, dtype=np.int64)
     for j in np.nonzero(np.any((lu - eye) % m != 0, axis=1))[0]:
         failures.append(f"left unit law fails at {a.basis[j]}")

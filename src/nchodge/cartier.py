@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse as sp
 
 from .algebra import StructureConstantsAlgebra, commutator_quotient
 from .complexes import BicomplexWindow, ChainComplexWindow
@@ -52,6 +53,7 @@ from .modring import (
     hstack,
     is_prime,
     kernel_basis_fp,
+    matmul_mod,
     rank_fp,
     solve_fp,
     _dense_rref,
@@ -65,7 +67,8 @@ class ZpModuleAction:
 
     Permutation actions get an orbit fast path: ranks, invariants and
     coinvariants all read off the orbit partition instead of row
-    reduction.
+    reduction, and the norm is written straight from the permutation.
+    1 - sigma and the norm are built once and shared by every caller.
     """
 
     def __init__(self, sigma: ModMatrix, p: int, check: bool = True):
@@ -82,6 +85,8 @@ class ZpModuleAction:
         if check:
             self._check_order()
         self._orbit: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._one_minus: ModMatrix | None = None
+        self._norm: ModMatrix | None = None
 
     @classmethod
     def from_permutation(cls, perm: np.ndarray, p: int, check: bool = True) -> "ZpModuleAction":
@@ -96,7 +101,8 @@ class ZpModuleAction:
         if np.any(np.diff(csc.indptr) != 1) or np.any(csc.data % sigma.modulus != 1):
             return None
         perm = csc.indices.astype(np.int64)
-        if np.unique(perm).shape[0] != sigma.shape[0]:
+        # n columns with one entry each: a permutation iff every row is hit
+        if np.count_nonzero(np.bincount(perm, minlength=perm.shape[0])) != perm.shape[0]:
             return None
         return perm
 
@@ -134,15 +140,38 @@ class ZpModuleAction:
         return int(np.count_nonzero(self.orbit_data()[2]))
 
     def one_minus(self) -> ModMatrix:
-        return ModMatrix.identity(self.dim, self.p) - self.sigma
+        if self._one_minus is None:
+            self._one_minus = ModMatrix.identity(self.dim, self.p) - self.sigma
+        return self._one_minus
 
     def norm(self) -> ModMatrix:
-        total = ModMatrix.identity(self.dim, self.p)
-        cur = ModMatrix.identity(self.dim, self.p)
-        for _ in range(self.p - 1):
-            cur = self.sigma @ cur
-            total = total + cur
-        return total
+        """1 + sigma + ... + sigma^(p-1).
+
+        A permutation's norm is written straight into CSC: the column of a
+        moved word holds its p distinct images, and on a fixed word the p
+        terms sum to p = 0, so its column is empty.
+        """
+        if self._norm is None:
+            if self.perm is None:
+                total = ModMatrix.identity(self.dim, self.p)
+                cur = ModMatrix.identity(self.dim, self.p)
+                for _ in range(self.p - 1):
+                    cur = self.sigma @ cur
+                    total = total + cur
+                self._norm = total
+            else:
+                moved = ~self.orbit_data()[2]
+                images = [np.flatnonzero(moved)]
+                for _ in range(self.p - 1):
+                    images.append(self.perm[images[-1]])
+                rows = np.stack(images, axis=1).ravel()
+                indptr = np.zeros(self.dim + 1, dtype=np.int64)
+                np.cumsum(moved * self.p, out=indptr[1:])
+                # ModMatrix sorts the rows within each column
+                csc = sp.csc_matrix((np.ones(rows.shape[0], dtype=np.int64), rows, indptr),
+                                    shape=(self.dim, self.dim))
+                self._norm = ModMatrix((self.dim, self.dim), self.p, csc)
+        return self._norm
 
     def rank_one_minus(self) -> int:
         if self.perm is not None:
@@ -186,10 +215,6 @@ def zp_coinvariants(act: ZpModuleAction) -> tuple[ModMatrix, ModMatrix]:
             proj[row, c] = (-int(rref[r, j])) % act.p
     sec = ModMatrix.from_index_map(np.array(free, dtype=np.int64), act.dim, act.p)
     return ModMatrix.from_dense(proj, act.p), sec
-
-
-def norm_map(act: ZpModuleAction) -> ModMatrix:
-    return act.norm()
 
 
 def zp_homology_dims(act: ZpModuleAction, l_max: int = 4) -> dict[int, int]:
@@ -651,17 +676,18 @@ def conjugate_bicomplex(pcyc: PCyclicLevels, L: int,
                         check: bool = True) -> BicomplexWindow:
     """Columns carry the subdivided boundary with alternating sign, the
     horizontals resolve the Z/p action: 1 - sigma into even columns, the
-    sigma-norm into odd ones."""
+    sigma-norm into odd ones. Every column shares one object per operator
+    and level, which `check_squares` relies on to check each square once."""
     mod = pcyc.algebra.modulus
     dims = {}
     d_v = {}
     d_h = {}
+    neg_b = {y: -pcyc.b(y) for y in range(1, pcyc.N + 1)}
     for x in range(L + 1):
         for y in range(pcyc.N + 1):
             dims[(x, y)] = pcyc.dim(y)
             if y >= 1:
-                b = pcyc.b(y)
-                d_v[(x, y)] = b if x % 2 == 0 else -b
+                d_v[(x, y)] = pcyc.b(y) if x % 2 == 0 else neg_b[y]
             if x >= 1:
                 act = pcyc.action(y)
                 d_h[(x, y)] = act.one_minus() if x % 2 == 1 else act.norm()
@@ -805,19 +831,23 @@ def cartier0(a: StructureConstantsAlgebra, samples: int = 1000,
     additive_ok = True
     representative_ok = True
     proj_d = proj.to_dense()
+
+    def cls_of_power(z: np.ndarray) -> np.ndarray:
+        return matmul_mod(proj_d, a.power_of(z, p).reshape(-1, 1), p)
+
     for _ in range(samples):
         x = a.random_element(rng)
         y = a.random_element(rng)
-        lhs = proj_d @ a.power_of((x + y) % p, p) % p
-        rhs = (proj_d @ a.power_of(x, p) + proj_d @ a.power_of(y, p)) % p
-        if not np.array_equal(lhs % p, rhs % p):
+        lhs = cls_of_power((x + y) % p)
+        rhs = (cls_of_power(x) + cls_of_power(y)) % p
+        if not np.array_equal(lhs, rhs):
             additive_ok = False
             break
         u = a.random_element(rng)
         v = a.random_element(rng)
         comm = (a.multiply(u, v) - a.multiply(v, u)) % p
-        lhs = proj_d @ a.power_of((x + comm) % p, p) % p
-        rhs = proj_d @ a.power_of(x, p) % p
+        lhs = cls_of_power((x + comm) % p)
+        rhs = cls_of_power(x)
         if not np.array_equal(lhs, rhs):
             representative_ok = False
             break

@@ -4,10 +4,13 @@ A window holds dimensions and differentials for a contiguous range of
 degrees, plus the validity range where homology can be trusted (degrees
 whose neighbours are fully inside the window). Bicomplex windows live in
 the first quadrant, store their differentials with all signs already
-applied, and totalize to a chain window with a block index table.
+applied, and totalize to a chain window with a block index table whose
+differentials are built on demand.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -15,11 +18,48 @@ from .errors import NotAComplexError, ShapeError, WindowError
 from .modring import ModMatrix, _dense_rref, homology_dim as _hdim
 
 
+class LazyDiffs(Mapping):
+    """Differentials keyed by degree, each built by build(n) the first time
+    it is read and kept from then on.
+
+    The keys are fixed up front, so iterating, counting and membership never
+    build anything; reading a key that is not there raises KeyError before
+    any build starts.
+    """
+
+    def __init__(self, keys: Iterable[int], build: Callable[[int], ModMatrix]):
+        self._keys = tuple(keys)
+        self._key_set = frozenset(self._keys)
+        self._build = build
+        self._built: dict[int, ModMatrix] = {}
+
+    def __getitem__(self, n: int) -> ModMatrix:
+        got = self._built.get(n)
+        if got is None:
+            if n not in self._key_set:
+                raise KeyError(n)
+            got = self._built[n] = self._build(n)
+        return got
+
+    def __contains__(self, n) -> bool:
+        return n in self._key_set
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 class ChainComplexWindow:
-    """Degrees lo..hi with d_n: C_n -> C_{n-1} for lo < n <= hi."""
+    """Degrees lo..hi with d_n: C_n -> C_{n-1} for lo < n <= hi.
+
+    diffs may be a LazyDiffs mapping; it is then kept as it is, so each
+    differential is built only when something reads it.
+    """
 
     def __init__(self, lo: int, hi: int, dims: dict[int, int],
-                 diffs: dict[int, ModMatrix], modulus: int,
+                 diffs: Mapping[int, ModMatrix], modulus: int,
                  vlo: int | None = None, vhi: int | None = None,
                  check: bool = True):
         if lo > hi:
@@ -28,7 +68,7 @@ class ChainComplexWindow:
         self.hi = hi
         self.modulus = modulus
         self.dims = {n: int(dims.get(n, 0)) for n in range(lo, hi + 1)}
-        self.diffs = dict(diffs)
+        self.diffs = diffs if isinstance(diffs, LazyDiffs) else dict(diffs)
         self.vlo = lo if vlo is None else vlo
         self.vhi = hi - 1 if vhi is None else vhi
         if check:
@@ -39,9 +79,8 @@ class ChainComplexWindow:
 
     def d(self, n: int) -> ModMatrix:
         """The differential out of degree n; zero maps at the edges."""
-        got = self.diffs.get(n)
-        if got is not None:
-            return got
+        if n in self.diffs:
+            return self.diffs[n]
         return ModMatrix.zeros(self.dim(n - 1), self.dim(n), self.modulus)
 
     def check_differentials(self) -> None:
@@ -66,11 +105,12 @@ class ChainComplexWindow:
         return {n: self.homology_dim(n) for n in degrees}
 
     def shift(self, k: int) -> "ChainComplexWindow":
-        """Same data with degrees moved up by k."""
+        """Same data with degrees moved up by k; no differential is built."""
+        src = self.diffs
         return ChainComplexWindow(
             self.lo + k, self.hi + k,
             {n + k: d for n, d in self.dims.items()},
-            {n + k: m for n, m in self.diffs.items()},
+            LazyDiffs([n + k for n in src], lambda n: src[n - k]),
             self.modulus, vlo=self.vlo + k, vhi=self.vhi + k, check=False)
 
 
@@ -79,7 +119,7 @@ def truncate_stupid(c: ChainComplexWindow, n: int) -> ChainComplexWindow:
     if n < c.lo or n > c.hi:
         raise WindowError(f"truncation degree {n} outside [{c.lo}, {c.hi}]")
     dims = {m: c.dim(m) for m in range(c.lo, n + 1)}
-    diffs = {m: c.diffs[m] for m in c.diffs if m <= n}
+    diffs = LazyDiffs([m for m in c.diffs if m <= n], c.diffs.__getitem__)
     return ChainComplexWindow(c.lo, n, dims, diffs, c.modulus,
                               vlo=c.vlo, vhi=min(c.vhi, n - 1), check=False)
 
@@ -175,16 +215,34 @@ class BicomplexWindow:
             want = (self.dim(x - 1, y), self.dim(x, y))
             if mat.shape != want:
                 raise ShapeError(f"d_h at {(x, y)} has shape {mat.shape}, expected {want}")
+        # Periodic bicomplexes repeat the same operator objects column after
+        # column, so each distinct square is computed once, keyed by the
+        # identities of its operands. Matrices are never mutated, and `seen`
+        # keeps every keyed operand alive so that no id is reused meanwhile.
+        seen: dict[tuple[int, ...], tuple[ModMatrix, ...]] = {}
+
+        def vanishes(*ops: ModMatrix) -> bool:
+            """ops[0] @ ops[1] (+ ops[2] @ ops[3]) is zero."""
+            key = tuple(id(op) for op in ops)
+            if key in seen:
+                return True
+            total = ops[0] @ ops[1]
+            if len(ops) == 4:
+                total = total + ops[2] @ ops[3]
+            if not total.is_zero():
+                return False
+            seen[key] = ops
+            return True
+
         for x in range(self.X + 1):
             for y in range(self.Y + 1):
-                if y >= 2 and not (self.dv(x, y - 1) @ self.dv(x, y)).is_zero():
+                if y >= 2 and not vanishes(self.dv(x, y - 1), self.dv(x, y)):
                     raise NotAComplexError(f"vertical square fails at {(x, y)}")
-                if x >= 2 and not (self.dh(x - 1, y) @ self.dh(x, y)).is_zero():
+                if x >= 2 and not vanishes(self.dh(x - 1, y), self.dh(x, y)):
                     raise NotAComplexError(f"horizontal square fails at {(x, y)}")
-                if x >= 1 and y >= 1:
-                    anti = self.dv(x - 1, y) @ self.dh(x, y) + self.dh(x, y - 1) @ self.dv(x, y)
-                    if not anti.is_zero():
-                        raise NotAComplexError(f"square at {(x, y)} does not anticommute")
+                if x >= 1 and y >= 1 and not vanishes(
+                        self.dv(x - 1, y), self.dh(x, y), self.dh(x, y - 1), self.dv(x, y)):
+                    raise NotAComplexError(f"square at {(x, y)} does not anticommute")
 
     def total_degree_bound(self) -> int:
         return self.X + self.Y
@@ -199,7 +257,10 @@ class BicomplexWindow:
         """Totalize; returns the chain window plus per-degree block tables.
 
         blocks[n] lists (x, y, offset, dim) for the cells on the
-        antidiagonal x + y = n, in increasing x.
+        antidiagonal x + y = n, in increasing x. The total differentials
+        are built on demand: d_n is assembled the first time the window
+        reads it (through `d`, `diffs` or a homology call) and is kept on
+        the window, so degrees nobody reads cost nothing.
         """
         top = self.X + self.Y
         blocks: dict[int, list[tuple[int, int, int, int]]] = {}
@@ -214,8 +275,8 @@ class BicomplexWindow:
                 offset += d
             blocks[n] = table
             tot_dims[n] = offset
-        diffs: dict[int, ModMatrix] = {}
-        for n in range(1, top + 1):
+
+        def build(n: int) -> ModMatrix:
             target_offsets = {(x, y): off for x, y, off, _ in blocks[n - 1]}
             rows_list, cols_list, vals_list = [], [], []
             for x, y, off, d in blocks[n]:
@@ -234,8 +295,10 @@ class BicomplexWindow:
                 vals = np.concatenate(vals_list)
             else:
                 rows = cols = vals = np.zeros(0, dtype=np.int64)
-            diffs[n] = ModMatrix.from_arrays(
+            return ModMatrix.from_arrays(
                 (tot_dims[n - 1], tot_dims[n]), self.modulus, rows, cols, vals)
+
+        diffs = LazyDiffs(range(1, top + 1), build)
         tot = ChainComplexWindow(0, top, tot_dims, diffs, self.modulus,
                                  vlo=0, vhi=self.trusted_upper(), check=False)
         return tot, blocks

@@ -39,8 +39,3 @@ def face_sign(i: int) -> int:
 def cyclic_sign(n: int) -> int:
     """Sign decorating the one-step rotation on n-simplices."""
     return -1 if n % 2 else 1
-
-
-def column_sign(x: int) -> int:
-    """Sign applied to the vertical differential in column x."""
-    return -1 if x % 2 else 1

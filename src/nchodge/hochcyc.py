@@ -138,17 +138,6 @@ def rotation_matrix(dim: int, m: int, modulus: int) -> ModMatrix:
     return ModMatrix.from_index_map(rows, size, modulus)
 
 
-def block_rotation_matrix(dim: int, length: int, blocksize: int, modulus: int) -> ModMatrix:
-    """Rotation of `length` digits by a whole block of `blocksize` digits."""
-    if length % blocksize:
-        raise ShapeError("block size must divide the word length")
-    size = dim ** length
-    cols = np.arange(size, dtype=np.int64)
-    stride = dim ** (length - blocksize)
-    rows = cols // stride + (cols % stride) * dim ** blocksize
-    return ModMatrix.from_index_map(rows, size, modulus)
-
-
 # ---------------- the cyclic object ----------------
 
 def estimate_entries(a: StructureConstantsAlgebra, N: int) -> int:
@@ -536,22 +525,23 @@ def hc_dims(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
 def conn2_bicomplex(cyc: CyclicLevelMaps, L: int) -> BicomplexWindow:
     """Periodic two-column style bicomplex: even columns carry b, odd
     columns carry -b'; the horizontals alternate between 1 - t (into even
-    columns) and the cyclic norm (into odd columns)."""
+    columns) and the cyclic norm (into odd columns). Every column shares one
+    object per operator and level, so `check_squares` checks each square
+    once."""
     N = cyc.N
     mod = cyc.algebra.modulus
     dims = {}
     d_v = {}
     d_h = {}
+    neg_bprime = {y: -cyc.bprime(y) for y in range(1, N + 1)}
+    one_minus_t = {y: ModMatrix.identity(cyc.dim(y), mod) - cyc.t(y) for y in range(N + 1)}
     for x in range(L + 1):
         for y in range(N + 1):
             dims[(x, y)] = cyc.dim(y)
             if y >= 1:
-                d_v[(x, y)] = cyc.b(y) if x % 2 == 0 else -cyc.bprime(y)
+                d_v[(x, y)] = cyc.b(y) if x % 2 == 0 else neg_bprime[y]
             if x >= 1:
-                if x % 2 == 1:
-                    d_h[(x, y)] = ModMatrix.identity(cyc.dim(y), mod) - cyc.t(y)
-                else:
-                    d_h[(x, y)] = cyc.norm(y)
+                d_h[(x, y)] = one_minus_t[y] if x % 2 == 1 else cyc.norm(y)
     return BicomplexWindow(L, N, dims, d_v, d_h, mod,
                            sign_tag=SIGN_CONVENTION, check=False)
 

@@ -191,13 +191,19 @@ class ModMatrix:
     @classmethod
     def from_index_map(cls, rows_for_col: np.ndarray, n_rows: int, modulus: int,
                        vals: np.ndarray | None = None) -> "ModMatrix":
-        """Column j carries a single entry at row rows_for_col[j]."""
-        rows_for_col = np.asarray(rows_for_col, dtype=np.int64)
+        """Column j carries a single entry at row rows_for_col[j].
+
+        The CSC arrays are written directly (one entry per column needs no
+        sorting); they are copies, since reduction works in place.
+        """
+        rows_for_col = np.array(rows_for_col, dtype=np.int64)
         n_cols = rows_for_col.shape[0]
-        if vals is None:
-            vals = np.ones(n_cols, dtype=np.int64)
-        cols = np.arange(n_cols, dtype=np.int64)
-        return cls.from_arrays((n_rows, n_cols), modulus, rows_for_col, cols, vals)
+        vals = np.ones(n_cols, dtype=np.int64) if vals is None else np.array(vals, dtype=np.int64)
+        if n_cols and not (0 <= rows_for_col.min() and rows_for_col.max() < n_rows):
+            raise ShapeError(f"index map leaves the {n_rows} rows")
+        indptr = np.arange(n_cols + 1, dtype=np.int64)
+        csc = sp.csc_matrix((vals, rows_for_col, indptr), shape=(n_rows, n_cols))
+        return cls((n_rows, n_cols), modulus, csc)
 
     # ---------------- basic queries ----------------
 
@@ -346,13 +352,36 @@ def _limb_product(left: sp.csc_matrix, right: sp.csc_matrix, m: int,
     in int64, and the reduced limb products are recombined by Horner's rule
     mod m; max(k, 2) also keeps (m - 1) * 2**s + m below 2**63.
     """
-    s = ((((1 << 63) - 1) // (max(k, 2) * (m - 1))) + 1).bit_length() - 1
+    s = _limb_bits(k, m)
     out = None
     for shift in reversed(range(0, (m - 1).bit_length(), s)):
         limb = right.copy()
         limb.data = (right.data >> shift) & ((1 << s) - 1)
         part = _reduced(left @ limb, m)
         out = part if out is None else _reduced(out * (1 << s) + part, m)
+    return out
+
+
+def _limb_bits(k: int, m: int) -> int:
+    """The largest s with max(k, 2) * (m - 1) * (2**s - 1) < 2**63."""
+    return ((((1 << 63) - 1) // (max(k, 2) * (m - 1))) + 1).bit_length() - 1
+
+
+def matmul_mod(left: np.ndarray, right: np.ndarray, m: int) -> np.ndarray:
+    """left @ right mod m for dense int64 residue arrays, exact for m < 2**32.
+
+    Below the int64 accumulation bound k * (m - 1)**2 < 2**63, k the inner
+    dimension, this is one integer matmul; above it the right factor is cut
+    into limbs as in `_limb_product`.
+    """
+    k = left.shape[-1]
+    if k * (m - 1) ** 2 < 1 << 63:
+        return left @ right % m
+    s = _limb_bits(k, m)
+    out = np.zeros((left.shape[0], right.shape[-1]), dtype=np.int64)
+    for shift in reversed(range(0, (m - 1).bit_length(), s)):
+        part = left @ ((right >> shift) & ((1 << s) - 1)) % m
+        out = (out * (1 << s) + part) % m
     return out
 
 

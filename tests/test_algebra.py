@@ -239,3 +239,68 @@ def test_left_mult_matrix_agrees_with_multiply():
     y = a.random_element(rng)
     lm = a.left_mult_matrix(x).to_dense()
     assert np.array_equal((lm @ y) % 5, a.multiply(x, y))
+
+
+# ---------------- powers and exact products at every accepted modulus ----------------
+
+def test_power_of_equals_repeated_product():
+    for p in (3, 5):
+        for name in corpus_names():
+            a = build(name, p)
+            x = a.random_element(np.random.default_rng(p))
+            want = x % p
+            for k in range(1, 51):
+                assert np.array_equal(a.power_of(x, k), want), (name, p, k)
+                want = a.multiply(want, x)
+
+
+# 2**31 - 1, and the largest prime m with (m - 1)**2 < 2**63
+WIDE_PRIMES = (2147483647, 3037000493)
+
+
+def ref_multiply(c: list, x: list, y: list, m: int) -> list:
+    d = len(x)
+    return [sum(x[i] * y[j] * c[i][j][k] for i in range(d) for j in range(d)) % m
+            for k in range(d)]
+
+
+def rebased(a, t: int):
+    """a in the basis f_0 = e_0 + t e_1, f_i = e_i otherwise, computed with
+    Python ints: the constants become residues of every size."""
+    d, m = a.dim, a.modulus
+    g = [[int(i == j) for j in range(d)] for i in range(d)]
+    ginv = [[int(i == j) for j in range(d)] for i in range(d)]
+    g[0][1], ginv[0][1] = t % m, -t % m
+    c = a.constants.tolist()
+    new = [[[sum(g[i][u] * g[j][v] * c[u][v][w] * ginv[w][k]
+                 for u in range(d) for v in range(d) for w in range(d)) % m
+             for k in range(d)] for j in range(d)] for i in range(d)]
+    unit = [sum(int(a.unit[w]) * ginv[w][k] for w in range(d)) % m for k in range(d)]
+    return StructureConstantsAlgebra(m, a.basis, unit, new, name=f"rebased({a.label()})")
+
+
+def test_products_are_exact_at_wide_primes():
+    for m in WIDE_PRIMES:
+        z4 = build("group-z4", m)
+        top = [m - 1] * 4
+        assert z4.multiply(top, top).tolist() == [4, 4, 4, 4]
+        for base in ("group-z4", "m2", "upper-tri-2"):
+            # validation runs on construction and must find the rebased
+            # algebra associative and unital
+            a = rebased(build(base, m), m - 2)
+            assert validate_algebra(a) == []
+            c = a.constants.tolist()
+            rng = np.random.default_rng(m % 1000)
+            for _ in range(5):
+                x = [int(v) for v in rng.integers(m - 1000, m, a.dim)]
+                y = [int(v) for v in rng.integers(0, m, a.dim)]
+                want = ref_multiply(c, x, y, m)
+                assert a.multiply(x, y).tolist() == want, (m, base)
+                lm = a.left_mult_matrix(x).to_dense().tolist()
+                assert [sum(lm[k][j] * y[j] for j in range(a.dim)) % m
+                        for k in range(a.dim)] == want, (m, base)
+            env = enveloping(a)
+            d = a.dim
+            for (i, j, k, l, u, v) in ((0, 1, 1, 0, 0, 1), (1, 0, 0, 1, 1, 0), (0, 0, 1, 1, 0, 1)):
+                assert int(env.constants[i * d + j, k * d + l, u * d + v]) == \
+                    c[i][k][u] * c[l][j][v] % m

@@ -26,7 +26,6 @@ from nchodge.cartier import (
     iota_matrix,
     is_tight,
     lambda_p_bicomplex,
-    norm_map,
     vdagger,
     zp_coinvariants,
     zp_homology_dims,
@@ -111,7 +110,42 @@ def test_invariants_and_coinvariants_are_consistent():
         proj, sec = zp_coinvariants(act)
         assert proj @ sec == ModMatrix.identity(proj.shape[0], act.p)
         assert (proj @ act.one_minus()).is_zero()
-        assert (act.one_minus() @ norm_map(act)).is_zero()
+        assert (act.one_minus() @ act.norm()).is_zero()
+
+
+def order_p_permutation(n: int, p: int, seed: int) -> np.ndarray:
+    """A random permutation of n points made of disjoint p-cycles, with at
+    least p fixed points left over."""
+    rng = np.random.default_rng(seed)
+    idx = rng.permutation(n)
+    perm = np.arange(n, dtype=np.int64)
+    for c in range(n // p - 1):
+        cycle = idx[c * p:(c + 1) * p]
+        perm[cycle] = np.roll(cycle, -1)
+    return perm
+
+
+def test_index_arithmetic_operators_match_matmul_sums():
+    acts = [rotation_action(dim, p, n) for dim, p, n in ((2, 3, 0), (3, 3, 1), (2, 5, 1))]
+    acts += [ZpModuleAction.from_permutation(order_p_permutation(40, p, seed), p)
+             for p, seed in ((3, 0), (5, 1), (7, 2))]
+    for act in acts:
+        assert act.perm is not None and act.n_fixed() > 0
+        one = ModMatrix.identity(act.dim, act.p)
+        norm, cur = one, one
+        for _ in range(act.p - 1):
+            cur = act.sigma @ cur
+            norm = norm + cur
+        assert act.norm() == norm
+        assert act.one_minus() == one - act.sigma
+        assert act.norm() is act.norm() and act.one_minus() is act.one_minus()
+
+
+def test_permutation_test_rejects_a_repeated_index():
+    sigma = ModMatrix.from_index_map(np.array([1, 1, 2]), 3, 3)
+    assert ZpModuleAction(sigma, 3, check=False).perm is None
+    sigma = ModMatrix.from_index_map(np.array([1, 2, 0]), 3, 3)
+    assert ZpModuleAction(sigma, 3).perm.tolist() == [1, 2, 0]
 
 
 def test_vdagger_frozen_and_tight():

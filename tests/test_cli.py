@@ -157,6 +157,15 @@ def test_cartier0_matrix(capsys):
     assert payload["additive_ok"] and payload["representative_ok"]
 
 
+def test_cartier0_at_a_wide_prime_finishes(capsys):
+    # powering by square-and-multiply: about 2 log2(p) products, not p - 1
+    rc, payload = run_json(capsys, "cartier0", "m2", "-p", "2147483647",
+                           "--samples", "5")
+    assert rc == 0
+    assert payload["matrix"] == [[1]]
+    assert payload["additive_ok"] and payload["representative_ok"]
+
+
 def test_edgewise_check_exit_0(capsys):
     rc, payload = run_json(capsys, "edgewise-check", "dual-numbers", "-N", "2")
     assert rc == 0

@@ -5,15 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from nchodge.cartier import (
+    PCyclicLevels,
+    conjugate_bicomplex,
+    estimate_sd_entries,
+    lambda_p_bicomplex,
+)
 from nchodge.complexes import (
     BicomplexWindow,
     ChainComplexWindow,
     IncreasingFiltration,
+    LazyDiffs,
     filtration_by_columns,
     truncate_canonical,
     truncate_stupid,
 )
+from nchodge.corpus import build, corpus_names
 from nchodge.errors import NotAComplexError, ShapeError, WindowError
+from nchodge.hochcyc import NormalizedMixedComplex, bB_bicomplex
 from nchodge.modring import ModMatrix
 
 
@@ -155,3 +164,135 @@ def test_shift():
     s = c.shift(2)
     assert s.lo == 2 and s.hi == 4
     assert s.homology_dims(range(2, 5)) == {2: 0, 3: 0, 4: 0}
+
+
+# ---------------- totalization on demand ----------------
+
+def eager_total_diffs(bicx: BicomplexWindow) -> dict[int, ModMatrix]:
+    """Every total differential, built up front by the original loop."""
+    top = bicx.X + bicx.Y
+    blocks = {}
+    tot_dims = {}
+    for n in range(top + 1):
+        table = []
+        offset = 0
+        for x in range(max(0, n - bicx.Y), min(bicx.X, n) + 1):
+            y = n - x
+            d = bicx.dim(x, y)
+            table.append((x, y, offset, d))
+            offset += d
+        blocks[n] = table
+        tot_dims[n] = offset
+    diffs = {}
+    for n in range(1, top + 1):
+        target_offsets = {(x, y): off for x, y, off, _ in blocks[n - 1]}
+        rows_list, cols_list, vals_list = [], [], []
+        for x, y, off, d in blocks[n]:
+            if d == 0:
+                continue
+            for mat, tgt in ((bicx.dv(x, y), (x, y - 1)), (bicx.dh(x, y), (x - 1, y))):
+                if tgt not in target_offsets or mat.nnz == 0:
+                    continue
+                coo = mat.csc().tocoo()
+                rows_list.append(coo.row + target_offsets[tgt])
+                cols_list.append(coo.col + off)
+                vals_list.append(coo.data)
+        if rows_list:
+            rows = np.concatenate(rows_list)
+            cols = np.concatenate(cols_list)
+            vals = np.concatenate(vals_list)
+        else:
+            rows = cols = vals = np.zeros(0, dtype=np.int64)
+        diffs[n] = ModMatrix.from_arrays(
+            (tot_dims[n - 1], tot_dims[n]), bicx.modulus, rows, cols, vals)
+    return diffs
+
+
+def subdivision_window(a, budget: int = 2_000_000) -> PCyclicLevels | None:
+    """The subdivision through level 2, or else 1, that fits the budget."""
+    for N in (2, 1):
+        if estimate_sd_entries(a, N) <= budget:
+            return PCyclicLevels(a, N, cap=budget)
+    return None
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_on_demand_totalization_matches_eager(p):
+    subdivided = 0
+    for name in corpus_names():
+        a = build(name, p)
+        bicxs = [bB_bicomplex(NormalizedMixedComplex(a, 3))]
+        pcyc = subdivision_window(a)
+        if pcyc is not None:
+            bicxs += [conjugate_bicomplex(pcyc, 3), lambda_p_bicomplex(pcyc, 3)]
+            subdivided += 1
+        for bicx in bicxs:
+            want = eager_total_diffs(bicx)
+            tot, _ = bicx.total_complex()
+            assert list(tot.diffs) == sorted(want), name
+            for n in want:
+                assert tot.d(n) == want[n], (name, n)
+    assert subdivided >= (len(corpus_names()) if p == 3 else 6)
+
+
+def test_square_check_covers_the_last_column():
+    # columns share their operator objects, so the check computes each
+    # distinct square once; a distinct wrong matrix in the last column is
+    # a new square and must still be caught
+    pcyc = PCyclicLevels(build("dual-numbers", 3), 2)
+    L = 4
+    good = conjugate_bicomplex(pcyc, L)
+
+    def rebuilt(d_v, d_h):
+        return BicomplexWindow(L, pcyc.N, good.dims, d_v, d_h, 3, sign_tag=good.sign_tag)
+
+    rebuilt(good.d_v, {k: m + ModMatrix.zeros(*m.shape, 3) for k, m in good.d_h.items()})
+    for y in range(pcyc.N + 1):
+        d_h = dict(good.d_h)
+        d_h[(L, y)] = good.d_h[(L, y)] + ModMatrix.identity(pcyc.dim(y), 3)
+        with pytest.raises(NotAComplexError):
+            rebuilt(good.d_v, d_h)
+    d_v = dict(good.d_v)
+    d_v[(L, 1)] = good.d_v[(L, 1)].scale(2)
+    with pytest.raises(NotAComplexError):
+        rebuilt(d_v, good.d_h)
+
+
+def test_shift_and_truncation_keep_on_demand_differentials():
+    bicx = conjugate_bicomplex(PCyclicLevels(build("dual-numbers", 3), 2), 3)
+    want = eager_total_diffs(bicx)
+    tot, _ = bicx.total_complex()
+    shifted = tot.shift(2)
+    cut = truncate_stupid(tot, 3)
+    assert list(shifted.diffs) == [n + 2 for n in sorted(want)]
+    assert list(cut.diffs) == [n for n in sorted(want) if n <= 3]
+    for n in want:
+        assert shifted.d(n + 2) == want[n]
+        assert shifted.diffs[n + 2] is tot.d(n)
+        if n <= 3:
+            assert cut.d(n) == want[n]
+    assert shifted.homology_dims() == {n + 2: h for n, h in tot.homology_dims().items()}
+
+
+def test_lazy_diffs_build_once_and_never_read_a_failure_as_zero():
+    built = []
+
+    def make(n):
+        built.append(n)
+        if n == 2:
+            raise KeyError("lost block")
+        return ModMatrix.identity(1, 3)
+
+    diffs = LazyDiffs([1, 2], make)
+    assert list(diffs) == [1, 2] and len(diffs) == 2
+    assert 1 in diffs and 3 not in diffs
+    assert built == []
+    c = ChainComplexWindow(0, 2, {0: 1, 1: 1, 2: 1}, diffs, 3, check=False)
+    assert c.diffs is diffs
+    assert c.d(1) is c.d(1) and built == [1]
+    assert c.d(3).shape == (1, 0) and built == [1]
+    with pytest.raises(KeyError):
+        c.d(2)
+    with pytest.raises(KeyError):
+        diffs[3]
+    assert built == [1, 2]

@@ -17,6 +17,7 @@ from nchodge.modring import (
     induced_map_rank,
     is_prime,
     kernel_basis_fp,
+    matmul_mod,
     rank_fp,
     solve_fp,
     split_modulus,
@@ -66,6 +67,26 @@ def test_matmul_is_exact_past_the_int64_product_bound():
         b = rng.integers(0, mod, (9, 5))
         want = [[sum(int(x) * int(y) for x, y in zip(r, c)) % mod for c in b.T] for r in a]
         assert dense(ModMatrix.from_dense(a, mod) @ ModMatrix.from_dense(b, mod)) == want
+        assert matmul_mod(a, b, mod).tolist() == want
+
+
+def test_index_map_matches_coordinate_construction():
+    rng = np.random.default_rng(4)
+    rows = rng.integers(0, 6, 9)
+    vals = rng.integers(-7, 7, 9)
+    assert np.any(vals % 5 == 0)
+    kept = rows.copy(), vals.copy()
+    for v in (None, vals):
+        got = ModMatrix.from_index_map(rows, 6, 5, vals=v)
+        # reduction drops the zero entries in place; the inputs stay intact
+        assert np.array_equal(rows, kept[0]) and np.array_equal(vals, kept[1])
+        want = ModMatrix.from_arrays((6, 9), 5, rows, np.arange(9),
+                                     np.ones(9, dtype=np.int64) if v is None else v)
+        assert got == want and got.nnz == want.nnz
+    assert ModMatrix.from_index_map(np.zeros(0, dtype=np.int64), 3, 5).shape == (3, 0)
+    for bad in ([0, 3], [-1, 0]):
+        with pytest.raises(ShapeError):
+            ModMatrix.from_index_map(np.array(bad), 3, 5)
 
 
 def test_rank_is_computed_once_per_matrix(monkeypatch):
