@@ -19,7 +19,7 @@ for p, dim in ((3, 2), (3, 4), (5, 3)):
 
     vd = vdagger(act)
     print(f"  norm complex: h0 = {vd.h0}, h1 = {vd.h1}, "
-          f"tight = {vd.tight} (fast path: {vd.fast_path})")
+          f"tight = {vd.tight}")
 
     rep = iota_iso(dim, p, l_max=4, samples=100, seed=0)
     print(f"  repeated words: bijective = {rep.bijective}, "

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionError, ModulusError, ReductionMismatchError
-from .modring import ModMatrix, _dense_rref, matmul_mod, split_modulus
+from .modring import ModMatrix, _dense_kernel, is_prime, matmul_mod, split_modulus
 
 MAX_VALIDATION_REPORTS = 20
 # the largest modulus m with (m - 1)**2 < 2**63: dense elimination and the
@@ -138,31 +138,63 @@ class StructureConstantsAlgebra:
         }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(x, length: int) -> bool:
+    return isinstance(x, list) and len(x) == length and all(_is_int(v) for v in x)
+
+
 def from_json_dict(data: dict, check: bool = True) -> StructureConstantsAlgebra:
-    try:
-        p = int(data["p"])
-        power = int(data.get("power", 1))
-        dim = int(data["dim"])
-        basis = data.get("basis") or [f"e{i}" for i in range(dim)]
-        unit = data["unit"]
-        entries = data["constants"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConstructionError(f"malformed algebra description: {exc}") from exc
+    """Build an algebra from its JSON description.
+
+    Every field is type and range checked before anything is allocated, so
+    a malformed description raises ConstructionError (or ModulusError for a
+    bad modulus) and never a bare Python error.
+    """
+    if not isinstance(data, dict):
+        raise ConstructionError("algebra description must be a JSON object")
+    missing = [key for key in ("p", "dim", "unit", "constants") if key not in data]
+    if missing:
+        raise ConstructionError(f"malformed algebra description: missing {missing}")
+    p, power, dim = data["p"], data.get("power", 1), data["dim"]
+    for key, value in (("p", p), ("power", power), ("dim", dim)):
+        if not _is_int(value):
+            raise ConstructionError(f"{key} must be an integer, got {value!r}")
+    if not is_prime(p):
+        raise ModulusError(f"p must be a prime, got {p}")
     if power not in (1, 2):
         raise ModulusError(f"power must be 1 or 2, got {power}")
     modulus = p ** power
-    constants = np.zeros((dim, dim, dim), dtype=np.int64)
+    split_modulus(modulus)  # range check: residues below fit the int64 tables
+    if dim < 0:
+        raise ConstructionError(f"dim must be >= 0, got {dim}")
+    unit = data["unit"]
+    if not _int_list(unit, dim):
+        raise ConstructionError(f"unit must be a list of {dim} integers, got {unit!r}")
+    basis = data.get("basis")
+    if basis is None:
+        basis = [f"e{i}" for i in range(dim)]
+    elif not (isinstance(basis, list) and len(basis) == dim
+              and all(isinstance(b, str) for b in basis)):
+        raise ConstructionError(f"basis must be a list of {dim} strings, got {basis!r}")
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ConstructionError(f"name must be a string, got {name!r}")
+    entries = data["constants"]
+    if not isinstance(entries, list):
+        raise ConstructionError(f"constants must be a list of [i, j, k, value], got {entries!r}")
     for entry in entries:
-        if len(entry) != 4:
+        if not _int_list(entry, 4):
             raise ConstructionError(f"constants entry {entry!r} is not [i, j, k, value]")
-        i, j, k, v = (int(x) for x in entry)
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+        if not all(0 <= x < dim for x in entry[:3]):
             raise ConstructionError(f"constants entry {entry!r} out of range for dim {dim}")
+    constants = np.zeros((dim, dim, dim), dtype=np.int64)
+    for i, j, k, v in entries:
         constants[i, j, k] = v % modulus
-    if len(basis) != dim or len(unit) != dim:
-        raise ConstructionError("basis or unit length does not match dim")
-    return StructureConstantsAlgebra(modulus, basis, unit, constants,
-                                     name=data.get("name"), check=check)
+    return StructureConstantsAlgebra(modulus, basis, [u % modulus for u in unit],
+                                     constants, name=name, check=check)
 
 
 def load_algebra(path: str, check: bool = True) -> StructureConstantsAlgebra:
@@ -423,18 +455,10 @@ def commutator_quotient(a: StructureConstantsAlgebra) -> tuple[int, ModMatrix]:
         raise ModulusError("commutator quotient is computed over F_p")
     p = a.p
     comms = (a.constants - a.constants.transpose(1, 0, 2)).reshape(a.dim * a.dim, a.dim) % p
-    rref, pivots = _dense_rref(comms, p)
-    pivot_set = set(pivots)
-    free = [j for j in range(a.dim) if j not in pivot_set]
-    proj = np.zeros((len(free), a.dim), dtype=np.int64)
-    for row, j in enumerate(free):
-        proj[row, j] = 1
-        for r, c in enumerate(pivots):
-            proj[row, c] = (-int(rref[r, j])) % p
-    # proj @ v reads off the class of v: subtracting the pivot corrections
-    # is the unique way to rewrite v modulo the commutator span in the free
-    # coordinates.
-    return len(free), ModMatrix.from_dense(proj, p)
+    # the rows of proj are a basis of the functionals that vanish on every
+    # commutator, i.e. of the kernel of the commutator rows
+    proj = _dense_kernel(comms, p).T
+    return proj.shape[0], ModMatrix.from_dense(proj, p)
 
 
 # ---------------- lifts mod p**2 ----------------
@@ -489,14 +513,3 @@ def literal_lift(a: StructureConstantsAlgebra) -> AlgebraLift:
         name=f"lift({a.label()})", check=False)
     return AlgebraLift(base=a, lifted=lifted)
 
-
-def frobenius_twist(a: StructureConstantsAlgebra) -> StructureConstantsAlgebra:
-    """Base change along x -> x**p.
-
-    Over the prime field the Frobenius is the identity, so the twist does
-    not move the structure constants; the function exists to mark the spots
-    where the twist enters conceptually.
-    """
-    if a.power != 1:
-        raise ModulusError("the twist is taken over F_p")
-    return a

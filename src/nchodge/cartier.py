@@ -7,6 +7,11 @@ the one-step rotation generates a cyclic group of order p(n + 1), and its
 (n + 1)-st power is the block rotation, an action of Z/p commuting with
 the whole simplicial structure.
 
+Every Z/p action here is such a block rotation, a permutation of the
+monomial basis, so the Z/p toolkit (`ZpModuleAction` and the homology,
+invariants, coinvariants and norm complex built on it) takes permutation
+actions only and reads everything off the orbit partition.
+
 Fixed monomials of the block rotation are exactly the p-fold repeated
 words, so the span of fixed monomials at level n is a copy of the level-n
 chain group of the algebra itself. Restricting the subdivided boundary to
@@ -39,7 +44,7 @@ from .errors import (
 from .hochcyc import (
     DEFAULT_ENTRY_CAP,
     CyclicLevelMaps,
-    build_cyclic_object,
+    b_complex,
     conn2_bicomplex,
     degeneracy_matrix,
     face_matrix,
@@ -48,30 +53,22 @@ from .hochcyc import (
     hodge_ss,
     rotation_matrix,
 )
-from .modring import (
-    ModMatrix,
-    hstack,
-    is_prime,
-    kernel_basis_fp,
-    matmul_mod,
-    rank_fp,
-    solve_fp,
-    _dense_rref,
-)
+from .modring import ModMatrix, hstack, is_prime, matmul_mod, rank_fp, solve_fp
 
 
 # ---------------- Z/p actions ----------------
 
 class ZpModuleAction:
-    """A matrix sigma of order p acting on F_p coordinates.
+    """A permutation matrix sigma of order p acting on F_p coordinates.
 
-    Permutation actions get an orbit fast path: ranks, invariants and
-    coinvariants all read off the orbit partition instead of row
-    reduction, and the norm is written straight from the permutation.
-    1 - sigma and the norm are built once and shared by every caller.
+    Ranks, invariants and coinvariants read off the orbit partition instead
+    of row reduction, and the norm is written straight from the
+    permutation. 1 - sigma and the norm are built once and shared by every
+    caller. A matrix that is not a permutation raises ShapeError; a
+    permutation whose p-th power is not the identity raises OrderError.
     """
 
-    def __init__(self, sigma: ModMatrix, p: int, check: bool = True):
+    def __init__(self, sigma: ModMatrix, p: int):
         if not is_prime(p):
             raise OrderError(f"group order {p} is not prime")
         if sigma.modulus != p:
@@ -82,45 +79,34 @@ class ZpModuleAction:
         self.p = p
         self.dim = sigma.shape[0]
         self.perm = self._as_permutation(sigma)
-        if check:
-            self._check_order()
+        self._check_order()
         self._orbit: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._one_minus: ModMatrix | None = None
         self._norm: ModMatrix | None = None
 
-    @classmethod
-    def from_permutation(cls, perm: np.ndarray, p: int, check: bool = True) -> "ZpModuleAction":
-        perm = np.asarray(perm, dtype=np.int64)
-        return cls(ModMatrix.from_index_map(perm, perm.shape[0], p), p, check=check)
-
     @staticmethod
-    def _as_permutation(sigma: ModMatrix) -> np.ndarray | None:
-        if sigma.nnz != sigma.shape[0]:
-            return None
+    def _as_permutation(sigma: ModMatrix) -> np.ndarray:
+        n = sigma.shape[0]
         csc = sigma.csc()
         if np.any(np.diff(csc.indptr) != 1) or np.any(csc.data % sigma.modulus != 1):
-            return None
+            raise ShapeError(
+                f"action on {n} coordinates is not a permutation matrix "
+                f"({sigma.nnz} entries)")
         perm = csc.indices.astype(np.int64)
         # n columns with one entry each: a permutation iff every row is hit
-        if np.count_nonzero(np.bincount(perm, minlength=perm.shape[0])) != perm.shape[0]:
-            return None
+        if np.count_nonzero(np.bincount(perm, minlength=n)) != n:
+            raise ShapeError(f"action on {n} coordinates repeats a row index")
         return perm
 
     def _check_order(self) -> None:
-        if self.perm is not None:
-            cur = self.perm
-            for _ in range(self.p - 1):
-                cur = self.perm[cur]
-            ok = np.array_equal(cur, np.arange(self.dim, dtype=np.int64))
-        else:
-            ok = self.sigma.matpow(self.p) == ModMatrix.identity(self.dim, self.p)
-        if not ok:
+        cur = self.perm
+        for _ in range(self.p - 1):
+            cur = self.perm[cur]
+        if not np.array_equal(cur, np.arange(self.dim, dtype=np.int64)):
             raise OrderError(f"action does not have order {self.p}")
 
     # orbit partition: reps[i] is the smallest index in the orbit of i
     def orbit_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.perm is None:
-            raise ShapeError("orbit data only exists for permutation actions")
         if self._orbit is None:
             idx = np.arange(self.dim, dtype=np.int64)
             reps = idx.copy()
@@ -145,76 +131,49 @@ class ZpModuleAction:
         return self._one_minus
 
     def norm(self) -> ModMatrix:
-        """1 + sigma + ... + sigma^(p-1).
+        """1 + sigma + ... + sigma^(p-1), written straight into CSC.
 
-        A permutation's norm is written straight into CSC: the column of a
-        moved word holds its p distinct images, and on a fixed word the p
-        terms sum to p = 0, so its column is empty.
+        The column of a moved word holds its p distinct images, and on a
+        fixed word the p terms sum to p = 0, so its column is empty.
         """
         if self._norm is None:
-            if self.perm is None:
-                total = ModMatrix.identity(self.dim, self.p)
-                cur = ModMatrix.identity(self.dim, self.p)
-                for _ in range(self.p - 1):
-                    cur = self.sigma @ cur
-                    total = total + cur
-                self._norm = total
-            else:
-                moved = ~self.orbit_data()[2]
-                images = [np.flatnonzero(moved)]
-                for _ in range(self.p - 1):
-                    images.append(self.perm[images[-1]])
-                rows = np.stack(images, axis=1).ravel()
-                indptr = np.zeros(self.dim + 1, dtype=np.int64)
-                np.cumsum(moved * self.p, out=indptr[1:])
-                # ModMatrix sorts the rows within each column
-                csc = sp.csc_matrix((np.ones(rows.shape[0], dtype=np.int64), rows, indptr),
-                                    shape=(self.dim, self.dim))
-                self._norm = ModMatrix((self.dim, self.dim), self.p, csc)
+            moved = ~self.orbit_data()[2]
+            images = [np.flatnonzero(moved)]
+            for _ in range(self.p - 1):
+                images.append(self.perm[images[-1]])
+            rows = np.stack(images, axis=1).ravel()
+            indptr = np.zeros(self.dim + 1, dtype=np.int64)
+            np.cumsum(moved * self.p, out=indptr[1:])
+            # ModMatrix sorts the rows within each column
+            csc = sp.csc_matrix((np.ones(rows.shape[0], dtype=np.int64), rows, indptr),
+                                shape=(self.dim, self.dim))
+            self._norm = ModMatrix((self.dim, self.dim), self.p, csc)
         return self._norm
 
     def rank_one_minus(self) -> int:
-        if self.perm is not None:
-            return self.dim - self.n_orbits()
-        return rank_fp(self.one_minus())
+        return self.dim - self.n_orbits()
 
     def rank_norm(self) -> int:
-        if self.perm is not None:
-            return self.n_orbits() - self.n_fixed()
-        return rank_fp(self.norm())
+        return self.n_orbits() - self.n_fixed()
 
 
 def zp_invariants(act: ZpModuleAction) -> ModMatrix:
-    """Columns: a basis of the sigma-fixed subspace."""
-    if act.perm is not None:
-        uniq, inverse, fixed = act.orbit_data()
-        rows = np.arange(act.dim, dtype=np.int64)
-        return ModMatrix.from_arrays(
-            (act.dim, uniq.shape[0]), act.p, rows, inverse,
-            np.ones(act.dim, dtype=np.int64))
-    return kernel_basis_fp(act.one_minus())
+    """Columns: a basis of the sigma-fixed subspace, one orbit sum each."""
+    uniq, inverse, _ = act.orbit_data()
+    rows = np.arange(act.dim, dtype=np.int64)
+    return ModMatrix.from_arrays(
+        (act.dim, uniq.shape[0]), act.p, rows, inverse,
+        np.ones(act.dim, dtype=np.int64))
 
 
 def zp_coinvariants(act: ZpModuleAction) -> tuple[ModMatrix, ModMatrix]:
-    """(projection, section) for the coinvariant quotient."""
-    if act.perm is not None:
-        uniq, inverse, fixed = act.orbit_data()
-        rows = np.arange(act.dim, dtype=np.int64)
-        proj = ModMatrix.from_arrays(
-            (uniq.shape[0], act.dim), act.p, inverse, rows,
-            np.ones(act.dim, dtype=np.int64))
-        return proj, ModMatrix.from_index_map(uniq, act.dim, act.p)
-    moved = act.one_minus().to_dense()
-    rref, pivots = _dense_rref(moved.T, act.p)
-    pivot_set = set(int(c) for c in pivots)
-    free = [j for j in range(act.dim) if j not in pivot_set]
-    proj = np.zeros((len(free), act.dim), dtype=np.int64)
-    for row, j in enumerate(free):
-        proj[row, j] = 1
-        for r, c in enumerate(pivots):
-            proj[row, c] = (-int(rref[r, j])) % act.p
-    sec = ModMatrix.from_index_map(np.array(free, dtype=np.int64), act.dim, act.p)
-    return ModMatrix.from_dense(proj, act.p), sec
+    """(projection, section) for the coinvariant quotient, one orbit each."""
+    uniq, inverse, _ = act.orbit_data()
+    rows = np.arange(act.dim, dtype=np.int64)
+    proj = ModMatrix.from_arrays(
+        (uniq.shape[0], act.dim), act.p, inverse, rows,
+        np.ones(act.dim, dtype=np.int64))
+    return proj, ModMatrix.from_index_map(uniq, act.dim, act.p)
 
 
 def zp_homology_dims(act: ZpModuleAction, l_max: int = 4) -> dict[int, int]:
@@ -239,7 +198,6 @@ class VDaggerReport:
     rank_t: int
     phi_rank: int
     tight: bool
-    fast_path: bool
 
 
 def vdagger(act: ZpModuleAction) -> VDaggerReport:
@@ -247,32 +205,14 @@ def vdagger(act: ZpModuleAction) -> VDaggerReport:
 
     h0 is its cokernel, h1 its kernel, and phi the comparison map induced
     by including invariants and projecting to coinvariants. Tight means
-    phi identifies the two homology groups.
+    phi identifies the two homology groups. On a permutation module the
+    norm is nonzero exactly on the free orbits and phi is nonzero exactly
+    on the fixed words.
     """
-    if act.perm is not None:
-        uniq, inverse, fixed = act.orbit_data()
-        n_orb = uniq.shape[0]
-        n_fix = int(np.count_nonzero(fixed))
-        rank_t = n_orb - n_fix
-        h0 = n_orb - rank_t
-        h1 = n_orb - rank_t
-        return VDaggerReport(h0=h0, h1=h1, rank_t=rank_t, phi_rank=n_fix,
-                             tight=n_fix == h0, fast_path=True)
-    inc = zp_invariants(act)
-    proj, sec = zp_coinvariants(act)
-    t = solve_fp(inc, act.norm() @ sec)
-    if t is None:
-        raise InternalCheckError("norm image is not inside the invariants")
-    rank_t = rank_fp(t)
-    h0 = inc.shape[1] - rank_t
-    h1 = sec.shape[1] - rank_t
-    phi_rank = rank_fp(proj @ inc)
-    return VDaggerReport(h0=h0, h1=h1, rank_t=rank_t, phi_rank=phi_rank,
-                         tight=phi_rank == h0 and h0 == h1, fast_path=False)
-
-
-def is_tight(act: ZpModuleAction) -> bool:
-    return vdagger(act).tight
+    n_orb, n_fix = act.n_orbits(), act.n_fixed()
+    rank_t = n_orb - n_fix
+    h = n_orb - rank_t
+    return VDaggerReport(h0=h, h1=h, rank_t=rank_t, phi_rank=n_fix, tight=n_fix == h)
 
 
 # ---------------- repeated-word comparison map ----------------
@@ -492,7 +432,7 @@ class PCyclicLevels:
 
     def action(self, n: int) -> ZpModuleAction:
         if n not in self._actions:
-            self._actions[n] = ZpModuleAction(self.sigma(n), self.p, check=False)
+            self._actions[n] = ZpModuleAction(self.sigma(n), self.p)
         return self._actions[n]
 
     def b(self, n: int) -> ModMatrix:
@@ -510,7 +450,7 @@ class PCyclicLevels:
             for i in range(1, n):
                 step = self.face(n, i)
                 total = total + step if i % 2 == 0 else total - step
-            self._bprime[n] = total if n > 0 else self.face(n, 0)
+            self._bprime[n] = total
         return self._bprime[n]
 
     def norm(self, n: int) -> ModMatrix:
@@ -580,19 +520,6 @@ class PCyclicLevels:
         return bad
 
 
-def edgewise_subdivision(a: StructureConstantsAlgebra, N: int,
-                         cap: int | None = None,
-                         allow_p2: bool = False) -> PCyclicLevels:
-    return PCyclicLevels(a, N, cap=cap, allow_p2=allow_p2)
-
-
-def sd_b_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:
-    dims = {n: pcyc.dim(n) for n in range(pcyc.N + 1)}
-    diffs = {n: pcyc.b(n) for n in range(1, pcyc.N + 1)}
-    return ChainComplexWindow(0, pcyc.N, dims, diffs, pcyc.algebra.modulus,
-                              vlo=0, vhi=pcyc.N - 1, check=False)
-
-
 @dataclass
 class EdgewiseReport:
     p: int
@@ -611,8 +538,8 @@ def edgewise_hh_check(a: StructureConstantsAlgebra, N: int,
     Subdivision does not change the realization, so the two must agree on
     the whole trusted window; a mismatch raises.
     """
-    pcyc = edgewise_subdivision(a, N, cap=cap, allow_p2=allow_p2)
-    sd = sd_b_complex(pcyc).homology_dims()
+    pcyc = PCyclicLevels(a, N, cap=cap, allow_p2=allow_p2)
+    sd = b_complex(pcyc).homology_dims()
     hh = hh_dims(a, N, cap=cap)
     if sd != hh:
         raise SubdivisionMismatchError(
@@ -653,7 +580,7 @@ def hc_via_lambda_p(a: StructureConstantsAlgebra, N: int, L: int | None = None,
     since subdivision cannot change cyclic homology.
     """
     L = N if L is None else L
-    pcyc = edgewise_subdivision(a, N, cap=cap, allow_p2=allow_p2)
+    pcyc = PCyclicLevels(a, N, cap=cap, allow_p2=allow_p2)
     bicx = lambda_p_bicomplex(pcyc, L)
     tot, _ = bicx.total_complex()
     top = min(L, N) - 1
@@ -706,7 +633,7 @@ def _fixed_reduced_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:
     powers. The equality is asserted, not assumed.
     """
     a = pcyc.algebra
-    cyc = build_cyclic_object(a, pcyc.N, cap=pcyc.cap)
+    cyc = CyclicLevelMaps(a, pcyc.N, cap=pcyc.cap)
     dims = {n: a.dim ** (n + 1) for n in range(pcyc.N + 1)}
     diffs = {}
     for n in range(1, pcyc.N + 1):
@@ -764,7 +691,7 @@ def conjugate_ss(a: StructureConstantsAlgebra, N: int, L: int | None = None,
     homology of the truncated totalization on its trusted window.
     """
     L = 2 * a.p if L is None else L
-    pcyc = edgewise_subdivision(a, N, cap=cap, allow_p2=allow_p2)
+    pcyc = PCyclicLevels(a, N, cap=cap, allow_p2=allow_p2)
     e1 = {}
     for n in range(N + 1):
         act = pcyc.action(n)

@@ -346,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "with the Hodge and conjugate filtration toolkit.",
         epilog="exit codes: 0 clean, 1 flagged findings, 2 bad input, "
                "3 resource cap")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="thread budget exported to the numeric backends")
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("corpus", help="list the builtin algebras")
@@ -414,16 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         payload, table, findings = args.func(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceError as exc:

@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import NotAComplexError, ShapeError, WindowError
-from .modring import ModMatrix, _dense_rref, homology_dim as _hdim
+from .modring import ModMatrix, homology_dim as _hdim
 
 
 class LazyDiffs(Mapping):
@@ -122,42 +122,6 @@ def truncate_stupid(c: ChainComplexWindow, n: int) -> ChainComplexWindow:
     diffs = LazyDiffs([m for m in c.diffs if m <= n], c.diffs.__getitem__)
     return ChainComplexWindow(c.lo, n, dims, diffs, c.modulus,
                               vlo=c.vlo, vhi=min(c.vhi, n - 1), check=False)
-
-
-def truncate_canonical(c: ChainComplexWindow, n: int) -> ChainComplexWindow:
-    """Truncate while preserving homology in degrees <= n.
-
-    Degree n is replaced by the quotient of C_n by the incoming boundaries,
-    so the truncated complex computes the same homology up to and including
-    degree n and nothing above.
-    """
-    if n < c.lo or n > c.hi:
-        raise WindowError(f"truncation degree {n} outside [{c.lo}, {c.hi}]")
-    if n > c.vhi:
-        raise WindowError(
-            f"canonical truncation at {n} needs trusted homology there "
-            f"(window ends at {c.vhi})")
-    p = c.modulus
-    d_in = c.d(n + 1)
-    image = d_in.to_dense().T % p
-    rref, pivots = _dense_rref(image, p)
-    pivot_set = set(pivots)
-    free = [j for j in range(c.dim(n)) if j not in pivot_set]
-    proj = np.zeros((len(free), c.dim(n)), dtype=np.int64)
-    for row, j in enumerate(free):
-        proj[row, j] = 1
-        for r, col in enumerate(pivots):
-            proj[row, col] = (-int(rref[r, j])) % p
-    section = np.zeros((c.dim(n), len(free)), dtype=np.int64)
-    for row, j in enumerate(free):
-        section[j, row] = 1
-    dims = {m: c.dim(m) for m in range(c.lo, n)}
-    dims[n] = len(free)
-    diffs = {m: c.diffs[m] for m in c.diffs if m < n}
-    if n > c.lo:
-        diffs[n] = c.d(n) @ ModMatrix.from_dense(section, p)
-    return ChainComplexWindow(c.lo, n, dims, diffs, p,
-                              vlo=c.vlo, vhi=n, check=False)
 
 
 class BicomplexWindow:

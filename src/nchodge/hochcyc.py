@@ -306,23 +306,6 @@ class CyclicLevelMaps:
         return bad
 
 
-def build_cyclic_object(a: StructureConstantsAlgebra, N: int,
-                        cap: int | None = None) -> CyclicLevelMaps:
-    return CyclicLevelMaps(a, N, cap=cap)
-
-
-def hochschild_b(cyc: CyclicLevelMaps, n: int) -> ModMatrix:
-    return cyc.b(n)
-
-
-def hochschild_bprime(cyc: CyclicLevelMaps, n: int) -> ModMatrix:
-    return cyc.bprime(n)
-
-
-def connes_B(cyc: CyclicLevelMaps, n: int) -> ModMatrix:
-    return cyc.B(n)
-
-
 # ---------------- the normalized mixed complex ----------------
 
 def estimate_normalized_entries(a: StructureConstantsAlgebra, N: int) -> int:
@@ -472,13 +455,6 @@ def b_complex(cyc) -> ChainComplexWindow:
                               vlo=0, vhi=cyc.N - 1, check=False)
 
 
-def bprime_complex(cyc: CyclicLevelMaps) -> ChainComplexWindow:
-    dims = {n: cyc.dim(n) for n in range(cyc.N + 1)}
-    diffs = {n: cyc.bprime(n) for n in range(1, cyc.N + 1)}
-    return ChainComplexWindow(0, cyc.N, dims, diffs, cyc.algebra.modulus,
-                              vlo=0, vhi=cyc.N - 1, check=False)
-
-
 def hh_dims(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
             carrier: NormalizedMixedComplex | None = None) -> dict[int, int]:
     """Hochschild homology dimensions on the window [0, N-1]."""
@@ -544,15 +520,6 @@ def conn2_bicomplex(cyc: CyclicLevelMaps, L: int) -> BicomplexWindow:
                 d_h[(x, y)] = one_minus_t[y] if x % 2 == 1 else cyc.norm(y)
     return BicomplexWindow(L, N, dims, d_v, d_h, mod,
                            sign_tag=SIGN_CONVENTION, check=False)
-
-
-def conn2_complex(a: StructureConstantsAlgebra, L: int, N: int,
-                  cap: int | None = None,
-                  cyc: CyclicLevelMaps | None = None) -> ChainComplexWindow:
-    """Totalization of the periodic bicomplex, trusted on [0, min(L, N) - 1]."""
-    cyc = cyc or build_cyclic_object(a, N, cap=cap)
-    tot, _ = conn2_bicomplex(cyc, L).total_complex()
-    return tot
 
 
 # ---------------- SBI ----------------
@@ -718,7 +685,3 @@ def hodge_ss(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
         p=a.p, N=N, window=(0, N - 2), e1=e1, abutment=hc, hodge_sums=sums,
         degenerate=degenerate, pages_certified=certified, page_tables=page_tables)
 
-
-def hodge_degenerates(a: StructureConstantsAlgebra, N: int,
-                      cap: int | None = None) -> bool:
-    return hodge_ss(a, N, cap=cap, pages_budget=0).degenerate

@@ -152,6 +152,32 @@ def ref_zp_homology_dims(dim: int, length: int, block: int, p: int) -> dict:
     return {0: fixed + free, "positive": fixed}
 
 
+
+def ref_zp_action_ranks(sigma: list[list[int]], p: int) -> dict:
+    """Ranks of a dense Z/p action sigma (a list of rows) by row reduction.
+
+    Returns n, rank(1 - sigma), rank of the norm N = 1 + sigma + ... +
+    sigma^(p-1), and the rank of phi, the map from the invariants
+    ker(1 - sigma) to the coinvariants V / im(1 - sigma). With T = 1 - sigma,
+    phi has kernel ker T meet im T, which has dimension rank T - rank T^2,
+    so rank phi = n - 2 rank T + rank T^2.
+    """
+    n = len(sigma)
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(n)) % p for j in range(n)]
+                for i in range(n)]
+
+    one = [[int(i == j) for j in range(n)] for i in range(n)]
+    t = [[(one[i][j] - sigma[i][j]) % p for j in range(n)] for i in range(n)]
+    norm, power = one, one
+    for _ in range(p - 1):
+        power = mul(sigma, power)
+        norm = [[(a + b) % p for a, b in zip(r, s)] for r, s in zip(norm, power)]
+    r1 = ref_rank(t, p)
+    return {"n": n, "rank_one_minus": r1, "rank_norm": ref_rank(norm, p),
+            "phi_rank": n - 2 * r1 + ref_rank(mul(t, t), p)}
+
 def _basis_vec(dim: int, k: int):
     import numpy as np
 

@@ -13,22 +13,22 @@ from nchodge.cartier import (
     cartier0,
     conjugate_ledger,
     conjugate_ss,
-    edgewise_subdivision,
     estimate_sd_entries,
     hc_via_lambda_p,
     iota_iso,
-    is_tight,
+    vdagger,
     zp_homology_dims,
+    PCyclicLevels,
     ZpModuleAction,
 )
 from nchodge.corpus import build, corpus_names
 from nchodge.hochcyc import (
+    CyclicLevelMaps,
     bB_bicomplex,
-    build_cyclic_object,
     estimate_entries,
     hc_dims,
     hh_dims,
-    hodge_degenerates,
+    hodge_ss,
     sbi_check,
     sbi_ranks,
 )
@@ -54,7 +54,7 @@ def test_c01_operator_identities_full_corpus():
         for name in corpus_names():
             a = build(name, p)
             N = _adaptive_n(a, 2, 5, ID_BUDGET, estimate_entries)
-            cyc = build_cyclic_object(a, N)
+            cyc = CyclicLevelMaps(a, N)
             failures = cyc.verify_identities()
             assert not failures, (name, p, failures)
             bB_bicomplex(cyc).check_squares()
@@ -63,7 +63,7 @@ def test_c01_operator_identities_full_corpus():
             ident = ModMatrix.identity(sigma0.shape[0], p)
             assert sigma0.matpow(p) == ident, (name, p)
             if estimate_sd_entries(a, 1) <= ID_BUDGET:
-                pcyc = edgewise_subdivision(a, 1, allow_p2=True)
+                pcyc = PCyclicLevels(a, 1, allow_p2=True)
                 for n in (0, 1):
                     sig = pcyc.sigma(n)
                     assert sig.matpow(p) == ModMatrix.identity(
@@ -103,9 +103,9 @@ def test_c04_tightness_at_every_subdivided_level():
         a = build(name, 3)
         N = _adaptive_n(a, 0, 3, SD_BUDGET, estimate_sd_entries)
         assert N >= 1, name
-        pcyc = edgewise_subdivision(a, N)
+        pcyc = PCyclicLevels(a, N)
         for n in range(N + 1):
-            assert is_tight(pcyc.action(n)), (name, n)
+            assert vdagger(pcyc.action(n)).tight, (name, n)
             checked += 1
     assert checked >= 2 * len(corpus_names())
     print(f"PASS: norm complex tight at all {checked} subdivided levels")
@@ -162,7 +162,7 @@ def test_c08_degeneration_for_lifted_algebras():
             a = build(name, p)
             rep = check_lift(literal_lift(a))
             assert rep.valid, (name, p, rep.failures)
-            assert hodge_degenerates(a, 5), (name, p)
+            assert hodge_ss(a, 5, pages_budget=0).degenerate, (name, p)
             assert conjugate_ledger(a, 5).degenerate, (name, p)
     for name in corpus_names():
         led = conjugate_ledger(build(name, 3), 5)
@@ -180,7 +180,7 @@ def test_c09_connes_triangle_dim_exact_and_controls():
         assert rep.complex_valid and rep.exact, name
     # the control negates B at level 1 of the unnormalized carrier
     for name in ("dual-numbers", "trunc-poly-3"):
-        cyc = build_cyclic_object(build(name, 3), 6, cap=BIG_CAP)
+        cyc = CyclicLevelMaps(build(name, 3), 6, cap=BIG_CAP)
         flipped = sbi_ranks(FlippedB(cyc, 1))
         assert not flipped.exact, name
     print("PASS: inclusion/shift/connecting triangle dim-exact, "

@@ -19,7 +19,6 @@ from nchodge.algebra import (
     dump_algebra,
     enveloping,
     from_json_dict,
-    frobenius_twist,
     group_algebra_cyclic,
     literal_lift,
     load_algebra,
@@ -182,6 +181,32 @@ def test_json_rejects_malformed():
         from_json_dict({"p": 3, "power": 3, "dim": 1, "unit": [1], "constants": []})
 
 
+# one field of a valid description of the dual numbers, made malformed; each
+# must be reported as bad input, never as a Python error or a rounded value
+MALFORMED_FIELDS = {
+    "constants-entry-not-int": {"constants": [[0, 0, 0, "x"]]},
+    "negative-dim": {"dim": -1},
+    "unit-string": {"unit": "ab"},
+    "constants-not-list": {"constants": 5},
+    "basis-not-list": {"basis": 7},
+    "unit-nested": {"unit": [[1], 0]},
+    "float-p": {"p": 3.5},
+}
+
+
+def dual_numbers_description(**fields) -> dict:
+    data = {"p": 3, "power": 1, "dim": 2, "basis": ["1", "x"], "unit": [1, 0],
+            "constants": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]]}
+    data.update(fields)
+    return data
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS))
+def test_json_rejects_wrong_types_and_ranges(case):
+    with pytest.raises(ConstructionError):
+        from_json_dict(dual_numbers_description(**MALFORMED_FIELDS[case]))
+
+
 def test_literal_lift_checks_out_for_corpus():
     for name in corpus_names():
         a = build(name, 3)
@@ -209,13 +234,6 @@ def test_invalid_lift_is_reported_not_raised():
     report = check_lift(AlgebraLift(base=a, lifted=lifted))
     assert not report.valid
     assert report.failures
-
-
-def test_frobenius_twist_is_identity_over_fp():
-    a = build("m2", 3)
-    assert frobenius_twist(a) is a
-    with pytest.raises(ModulusError):
-        frobenius_twist(literal_lift(a).lifted)
 
 
 @given(st.sampled_from(corpus_names()), st.sampled_from([3, 5]),

@@ -1,8 +1,10 @@
 """Subdivision, Z/p homology, and the comparison maps.
 
 Group homology dimensions are pinned against the brute-force orbit
-oracle; the subdivided pipelines are pinned against the unsubdivided
-ones, which share no code with the face composites being tested.
+oracle, and the whole Z/p toolkit against dense row reduction of the
+action matrix; the subdivided pipelines are pinned against the
+unsubdivided ones, which share no code with the face composites being
+tested.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from nchodge.cartier import (
     conjugate_ledger,
     conjugate_ss,
     edgewise_hh_check,
-    edgewise_subdivision,
     hc_via_lambda_p,
     iota_iso,
     iota_matrix,
-    is_tight,
     lambda_p_bicomplex,
     vdagger,
     zp_coinvariants,
@@ -40,24 +40,29 @@ from nchodge.errors import (
     ShapeError,
     WindowError,
 )
-from nchodge.hochcyc import build_cyclic_object, hh_dims
-from nchodge.modring import ModMatrix, rank_fp, solve_fp
-from .oracles import ref_zp_homology_dims
+from nchodge.hochcyc import CyclicLevelMaps
+from nchodge.modring import ModMatrix
+from .oracles import ref_rank, ref_zp_action_ranks, ref_zp_homology_dims
 
 
 def rotation_action(dim: int, p: int, n: int = 0) -> ZpModuleAction:
     return ZpModuleAction(block_rotation(dim, p * (n + 1), n + 1, p), p)
 
 
-def conjugated_action(dim: int, p: int, seed: int = 0) -> ZpModuleAction:
-    act = rotation_action(dim, p)
+def order_p_permutation(n: int, p: int, seed: int, cycles: int | None = None) -> np.ndarray:
+    """A random permutation of n points made of `cycles` disjoint p-cycles
+    (default n // p - 1, which leaves at least p fixed points)."""
     rng = np.random.default_rng(seed)
-    size = act.dim
-    g = np.eye(size, dtype=np.int64)
-    g[np.tril_indices(size, -1)] = rng.integers(0, p, size * (size - 1) // 2)
-    gm = ModMatrix.from_dense(g, p)
-    ginv = solve_fp(gm, ModMatrix.identity(size, p))
-    return ZpModuleAction(gm @ act.sigma @ ginv, p)
+    idx = rng.permutation(n)
+    perm = np.arange(n, dtype=np.int64)
+    for c in range(n // p - 1 if cycles is None else cycles):
+        cycle = idx[c * p:(c + 1) * p]
+        perm[cycle] = np.roll(cycle, -1)
+    return perm
+
+
+def permutation_action(perm: np.ndarray, p: int) -> ZpModuleAction:
+    return ZpModuleAction(ModMatrix.from_index_map(perm, perm.shape[0], p), p)
 
 
 # ---------------- group homology against the orbit oracle ----------------
@@ -81,21 +86,51 @@ def test_homology_frozen_d3_p3():
     assert zp_homology_dims(rotation_action(3, 3), 4) == {0: 11, 1: 3, 2: 3, 3: 3, 4: 3}
 
 
-def test_generic_path_agrees_with_orbit_path():
-    fast = rotation_action(3, 3)
-    slow = conjugated_action(3, 3)
-    assert fast.perm is not None and slow.perm is None
-    assert zp_homology_dims(fast, 3) == zp_homology_dims(slow, 3)
-    a, b = vdagger(fast), vdagger(slow)
-    assert (a.h0, a.h1, a.rank_t, a.tight) == (b.h0, b.h1, b.rank_t, b.tight)
-    assert a.fast_path and not b.fast_path
+# ---------------- the Z/p toolkit against dense row reduction ----------------
+
+def check_against_dense_oracle(act: ZpModuleAction) -> None:
+    """Homology, the norm complex, invariants and coinvariants of act
+    against pure-python ranks of its dense matrix."""
+    ref = ref_zp_action_ranks(act.sigma.to_dense().tolist(), act.p)
+    n, r1, rn = ref["n"], ref["rank_one_minus"], ref["rank_norm"]
+    h = n - r1 - rn
+    assert zp_homology_dims(act, 3) == {0: n - r1, 1: h, 2: h, 3: h}
+    rep = vdagger(act)
+    assert (rep.h0, rep.h1, rep.rank_t, rep.phi_rank, rep.tight) == \
+        (h, h, rn, ref["phi_rank"], ref["phi_rank"] == h)
+    inc = zp_invariants(act)
+    assert (act.one_minus() @ inc).is_zero()
+    assert inc.shape[1] == ref_rank(inc.to_dense().T.tolist(), act.p) == n - r1
+    proj, sec = zp_coinvariants(act)
+    assert proj.shape[0] == n - r1
+    assert proj @ sec == ModMatrix.identity(proj.shape[0], act.p)
+    assert (proj @ act.one_minus()).is_zero()
+
+
+def test_zp_toolkit_matches_dense_oracle_on_block_rotations():
+    for dim, p, n in ((2, 3, 0), (3, 3, 0), (2, 5, 0), (2, 3, 1)):
+        check_against_dense_oracle(rotation_action(dim, p, n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), n=st.integers(1, 36),
+       cycles=st.integers(0, 12), seed=st.integers(0, 1000))
+def test_zp_toolkit_matches_dense_oracle_on_random_permutations(p, n, cycles, seed):
+    cycles = min(cycles, n // p)
+    if cycles * p == n and cycles:
+        cycles -= 1  # keep a fixed point
+    check_against_dense_oracle(permutation_action(order_p_permutation(n, p, seed, cycles), p))
 
 
 def test_action_guards():
     with pytest.raises(OrderError):
         ZpModuleAction(ModMatrix.identity(2, 3), 4)
-    with pytest.raises(OrderError):
+    with pytest.raises(ShapeError):
         ZpModuleAction(ModMatrix.from_dense([[2, 0], [0, 1]], 3), 3)
+    with pytest.raises(OrderError):
+        permutation_action(np.array([1, 2, 0]), 5)
+    with pytest.raises(OrderError):
+        permutation_action(np.array([1, 0, 2]), 3)
     with pytest.raises(ModulusError):
         ZpModuleAction(ModMatrix.identity(2, 5), 3)
     with pytest.raises(ShapeError):
@@ -103,34 +138,22 @@ def test_action_guards():
 
 
 def test_invariants_and_coinvariants_are_consistent():
-    for act in (rotation_action(3, 3), conjugated_action(3, 3, seed=5)):
+    for act in (rotation_action(3, 3), permutation_action(order_p_permutation(20, 3, 5), 3)):
         inc = zp_invariants(act)
         assert (act.one_minus() @ inc).is_zero()
-        assert rank_fp(inc) == inc.shape[1]
+        assert ref_rank(inc.to_dense().T.tolist(), act.p) == inc.shape[1]
         proj, sec = zp_coinvariants(act)
         assert proj @ sec == ModMatrix.identity(proj.shape[0], act.p)
         assert (proj @ act.one_minus()).is_zero()
         assert (act.one_minus() @ act.norm()).is_zero()
 
 
-def order_p_permutation(n: int, p: int, seed: int) -> np.ndarray:
-    """A random permutation of n points made of disjoint p-cycles, with at
-    least p fixed points left over."""
-    rng = np.random.default_rng(seed)
-    idx = rng.permutation(n)
-    perm = np.arange(n, dtype=np.int64)
-    for c in range(n // p - 1):
-        cycle = idx[c * p:(c + 1) * p]
-        perm[cycle] = np.roll(cycle, -1)
-    return perm
-
-
 def test_index_arithmetic_operators_match_matmul_sums():
     acts = [rotation_action(dim, p, n) for dim, p, n in ((2, 3, 0), (3, 3, 1), (2, 5, 1))]
-    acts += [ZpModuleAction.from_permutation(order_p_permutation(40, p, seed), p)
+    acts += [permutation_action(order_p_permutation(40, p, seed), p)
              for p, seed in ((3, 0), (5, 1), (7, 2))]
     for act in acts:
-        assert act.perm is not None and act.n_fixed() > 0
+        assert act.n_fixed() > 0
         one = ModMatrix.identity(act.dim, act.p)
         norm, cur = one, one
         for _ in range(act.p - 1):
@@ -142,27 +165,16 @@ def test_index_arithmetic_operators_match_matmul_sums():
 
 
 def test_permutation_test_rejects_a_repeated_index():
-    sigma = ModMatrix.from_index_map(np.array([1, 1, 2]), 3, 3)
-    assert ZpModuleAction(sigma, 3, check=False).perm is None
-    sigma = ModMatrix.from_index_map(np.array([1, 2, 0]), 3, 3)
-    assert ZpModuleAction(sigma, 3).perm.tolist() == [1, 2, 0]
+    with pytest.raises(ShapeError):
+        permutation_action(np.array([1, 1, 2]), 3)
+    assert permutation_action(np.array([1, 2, 0]), 3).perm.tolist() == [1, 2, 0]
 
 
 def test_vdagger_frozen_and_tight():
     rep = vdagger(rotation_action(3, 3))
     assert (rep.h0, rep.h1, rep.rank_t, rep.phi_rank) == (3, 3, 8, 3)
-    assert rep.tight and rep.fast_path
-    assert is_tight(conjugated_action(2, 3))
-
-
-@settings(max_examples=8, deadline=None)
-@given(case=st.sampled_from([(2, 3), (3, 3), (4, 3), (2, 5)]), seed=st.integers(0, 5))
-def test_conjugation_invariance_property(case, seed):
-    dim, p = case
-    fast = rotation_action(dim, p)
-    slow = conjugated_action(dim, p, seed=seed)
-    assert zp_homology_dims(fast, 2) == zp_homology_dims(slow, 2)
-    assert vdagger(slow).tight
+    assert rep.tight
+    assert vdagger(permutation_action(order_p_permutation(12, 3, 1), 3)).tight
 
 
 # ---------------- repeated-word map ----------------
@@ -188,13 +200,13 @@ def test_iota_level_one_and_p5():
 # ---------------- the subdivided object ----------------
 
 def test_subdivision_identities_hold():
-    assert edgewise_subdivision(build("dual-numbers", 3), 2).verify_identities() == []
-    assert edgewise_subdivision(build("group-z3", 3), 2).verify_identities(upto=1) == []
-    assert edgewise_subdivision(build("dual-numbers", 5), 1).verify_identities() == []
+    assert PCyclicLevels(build("dual-numbers", 3), 2).verify_identities() == []
+    assert PCyclicLevels(build("group-z3", 3), 2).verify_identities(upto=1) == []
+    assert PCyclicLevels(build("dual-numbers", 5), 1).verify_identities() == []
 
 
 def test_subdivision_levels_and_laziness():
-    pcyc = edgewise_subdivision(build("dual-numbers", 3), 2)
+    pcyc = PCyclicLevels(build("dual-numbers", 3), 2)
     assert [pcyc.dim(n) for n in range(3)] == [8, 64, 512]
     assert pcyc.dim(3) == 0
     with pytest.raises(WindowError):
@@ -204,22 +216,22 @@ def test_subdivision_levels_and_laziness():
 
 def test_parity_guard():
     with pytest.raises(ParityError):
-        edgewise_subdivision(build("dual-numbers", 2), 1)
-    pcyc = edgewise_subdivision(build("dual-numbers", 2), 1, allow_p2=True)
+        PCyclicLevels(build("dual-numbers", 2), 1)
+    pcyc = PCyclicLevels(build("dual-numbers", 2), 1, allow_p2=True)
     assert pcyc.dim(1) == 16
 
 
 def test_resource_guard_reports_estimate():
     with pytest.raises(ResourceError) as exc:
-        edgewise_subdivision(build("upper-tri-2", 3), 3)
+        PCyclicLevels(build("upper-tri-2", 3), 3)
     assert exc.value.estimate > exc.value.cap
 
 
 def test_tight_at_every_level():
     for name in ("dual-numbers", "upper-tri-2", "group-z3"):
-        pcyc = edgewise_subdivision(build(name, 3), 2)
+        pcyc = PCyclicLevels(build(name, 3), 2)
         for n in range(3):
-            assert is_tight(pcyc.action(n)), (name, n)
+            assert vdagger(pcyc.action(n)).tight, (name, n)
 
 
 # ---------------- homology through the subdivision ----------------
@@ -239,7 +251,7 @@ def test_lambda_route_matches_cyclic():
 
 
 def test_lambda_bicomplex_squares():
-    pcyc = edgewise_subdivision(build("dual-numbers", 3), 2)
+    pcyc = PCyclicLevels(build("dual-numbers", 3), 2)
     lambda_p_bicomplex(pcyc, 3).check_squares()
 
 
@@ -264,8 +276,8 @@ def test_conjugate_ss_matches_hochschild():
 
 def test_fixed_reduction_is_plain_boundary():
     a = build("dual-numbers", 3)
-    pcyc = edgewise_subdivision(a, 2)
-    cyc = build_cyclic_object(a, 2)
+    pcyc = PCyclicLevels(a, 2)
+    cyc = CyclicLevelMaps(a, 2)
     for n in (1, 2):
         squeezed = pcyc.fixed_inclusion(n - 1).T @ pcyc.b(n) @ pcyc.fixed_inclusion(n)
         assert squeezed == cyc.b(n)

@@ -1,8 +1,14 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nchodge.algebra import from_json_dict
 from nchodge.cli import main
+from nchodge.errors import NCHodgeError
+from .test_algebra import MALFORMED_FIELDS, dual_numbers_description
 
 
 def run(capsys, *argv):
@@ -88,6 +94,55 @@ def test_malformed_json_exit_2_with_position(capsys, tmp_path):
     rc, _, err = run(capsys, "hh", str(path), "--quiet")
     assert rc == 2
     assert "line 1" in err and "column" in err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS))
+def test_malformed_description_exit_2_without_traceback(capsys, tmp_path, case):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(dual_numbers_description(**MALFORMED_FIELDS[case])))
+    rc, _, err = run(capsys, "validate", str(path), "--quiet")
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_unreadable_input_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"p": 3, "name": "\xe9"}')
+    rc, _, err = run(capsys, "validate", str(path), "--quiet")
+    assert rc == 2 and "UTF-8" in err
+    rc, _, err = run(capsys, "validate", str(tmp_path) + "/", "--quiet")
+    assert rc == 2 and err.startswith("error:")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+DELETE = object()
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(["p", "power", "dim", "basis", "unit", "constants", "name"]),
+       value=JSON_VALUES | st.just(DELETE))
+def test_any_single_field_either_loads_or_is_bad_input(field, value):
+    """A description with one field replaced by any JSON value (or removed)
+    loads or raises a package error, and validate exits 0 or 2."""
+    data = dual_numbers_description(name="k")
+    if value is DELETE:
+        del data[field]
+    else:
+        data[field] = value
+    try:
+        from_json_dict(data)
+    except NCHodgeError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "alg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        assert main(["validate", path, "--quiet"]) in (0, 2)
 
 
 def test_cap_exit_3_reports_sizes(capsys):
@@ -239,8 +294,10 @@ def test_progress_goes_to_stderr(capsys):
 
 
 def test_threads_flag(capsys):
-    rc, _, _ = run(capsys, "--threads", "2", "hh", "ground-field", "--quiet")
-    assert rc == 0
+    # there is no thread budget to set: no code path uses threads or BLAS
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "hh", "ground-field", "--quiet"])
+    assert exc.value.code == 2
 
 
 def test_prime_flag_changes_modulus(capsys):

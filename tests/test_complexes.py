@@ -17,7 +17,6 @@ from nchodge.complexes import (
     IncreasingFiltration,
     LazyDiffs,
     filtration_by_columns,
-    truncate_canonical,
     truncate_stupid,
 )
 from nchodge.corpus import build, corpus_names
@@ -68,32 +67,6 @@ def test_truncate_stupid():
     assert t.homology_dim(0) == 0
     with pytest.raises(WindowError):
         t.homology_dim(1)
-
-
-def test_truncate_canonical_keeps_homology_through_degree():
-    p = 5
-    # 0 -> F --id--> F --0--> F^2 --(1,0)--> F: homology dims 0,?,?
-    d1 = ModMatrix.from_dense([[1, 0]], p)
-    d2 = ModMatrix.zeros(2, 1, p)
-    d3 = ModMatrix.identity(1, p)
-    c = ChainComplexWindow(0, 3, {0: 1, 1: 2, 2: 1, 3: 1},
-                           {1: d1, 2: d2, 3: d3}, p, vhi=3)
-    full = c.homology_dims()
-    t = truncate_canonical(c, 2)
-    assert t.hi == 2
-    # degree 2 space shrank from 1 to 0 (everything was a boundary)
-    assert t.dim(2) == 0
-    got = t.homology_dims(range(0, 3))
-    assert got == {n: full[n] for n in range(0, 3)}
-
-
-def test_truncate_canonical_on_contractible_two_term():
-    p = 3
-    # F --id--> F, homology zero everywhere; truncating at 0 keeps nothing
-    c = ChainComplexWindow(0, 1, {0: 1, 1: 1}, {1: ModMatrix.identity(1, p)}, p, vhi=1)
-    t = truncate_canonical(c, 0)
-    assert t.dim(0) == 0
-    assert t.homology_dims(range(0, 1)) == {0: 0}
 
 
 def square_bicomplex(p=3):

@@ -20,22 +20,19 @@ from nchodge.hochcyc import (
     NormalizedMixedComplex,
     bB_bicomplex,
     b_complex,
-    bprime_complex,
-    build_cyclic_object,
-    conn2_complex,
-    connes_B,
+    conn2_bicomplex,
     degeneracy_matrix,
     estimate_entries,
     estimate_normalized_entries,
     face_matrix,
     hc_dims,
     hh_dims,
-    hodge_degenerates,
     hodge_ss,
     rotation_matrix,
     sbi_check,
     sbi_ranks,
 )
+from nchodge.complexes import ChainComplexWindow
 from nchodge.modring import ModMatrix
 from .oracles import ref_degeneracy_dense, ref_face_dense, ref_rotation_dense
 
@@ -73,7 +70,7 @@ def test_identities_hold_across_small_corpus():
         a = build(name, 3)
         if a.dim > 4:
             continue
-        cyc = build_cyclic_object(a, 3)
+        cyc = CyclicLevelMaps(a, 3)
         assert cyc.verify_identities() == [], name
 
 
@@ -81,12 +78,12 @@ def test_identities_hold_across_small_corpus():
 @given(name=st.sampled_from(["ground-field", "dual-numbers", "upper-tri-2", "group-z3"]),
        p=st.sampled_from([2, 3, 5]))
 def test_identities_hold_property(name, p):
-    cyc = build_cyclic_object(build(name, p), 3)
+    cyc = CyclicLevelMaps(build(name, p), 3)
     assert cyc.verify_identities() == []
 
 
 def test_level_dimensions_double_for_dual_numbers():
-    cyc = build_cyclic_object(build("dual-numbers", 3), 5)
+    cyc = CyclicLevelMaps(build("dual-numbers", 3), 5)
     assert [cyc.dim(n) for n in range(6)] == [2, 4, 8, 16, 32, 64]
     assert estimate_entries(build("dual-numbers", 3), 5) < (1 << 24)
 
@@ -94,8 +91,8 @@ def test_level_dimensions_double_for_dual_numbers():
 def test_connes_b_at_level_zero():
     # B_0(a) = 1 (x) a + a (x) 1 in coordinates; frozen for dual numbers
     a = build("dual-numbers", 3)
-    cyc = build_cyclic_object(a, 2)
-    col = connes_B(cyc, 0).to_dense()[:, 1]  # image of the nilpotent x
+    cyc = CyclicLevelMaps(a, 2)
+    col = cyc.B(0).to_dense()[:, 1]  # image of the nilpotent x
     want = np.zeros(4, dtype=np.int64)
     want[1] = 1  # x (x) 1  -> digits (1, 0)
     want[2] = 1  # 1 (x) x  -> digits (0, 1)
@@ -128,7 +125,9 @@ def test_hh_product_adds():
 
 def test_bprime_complex_is_acyclic():
     for name in ("dual-numbers", "upper-tri-2"):
-        c = bprime_complex(build_cyclic_object(build(name, 3), 4))
+        cyc = CyclicLevelMaps(build(name, 3), 4)
+        c = ChainComplexWindow(0, 4, {n: cyc.dim(n) for n in range(5)},
+                               {n: cyc.bprime(n) for n in range(1, 5)}, 3, vlo=0, vhi=3)
         assert c.homology_dims() == {n: 0 for n in range(4)}
 
 
@@ -146,7 +145,7 @@ def test_hc_zero_needs_two_levels():
 
 
 def test_bicomplex_squares_and_window():
-    cyc = build_cyclic_object(build("dual-numbers", 3), 4)
+    cyc = CyclicLevelMaps(build("dual-numbers", 3), 4)
     bicx = bB_bicomplex(cyc)
     bicx.check_squares()
     assert bicx.trusted_upper() == 3
@@ -159,7 +158,7 @@ def test_periodic_two_column_complex_matches_hc():
     for name in ("ground-field", "dual-numbers"):
         a = build(name, 3)
         hc = hc_dims(a, 6)
-        c = conn2_complex(a, 8, 6)
+        c = conn2_bicomplex(CyclicLevelMaps(a, 6), 8).total_complex()[0]
         got = {n: c.homology_dim(n) for n in range(5)}
         assert got == hc, name
 
@@ -217,7 +216,7 @@ def test_normalized_operators_match_projection_oracle():
 def test_normalized_matches_full_hh():
     for name in ("dual-numbers", "m2", "upper-tri-2", "group-z3", "trunc-poly-3"):
         a = build(name, 3)
-        assert hh_dims(a, 4) == b_complex(build_cyclic_object(a, 4)).homology_dims(), name
+        assert hh_dims(a, 4) == b_complex(CyclicLevelMaps(a, 4)).homology_dims(), name
 
 
 def test_normalized_and_plain_routes_agree_on_corpus():
@@ -289,7 +288,7 @@ class FlippedB:
 def test_sbi_detects_flipped_connecting_map():
     # on the unnormalized carrier: negating the normalized B at level 1
     # leaves a valid, exact triangle for the dual numbers
-    rep = sbi_ranks(FlippedB(build_cyclic_object(build("dual-numbers", 3), 6), 1))
+    rep = sbi_ranks(FlippedB(CyclicLevelMaps(build("dual-numbers", 3), 6), 1))
     assert not rep.complex_valid
     assert not rep.exact
 
@@ -302,9 +301,8 @@ def test_sbi_needs_room():
 # ---------------- Hodge filtration verdicts ----------------
 
 def test_hodge_degenerates_for_separable_and_hereditary():
-    assert hodge_degenerates(build("m2", 3), 5)
-    assert hodge_degenerates(build("upper-tri-2", 3), 5)
-    assert hodge_degenerates(build("ground-field", 3), 5)
+    for name in ("m2", "upper-tri-2", "ground-field"):
+        assert hodge_ss(build(name, 3), 5, pages_budget=0).degenerate, name
 
 
 def test_hodge_fails_for_dual_numbers():
@@ -328,17 +326,17 @@ def test_hodge_e1_table_upper_tri():
 def test_resource_cap_reports_estimate():
     a = build("m2", 3)
     with pytest.raises(ResourceError) as exc:
-        build_cyclic_object(a, 9, cap=10_000)
+        CyclicLevelMaps(a, 9, cap=10_000)
     assert exc.value.estimate > exc.value.cap == 10_000
 
 
 def test_connes_b_needs_headroom():
-    cyc = build_cyclic_object(build("dual-numbers", 3), 3)
+    cyc = CyclicLevelMaps(build("dual-numbers", 3), 3)
     with pytest.raises(WindowError):
-        connes_B(cyc, 3)
+        cyc.B(3)
 
 
 def test_homology_outside_window_rejected():
-    c = b_complex(build_cyclic_object(build("dual-numbers", 3), 3))
+    c = b_complex(CyclicLevelMaps(build("dual-numbers", 3), 3))
     with pytest.raises(WindowError):
         c.homology_dim(3)

@@ -9,7 +9,7 @@ import pytest
 from nchodge.complexes import ChainComplexWindow, IncreasingFiltration, filtration_by_columns
 from nchodge.corpus import build
 from nchodge.errors import WindowError
-from nchodge.hochcyc import bB_bicomplex, build_cyclic_object, hc_dims, hh_dims, hodge_ss
+from nchodge.hochcyc import CyclicLevelMaps, bB_bicomplex, hc_dims, hh_dims, hodge_ss
 from nchodge.modring import ModMatrix, hstack, kernel_basis_fp, rank_fp
 from nchodge.specseq import abutment_check, degenerates_at, pages, span_length
 
@@ -47,7 +47,7 @@ def test_page_bookkeeping_externally():
 
 
 def hodge_filtration(name, N, p=3):
-    cyc = build_cyclic_object(build(name, p), N)
+    cyc = CyclicLevelMaps(build(name, p), N)
     tot, blocks, filt = filtration_by_columns(bB_bicomplex(cyc))
     return filt
 
