@@ -115,8 +115,10 @@ class ZpModuleAction:
                 reps = np.minimum(reps, cur)
                 cur = self.perm[cur]
             fixed = self.perm == idx
-            uniq, inverse = np.unique(reps, return_inverse=True)
-            self._orbit = (uniq, inverse, fixed)
+            # the representatives are the i with reps[i] == i; a running
+            # count over them numbers the orbits in increasing order
+            is_rep = reps == idx
+            self._orbit = (idx[is_rep], np.cumsum(is_rep)[reps] - 1, fixed)
         return self._orbit
 
     def n_orbits(self) -> int:

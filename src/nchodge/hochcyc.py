@@ -652,9 +652,8 @@ def hodge_ss(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
     HH_{n - 2l}; the abutment is cyclic homology. The verdict compares
     dim HC_n with the sum of the first page along each antidiagonal, both
     computed on the normalized mixed complex. Page tables from the generic
-    spectral sequence engine are attached when the unnormalized
-    totalization (pages_budget counts its coordinates) is small enough to
-    afford explicit kernel bases.
+    spectral sequence engine, on the unnormalized totalization, are
+    attached when pages_budget covers the coordinates of its levels.
     """
     if N < 2:
         raise WindowError("need N >= 2")

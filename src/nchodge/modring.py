@@ -473,20 +473,24 @@ def _columns_of(csc: sp.csc_matrix) -> list[dict[int, int]]:
 
 
 def _column_reduce(cols: list[dict[int, int]], p: int, shape: tuple[int, int],
-                   track: bool = False, fill_guard: bool = True):
-    """Persistence-style column reduction mod p.
+                   track: bool = False, fill_guard: bool = True,
+                   order: Sequence[int] | None = None):
+    """Persistence-style column reduction mod p, in Python ints.
 
-    Columns are processed by increasing support size (a cheap stand-in for
-    Markowitz pivoting); within a column the pivot row is the largest
-    remaining row index, which makes the reduction deterministic. Returns
-    (rank, pivots, zero_combos) where zero_combos lists, for each column
-    that reduced to zero, the combination of original columns producing it
-    (only when track=True).
+    Columns are processed in the given order, by default by increasing
+    support size (a cheap stand-in for Markowitz pivoting); within a column
+    the pivot row is the largest remaining row index, which makes the
+    reduction deterministic. Returns (rank, pivots, zero_combos): pivots maps
+    each pivot row to (reduced column, combination, source column index),
+    and zero_combos lists, for each column that reduced to zero, the
+    combination of original columns producing it (combinations only when
+    track=True).
     """
     area = shape[0] * shape[1]
     allow_restart = fill_guard and 0 < area <= DENSE_ENTRY_LIMIT
-    order = sorted(range(len(cols)), key=lambda j: (len(cols[j]), j))
-    pivots: dict[int, tuple[dict[int, int], dict[int, int] | None]] = {}
+    if order is None:
+        order = sorted(range(len(cols)), key=lambda j: (len(cols[j]), j))
+    pivots: dict[int, tuple[dict[int, int], dict[int, int] | None, int]] = {}
     zero_combos: list[dict[int, int]] = []
     rank = 0
     fill = 0
@@ -502,13 +506,13 @@ def _column_reduce(cols: list[dict[int, int]], p: int, shape: tuple[int, int],
                 comb = None
                 if track:
                     comb = {jj: vv * inv % p for jj, vv in combo.items()}
-                pivots[r] = (col, comb)
+                pivots[r] = (col, comb, j)
                 rank += 1
                 fill += len(col)
                 if allow_restart and fill > FILL_THRESHOLD * area:
                     raise _DenseRestart
                 break
-            pc, _ = hit
+            pc = hit[0]
             f = c.pop(r)
             for rr, vv in pc.items():
                 if rr == r:
@@ -614,7 +618,7 @@ def _solve_fp_sparse(a: ModMatrix, b: ModMatrix, p: int) -> ModMatrix | None:
             hit = pivots.get(r)
             if hit is None:
                 return None
-            pc, pcomb = hit
+            pc, pcomb, _ = hit
             f = c.pop(r)
             for rr, vv in pc.items():
                 if rr == r:

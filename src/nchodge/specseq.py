@@ -1,14 +1,19 @@
 """Spectral sequence of an increasing coordinate filtration.
 
-Pages are computed from explicit approximate-cycle bases rather than from
-page-to-page subquotients: for level l and total degree n,
+The pages are those of
 
     Z_r(l, n) = { x in F_l C_n : dx in F_{l-r} C_{n-1} },
     E_r(l, n) = Z_r(l, n) / ( Z_{r-1}(l-1, n) + d Z_{r-1}(l+r-1, n+1) ),
 
-with Z_{-1} read as Z_0. Numerators come from one kernel computation, the
-denominators and differential ranks from ranks of concatenated spanning
-matrices, so no quotient bases are ever materialized.
+with Z_{-1} read as Z_0, read off one persistence pairing per degree. A
+basis vector of C_n has level l if it first enters F_l. Reducing d_n with
+rows and columns in level order (the standard persistence algorithm;
+Zomorodian and Carlsson, DCG 33, 2005) pairs pivot rows sigma of C_{n-1}
+with columns tau of C_n; the pair is a rank-one d_g, g = level(tau) -
+level(sigma), and both ends are gone from page g + 1 on (Basu and Parida,
+Expo. Math. 35, 2017). So dim E_r(l, n) counts the degree-n vectors at
+level l that are unpaired or paired with gap >= r, and the rank of d_r out
+of (l, n) counts the degree-n columns at level l with gap r.
 
 Certification discipline: entries are reported only for total degrees
 where every chain group a page differential could touch lies inside the
@@ -16,21 +21,26 @@ stored window. All pages move total degree by one, so with a genuine
 bottom at the carrier's vlo that window is [vlo, vhi]; differential ranks
 are additionally available from sources one degree above it.
 
-Internal invariant, checked on every page transition:
+Checked on every call, apart from the pairing: every page transition,
 
     dim E_{r+1}(l, n) = dim E_r(l, n) - rank d_r out of (l, n)
-                                       - rank d_r into (l, n).
+                                       - rank d_r into (l, n);
+
+E_1(l, n) against the homology of the graded piece l, ranked on the
+diagonal blocks of d; and the last page against the homology of the
+carrier (`abutment_check`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
-from .complexes import ChainComplexWindow, IncreasingFiltration
+from .complexes import IncreasingFiltration
 from .errors import InternalCheckError, WindowError
-from .modring import ModMatrix, hstack, kernel_basis_fp, rank_fp
+from .modring import _column_reduce, _columns_of, _prime_of, rank_fp
 
 
 @dataclass(frozen=True)
@@ -61,107 +71,81 @@ class SSPage:
         return out
 
 
-class _Approximants:
-    """Cache of spanning matrices for the Z_r(l, n), embedded in C_n."""
+def _pairing(filt: IncreasingFiltration, lev: dict[int, np.ndarray],
+             degrees: range) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The pivot pairs of d_n for n in degrees: (rows of C_{n-1}, columns of
+    C_n, gaps), one entry per pair.
 
-    def __init__(self, filt: IncreasingFiltration):
-        self.filt = filt
-        self.c = filt.carrier
-        self.lmin = filt.levels[0]
-        self.lmax = filt.levels[-1]
-        self._cache: dict[tuple[int, int, int], ModMatrix] = {}
-        # every span handed out is the first one built with its degree and
-        # content, so the memos below, keyed by the ids of spans, are shared
-        # by all (r, l) that reach the same span, and those ids stay valid
-        self._canon: dict[tuple, ModMatrix] = {}
-        self._denoms: dict[tuple[int, int], ModMatrix] = {}
-        self._d_ranks: dict[tuple[int, int], int] = {}
+    Rows are renumbered and columns taken in level order, ties by index, so
+    a pivot is the remaining row last in level order and a column only ever
+    receives columns of no higher level.
+    """
+    c = filt.carrier
+    out = {}
+    for n in degrees:
+        d = c.d(n)
+        rows = np.argsort(lev[n - 1], kind="stable")
+        order = np.argsort(lev[n], kind="stable").tolist()
+        _, pivots, _ = _column_reduce(_columns_of(d.restrict(rows=rows).csc()),
+                                      _prime_of(d), d.shape, fill_guard=False, order=order)
+        sigma = rows[np.fromiter(pivots, dtype=np.int64, count=len(pivots))]
+        tau = np.fromiter((src for _, _, src in pivots.values()), dtype=np.int64,
+                          count=len(pivots))
+        out[n] = (sigma, tau, lev[n][tau] - lev[n - 1][sigma])
+    return out
 
-    def _clamp(self, l: int) -> int:
-        return min(max(l, self.lmin - 1), self.lmax)
 
-    def _canonical(self, mat: ModMatrix, n: int) -> ModMatrix:
-        csc = mat.csc()
-        key = (n, mat.shape, csc.indptr.tobytes(), csc.indices.tobytes(),
-               csc.data.tobytes())
-        return self._canon.setdefault(key, mat)
+def _check_first_page(filt: IncreasingFiltration, e1: SSPage) -> None:
+    """E_1(l, n) is the homology of the graded piece l in degree n, ranked
+    on the diagonal blocks of d."""
+    c = filt.carrier
 
-    def _empty(self, n: int) -> ModMatrix:
-        return ModMatrix.zeros(self.c.dim(n), 0, self.c.modulus)
+    def piece(l: int, n: int) -> np.ndarray:
+        return filt.mask(l, n) & ~filt.mask(l - 1, n)
 
-    def z_span(self, r: int, l: int, n: int) -> ModMatrix:
-        """Columns spanning Z_r(l, n) inside C_n (a basis, in fact)."""
-        c = self.c
-        if r < 0:
-            r = 0
-        if n < c.lo or n > c.hi:
-            return self._canonical(self._empty(n), n)
-        key = (self._clamp(l), self._clamp(l - r), n)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        src = self.filt.mask(l, n)
-        if not src.any():
-            out = self._empty(n)
-        else:
-            d = c.d(n)
-            bad = ~self.filt.mask(l - r, n - 1)
-            sub = d.restrict(bad, src)
-            ker = kernel_basis_fp(sub)
-            incl = ModMatrix.from_index_map(np.nonzero(src)[0], c.dim(n), c.modulus)
-            out = incl @ ker
-        out = self._cache[key] = self._canonical(out, n)
-        return out
-
-    def b_span(self, r: int, l: int, n: int) -> ModMatrix:
-        """Columns spanning the denominator of E_r(l, n), built once per
-        content, so entry_dim and d_rank share its memoized rank."""
-        stay = self.z_span(r - 1, l - 1, n)
-        deeper = self.z_span(r - 1, l + r - 1, n + 1)
-        key = (id(stay), id(deeper))
-        hit = self._denoms.get(key)
-        if hit is None:
-            arrived = self.c.d(n + 1) @ deeper if deeper.shape[1] else self._empty(n)
-            hit = self._denoms[key] = self._canonical(hstack([stay, arrived]), n)
-        return hit
-
-    def entry_dim(self, r: int, l: int, n: int) -> int:
-        z = self.z_span(r, l, n)
-        if z.shape[1] == 0:
+    @cache
+    def block_rank(l: int, n: int) -> int:
+        if not c.lo < n <= c.hi:
             return 0
-        return z.shape[1] - self.b_span(r, l, n).rank()
+        return rank_fp(c.d(n).restrict(piece(l, n - 1), piece(l, n)))
 
-    def d_rank(self, r: int, l: int, n: int) -> int:
-        """Rank of d_r : E_r(l, n) -> E_r(l - r, n - 1)."""
-        z = self.z_span(r, l, n)
-        if z.shape[1] == 0:
-            return 0
-        denom = self.b_span(r, l - r, n - 1)
-        key = (id(z), id(denom))
-        if key not in self._d_ranks:
-            moved = self.c.d(n) @ z
-            self._d_ranks[key] = rank_fp(hstack([moved, denom])) - denom.rank()
-        return self._d_ranks[key]
+    for (l, n), dim in e1.table.items():
+        want = int(np.count_nonzero(piece(l, n))) - block_rank(l, n) - block_rank(l, n + 1)
+        if dim != want:
+            raise InternalCheckError(
+                f"page 1 entry ({l}, {n}) has dim {dim}, the homology of "
+                f"graded piece {l} has {want}")
 
 
 def pages(filt: IncreasingFiltration, r_max: int = 3) -> list[SSPage]:
     """Pages E_0 .. E_{r_max} with their differential ranks.
 
-    Raises InternalCheckError if any page transition violates the
-    dimension bookkeeping, since that can only mean the computation is
-    wrong, not the input.
+    Raises InternalCheckError if a page transition violates the dimension
+    bookkeeping, E_1 is not the homology of the graded pieces, or the last
+    page does not abut to the homology of the carrier, since that can only
+    mean the computation is wrong, not the input.
     """
     if r_max < 0:
         raise WindowError("need r_max >= 0")
     c = filt.carrier
-    appr = _Approximants(filt)
-    lmin, lmax = appr.lmin, appr.lmax
+    lmin, lmax = filt.levels[0], filt.levels[-1]
     degs = list(range(c.vlo, c.vhi + 1))
+    # per degree, from vlo - 1 (rows of d_vlo) to vhi + 1 (sources of the last
+    # reported ranks): each vector's level, the gap of its pair (r_max + 1 if
+    # unpaired, which outlives every page) and, on a column, its pair's gap
+    near = range(c.vlo - 1, c.vhi + 2)
+    lev = {n: lmax - sum((filt.mask(l, n) for l in filt.levels[:-1]),
+                         np.zeros(c.dim(n), dtype=np.int64)) for n in near}
+    alive = {n: np.full(lev[n].shape, r_max + 1) for n in near}
+    head = {n: np.full(lev[n].shape, -1) for n in near}
+    reduced = range(max(c.lo + 1, c.vlo), min(c.hi, c.vhi + 1) + 1)
+    for n, (sigma, tau, gap) in _pairing(filt, lev, reduced).items():
+        alive[n - 1][sigma] = alive[n][tau] = head[n][tau] = gap
     out: list[SSPage] = []
     for r in range(r_max + 1):
-        table = {(l, n): appr.entry_dim(r, l, n)
+        table = {(l, n): int(np.count_nonzero((lev[n] == l) & (alive[n] >= r)))
                  for n in degs for l in range(lmin, lmax + 1)}
-        d_ranks = {(l, n): appr.d_rank(r, l, n)
+        d_ranks = {(l, n): int(np.count_nonzero((lev[n] == l) & (head[n] == r)))
                    for n in degs + [c.vhi + 1] for l in range(lmin, lmax + r + 1)}
         page = SSPage(r=r, table=table, d_ranks=d_ranks,
                       window=(c.vlo, c.vhi), level_range=(lmin, lmax))
@@ -175,6 +159,9 @@ def pages(filt: IncreasingFiltration, r_max: int = 3) -> list[SSPage]:
                         f"page {r} entry ({l}, {n}) has dim {dim_now}, "
                         f"bookkeeping from page {prev.r} gives {expect}")
         out.append(page)
+    if r_max >= 1:
+        _check_first_page(filt, out[1])
+    abutment_check(filt, pgs=out)
     return out
 
 

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nchodge.cartier import (
-    Cartier0Report,
     PCyclicLevels,
     ZpModuleAction,
     block_rotation,
@@ -120,6 +119,22 @@ def test_zp_toolkit_matches_dense_oracle_on_random_permutations(p, n, cycles, se
     if cycles * p == n and cycles:
         cycles -= 1  # keep a fixed point
     check_against_dense_oracle(permutation_action(order_p_permutation(n, p, seed, cycles), p))
+
+
+def test_orbit_numbering_equals_sorted_unique_representatives():
+    acts = [rotation_action(dim, p, n) for dim, p, n in ((2, 3, 0), (3, 3, 1), (2, 5, 0), (2, 7, 0))]
+    acts += [permutation_action(order_p_permutation(n, p, seed, cycles), p)
+             for p in (3, 5, 7) for n, cycles, seed in ((40, None, 0), (p, 1, 1), (30, 0, 2))]
+    for act in acts:
+        uniq, inverse, fixed = act.orbit_data()
+        # the smallest index on each orbit, walked one step at a time
+        reps = cur = np.arange(act.dim)
+        for _ in range(act.p - 1):
+            cur = act.perm[cur]
+            reps = np.minimum(reps, cur)
+        want_uniq, want_inverse = np.unique(reps, return_inverse=True)
+        assert np.array_equal(uniq, want_uniq) and np.array_equal(inverse, want_inverse)
+        assert np.array_equal(fixed, act.perm == np.arange(act.dim))
 
 
 def test_action_guards():

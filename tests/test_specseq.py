@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nchodge import specseq
 from nchodge.complexes import ChainComplexWindow, IncreasingFiltration, filtration_by_columns
-from nchodge.corpus import build
-from nchodge.errors import WindowError
+from nchodge.corpus import build, corpus_names
+from nchodge.errors import InternalCheckError, WindowError
 from nchodge.hochcyc import CyclicLevelMaps, bB_bicomplex, hc_dims, hh_dims, hodge_ss
 from nchodge.modring import ModMatrix, hstack, kernel_basis_fp, rank_fp
 from nchodge.specseq import abutment_check, degenerates_at, pages, span_length
@@ -85,13 +87,106 @@ def uncached_page(filt, r):
     return table, d_ranks
 
 
-def test_memoized_pages_match_uncached_definitions():
-    # the ground field has equal dimensions in neighbouring degrees, so
-    # spans of different degrees can share content
-    for name, N in (("ground-field", 5), ("dual-numbers", 4), ("group-z3", 3)):
-        filt = hodge_filtration(name, N)
+def test_pages_match_uncached_definitions_on_the_corpus():
+    # three deeper windows, then every corpus algebra at each prime
+    cases = [("ground-field", 5, 3), ("dual-numbers", 4, 3), ("group-z3", 3, 3)]
+    for p in (3, 5, 7):
+        cases += [(name, 3 if p == 3 or build(name, p).dim <= 2 else 2, p)
+                  for name in corpus_names()]
+    for name, N, p in cases:
+        filt = hodge_filtration(name, N, p)
         for page in pages(filt, r_max=3):
-            assert (page.table, page.d_ranks) == uncached_page(filt, page.r), (name, page.r)
+            assert (page.table, page.d_ranks) == uncached_page(filt, page.r), (name, N, p, page.r)
+
+
+@st.composite
+def elementary_sums(draw):
+    """A sum of elementary filtered complexes: F --u--> F for each pair
+    (n, a, b), a column of degree n at level b hitting a row at level
+    a <= b, and F for each single (n, l)."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    top = draw(st.integers(1, 4))
+    nlev = draw(st.integers(1, 4))
+    level = st.integers(0, nlev - 1)
+    pairs = [(n, min(a, b), max(a, b)) for n, a, b in
+             draw(st.lists(st.tuples(st.integers(1, top), level, level), max_size=8))]
+    singles = draw(st.lists(st.tuples(st.integers(0, top), level), max_size=5))
+    return p, top, nlev, pairs, singles, draw(st.integers(0, 2**32 - 1))
+
+
+def elementary_filtration(p, top, nlev, pairs, singles, seed):
+    """The sum in shuffled coordinates after a random filtration-preserving
+    change of basis."""
+    rng = np.random.default_rng(seed)
+    cells = {n: [] for n in range(top + 1)}
+    for k, (n, a, b) in enumerate(pairs):
+        cells[n].append((b, ("col", k)))
+        cells[n - 1].append((a, ("row", k)))
+    for n, l in singles:
+        cells[n].append((l, None))
+    for n in cells:
+        cells[n] = [cells[n][i] for i in rng.permutation(len(cells[n]))]
+    level = {n: np.array([l for l, _ in cells[n]], dtype=np.int64) for n in cells}
+    pos = {tag: i for n in cells for i, (_, tag) in enumerate(cells[n]) if tag}
+    d = {n: np.zeros((len(cells[n - 1]), len(cells[n])), dtype=np.int64)
+         for n in range(1, top + 1)}
+    for k, (n, _, _) in enumerate(pairs):
+        d[n][pos[("row", k)], pos[("col", k)]] = rng.integers(1, p)
+    # e_j -> e_j + c e_i with level(i) <= level(j) keeps every F_l; in the
+    # new basis d_m gains c col i on col j, and d_{m+1} loses c row j on row i
+    for m in cells:
+        size = len(cells[m])
+        for _ in range(3 * size):
+            i, j = rng.integers(0, size, 2)
+            if i == j or level[m][i] > level[m][j]:
+                continue
+            c = int(rng.integers(1, p))
+            if m >= 1:
+                d[m][:, j] = (d[m][:, j] + c * d[m][:, i]) % p
+            if m < top:
+                d[m + 1][i, :] = (d[m + 1][i, :] - c * d[m + 1][j, :]) % p
+    carrier = ChainComplexWindow(0, top, {n: len(cells[n]) for n in cells},
+                                 {n: ModMatrix.from_dense(d[n], p) for n in d}, p, vhi=top)
+    masks = {l: {n: level[n] <= l for n in cells} for l in range(nlev)}
+    return IncreasingFiltration(carrier, masks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(elementary_sums())
+def test_pages_of_elementary_sums_read_off_their_pairs(case):
+    _, top, nlev, pairs, singles, _ = case
+    filt = elementary_filtration(*case)
+    for page in pages(filt, r_max=nlev + 1):
+        r = page.r
+
+        def entry(l, n):
+            # singles, then columns, then rows of pairs that outlive page r
+            return (sum((m, k) == (n, l) for m, k in singles)
+                    + sum(b - a >= r for m, a, b in pairs if (m, b) == (n, l))
+                    + sum(b - a >= r for m, a, b in pairs if (m - 1, a) == (n, l)))
+
+        assert page.table == {(l, n): entry(l, n) for n in range(top + 1) for l in range(nlev)}
+        assert page.d_ranks == {
+            (l, n): sum(b - a == r for m, a, b in pairs if (m, b) == (n, l))
+            for n in range(top + 2) for l in range(nlev + r)}
+
+
+@pytest.mark.parametrize("old, new", [(0, 1), (1, 0)])
+def test_a_shifted_gap_fails_a_certificate(monkeypatch, old, new):
+    real = specseq._pairing
+
+    def shifted(*args):
+        out = real(*args)
+        for *_, gap in out.values():
+            hit = np.flatnonzero(gap == old)
+            if hit.size:
+                gap[hit[0]] = new
+                return out
+        raise AssertionError(f"no pair with gap {old}")
+
+    monkeypatch.setattr(specseq, "_pairing", shifted)
+    with pytest.raises(InternalCheckError):
+        pages(hodge_filtration("dual-numbers", 4), r_max=3)
 
 
 def test_first_page_is_hochschild():
