@@ -7,9 +7,9 @@ and in degree zero it is the honest power map on A/[A,A]. Stacking the
 rows against cyclic homology gives a per-degree degeneration ledger.
 """
 
-from nchodge.cartier import (cartier0, conjugate_ledger, conjugate_ss,
-                             edgewise_hh_check)
+from nchodge.cartier import cartier0, conjugate_ss, edgewise_hh_check
 from nchodge.corpus import build
+from nchodge.hochcyc import hodge_ledger
 
 p = 3
 
@@ -29,6 +29,6 @@ for row in c0.matrix.to_dense().tolist():
 
 print("\nthe degeneration ledger, HC_n vs stacked HH:")
 for name in ("upper-tri-2", "dual-numbers"):
-    led = conjugate_ledger(build(name, p), 5)
+    led = hodge_ledger(build(name, p), 5)
     rows = [(r.degree, r.hc, r.hodge_sum) for r in led.rows]
     print(f"  {name}: degenerate = {led.degenerate}  rows (n, HC, sum)={rows}")

@@ -18,8 +18,7 @@ for p, dim in ((3, 2), (3, 4), (5, 3)):
           f"H_l = {[hom[l] for l in range(5)]} for l = 0..4")
 
     vd = vdagger(act)
-    print(f"  norm complex: h0 = {vd.h0}, h1 = {vd.h1}, "
-          f"tight = {vd.tight}")
+    print(f"  norm complex: h0 = {vd.h0}, h1 = {vd.h1}")
 
     rep = iota_iso(dim, p, l_max=4, samples=100, seed=0)
     print(f"  repeated words: bijective = {rep.bijective}, "

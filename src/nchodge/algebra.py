@@ -7,7 +7,9 @@ associativity on all triples and the two unit laws. Constructors for the
 standard small examples (matrix, truncated polynomial, cyclic group, path
 algebras) and the closure operations (opposite, direct product,
 enveloping) are provided, along with JSON serialization and mod p**2 lift
-checking.
+checking. Each algebra also records its basis idempotents
+(`BasisIdempotents`), the subalgebra S that the normalized mixed complex
+in `hochcyc` works relative to.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ class StructureConstantsAlgebra:
             if failures:
                 raise ConstructionError(
                     "algebra axioms fail: " + "; ".join(failures[:MAX_VALIDATION_REPORTS]))
+        self.idempotents = basis_idempotents(self)
 
     # ---------------- basic operations ----------------
 
@@ -207,6 +210,58 @@ def dump_algebra(a: StructureConstantsAlgebra, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(a.to_json_dict(), fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+# ---------------- basis idempotents ----------------
+
+@dataclass(frozen=True, eq=False)
+class BasisIdempotents:
+    """A separable subalgebra S = k^r of an algebra, spanned by the rows of
+    `span`.
+
+    With r > 1 the rows are basis vectors e_1, ..., e_r: idempotent,
+    pairwise orthogonal, summing to the unit, and every basis vector x lies
+    in e_left[x] A e_right[x]. With r = 1 the single row is the unit, S is
+    k1 and left = right = 0.
+    """
+
+    span: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+    @property
+    def r(self) -> int:
+        return self.span.shape[0]
+
+    @classmethod
+    def ground(cls, a: "StructureConstantsAlgebra") -> "BasisIdempotents":
+        """S = k1."""
+        zero = np.zeros(a.dim, dtype=np.int64)
+        return cls(a.unit.reshape(1, a.dim), zero, zero)
+
+
+def basis_idempotents(a: StructureConstantsAlgebra) -> BasisIdempotents:
+    """The basis vectors in the support of the unit, when they are
+    idempotent, pairwise orthogonal, of coefficient 1 in the unit, and every
+    basis vector is homogeneous for them; S = k1 otherwise. O(r d^2)."""
+    d, c = a.dim, a.constants
+    S = np.nonzero(a.unit)[0]
+    r = S.size
+    if r < 2 or np.any(a.unit[S] != 1):
+        return BasisIdempotents.ground(a)
+    eye = np.eye(d, dtype=np.int64)
+    want = np.zeros((r, r, d), dtype=np.int64)
+    want[np.arange(r), np.arange(r), S] = 1       # e_s e_t = [s = t] e_s
+    if not np.array_equal(c[np.ix_(S, S)], want):
+        return BasisIdempotents.ground(a)
+    sides = []
+    for prod in (c[S], c[:, S].transpose(1, 0, 2)):   # [s, x] = e_s x, x e_s
+        keeps = np.all(prod == eye, axis=2)
+        kills = ~np.any(prod, axis=2)
+        if not np.all(keeps | kills) or np.any(keeps.sum(axis=0) != 1):
+            return BasisIdempotents.ground(a)
+        sides.append(np.argmax(keeps, axis=0))
+    return BasisIdempotents(eye[S], *sides)
 
 
 # ---------------- validation ----------------

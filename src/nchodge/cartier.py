@@ -22,7 +22,7 @@ face of the mod-p comparison isomorphism this module certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse as sp
@@ -50,7 +50,6 @@ from .hochcyc import (
     face_matrix,
     hc_dims,
     hh_dims,
-    hodge_ss,
     rotation_matrix,
 )
 from .modring import ModMatrix, hstack, is_prime, matmul_mod, rank_fp, solve_fp
@@ -198,23 +197,23 @@ class VDaggerReport:
     h0: int
     h1: int
     rank_t: int
-    phi_rank: int
-    tight: bool
 
 
 def vdagger(act: ZpModuleAction) -> VDaggerReport:
     """Two-term norm complex: coinvariants -> invariants via the norm.
 
-    h0 is its cokernel, h1 its kernel, and phi the comparison map induced
-    by including invariants and projecting to coinvariants. Tight means
-    phi identifies the two homology groups. On a permutation module the
-    norm is nonzero exactly on the free orbits and phi is nonzero exactly
-    on the fixed words.
+    h0 is its cokernel and h1 its kernel. Lemma: on a permutation module
+    h0 = h1 = rank phi = the number of fixed words, where phi is the
+    comparison map induced by including the invariants and projecting to
+    the coinvariants, so phi always identifies the two. Proof: both sides
+    have one coordinate per orbit (the orbit sum, the orbit class); the norm
+    sends a free orbit's class to its sum and a fixed word's class to p
+    times itself, which is 0, so rank_t = #free orbits and h0 = h1 =
+    #fixed; phi sends a free orbit's sum to p times its class, 0, and a
+    fixed word to itself, so rank phi = #fixed as well.
     """
     n_orb, n_fix = act.n_orbits(), act.n_fixed()
-    rank_t = n_orb - n_fix
-    h = n_orb - rank_t
-    return VDaggerReport(h0=h, h1=h, rank_t=rank_t, phi_rank=n_fix, tight=n_fix == h)
+    return VDaggerReport(h0=n_fix, h1=n_fix, rank_t=n_orb - n_fix)
 
 
 # ---------------- repeated-word comparison map ----------------
@@ -788,45 +787,3 @@ def cartier0(a: StructureConstantsAlgebra, samples: int = 1000,
                           additive_ok=additive_ok,
                           representative_ok=representative_ok,
                           samples=samples, seed=seed)
-
-
-# ---------------- degeneration ledger ----------------
-
-@dataclass
-class LedgerRow:
-    degree: int
-    hc: int
-    hodge_sum: int
-
-    @property
-    def equal(self) -> bool:
-        return self.hc == self.hodge_sum
-
-
-@dataclass
-class DegenerationLedger:
-    p: int
-    N: int
-    rows: list[LedgerRow] = field(default_factory=list)
-    sign_tag: str = SIGN_CONVENTION
-
-    @property
-    def degenerate(self) -> bool:
-        return all(r.equal for r in self.rows)
-
-
-def conjugate_ledger(a: StructureConstantsAlgebra, N: int,
-                     cap: int | None = None) -> DegenerationLedger:
-    """Per-degree view of the `hodge_ss` verdict: cyclic homology against
-    the stacked Hochschild dimensions. The abutment can never exceed the
-    stack; if it does the pipeline is broken and this raises."""
-    rep = hodge_ss(a, N, cap=cap, pages_budget=0)
-    ledger = DegenerationLedger(p=a.p, N=N)
-    for n, total in sorted(rep.hodge_sums.items()):
-        hc = rep.abutment[n]
-        if hc > total:
-            raise InternalCheckError(
-                f"cyclic homology exceeds the Hodge stack in degree {n}: "
-                f"{hc} > {total}")
-        ledger.rows.append(LedgerRow(degree=n, hc=hc, hodge_sum=total))
-    return ledger

@@ -252,11 +252,11 @@ def cmd_conjugate(args):
 
 
 def cmd_ledger(args):
-    from .cartier import conjugate_ledger
+    from .hochcyc import hodge_ledger
 
     a = _load_algebra(args)
     _progress(args, "stacking Hochschild dimensions against cyclic homology")
-    led = conjugate_ledger(a, args.levels, cap=args.cap)
+    led = hodge_ledger(a, args.levels, cap=args.cap)
     payload = _base_payload("ledger", a)
     payload["N"] = led.N
     payload["window"] = [0, led.N - 2]

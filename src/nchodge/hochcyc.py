@@ -3,14 +3,23 @@
 Two chain models of the same mixed complex live here, both assembled as
 sparse matrices by direct index arithmetic on digit strings.
 
-The normalized mixed complex (`NormalizedMixedComplex`) has level n equal
-to A tensor Abar^n, Abar = A / k1, with the normalized b and Connes B. It
-carries the HH and HC numbers: `hh_dims` and `hc_dims` (the `hh` and `hc`
-commands), `sbi_check` (`sbi`), the HH/HC verdict of `hodge_ss` (`hodge`,
-and `ledger`, which is a view of it), and the HH/HC references of the
-subdivision routes in `cartier` (`edgewise-check`, `conjugate`). Its
-levels are (d - 1)^n / d^n times the size of the unnormalized ones, and
-those commands spend their time ranking them.
+The normalized mixed complex (`NormalizedMixedComplex`) is taken relative
+to the subalgebra S spanned by the basis idempotents of A (S = k1 when
+there are none, `algebra.BasisIdempotents`): level n is A (x)_S^e
+(A/S)^(x)_S n, with the normalized b and Connes B. Its words are the
+cyclically composable a0 | a1 .. an with a1..an outside S, a composability
+mask on the index set of the complex relative to k; middle products are
+projected onto A/S, and B inserts the one idempotent that survives (x)_S.
+With S = k1 the mask is all true and the complex is A (x) Abar^n. S is
+separable, so the complex computes HH and HC (Loday, Cyclic Homology,
+1.2 and 2.2). It carries the HH and HC numbers: `hh_dims` and `hc_dims`
+(the `hh` and `hc` commands), `sbi_check` (`sbi`), the HH/HC verdict of
+`hodge_ss` (`hodge`) and its per-degree view `hodge_ledger` (`ledger`), and
+the HH/HC references of the subdivision routes in `cartier`
+(`edgewise-check`, `conjugate`). Its levels have at most (d - 1)^n / d^n
+times the coordinates of the unnormalized ones, and trace(T0 T^n) in
+general (`estimate_normalized_entries`): 2 per level for the 2 x 2
+matrices, where the complex relative to k has 4 * 3^n.
 
 The unnormalized cyclic object (`CyclicLevelMaps`) has level n equal to
 the (n+1)-fold tensor power of A on the monomial basis, with faces
@@ -34,10 +43,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import StructureConstantsAlgebra
+from .algebra import BasisIdempotents, StructureConstantsAlgebra
 from .complexes import BicomplexWindow, ChainComplexWindow, filtration_by_columns
 from .conventions import SIGN_CONVENTION, cyclic_sign, face_sign
-from .errors import ModulusError, NotAComplexError, ResourceError, ShapeError, WindowError
+from .errors import (InternalCheckError, ModulusError, NotAComplexError, ResourceError,
+                     ShapeError, WindowError)
 from .modring import ModMatrix, induced_map_rank
 
 DEFAULT_ENTRY_CAP = 1 << 24
@@ -308,111 +318,209 @@ class CyclicLevelMaps:
 
 # ---------------- the normalized mixed complex ----------------
 
-def estimate_normalized_entries(a: StructureConstantsAlgebra, N: int) -> int:
-    """Entries of b and B of the normalized mixed complex through level N.
+def _bar_projection(a: StructureConstantsAlgebra,
+                    S: BasisIdempotents) -> tuple[np.ndarray, np.ndarray]:
+    """(pr, bar): A / S gets the basis e_j, j in bar, i.e. every j except
+    one pivot per row s of S (its first coordinate that is a unit mod p),
+    and pr is the |bar| x d matrix of A -> A/S in it: e_pivot goes to
+    -sum_j s_j / s_pivot e_j. The rows of S have disjoint supports, so each
+    is killed on its own; for basis idempotents pr just drops them."""
+    pivots = []
+    for s in S.span:
+        nz = np.nonzero(s % a.p)[0]
+        if nz.size == 0:
+            raise ShapeError("unit vector is zero")
+        pivots.append(int(nz[0]))
+    bar = np.array([j for j in range(a.dim) if j not in pivots], dtype=np.int64)
+    pr = np.zeros((bar.size, a.dim), dtype=np.int64)
+    pr[np.arange(bar.size), bar] = 1
+    for s, k in zip(S.span, pivots):
+        inv = pow(int(s[k]), -1, a.modulus)
+        pr[:, k] = [(-int(s[j]) * inv) % a.modulus for j in bar]
+    return pr, bar
+
+
+def _word_counts(S: BasisIdempotents, bar: np.ndarray, N: int) -> list[int]:
+    """Cyclically composable words a0 | a1 .. an, a1..an in bar, for
+    n = 0..N: trace(T0 T^n), where T0 and T count the basis vectors and the
+    bar vectors of each e_i A e_j. With r = 1 this is d (d - 1)^n."""
+    r = S.r
+    T0 = np.zeros((r, r), dtype=object)
+    T = np.zeros((r, r), dtype=object)
+    for x in range(S.left.size):
+        T0[S.left[x], S.right[x]] += 1
+    for x in bar:
+        T[S.left[x], S.right[x]] += 1
+    counts, M = [], T0
+    for _ in range(N + 1):
+        counts.append(int(np.trace(M)))
+        M = M @ T
+    return counts
+
+
+def estimate_normalized_entries(a: StructureConstantsAlgebra, N: int,
+                                S: BasisIdempotents | None = None) -> int:
+    """Entries of b and B of the normalized mixed complex relative to S
+    (default: the basis idempotents of a) through level N.
 
     A column of level m meets m + 1 faces of at most tbar * ubar terms (a
-    middle product projected onto Abar) and m + 1 rotations of at most
-    ubar * ubar terms (the unit times the projected slot 0).
+    middle product projected onto A/S) and m + 1 rotations of at most
+    ubar * ubar terms (the surviving row of S times the projected slot 0),
+    where ubar bounds the terms of a row of S (1 for basis idempotents, the
+    terms of the unit for S = k1) and of a column of the projection.
     """
-    d, tbar, ubar = a.dim, a.max_terms(), int(np.count_nonzero(a.unit))
-    return sum(d * (d - 1) ** m * (m + 1) * ubar * (tbar + ubar) for m in range(N + 1))
+    S = a.idempotents if S is None else S
+    tbar, ubar = a.max_terms(), int(np.count_nonzero(S.span, axis=1).max())
+    counts = _word_counts(S, _bar_projection(a, S)[1], N)
+    return sum(c * (m + 1) * ubar * (tbar + ubar) for m, c in enumerate(counts))
 
 
-def _unit_complement(a: StructureConstantsAlgebra) -> tuple[np.ndarray, np.ndarray]:
-    """(pr, others): Abar = A / k1 gets the basis e_j, j in others, i.e.
-    every j except the first k0 with unit[k0] a unit mod p, and pr is the
-    (d - 1) x d matrix of A -> Abar in it (e_k0 goes to -sum_j u_j/u_k0 e_j)."""
-    nz = np.nonzero(a.unit % a.p)[0]
-    if nz.size == 0:
-        raise ShapeError("unit vector is zero")
-    k0 = int(nz[0])
-    inv = pow(int(a.unit[k0]), -1, a.modulus)
-    others = np.array([j for j in range(a.dim) if j != k0], dtype=np.int64)
-    pr = np.zeros((a.dim - 1, a.dim), dtype=np.int64)
-    pr[np.arange(a.dim - 1), others] = 1
-    pr[:, k0] = [(-int(a.unit[j]) * inv) % a.modulus for j in others]
-    return pr, others
+def _composable_words(S: BasisIdempotents, bar: np.ndarray, N: int,
+                      dtype) -> list[np.ndarray]:
+    """Level n = 0..N: the sorted indices a0 + d (a1 + e (a2 + ..)) (slot 0
+    over A, slots 1..n over bar, e = |bar|) of the words with
+    right(a_i) = left(a_i+1) and right(an) = left(a0)."""
+    d = S.left.size
+    idx = np.arange(d).astype(dtype)              # open words a0 | .. | ak
+    first, last = S.left, S.right
+    out = [idx[last == first]]
+    weight = d
+    for _ in range(N):
+        parts = [(idx[:0], first[:0], last[:0])]
+        for y, x in enumerate(bar):                 # ascending y keeps idx sorted
+            fits = last == S.left[x]
+            parts.append((idx[fits] + weight * y, first[fits],
+                          np.full(int(fits.sum()), S.right[x])))
+        idx, first, last = (np.concatenate(z) for z in zip(*parts))
+        out.append(idx[last == first])
+        weight *= bar.size
+    return out
 
 
-def _merge_entries(table: np.ndarray, strides: tuple[int, int, int],
-                   base_in: np.ndarray, base_out: np.ndarray, sign: int):
-    """COO entries of a map merging two input digits into one output digit:
-    for every nonzero table[x, y, k], input base_in + x*sx + y*sy goes to
-    output base_out + k*sk, where (sx, sy, sk) = strides."""
-    sx, sy, sk = strides
-    x, y, k = np.nonzero(table)
-    rows = (k * sk)[:, None] + base_out[None, :]
-    cols = (x * sx + y * sy)[:, None] + base_in[None, :]
-    vals = np.broadcast_to((sign * table[x, y, k])[:, None], rows.shape)
-    return rows.ravel(), cols.ravel(), vals.ravel()
+def _rows_by_key(table: np.ndarray):
+    """A table [key.., k] as CSR rows over the flattened leading axes."""
+    flat = table.reshape(int(np.prod(table.shape[:-1])), table.shape[-1])
+    q, k = np.nonzero(flat)
+    ptr = np.zeros(flat.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(q, minlength=flat.shape[0]), out=ptr[1:])
+    return ptr, k, flat[q, k]
+
+
+def _gather(keys: np.ndarray, rows):
+    """(j, k, v) for every column j and every term (k, v) of row keys[j]."""
+    ptr, k, v = rows
+    start, count = ptr[keys], ptr[keys + 1] - ptr[keys]
+    j = np.repeat(np.arange(keys.shape[0]), count)
+    at = np.arange(j.shape[0]) + np.repeat(start - (np.cumsum(count) - count), count)
+    return j, k[at], v[at]
 
 
 class NormalizedMixedComplex:
-    """The normalized mixed complex (A tensor Abar^n, b, B) through level N.
+    """The normalized mixed complex relative to S, (A (x)_S^e (A/S)^(x)_S n,
+    b, B), through level N.
 
-    Level n is indexed little-endian with slot 0 fastest: slot 0 in base d
-    over the basis of A, slots 1..n in base d - 1 over the basis of Abar
-    from `_unit_complement`. The operators are pr o b o sec and pr o B o sec
-    of the unnormalized ones (sec picks the representatives e_j), built
-    directly from projected structure-constant tables: products into slot
-    0 (face 0 and the wrap-around face) keep the full product, middle
-    products are projected onto Abar, and
+    S is a separable subalgebra spanned by basis idempotents (default: those
+    of the algebra, `BasisIdempotents`; k1 when there are none). The
+    quotient from the complex relative to k is a map of mixed complexes and
+    an isomorphism on HH, hence on HC (SBI and the five lemma).
 
-        B(a0 (x) .. (x) an) = sum_i (-1)^(n i) 1 (x) a_i .. a_n (x) pr(a0) .. a_(i-1).
+    Level n is spanned by the cyclically composable words a0 | a1 .. an:
+    a0 a basis vector of A, a1..an bar vectors (the basis of A/S from
+    `_bar_projection`), with right(a_i) = left(a_i+1) and right(an) =
+    left(a0). They are indexed by their rank among the little-endian
+    indices a0 + d (a1 + e (a2 + ..)), slot 0 fastest, so with r = 1 every
+    word is composable and the index is the word itself. b and B are built
+    by index arithmetic on those indices, from projected structure-constant
+    tables: products into slot 0 (face 0 and the wrap-around face) keep the
+    full product, middle products are projected onto A/S, and
+
+        B(a0 (x) .. (x) an) = sum_i (-1)^(n i) e (x) a_i .. a_n (x) pr(a0) .. a_(i-1),
+
+    with e the row of S that survives (x)_S in front of a_i: the unit when
+    r = 1, the idempotent e_left(a_i) otherwise. Every row built is
+    certified to land on a composable word.
     """
 
     def __init__(self, a: StructureConstantsAlgebra, N: int,
-                 cap: int | None = None):
+                 cap: int | None = None, S: BasisIdempotents | None = None):
         if N < 1:
             raise WindowError("need at least levels 0 and 1")
         if a.power != 1:
             raise ModulusError("homology pipelines run over F_p")
+        S = a.idempotents if S is None else S
         cap = DEFAULT_ENTRY_CAP if cap is None else cap
-        est = estimate_normalized_entries(a, N)
+        est = estimate_normalized_entries(a, N, S)
         if est > cap:
             raise ResourceError(
                 f"normalized mixed complex through level {N} needs about {est} "
                 f"entries, cap is {cap}", estimate=est, cap=cap)
         self.algebra = a
         self.N = N
-        d = a.dim
-        self.dims = [d * (d - 1) ** n for n in range(N + 1)]
-        self._pr, others = _unit_complement(a)
+        self.S = S
+        pr, bar = _bar_projection(a, S)
+        self._bar = bar
+        d, e = a.dim, bar.size
+        # word indices stay below d e^N; past int64 they are Python ints
+        dtype = np.int64 if d * e ** N < 1 << 63 else object
+        self._words = _composable_words(S, bar, N, dtype)
+        self.dims = [w.shape[0] for w in self._words]
+        if self.dims != _word_counts(S, bar, N):
+            raise InternalCheckError(
+                f"composable words {self.dims} disagree with the transfer-matrix count")
         c = a.constants
-        self._first = c[:, others, :]                # a0 * a1, full
-        self._wrap = c[others, :, :]                 # an * a0, full
-        mid = c[np.ix_(others, others)].astype(object) @ self._pr.T.astype(object)
-        self._mid = (mid % a.modulus).astype(np.int64)  # pr(ai * ai+1)
+        mid = c[np.ix_(bar, bar)].astype(object) @ pr.T.astype(object)
+        self._first = _rows_by_key(c[:, bar, :])      # a0 * a1, full
+        self._wrap = _rows_by_key(c[bar, :, :])       # an * a0, full
+        self._mid = _rows_by_key((mid % a.modulus).astype(np.int64))  # pr(ai * ai+1)
+        self._prT = _rows_by_key(pr.T)                # a0 -> pr(a0)
+        self._unit = _rows_by_key(S.span)             # block -> its row of S
         self._b: dict[int, ModMatrix] = {}
         self._B: dict[int, ModMatrix] = {}
 
     def dim(self, n: int) -> int:
         return self.dims[n]
 
+    def _position(self, n: int, words: np.ndarray) -> np.ndarray:
+        """Rank of each word among the composable words of level n."""
+        have = self._words[n]
+        if have.size == self.algebra.dim * self._bar.size ** n:
+            return words        # every word is composable: rank = index
+        pos = np.searchsorted(have, words)
+        if words.size and (have.size == 0 or not np.array_equal(
+                have[np.minimum(pos, have.size - 1)], words)):
+            raise InternalCheckError(
+                f"an operator into level {n} leaves the composable words")
+        return pos
+
     def b(self, n: int) -> ModMatrix:
         mod = self.algebra.modulus
         if n == 0:
             return ModMatrix.zeros(0, self.dims[0], mod)
         if n not in self._b:
-            d = self.algebra.dim
-            e = d - 1
-            parts = []
-            rest = d * np.arange(e ** (n - 1), dtype=np.int64)
-            parts.append(_merge_entries(self._first, (1, d, 1), e * rest, rest, 1))
+            d, e = self.algebra.dim, self._bar.size
+            words = self._words[n]
+            dtype = words.dtype
+            rows_l, cols_l, vals_l = [], [], []
+
+            def merge(keys, table, base, stride, sign):
+                j, k, v = _gather(keys.astype(np.int64), table)
+                rows_l.append(base[j] + k.astype(dtype) * stride)
+                cols_l.append(j)
+                vals_l.append(sign * v)
+
+            a0, rest = words % d, words // d
+            merge(a0 * e + rest % e, self._first, d * (rest // e), 1, 1)
             for i in range(1, n):
                 lo = d * e ** (i - 1)
-                low = np.arange(lo, dtype=np.int64)
-                high = np.arange(e ** (n - 1 - i), dtype=np.int64) * (lo * e)
-                base_in = (low[:, None] + high[None, :] * e).ravel()
-                base_out = (low[:, None] + high[None, :]).ravel()
-                parts.append(_merge_entries(self._mid, (lo, lo * e, lo),
-                                            base_in, base_out, face_sign(i)))
-            parts.append(_merge_entries(self._wrap, (d * e ** (n - 1), 1, 1),
-                                        rest, rest, face_sign(n)))
-            rows, cols, vals = (np.concatenate(z) for z in zip(*parts))
-            self._b[n] = ModMatrix.from_arrays((self.dims[n - 1], self.dims[n]),
-                                               mod, rows, cols, vals)
+                q = words // lo
+                merge(q % e * e + q // e % e, self._mid,
+                      words % lo + q // (e * e) * (lo * e), lo, face_sign(i))
+            top = d * e ** (n - 1)
+            merge(words // top * d + a0, self._wrap, words % top - a0, 1, face_sign(n))
+            rows = self._position(n - 1, np.concatenate(rows_l))
+            self._b[n] = ModMatrix.from_arrays(
+                (self.dims[n - 1], self.dims[n]), mod, rows,
+                np.concatenate(cols_l), np.concatenate(vals_l))
         return self._b[n]
 
     def B(self, n: int) -> ModMatrix:
@@ -420,28 +528,24 @@ class NormalizedMixedComplex:
             raise WindowError(f"B at level {n} needs level {n + 1} (window tops at {self.N})")
         if n not in self._B:
             a = self.algebra
-            d, mod = a.dim, a.modulus
-            e = d - 1
-            r = np.arange(e ** n, dtype=np.int64)
-            j, x = np.nonzero(self._pr)
-            coef = self._pr[j, x]
-            words = j[:, None] + e * r[None, :]     # digits pr(a0), a1, .., an
-            cols = x[:, None] + d * r[None, :]
+            d, mod, e = a.dim, a.modulus, self._bar.size
+            words = self._words[n]
+            col, j, coef = _gather((words % d).astype(np.int64), self._prT)
+            bar_words = j.astype(words.dtype) + e * (words // d)[col]  # pr(a0), a1, .., an
             rows_l, cols_l, vals_l = [], [], []
             for i in range(n + 1):
                 cut = e ** i
-                rot = words // cut + (words % cut) * e ** (n + 1 - i)
+                rot = bar_words // cut + bar_words % cut * e ** (n + 1 - i)
+                blocks = self.S.left[self._bar[(rot % e).astype(np.int64)]]
+                t, u, s = _gather(blocks, self._unit)
                 sign = -1 if (n * i) % 2 else 1
-                for u in np.nonzero(a.unit)[0]:
-                    rows_l.append(int(u) + d * rot)
-                    cols_l.append(cols)
-                    v = sign * (coef * int(a.unit[u]) % mod)
-                    vals_l.append(np.broadcast_to(v[:, None], rot.shape))
+                rows_l.append(u.astype(words.dtype) + d * rot[t])
+                cols_l.append(col[t])
+                vals_l.append(sign * (coef[t] * s % mod))
+            rows = self._position(n + 1, np.concatenate(rows_l))
             self._B[n] = ModMatrix.from_arrays(
-                (self.dims[n + 1], self.dims[n]), mod,
-                np.concatenate([z.ravel() for z in rows_l]),
-                np.concatenate([z.ravel() for z in cols_l]),
-                np.concatenate([z.ravel() for z in vals_l]))
+                (self.dims[n + 1], self.dims[n]), mod, rows,
+                np.concatenate(cols_l), np.concatenate(vals_l))
         return self._B[n]
 
 
@@ -684,3 +788,44 @@ def hodge_ss(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
         p=a.p, N=N, window=(0, N - 2), e1=e1, abutment=hc, hodge_sums=sums,
         degenerate=degenerate, pages_certified=certified, page_tables=page_tables)
 
+
+# ---------------- degeneration ledger ----------------
+
+@dataclass
+class LedgerRow:
+    degree: int
+    hc: int
+    hodge_sum: int
+
+    @property
+    def equal(self) -> bool:
+        return self.hc == self.hodge_sum
+
+
+@dataclass
+class DegenerationLedger:
+    p: int
+    N: int
+    rows: list[LedgerRow] = field(default_factory=list)
+    sign_tag: str = SIGN_CONVENTION
+
+    @property
+    def degenerate(self) -> bool:
+        return all(r.equal for r in self.rows)
+
+
+def hodge_ledger(a: StructureConstantsAlgebra, N: int,
+                 cap: int | None = None) -> DegenerationLedger:
+    """Per-degree view of the `hodge_ss` verdict: cyclic homology against
+    the stacked Hochschild dimensions. The abutment can never exceed the
+    stack; if it does the pipeline is broken and this raises."""
+    rep = hodge_ss(a, N, cap=cap, pages_budget=0)
+    ledger = DegenerationLedger(p=a.p, N=N)
+    for n, total in sorted(rep.hodge_sums.items()):
+        hc = rep.abutment[n]
+        if hc > total:
+            raise InternalCheckError(
+                f"cyclic homology exceeds the Hodge stack in degree {n}: "
+                f"{hc} > {total}")
+        ledger.rows.append(LedgerRow(degree=n, hc=hc, hodge_sum=total))
+    return ledger

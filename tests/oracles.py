@@ -153,6 +153,29 @@ def ref_zp_homology_dims(dim: int, length: int, block: int, p: int) -> dict:
 
 
 
+def ref_rank_sparse(rows: list[dict[int, int]], p: int) -> int:
+    """Row reduction on rows given as {column: value}: each row is cleared
+    at its leading column by the pivot row stored there, or becomes one."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(row[lead], p - 2, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            f = row[lead]
+            for c, v in piv.items():
+                x = (row.get(c, 0) - f * v) % p
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
 def ref_zp_action_ranks(sigma: list[list[int]], p: int) -> dict:
     """Ranks of a dense Z/p action sigma (a list of rows) by row reduction.
 
@@ -162,21 +185,50 @@ def ref_zp_action_ranks(sigma: list[list[int]], p: int) -> dict:
     phi has kernel ker T meet im T, which has dimension rank T - rank T^2,
     so rank phi = n - 2 rank T + rank T^2.
     """
+    return _action_ranks([{j: v for j, v in enumerate(row) if v % p} for row in sigma], p)
+
+
+def ref_permutation_ranks(perm: list[int], p: int) -> dict:
+    """`ref_zp_action_ranks` of the permutation matrix sending e_j to
+    e_perm[j], built one entry per column."""
+    sigma: list[dict[int, int]] = [{} for _ in perm]
+    for j, i in enumerate(perm):
+        sigma[i][j] = 1
+    return _action_ranks(sigma, p)
+
+
+def _action_ranks(sigma: list[dict[int, int]], p: int) -> dict:
     n = len(sigma)
 
     def mul(x, y):
-        return [[sum(x[i][k] * y[k][j] for k in range(n)) % p for j in range(n)]
-                for i in range(n)]
+        out = []
+        for row in x:
+            acc: dict[int, int] = {}
+            for k, v in row.items():
+                for j, w in y[k].items():
+                    acc[j] = (acc.get(j, 0) + v * w) % p
+            out.append({j: v for j, v in acc.items() if v})
+        return out
 
-    one = [[int(i == j) for j in range(n)] for i in range(n)]
-    t = [[(one[i][j] - sigma[i][j]) % p for j in range(n)] for i in range(n)]
+    def add(x, y, sign=1):
+        out = []
+        for rx, ry in zip(x, y):
+            acc = dict(rx)
+            for j, w in ry.items():
+                acc[j] = (acc.get(j, 0) + sign * w) % p
+            out.append({j: v for j, v in acc.items() if v})
+        return out
+
+    one = [{i: 1} for i in range(n)]
+    t = add(one, sigma, -1)
     norm, power = one, one
     for _ in range(p - 1):
         power = mul(sigma, power)
-        norm = [[(a + b) % p for a, b in zip(r, s)] for r, s in zip(norm, power)]
-    r1 = ref_rank(t, p)
-    return {"n": n, "rank_one_minus": r1, "rank_norm": ref_rank(norm, p),
-            "phi_rank": n - 2 * r1 + ref_rank(mul(t, t), p)}
+        norm = add(norm, power)
+    r1 = ref_rank_sparse(t, p)
+    return {"n": n, "rank_one_minus": r1, "rank_norm": ref_rank_sparse(norm, p),
+            "phi_rank": n - 2 * r1 + ref_rank_sparse(mul(t, t), p)}
+
 
 def _basis_vec(dim: int, k: int):
     import numpy as np

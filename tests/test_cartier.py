@@ -18,7 +18,6 @@ from nchodge.cartier import (
     ZpModuleAction,
     block_rotation,
     cartier0,
-    conjugate_ledger,
     conjugate_ss,
     edgewise_hh_check,
     hc_via_lambda_p,
@@ -39,9 +38,10 @@ from nchodge.errors import (
     ShapeError,
     WindowError,
 )
-from nchodge.hochcyc import CyclicLevelMaps
+from nchodge.hochcyc import CyclicLevelMaps, hodge_ledger
 from nchodge.modring import ModMatrix
-from .oracles import ref_rank, ref_zp_action_ranks, ref_zp_homology_dims
+from .oracles import (ref_permutation_ranks, ref_rank, ref_zp_action_ranks,
+                      ref_zp_homology_dims)
 
 
 def rotation_action(dim: int, p: int, n: int = 0) -> ZpModuleAction:
@@ -95,8 +95,8 @@ def check_against_dense_oracle(act: ZpModuleAction) -> None:
     h = n - r1 - rn
     assert zp_homology_dims(act, 3) == {0: n - r1, 1: h, 2: h, 3: h}
     rep = vdagger(act)
-    assert (rep.h0, rep.h1, rep.rank_t, rep.phi_rank, rep.tight) == \
-        (h, h, rn, ref["phi_rank"], ref["phi_rank"] == h)
+    assert (rep.h0, rep.h1, rep.rank_t) == (h, h, rn)
+    assert h == ref["phi_rank"] == act.n_fixed()
     inc = zp_invariants(act)
     assert (act.one_minus() @ inc).is_zero()
     assert inc.shape[1] == ref_rank(inc.to_dense().T.tolist(), act.p) == n - r1
@@ -185,11 +185,21 @@ def test_permutation_test_rejects_a_repeated_index():
     assert permutation_action(np.array([1, 2, 0]), 3).perm.tolist() == [1, 2, 0]
 
 
+def assert_tight(act: ZpModuleAction) -> None:
+    """h0 = h1 = rank phi = #fixed words, with the ranks of 1 - sigma, N and
+    (1 - sigma)^2 taken by the independent oracle."""
+    ref = ref_permutation_ranks(act.perm.tolist(), act.p)
+    h = ref["n"] - ref["rank_one_minus"] - ref["rank_norm"]
+    rep = vdagger(act)
+    assert rep.h0 == rep.h1 == h == ref["phi_rank"] == act.n_fixed()
+    assert rep.rank_t == ref["rank_norm"]
+
+
 def test_vdagger_frozen_and_tight():
     rep = vdagger(rotation_action(3, 3))
-    assert (rep.h0, rep.h1, rep.rank_t, rep.phi_rank) == (3, 3, 8, 3)
-    assert rep.tight
-    assert vdagger(permutation_action(order_p_permutation(12, 3, 1), 3)).tight
+    assert (rep.h0, rep.h1, rep.rank_t) == (3, 3, 8)
+    assert_tight(rotation_action(3, 3))
+    assert_tight(permutation_action(order_p_permutation(12, 3, 1), 3))
 
 
 # ---------------- repeated-word map ----------------
@@ -246,7 +256,7 @@ def test_tight_at_every_level():
     for name in ("dual-numbers", "upper-tri-2", "group-z3"):
         pcyc = PCyclicLevels(build(name, 3), 2)
         for n in range(3):
-            assert vdagger(pcyc.action(n)).tight, (name, n)
+            assert_tight(pcyc.action(n))
 
 
 # ---------------- homology through the subdivision ----------------
@@ -324,11 +334,11 @@ def test_cartier0_group_algebra():
 # ---------------- ledger ----------------
 
 def test_ledger_frozen_rows():
-    led = conjugate_ledger(build("upper-tri-2", 3), 5)
+    led = hodge_ledger(build("upper-tri-2", 3), 5)
     assert [(r.degree, r.hc, r.hodge_sum) for r in led.rows] == \
         [(0, 2, 2), (1, 0, 0), (2, 2, 2), (3, 0, 0)]
     assert led.degenerate
-    led = conjugate_ledger(build("dual-numbers", 3), 5)
+    led = hodge_ledger(build("dual-numbers", 3), 5)
     assert [(r.degree, r.hc, r.hodge_sum) for r in led.rows] == \
         [(0, 2, 2), (1, 0, 1), (2, 2, 3), (3, 1, 2)]
     assert not led.degenerate
@@ -339,5 +349,5 @@ def test_ledger_never_reverses():
         a = build(name, 3)
         if a.dim > 4:
             continue
-        led = conjugate_ledger(a, 4)
+        led = hodge_ledger(a, 4)
         assert all(r.hc <= r.hodge_sum for r in led.rows), name

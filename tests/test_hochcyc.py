@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse as sp
 
-from nchodge.algebra import truncated_poly
+from nchodge.algebra import BasisIdempotents, StructureConstantsAlgebra, truncated_poly
 from nchodge.corpus import build, corpus_names
-from nchodge.errors import ResourceError, WindowError
+from nchodge.errors import InternalCheckError, ResourceError, WindowError
 from nchodge.hochcyc import (
     CyclicLevelMaps,
     NormalizedMixedComplex,
@@ -206,7 +206,7 @@ def test_normalized_operators_match_projection_oracle():
             a = build(name, p)
             N = 4 if a.dim <= 4 else 3
             oracle = ProjectionOracle(a, N)
-            nc = NormalizedMixedComplex(a, N)
+            nc = NormalizedMixedComplex(a, N, S=BasisIdempotents.ground(a))
             for n in range(1, N + 1):
                 assert nc.b(n) == oracle.b(n), (name, p, n)
             for n in range(N):
@@ -252,6 +252,160 @@ def test_normalized_estimate_bounds_the_entries_built():
     # the normalized one 4 * 3^9
     assert estimate_normalized_entries(build("group-z4", 3), 9) < (1 << 24) \
         < estimate_entries(build("group-z4", 3), 9)
+
+
+# ---------------- relative to the basis idempotents ----------------
+
+IDEMPOTENT = ("a2-path", "kronecker", "m2", "product-dual-upper",
+              "product-ground-m2", "upper-tri-2")
+
+
+def test_detected_idempotents_and_relative_levels():
+    r = {name: build(name, 3).idempotents.r for name in corpus_names()}
+    assert {name for name in r if r[name] > 1} == set(IDEMPOTENT)
+    assert (r["m2"], r["kronecker"], r["product-dual-upper"]) == (2, 2, 3)
+    levels = {name: NormalizedMixedComplex(build(name, 3), 9).dims for name in corpus_names()}
+    assert levels["m2"] == [2] * 10
+    for name in ("kronecker", "upper-tri-2", "a2-path"):
+        assert levels[name] == [2] + [0] * 9, name
+    assert levels["product-dual-upper"] == [4] + [2] * 9
+    assert levels["product-ground-m2"] == [3] + [2] * 9
+    for name in set(corpus_names()) - set(IDEMPOTENT):
+        d = build(name, 3).dim
+        assert levels[name] == [d * (d - 1) ** n for n in range(10)], name
+    assert estimate_normalized_entries(build("m2", 3), 30) < 10_000
+
+
+def quotient(a, n):
+    """The quotient from level n relative to k onto level n relative to the
+    basis idempotents, by brute force: a word whose bar letters avoid the
+    idempotents and compose cyclically goes to its rank among such words
+    (little-endian, slot 0 fastest), every other word to 0."""
+    d, c = a.dim, a.constants
+    S = [i for i in range(d) if a.unit[i]]
+    left = [next(s for s in S if c[s, x, x] == 1) for x in range(d)] if len(S) > 1 else [0] * d
+    right = [next(s for s in S if c[x, s, x] == 1) for x in range(d)] if len(S) > 1 else [0] * d
+    others = [j for j in range(d) if j != S[0]]          # the basis of A / k1
+    bar = [j for j in range(d) if j not in S] if len(S) > 1 else others
+    kept = []
+    for idx in range(d * len(others) ** n):
+        word, rest = [idx % d], idx // d
+        for _ in range(n):
+            word.append(others[rest % len(others)])
+            rest //= len(others)
+        if all(x in bar for x in word[1:]) and all(
+                right[word[i]] == left[word[(i + 1) % len(word)]] for i in range(len(word))):
+            key = word[0] + d * sum(bar.index(x) * len(bar) ** i for i, x in enumerate(word[1:]))
+            kept.append((key, idx))
+    kept.sort()
+    return ModMatrix.from_arrays((len(kept), d * len(others) ** n), a.modulus,
+                                 np.arange(len(kept)), np.array([i for _, i in kept], dtype=np.int64),
+                                 np.ones(len(kept), dtype=np.int64))
+
+
+def test_relative_operators_are_the_quotient_of_the_operators_over_k():
+    for p in (3, 5, 7):
+        for name in corpus_names():
+            a = build(name, p)
+            N = 4 if a.dim <= 4 else 3
+            rel = NormalizedMixedComplex(a, N)
+            over_k = NormalizedMixedComplex(a, N, S=BasisIdempotents.ground(a))
+            q = [quotient(a, n) for n in range(N + 1)]
+            assert [m.shape[0] for m in q] == rel.dims, (name, p)
+            if a.idempotents.r == 1:
+                assert rel.dims == over_k.dims, (name, p)
+            for n in range(1, N + 1):
+                assert rel.b(n) @ q[n] == q[n - 1] @ over_k.b(n), (name, p, n)
+            for n in range(N):
+                assert rel.B(n) @ q[n] == q[n + 1] @ over_k.B(n), (name, p, n)
+
+
+def homology_summary(carrier):
+    rep = sbi_ranks(carrier)
+    return rep.hh, rep.hc, rep.ranks, rep.spots, rep.exact
+
+
+def test_relative_and_ground_carriers_agree():
+    # every N to the default cap of the carrier over k: scripts/relative_check.py
+    for p in (3, 5, 7):
+        for name in IDEMPOTENT:
+            a = build(name, p)
+            for N in (3, 6):
+                over_k = NormalizedMixedComplex(a, N, S=BasisIdempotents.ground(a))
+                assert homology_summary(NormalizedMixedComplex(a, N)) == \
+                    homology_summary(over_k), (name, p, N)
+            hh = hh_dims(a, 6, carrier=over_k)
+            hc = hc_dims(a, 6, carrier=over_k)
+            rep = hodge_ss(a, 6, pages_budget=0)
+            assert rep.abutment == hc, (name, p)
+            assert rep.hodge_sums == {n: sum(hh[n - 2 * l] for l in range(n // 2 + 1))
+                                      for n in range(5)}, (name, p)
+
+
+def rebased(a, perm, scale):
+    """a in the basis f_i = scale[i] e_perm[i]."""
+    d, m = a.dim, a.modulus
+    inv = [pow(int(s), -1, m) for s in scale]
+    c = np.zeros((d, d, d), dtype=np.int64)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                c[i, j, k] = (scale[i] * scale[j] * inv[k]
+                              * int(a.constants[perm[i], perm[j], perm[k]])) % m
+    unit = [int(a.unit[perm[i]]) * inv[i] % m for i in range(d)]
+    return StructureConstantsAlgebra(m, [a.basis[i] for i in perm], unit, c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(IDEMPOTENT), p=st.sampled_from([3, 5, 7]), data=st.data())
+def test_detection_and_homology_survive_a_change_of_basis(name, p, data):
+    a = build(name, p)
+    perm = data.draw(st.permutations(range(a.dim)))
+    scale = [1 if a.unit[x] else data.draw(st.integers(1, p - 1)) for x in perm]
+    b = rebased(a, perm, scale)
+    assert b.idempotents.r == a.idempotents.r
+    assert homology_summary(NormalizedMixedComplex(b, 6)) == \
+        homology_summary(NormalizedMixedComplex(a, 6))
+
+
+def test_non_homogeneous_basis_falls_back_to_the_ground_field():
+    # E11, E22, E12 + E21, E12 - E21: idempotents summing to 1, but the last
+    # two lie in no single e_i A e_j
+    mats = [np.array(m) for m in ([[1, 0], [0, 0]], [[0, 0], [0, 1]],
+                                  [[0, 1], [1, 0]], [[0, 1], [-1, 0]])]
+    for p in (3, 5, 7):
+        half = pow(2, -1, p)
+
+        def coords(m):
+            return [m[0, 0], m[1, 1], (m[0, 1] + m[1, 0]) * half, (m[0, 1] - m[1, 0]) * half]
+
+        c = np.array([[coords(x @ y) for y in mats] for x in mats]) % p
+        a = StructureConstantsAlgebra(p, ["E11", "E22", "E12+E21", "E12-E21"],
+                                      [1, 1, 0, 0], c)
+        assert a.idempotents.r == 1
+        assert NormalizedMixedComplex(a, 5).dims == [4 * 3 ** n for n in range(6)]
+        assert homology_summary(NormalizedMixedComplex(a, 5)) == \
+            homology_summary(NormalizedMixedComplex(build("m2", p), 5)), p
+
+
+def test_dropping_a_composable_word_fails_the_agreement():
+    # tamper control: with any one word of levels 0..N-2 taken out of the
+    # mask, a certificate raises or the homology moves
+    N = 6
+    for name in IDEMPOTENT:
+        a = build(name, 3)
+        want = homology_summary(NormalizedMixedComplex(a, N, S=BasisIdempotents.ground(a)))
+        assert homology_summary(NormalizedMixedComplex(a, N)) == want
+        for n in range(N - 1):
+            for w in range(NormalizedMixedComplex(a, N).dim(n)):
+                nc = NormalizedMixedComplex(a, N)
+                nc._words[n] = np.delete(nc._words[n], w)
+                nc.dims[n] -= 1
+                try:
+                    got = homology_summary(nc)
+                except InternalCheckError:
+                    continue
+                assert got != want, (name, n, w)
 
 
 # ---------------- the inclusion / shift / connecting triangle ----------------
