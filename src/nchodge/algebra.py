@@ -5,9 +5,8 @@ labels, unit vector and the full constants tensor c[i][j][k] (so that
 e_i * e_j = sum_k c[i][j][k] e_k), and is validated on construction:
 associativity on all triples and the two unit laws. Constructors for the
 standard small examples (matrix, truncated polynomial, cyclic group, path
-algebras) and the closure operations (opposite, direct product,
-enveloping) are provided, along with JSON serialization and mod p**2 lift
-checking. Each algebra also records its basis idempotents
+algebras) and the direct product are provided, along with JSON loading
+and mod p**2 lift checking. Each algebra also records its basis idempotents
 (`BasisIdempotents`), the subalgebra S that the normalized mixed complex
 in `hochcyc` works relative to.
 """
@@ -54,7 +53,6 @@ class StructureConstantsAlgebra:
         if self.constants.shape != (self.dim,) * 3:
             raise ConstructionError(
                 f"constants have shape {self.constants.shape}, expected {(self.dim,) * 3}")
-        self._terms: dict[tuple[int, int], list[tuple[int, int]]] | None = None
         if check:
             failures = validate_algebra(self)
             if failures:
@@ -85,28 +83,9 @@ class StructureConstantsAlgebra:
                 return out
             base = self.multiply(base, base)
 
-    def terms(self, i: int, j: int) -> list[tuple[int, int]]:
-        """Nonzero products e_i e_j = sum v * e_k as a list of (k, v)."""
-        if self._terms is None:
-            self._terms = {}
-            nz = np.argwhere(self.constants != 0)
-            for i0, j0, k0 in nz:
-                self._terms.setdefault((int(i0), int(j0)), []).append(
-                    (int(k0), int(self.constants[i0, j0, k0])))
-        return self._terms.get((i, j), [])
-
     def max_terms(self) -> int:
         vals = (self.constants != 0).sum(axis=2)
         return int(vals.max()) if self.dim else 0
-
-    def left_mult_matrix(self, x) -> ModMatrix:
-        m, d = self.modulus, self.dim
-        x = np.asarray(x, dtype=np.int64) % m
-        mat = matmul_mod(x.reshape(1, d), self.constants.reshape(d, d * d), m)
-        return ModMatrix.from_dense(mat.reshape(d, d).T, m)
-
-    def is_commutative(self) -> bool:
-        return bool(np.all(self.constants == self.constants.transpose(1, 0, 2)))
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, self.modulus, self.dim, dtype=np.int64)
@@ -125,20 +104,6 @@ class StructureConstantsAlgebra:
 
     def __repr__(self) -> str:
         return f"StructureConstantsAlgebra({self.label()!r}, dim={self.dim}, mod {self.modulus})"
-
-    # ---------------- serialization ----------------
-
-    def to_json_dict(self) -> dict:
-        entries = [[int(i), int(j), int(k), int(self.constants[i, j, k])]
-                   for i, j, k in np.argwhere(self.constants != 0)]
-        return {
-            "p": self.p,
-            "power": self.power,
-            "dim": self.dim,
-            "basis": list(self.basis),
-            "unit": [int(v) for v in self.unit],
-            "constants": entries,
-        }
 
 
 def _is_int(x) -> bool:
@@ -204,12 +169,6 @@ def load_algebra(path: str, check: bool = True) -> StructureConstantsAlgebra:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return from_json_dict(data, check=check)
-
-
-def dump_algebra(a: StructureConstantsAlgebra, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(a.to_json_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------- basis idempotents ----------------
@@ -466,12 +425,6 @@ def path_algebra(quiver: Quiver, modulus: int, cap: int | None = None,
                                      name=name or "path_algebra")
 
 
-def opposite(a: StructureConstantsAlgebra) -> StructureConstantsAlgebra:
-    c = np.ascontiguousarray(a.constants.transpose(1, 0, 2))
-    return StructureConstantsAlgebra(a.modulus, a.basis, a.unit, c,
-                                     name=f"op({a.label()})", check=False)
-
-
 def direct_product(a: StructureConstantsAlgebra,
                    b: StructureConstantsAlgebra) -> StructureConstantsAlgebra:
     if a.modulus != b.modulus:
@@ -484,17 +437,6 @@ def direct_product(a: StructureConstantsAlgebra,
     basis = [f"L.{lab}" for lab in a.basis] + [f"R.{lab}" for lab in b.basis]
     return StructureConstantsAlgebra(a.modulus, basis, unit, c,
                                      name=f"product({a.label()}, {b.label()})", check=False)
-
-
-def enveloping(a: StructureConstantsAlgebra) -> StructureConstantsAlgebra:
-    """A tensor A-opposite, with basis pairs (i, j) flattened as i*dim + j."""
-    d = a.dim
-    c = np.einsum("ikm,ljn->ijklmn", a.constants, a.constants) % a.modulus
-    c = c.reshape(d * d, d * d, d * d)
-    unit = np.outer(a.unit, a.unit).reshape(d * d)
-    basis = [f"{x}(x){y}" for x in a.basis for y in a.basis]
-    return StructureConstantsAlgebra(a.modulus, basis, unit, c,
-                                     name=f"enveloping({a.label()})", check=False)
 
 
 # ---------------- commutator quotient ----------------
@@ -567,4 +509,3 @@ def literal_lift(a: StructureConstantsAlgebra) -> AlgebraLift:
         a.p ** 2, a.basis, a.unit, a.constants,
         name=f"lift({a.label()})", check=False)
     return AlgebraLift(base=a, lifted=lifted)
-

@@ -45,10 +45,8 @@ from .hochcyc import (
     DEFAULT_ENTRY_CAP,
     CyclicLevelMaps,
     b_complex,
-    conn2_bicomplex,
     degeneracy_matrix,
     face_matrix,
-    hc_dims,
     hh_dims,
     rotation_matrix,
 )
@@ -358,9 +356,9 @@ class PCyclicLevels:
     """Faces, degeneracies and rotations of the p-fold subdivision.
 
     Matrices are built lazily; level n words have p(n + 1) digits, so the
-    constructor only guards the estimated footprint. The interface
-    mirrors the unsubdivided level maps so the two-column cyclic
-    machinery applies verbatim.
+    constructor only guards the estimated footprint. The conjugate route
+    reads the boundary b, the block rotation as a Z/p action and the
+    repeated-word inclusion; `edgewise-check` reads b alone.
     """
 
     def __init__(self, a: StructureConstantsAlgebra, N: int,
@@ -372,7 +370,7 @@ class PCyclicLevels:
         if a.p == 2 and not allow_p2:
             raise ParityError(
                 "at p = 2 the sign conventions for the subdivision degenerate; "
-                "pass allow_p2=True to build it anyway")
+                "pass allow_p2=True (--allow-p2 on the command line) to build it anyway")
         cap = DEFAULT_ENTRY_CAP if cap is None else cap
         est = estimate_sd_entries(a, N)
         if est > cap:
@@ -468,58 +466,6 @@ class PCyclicLevels:
     def fixed_inclusion(self, n: int) -> ModMatrix:
         return iota_matrix(self.algebra.dim, n, self.p, self.algebra.modulus)
 
-    def verify_identities(self, upto: int | None = None) -> list[str]:
-        """Numerical check of the simplicial, rotation and mixed identities
-        on levels up to `upto`. Returns failure descriptions."""
-        top = self.N if upto is None else min(upto, self.N)
-        bad = []
-        p = self.p
-        for n in range(1, top + 1):
-            for i in range(n):
-                for j in range(i + 1, n + 1):
-                    if n >= 2 and self.face(n - 1, i) @ self.face(n, j) != \
-                            self.face(n - 1, j - 1) @ self.face(n, i):
-                        bad.append(f"faces ({i},{j}) at level {n}")
-            rho = self.rho(n)
-            cur = rho
-            for _ in range(p * (n + 1) - 1):
-                cur = rho @ cur
-            if cur != ModMatrix.identity(self.dim(n), self.algebra.modulus):
-                bad.append(f"rotation order at level {n}")
-            if self.sigma(n) != rho.matpow(n + 1):
-                bad.append(f"block rotation is not the (n+1)-st power at level {n}")
-            for i in range(1, n + 1):
-                if self.face(n, i) @ rho != self.rho(n - 1) @ self.face(n, i - 1):
-                    bad.append(f"rotation past face {i} at level {n}")
-            if self.face(n, 0) @ rho != self.face(n, n):
-                bad.append(f"rotation into the wrap face at level {n}")
-            sig = self.sigma(n)
-            sig_low = self.sigma(n - 1)
-            for i in range(n + 1):
-                if self.face(n, i) @ sig != sig_low @ self.face(n, i):
-                    bad.append(f"block rotation past face {i} at level {n}")
-            if n >= 2 and self.b(n - 1) @ self.b(n) != \
-                    ModMatrix.zeros(self.dim(n - 2), self.dim(n), self.algebra.modulus):
-                bad.append(f"b squared at level {n}")
-            if n >= 2 and self.bprime(n - 1) @ self.bprime(n) != \
-                    ModMatrix.zeros(self.dim(n - 2), self.dim(n), self.algebra.modulus):
-                bad.append(f"b-prime squared at level {n}")
-            one = ModMatrix.identity(self.dim(n), self.algebra.modulus)
-            one_low = ModMatrix.identity(self.dim(n - 1), self.algebra.modulus)
-            if self.b(n) @ (one - self.t(n)) != (one_low - self.t(n - 1)) @ self.bprime(n):
-                bad.append(f"boundary exchange at level {n}")
-            if self.norm(n - 1) @ self.b(n) != self.bprime(n) @ self.norm(n):
-                bad.append(f"norm exchange at level {n}")
-        for n in range(0, top):
-            for i in range(n + 1):
-                sd = self.degeneracy(n, i)
-                if self.face(n + 1, i) @ sd != ModMatrix.identity(self.dim(n), self.algebra.modulus):
-                    bad.append(f"degeneracy section ({n},{i})")
-                if i + 1 <= n + 1 and self.face(n + 1, i + 1) @ sd != \
-                        ModMatrix.identity(self.dim(n), self.algebra.modulus):
-                    bad.append(f"degeneracy section above ({n},{i})")
-        return bad
-
 
 @dataclass
 class EdgewiseReport:
@@ -546,56 +492,6 @@ def edgewise_hh_check(a: StructureConstantsAlgebra, N: int,
         raise SubdivisionMismatchError(
             f"subdivided homology {sd} differs from {hh} for {a.label()}")
     return EdgewiseReport(p=a.p, N=N, sd_dims=sd, hh=hh, equal=True)
-
-
-# ---------------- two-column bicomplex of the subdivision ----------------
-
-def lambda_p_bicomplex(pcyc: PCyclicLevels, L: int,
-                       check: bool = True) -> BicomplexWindow:
-    """Periodic two-column bicomplex of the subdivided object, using the
-    one-step rotation of order p(n + 1) and its full norm."""
-    bicx = conn2_bicomplex(pcyc, L)
-    if check:
-        bicx.check_squares()
-    return bicx
-
-
-@dataclass
-class LambdaPReport:
-    p: int
-    N: int
-    L: int
-    window: tuple[int, int]
-    dims: dict[int, int]
-    hc: dict[int, int]
-    sign_tag: str = SIGN_CONVENTION
-
-
-def hc_via_lambda_p(a: StructureConstantsAlgebra, N: int, L: int | None = None,
-                    N_ref: int | None = None, cap: int | None = None,
-                    allow_p2: bool = False) -> LambdaPReport:
-    """Cyclic homology recomputed through the subdivision.
-
-    Totalizes the subdivided two-column bicomplex and compares with the
-    unsubdivided route on the common trusted window. A mismatch raises,
-    since subdivision cannot change cyclic homology.
-    """
-    L = N if L is None else L
-    pcyc = PCyclicLevels(a, N, cap=cap, allow_p2=allow_p2)
-    bicx = lambda_p_bicomplex(pcyc, L)
-    tot, _ = bicx.total_complex()
-    top = min(L, N) - 1
-    if top < 0:
-        raise WindowError("no trusted degrees; raise L or N")
-    dims = {n: tot.homology_dim(n) for n in range(top + 1)}
-    N_ref = top + 2 if N_ref is None else N_ref
-    hc = hc_dims(a, N_ref, cap=cap)
-    common = [n for n in dims if n in hc]
-    if any(dims[n] != hc[n] for n in common):
-        raise SubdivisionMismatchError(
-            f"subdivided route {dims} disagrees with {hc} for {a.label()}")
-    return LambdaPReport(p=a.p, N=N, L=L, window=(0, top), dims=dims,
-                         hc={n: hc[n] for n in common})
 
 
 # ---------------- fiberwise group homology bicomplex ----------------

@@ -326,6 +326,20 @@ def _render(payload: dict, table, fmt: str) -> str:
 
 # ---------------- parser ----------------
 
+def _int_at_least(least: int):
+    """An argparse type: an integer >= least. Anything else exits 2 with a
+    message naming the flag, before any work starts."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return parse
+
+
 def _add_common(sub, levels_default=None, levels_help="chain levels to build"):
     sub.add_argument("algebra", help="builtin corpus name or path to a JSON file")
     sub.add_argument("-p", "--prime", type=int, default=3,
@@ -333,7 +347,7 @@ def _add_common(sub, levels_default=None, levels_help="chain levels to build"):
     if levels_default is not None:
         sub.add_argument("-N", "--levels", type=int, default=levels_default,
                          help=f"{levels_help} (default {levels_default})")
-    sub.add_argument("--cap", type=int, default=None,
+    sub.add_argument("--cap", type=_int_at_least(0), default=None,
                      help="entry budget; refuse with exit 3 beyond it")
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub.add_argument("--quiet", action="store_true", help="no progress on stderr")
@@ -380,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("cartier0", help="power map on the commutator quotient")
     _add_common(sub)
-    sub.add_argument("--samples", type=int, default=1000)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--samples", type=_int_at_least(1), default=1000)
+    sub.add_argument("--seed", type=_int_at_least(0), default=0)
     sub.set_defaults(func=cmd_cartier0)
 
     sub = subs.add_parser("edgewise-check",
@@ -392,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("conjugate", help="fiberwise filtration second page")
     _add_common(sub, levels_default=2)
-    sub.add_argument("-L", "--columns", type=int, default=None,
+    sub.add_argument("-L", "--columns", type=_int_at_least(0), default=None,
                      help="horizontal extent (default 2p)")
     sub.add_argument("--allow-p2", action="store_true")
     sub.set_defaults(func=cmd_conjugate)

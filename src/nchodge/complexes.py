@@ -1,4 +1,4 @@
-"""Windowed chain complexes, bicomplexes, filtrations and truncations.
+"""Windowed chain complexes, bicomplexes and filtrations.
 
 A window holds dimensions and differentials for a contiguous range of
 degrees, plus the validity range where homology can be trusted (degrees
@@ -104,25 +104,6 @@ class ChainComplexWindow:
             degrees = range(self.vlo, self.vhi + 1)
         return {n: self.homology_dim(n) for n in degrees}
 
-    def shift(self, k: int) -> "ChainComplexWindow":
-        """Same data with degrees moved up by k; no differential is built."""
-        src = self.diffs
-        return ChainComplexWindow(
-            self.lo + k, self.hi + k,
-            {n + k: d for n, d in self.dims.items()},
-            LazyDiffs([n + k for n in src], lambda n: src[n - k]),
-            self.modulus, vlo=self.vlo + k, vhi=self.vhi + k, check=False)
-
-
-def truncate_stupid(c: ChainComplexWindow, n: int) -> ChainComplexWindow:
-    """Drop all degrees above n. Homology at n itself is no longer trusted."""
-    if n < c.lo or n > c.hi:
-        raise WindowError(f"truncation degree {n} outside [{c.lo}, {c.hi}]")
-    dims = {m: c.dim(m) for m in range(c.lo, n + 1)}
-    diffs = LazyDiffs([m for m in c.diffs if m <= n], c.diffs.__getitem__)
-    return ChainComplexWindow(c.lo, n, dims, diffs, c.modulus,
-                              vlo=c.vlo, vhi=min(c.vhi, n - 1), check=False)
-
 
 class BicomplexWindow:
     """First-quadrant bicomplex on x in [0, X], y in [0, Y].
@@ -207,9 +188,6 @@ class BicomplexWindow:
                 if x >= 1 and y >= 1 and not vanishes(
                         self.dv(x - 1, y), self.dh(x, y), self.dh(x, y - 1), self.dv(x, y)):
                     raise NotAComplexError(f"square at {(x, y)} does not anticommute")
-
-    def total_degree_bound(self) -> int:
-        return self.X + self.Y
 
     def trusted_upper(self) -> int:
         top = self.X + self.Y

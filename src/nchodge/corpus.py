@@ -87,7 +87,3 @@ def build(name: str, p: int) -> StructureConstantsAlgebra:
         raise ConstructionError(
             f"unknown builtin algebra {name!r}; known: {', '.join(corpus_names())}")
     return builder(p)
-
-
-def corpus(p: int) -> dict[str, StructureConstantsAlgebra]:
-    return {name: build(name, p) for name in corpus_names()}

@@ -23,17 +23,16 @@ matrices, where the complex relative to k has 4 * 3^n.
 
 The unnormalized cyclic object (`CyclicLevelMaps`) has level n equal to
 the (n+1)-fold tensor power of A on the monomial basis, with faces
-multiplying adjacent factors (the last face wraps around), degeneracies
-inserting the unit, and the signed rotation as cyclic operator. It stays
-for what needs the cyclic structure itself: `verify_identities`, the p-fold
-subdivision in `cartier`, and the page tables of `hodge --pages`. Page E_0
-is chain level (Gr_l C_n), so those tables depend on the chain model, and
-the pinned `nc-hodge/1` payloads and the `--pages-budget` sizes are those of
+multiplying adjacent factors (the last face wraps around), the unit
+inserted in front by the extra degeneracy, and the signed rotation as
+cyclic operator. It stays for the page tables of `hodge --pages` and as
+the reference of the p-fold subdivision in `cartier`. Page E_0 is chain
+level (Gr_l C_n), so those tables depend on the chain model, and the
+pinned `nc-hodge/1` payloads and the `--pages-budget` sizes are those of
 the unnormalized complex.
 
-From these come the b and b' complexes, the mixed (b, B) bicomplex whose
-totalization computes cyclic homology, the two-column periodic bicomplex
-built from (1 - t) and the cyclic norm, the SBI rank bookkeeping, and the
+From these come the b complex, the mixed (b, B) bicomplex whose
+totalization computes cyclic homology, the SBI rank bookkeeping, and the
 Hodge filtration report.
 """
 
@@ -159,7 +158,8 @@ def estimate_entries(a: StructureConstantsAlgebra, N: int) -> int:
 
 
 class CyclicLevelMaps:
-    """All face, degeneracy and rotation matrices through level N."""
+    """Faces, rotations and extra degeneracies through level N, and the
+    b, b', norm and Connes operators built from them."""
 
     def __init__(self, a: StructureConstantsAlgebra, N: int,
                  cap: int | None = None):
@@ -179,8 +179,6 @@ class CyclicLevelMaps:
         self.dims = [a.dim ** (n + 1) for n in range(N + 1)]
         self._faces = {(n, i): face_matrix(a, n, i)
                        for n in range(1, N + 1) for i in range(n + 1)}
-        self._degens = {(n, i): degeneracy_matrix(a, n, i)
-                        for n in range(N) for i in range(n + 1)}
         self._rots = {n: rotation_matrix(a.dim, n, a.modulus) for n in range(N + 1)}
         self._extra = {n: extra_degeneracy_matrix(a, n) for n in range(N)}
         self._b: dict[int, ModMatrix] = {}
@@ -194,18 +192,9 @@ class CyclicLevelMaps:
     def face(self, n: int, i: int) -> ModMatrix:
         return self._faces[(n, i)]
 
-    def degeneracy(self, n: int, i: int) -> ModMatrix:
-        return self._degens[(n, i)]
-
-    def rho(self, n: int) -> ModMatrix:
-        return self._rots[n]
-
     def t(self, n: int) -> ModMatrix:
         """The signed cyclic operator (-1)^n times the rotation."""
         return self._rots[n].scale(cyclic_sign(n))
-
-    def extra_degeneracy(self, n: int) -> ModMatrix:
-        return self._extra[n]
 
     def b(self, n: int) -> ModMatrix:
         if n == 0:
@@ -246,74 +235,8 @@ class CyclicLevelMaps:
         if n not in self._B:
             one_minus_t = (ModMatrix.identity(self.dims[n + 1], self.algebra.modulus)
                            - self.t(n + 1))
-            self._B[n] = one_minus_t @ self.extra_degeneracy(n) @ self.norm(n)
+            self._B[n] = one_minus_t @ self._extra[n] @ self.norm(n)
         return self._B[n]
-
-    # ---------------- self checks ----------------
-
-    def verify_identities(self, through: int | None = None) -> list[str]:
-        """Simplicial, cyclic and differential identities, as failure strings."""
-        top = self.N if through is None else min(through, self.N)
-        bad: list[str] = []
-        for n in range(2, top + 1):
-            for j in range(1, n + 1):
-                for i in range(j):
-                    lhs = self.face(n - 1, i) @ self.face(n, j)
-                    rhs = self.face(n - 1, j - 1) @ self.face(n, i)
-                    if lhs != rhs:
-                        bad.append(f"face relation fails at n={n}, i={i}, j={j}")
-        for n in range(top - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    lhs = self.degeneracy(n + 1, i) @ self.degeneracy(n, j)
-                    rhs = self.degeneracy(n + 1, j + 1) @ self.degeneracy(n, i)
-                    if lhs != rhs:
-                        bad.append(f"degeneracy relation fails at n={n}, i={i}, j={j}")
-        for n in range(1, top):
-            ident = ModMatrix.identity(self.dims[n], self.algebra.modulus)
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    lhs = self.face(n + 1, i) @ self.degeneracy(n, j)
-                    if i == j or i == j + 1:
-                        rhs = ident
-                    elif i < j:
-                        rhs = self.degeneracy(n - 1, j - 1) @ self.face(n, i)
-                    else:
-                        rhs = self.degeneracy(n - 1, j) @ self.face(n, i - 1)
-                    if lhs != rhs:
-                        bad.append(f"mixed relation fails at n={n}, i={i}, j={j}")
-        for n in range(top + 1):
-            if self.rho(n).matpow(n + 1) != ModMatrix.identity(self.dims[n], self.algebra.modulus):
-                bad.append(f"rotation at level {n} does not have order {n + 1}")
-        for n in range(1, top + 1):
-            rho, rho_prev = self.rho(n), self.rho(n - 1)
-            for i in range(1, n + 1):
-                if self.face(n, i) @ rho != rho_prev @ self.face(n, i - 1):
-                    bad.append(f"rotation face relation fails at n={n}, i={i}")
-            if self.face(n, 0) @ rho != self.face(n, n):
-                bad.append(f"wraparound rotation relation fails at n={n}")
-        for n in range(2, top + 1):
-            if not (self.b(n - 1) @ self.b(n)).is_zero():
-                bad.append(f"b squared fails at n={n}")
-            if not (self.bprime(n - 1) @ self.bprime(n)).is_zero():
-                bad.append(f"b' squared fails at n={n}")
-        for n in range(1, top + 1):
-            ident = ModMatrix.identity(self.dims[n], self.algebra.modulus)
-            lhs = self.b(n) @ (ident - self.t(n))
-            prev = ModMatrix.identity(self.dims[n - 1], self.algebra.modulus)
-            rhs = (prev - self.t(n - 1)) @ self.bprime(n)
-            if lhs != rhs:
-                bad.append(f"b (1 - t) exchange fails at n={n}")
-            if self.norm(n - 1) @ self.b(n) != self.bprime(n) @ self.norm(n):
-                bad.append(f"norm exchange fails at n={n}")
-        for n in range(top - 1):
-            if not (self.B(n + 1) @ self.B(n)).is_zero():
-                bad.append(f"B squared fails at n={n}")
-        for n in range(1, top):
-            anti = self.b(n + 1) @ self.B(n) + self.B(n - 1) @ self.b(n)
-            if not anti.is_zero():
-                bad.append(f"b B + B b fails at n={n}")
-        return bad
 
 
 # ---------------- the normalized mixed complex ----------------
@@ -600,30 +523,6 @@ def hc_dims(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
         carrier = NormalizedMixedComplex(a, N, cap=cap)
     tot, _ = bB_bicomplex(carrier).total_complex()
     return {n: tot.homology_dim(n) for n in range(0, N - 1)}
-
-
-def conn2_bicomplex(cyc: CyclicLevelMaps, L: int) -> BicomplexWindow:
-    """Periodic two-column style bicomplex: even columns carry b, odd
-    columns carry -b'; the horizontals alternate between 1 - t (into even
-    columns) and the cyclic norm (into odd columns). Every column shares one
-    object per operator and level, so `check_squares` checks each square
-    once."""
-    N = cyc.N
-    mod = cyc.algebra.modulus
-    dims = {}
-    d_v = {}
-    d_h = {}
-    neg_bprime = {y: -cyc.bprime(y) for y in range(1, N + 1)}
-    one_minus_t = {y: ModMatrix.identity(cyc.dim(y), mod) - cyc.t(y) for y in range(N + 1)}
-    for x in range(L + 1):
-        for y in range(N + 1):
-            dims[(x, y)] = cyc.dim(y)
-            if y >= 1:
-                d_v[(x, y)] = cyc.b(y) if x % 2 == 0 else neg_bprime[y]
-            if x >= 1:
-                d_h[(x, y)] = one_minus_t[y] if x % 2 == 1 else cyc.norm(y)
-    return BicomplexWindow(L, N, dims, d_v, d_h, mod,
-                           sign_tag=SIGN_CONVENTION, check=False)
 
 
 # ---------------- SBI ----------------

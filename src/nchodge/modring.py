@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse as sp
@@ -109,16 +109,6 @@ class ResidueScalar:
 
     def __neg__(self):
         return ResidueScalar((-self.value) % self.modulus, self.modulus)
-
-    def inverse(self) -> "ResidueScalar":
-        p, _ = split_modulus(self.modulus)
-        if self.value % p == 0:
-            raise ModulusError(f"{self.value} is not a unit mod {self.modulus}")
-        return ResidueScalar(pow(self.value, -1, self.modulus), self.modulus)
-
-    def is_unit(self) -> bool:
-        p, _ = split_modulus(self.modulus)
-        return self.value % p != 0
 
 
 def _reduced(mat: sp.csc_matrix, modulus: int) -> sp.csc_matrix:
@@ -226,11 +216,6 @@ class ModMatrix:
                 estimate=self.shape[0] * self.shape[1], cap=TO_DENSE_LIMIT)
         return np.asarray(self._csc.todense(), dtype=np.int64)
 
-    def entries(self) -> Iterator[tuple[int, int, int]]:
-        coo = self._csc.tocoo()
-        for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-            yield i, j, v
-
     def column(self, j: int) -> dict[int, int]:
         sl = slice(self._csc.indptr[j], self._csc.indptr[j + 1])
         return dict(zip(self._csc.indices[sl].tolist(), self._csc.data[sl].tolist()))
@@ -314,18 +299,6 @@ class ModMatrix:
     def T(self) -> "ModMatrix":
         return self.transpose()
 
-    def matpow(self, k: int) -> "ModMatrix":
-        if self.shape[0] != self.shape[1]:
-            raise ShapeError("matrix power needs a square matrix")
-        out = ModMatrix.identity(self.shape[0], self.modulus)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return out
-
     def restrict(self, rows: np.ndarray | None = None,
                  cols: np.ndarray | None = None) -> "ModMatrix":
         """Submatrix on the given index arrays (or boolean masks)."""
@@ -393,17 +366,6 @@ def hstack(mats: Sequence[ModMatrix]) -> ModMatrix:
         if mm.modulus != m:
             raise ModulusError("hstack with mixed moduli")
     out = sp.hstack([mm.csc() for mm in mats], format="csc")
-    return ModMatrix(out.shape, m, out)
-
-
-def vstack(mats: Sequence[ModMatrix]) -> ModMatrix:
-    if not mats:
-        raise ShapeError("vstack of nothing")
-    m = mats[0].modulus
-    for mm in mats:
-        if mm.modulus != m:
-            raise ModulusError("vstack with mixed moduli")
-    out = sp.vstack([mm.csc() for mm in mats], format="csc")
     return ModMatrix(out.shape, m, out)
 
 
@@ -679,50 +641,3 @@ def induced_map_rank(f: ModMatrix, d_dom: ModMatrix, d_cod_in: ModMatrix) -> int
     if r < 0:
         raise NotAComplexError("induced rank came out negative")
     return r
-
-
-def elementary_divisor_counts_zp2(mat: ModMatrix) -> tuple[int, int, int]:
-    """Counts (n0, n1, n2) of elementary divisors 1, p, p**2 (zero) mod p**2.
-
-    n0 + n1 + n2 = min(shape); n2 counts the padding divisors, so a zero
-    matrix reports (0, 0, min(shape)).
-    """
-    p, power = split_modulus(mat.modulus)
-    if power != 2:
-        raise ModulusError("elementary divisors are computed mod p**2")
-    q = p * p
-    a = mat.to_dense() % q
-    rows, cols = a.shape
-    act_r = np.ones(rows, dtype=bool)
-    act_c = np.ones(cols, dtype=bool)
-    n0 = 0
-    while True:
-        sub = a[np.ix_(act_r, act_c)]
-        units = np.argwhere(sub % p != 0)
-        if units.size == 0:
-            break
-        ri = np.nonzero(act_r)[0][units[0][0]]
-        cj = np.nonzero(act_c)[0][units[0][1]]
-        inv = pow(int(a[ri, cj]), -1, q)
-        a[ri] = a[ri] * inv % q
-        col = a[:, cj].copy()
-        col[ri] = 0
-        for r in np.nonzero(col)[0]:
-            if act_r[r]:
-                a[r] = (a[r] - col[r] * a[ri]) % q
-        row = a[ri].copy()
-        row[cj] = 0
-        for c in np.nonzero(row)[0]:
-            if act_c[c]:
-                a[:, c] = (a[:, c] - row[c] * a[:, cj]) % q
-        act_r[ri] = False
-        act_c[cj] = False
-        n0 += 1
-    sub = a[np.ix_(act_r, act_c)]
-    if sub.size:
-        e = (sub // p) % p
-        n1 = len(_dense_rref(e, p)[1])
-    else:
-        n1 = 0
-    n2 = min(rows, cols) - n0 - n1
-    return n0, n1, n2

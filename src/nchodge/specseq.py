@@ -171,44 +171,14 @@ def span_length(filt: IncreasingFiltration) -> int:
     return filt.levels[-1] - filt.levels[0] + 1
 
 
-def degenerates_at(filt: IncreasingFiltration, r_max: int | None = None,
-                   pgs: list[SSPage] | None = None) -> int | None:
-    """Smallest r >= 1 from which every differential vanishes, or None.
-
-    Certified only when the computed range reaches span_length(filt) + 1,
-    where the filtration geometry forces all later pages to be flat; if
-    the range stops short the answer is None even if everything seen so
-    far was flat.
-    """
-    stab = span_length(filt) + 1
-    if pgs is None:
-        pgs = pages(filt, r_max=stab if r_max is None else max(r_max, stab))
-    if pgs[-1].r < stab:
-        return None
-    first = None
-    for page in pgs:
-        if page.r == 0:
-            continue
-        if page.is_flat():
-            if first is None:
-                first = page.r
-        else:
-            first = None
-    return first
-
-
 @dataclass(frozen=True)
 class AbutmentReport:
+    """per_degree[n] = (antidiagonal sum of the last page, homology in
+    degree n). `abutment_check` raises unless sum >= homology, with equality
+    when final, the last page being past span_length(filt)."""
+
     final: bool
     per_degree: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-    @property
-    def consistent(self) -> bool:
-        return all(s >= h for s, h in self.per_degree.values())
-
-    @property
-    def converged(self) -> bool:
-        return self.final and all(s == h for s, h in self.per_degree.values())
 
 
 def abutment_check(filt: IncreasingFiltration,

@@ -117,20 +117,6 @@ def w2_iso_zp2(x: W2Element) -> ResidueScalar:
     return ResidueScalar((pow(x.a0, x.p, q) + x.p * x.a1) % q, q)
 
 
-def w2_from_zp2(r: ResidueScalar) -> W2Element:
-    """Inverse of w2_iso_zp2."""
-    from .modring import split_modulus
-
-    p, power = split_modulus(r.modulus)
-    if power != 2:
-        raise ModulusError("expected a residue mod p**2")
-    a0 = r.value % p
-    diff = (r.value - pow(a0, p, p * p)) % (p * p)
-    if diff % p != 0:
-        raise ModulusError("residue arithmetic inconsistency")
-    return W2Element(a0, (diff // p) % p, p)
-
-
 def verify_w2_ring(p: int) -> list[str]:
     """Exhaustive check of the ring axioms and the isomorphism with Z/p**2.
 

@@ -46,46 +46,6 @@ def ref_kernel_dim(rows: list[list[int]], p: int) -> int:
     return ncols - ref_rank(rows, p)
 
 
-def ref_smith_counts_zp2(rows: list[list[int]], p: int) -> tuple[int, int, int]:
-    """Elementary divisor counts over Z/p**2 by explicit clearing."""
-    q = p * p
-    mat = [[x % q for x in row] for row in rows]
-    nr = len(mat)
-    nc = len(mat[0]) if mat else 0
-    n0 = 0
-    live_r = list(range(nr))
-    live_c = list(range(nc))
-    while True:
-        pivot = None
-        for r in live_r:
-            for c in live_c:
-                if mat[r][c] % p != 0:
-                    pivot = (r, c)
-                    break
-            if pivot:
-                break
-        if not pivot:
-            break
-        r0, c0 = pivot
-        inv = pow(mat[r0][c0], -1, q)
-        mat[r0] = [(x * inv) % q for x in mat[r0]]
-        for r in live_r:
-            if r != r0 and mat[r][c0]:
-                f = mat[r][c0]
-                mat[r] = [(a - f * b) % q for a, b in zip(mat[r], mat[r0])]
-        for c in live_c:
-            if c != c0 and mat[r0][c]:
-                f = mat[r0][c]
-                for r in live_r:
-                    mat[r][c] = (mat[r][c] - f * mat[r][c0]) % q
-        live_r.remove(r0)
-        live_c.remove(c0)
-        n0 += 1
-    reduced = [[(mat[r][c] // p) % p for c in live_c] for r in live_r]
-    n1 = ref_rank(reduced, p) if reduced and reduced[0] else 0
-    return n0, n1, min(nr, nc) - n0 - n1
-
-
 def zp2_add_table(p: int) -> dict[tuple[int, int], int]:
     q = p * p
     return {(a, b): (a + b) % q for a in range(q) for b in range(q)}

@@ -1,0 +1,196 @@
+"""Test-side references for the cyclic objects: the identity sweeps of the
+unsubdivided and the p-fold subdivided level maps, and the periodic
+two-column bicomplex whose totalization recomputes cyclic homology.
+
+The package builds its operators by index arithmetic and certifies the
+algebra (associativity, unit) when it is loaded. These sweeps multiply the
+operator matrices out and check the simplicial, cyclic and mixed
+identities literally; each returns its failures as strings naming the
+level, and an empty list when every identity holds.
+"""
+
+from __future__ import annotations
+
+from nchodge.cartier import PCyclicLevels
+from nchodge.complexes import BicomplexWindow
+from nchodge.conventions import SIGN_CONVENTION, cyclic_sign
+from nchodge.hochcyc import CyclicLevelMaps, degeneracy_matrix, hc_dims, rotation_matrix
+from nchodge.modring import ModMatrix
+
+
+def matpow(mat: ModMatrix, k: int) -> ModMatrix:
+    """mat**k for a square matrix, by square-and-multiply."""
+    out = ModMatrix.identity(mat.shape[0], mat.modulus)
+    base = mat
+    while k:
+        if k & 1:
+            out = out @ base
+        base = base @ base if k > 1 else base
+        k >>= 1
+    return out
+
+
+def cyclic_identity_failures(cyc: CyclicLevelMaps, through: int | None = None) -> list[str]:
+    """Simplicial, cyclic and differential identities of the cyclic object
+    through level `through` (default: its top level N).
+
+    Faces, t, b, b', the norm and B are read off `cyc`; degeneracies and
+    rotations are built here from the algebra.
+    """
+    a = cyc.algebra
+    mod = a.modulus
+    top = cyc.N if through is None else min(through, cyc.N)
+    degens = {(n, i): degeneracy_matrix(a, n, i) for n in range(top) for i in range(n + 1)}
+    rots = {n: rotation_matrix(a.dim, n, mod) for n in range(top + 1)}
+    bad: list[str] = []
+    for n in range(2, top + 1):
+        for j in range(1, n + 1):
+            for i in range(j):
+                lhs = cyc.face(n - 1, i) @ cyc.face(n, j)
+                rhs = cyc.face(n - 1, j - 1) @ cyc.face(n, i)
+                if lhs != rhs:
+                    bad.append(f"face relation fails at n={n}, i={i}, j={j}")
+    for n in range(top - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                lhs = degens[(n + 1, i)] @ degens[(n, j)]
+                rhs = degens[(n + 1, j + 1)] @ degens[(n, i)]
+                if lhs != rhs:
+                    bad.append(f"degeneracy relation fails at n={n}, i={i}, j={j}")
+    for n in range(1, top):
+        ident = ModMatrix.identity(cyc.dim(n), mod)
+        for j in range(n + 1):
+            for i in range(n + 2):
+                lhs = cyc.face(n + 1, i) @ degens[(n, j)]
+                if i == j or i == j + 1:
+                    rhs = ident
+                elif i < j:
+                    rhs = degens[(n - 1, j - 1)] @ cyc.face(n, i)
+                else:
+                    rhs = degens[(n - 1, j)] @ cyc.face(n, i - 1)
+                if lhs != rhs:
+                    bad.append(f"mixed relation fails at n={n}, i={i}, j={j}")
+    for n in range(top + 1):
+        if matpow(rots[n], n + 1) != ModMatrix.identity(cyc.dim(n), mod):
+            bad.append(f"rotation at level {n} does not have order {n + 1}")
+        if cyc.t(n) != rots[n].scale(cyclic_sign(n)):
+            bad.append(f"cyclic operator is not the signed rotation at n={n}")
+    for n in range(1, top + 1):
+        rho, rho_prev = rots[n], rots[n - 1]
+        for i in range(1, n + 1):
+            if cyc.face(n, i) @ rho != rho_prev @ cyc.face(n, i - 1):
+                bad.append(f"rotation face relation fails at n={n}, i={i}")
+        if cyc.face(n, 0) @ rho != cyc.face(n, n):
+            bad.append(f"wraparound rotation relation fails at n={n}")
+    for n in range(2, top + 1):
+        if not (cyc.b(n - 1) @ cyc.b(n)).is_zero():
+            bad.append(f"b squared fails at n={n}")
+        if not (cyc.bprime(n - 1) @ cyc.bprime(n)).is_zero():
+            bad.append(f"b' squared fails at n={n}")
+    for n in range(1, top + 1):
+        ident = ModMatrix.identity(cyc.dim(n), mod)
+        lhs = cyc.b(n) @ (ident - cyc.t(n))
+        prev = ModMatrix.identity(cyc.dim(n - 1), mod)
+        rhs = (prev - cyc.t(n - 1)) @ cyc.bprime(n)
+        if lhs != rhs:
+            bad.append(f"b (1 - t) exchange fails at n={n}")
+        if cyc.norm(n - 1) @ cyc.b(n) != cyc.bprime(n) @ cyc.norm(n):
+            bad.append(f"norm exchange fails at n={n}")
+    for n in range(top - 1):
+        if not (cyc.B(n + 1) @ cyc.B(n)).is_zero():
+            bad.append(f"B squared fails at n={n}")
+    for n in range(1, top):
+        anti = cyc.b(n + 1) @ cyc.B(n) + cyc.B(n - 1) @ cyc.b(n)
+        if not anti.is_zero():
+            bad.append(f"b B + B b fails at n={n}")
+    return bad
+
+
+def subdivision_identity_failures(pcyc: PCyclicLevels, upto: int | None = None) -> list[str]:
+    """Simplicial, rotation and mixed identities of the p-fold subdivision
+    on levels up to `upto` (default: its top level N)."""
+    top = pcyc.N if upto is None else min(upto, pcyc.N)
+    mod = pcyc.algebra.modulus
+    bad = []
+    p = pcyc.p
+    for n in range(1, top + 1):
+        for i in range(n):
+            for j in range(i + 1, n + 1):
+                if n >= 2 and pcyc.face(n - 1, i) @ pcyc.face(n, j) != \
+                        pcyc.face(n - 1, j - 1) @ pcyc.face(n, i):
+                    bad.append(f"faces ({i},{j}) at level {n}")
+        rho = pcyc.rho(n)
+        cur = rho
+        for _ in range(p * (n + 1) - 1):
+            cur = rho @ cur
+        if cur != ModMatrix.identity(pcyc.dim(n), mod):
+            bad.append(f"rotation order at level {n}")
+        if pcyc.sigma(n) != matpow(rho, n + 1):
+            bad.append(f"block rotation is not the (n+1)-st power at level {n}")
+        for i in range(1, n + 1):
+            if pcyc.face(n, i) @ rho != pcyc.rho(n - 1) @ pcyc.face(n, i - 1):
+                bad.append(f"rotation past face {i} at level {n}")
+        if pcyc.face(n, 0) @ rho != pcyc.face(n, n):
+            bad.append(f"rotation into the wrap face at level {n}")
+        sig = pcyc.sigma(n)
+        sig_low = pcyc.sigma(n - 1)
+        for i in range(n + 1):
+            if pcyc.face(n, i) @ sig != sig_low @ pcyc.face(n, i):
+                bad.append(f"block rotation past face {i} at level {n}")
+        if n >= 2 and pcyc.b(n - 1) @ pcyc.b(n) != \
+                ModMatrix.zeros(pcyc.dim(n - 2), pcyc.dim(n), mod):
+            bad.append(f"b squared at level {n}")
+        if n >= 2 and pcyc.bprime(n - 1) @ pcyc.bprime(n) != \
+                ModMatrix.zeros(pcyc.dim(n - 2), pcyc.dim(n), mod):
+            bad.append(f"b-prime squared at level {n}")
+        one = ModMatrix.identity(pcyc.dim(n), mod)
+        one_low = ModMatrix.identity(pcyc.dim(n - 1), mod)
+        if pcyc.b(n) @ (one - pcyc.t(n)) != (one_low - pcyc.t(n - 1)) @ pcyc.bprime(n):
+            bad.append(f"boundary exchange at level {n}")
+        if pcyc.norm(n - 1) @ pcyc.b(n) != pcyc.bprime(n) @ pcyc.norm(n):
+            bad.append(f"norm exchange at level {n}")
+    for n in range(0, top):
+        for i in range(n + 1):
+            sd = pcyc.degeneracy(n, i)
+            if pcyc.face(n + 1, i) @ sd != ModMatrix.identity(pcyc.dim(n), mod):
+                bad.append(f"degeneracy section ({n},{i})")
+            if i + 1 <= n + 1 and pcyc.face(n + 1, i + 1) @ sd != \
+                    ModMatrix.identity(pcyc.dim(n), mod):
+                bad.append(f"degeneracy section above ({n},{i})")
+    return bad
+
+
+def two_column_bicomplex(cyc, L: int) -> BicomplexWindow:
+    """Periodic two-column bicomplex of a cyclic object, subdivided or not:
+    even columns carry b, odd columns -b'; the horizontals alternate between
+    1 - t (into even columns) and the cyclic norm (into odd columns). Its
+    squares are checked on construction."""
+    N = cyc.N
+    mod = cyc.algebra.modulus
+    dims = {}
+    d_v = {}
+    d_h = {}
+    neg_bprime = {y: -cyc.bprime(y) for y in range(1, N + 1)}
+    one_minus_t = {y: ModMatrix.identity(cyc.dim(y), mod) - cyc.t(y) for y in range(N + 1)}
+    for x in range(L + 1):
+        for y in range(N + 1):
+            dims[(x, y)] = cyc.dim(y)
+            if y >= 1:
+                d_v[(x, y)] = cyc.b(y) if x % 2 == 0 else neg_bprime[y]
+            if x >= 1:
+                d_h[(x, y)] = one_minus_t[y] if x % 2 == 1 else cyc.norm(y)
+    return BicomplexWindow(L, N, dims, d_v, d_h, mod, sign_tag=SIGN_CONVENTION)
+
+
+def lambda_p_hc(a, N: int, L: int | None = None, cap: int | None = None
+                ) -> tuple[dict[int, int], dict[int, int]]:
+    """Cyclic homology through the p-fold subdivision (the Lambda_p route):
+    the homology of the two-column bicomplex of `PCyclicLevels` on degrees
+    0..min(L, N) - 1, and `hc_dims` on the same degrees."""
+    L = N if L is None else L
+    pcyc = PCyclicLevels(a, N, cap=cap)
+    tot, _ = two_column_bicomplex(pcyc, L).total_complex()
+    top = min(L, N) - 1
+    dims = {n: tot.homology_dim(n) for n in range(top + 1)}
+    hc = hc_dims(a, top + 2, cap=cap)
+    return dims, {n: hc[n] for n in dims if n in hc}

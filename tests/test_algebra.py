@@ -16,27 +16,25 @@ from nchodge.algebra import (
     commutator_quotient,
     direct_product,
     dual_numbers,
-    dump_algebra,
-    enveloping,
     from_json_dict,
     group_algebra_cyclic,
     literal_lift,
     load_algebra,
     matrix_algebra,
-    opposite,
     path_algebra,
     truncated_poly,
     upper_triangular,
     validate_algebra,
 )
-from nchodge.corpus import build, corpus, corpus_names
+from nchodge.corpus import build, corpus_names
 from nchodge.errors import ConstructionError, ModulusError, ReductionMismatchError
 from nchodge.modring import rank_fp
 
 
 def test_every_corpus_algebra_validates():
     for p in (2, 3, 5, 7):
-        for name, a in corpus(p).items():
+        for name in corpus_names():
+            a = build(name, p)
             assert validate_algebra(a) == [], name
             assert a.name == name
 
@@ -61,7 +59,7 @@ def test_truncated_poly_nilpotence():
 
 def test_group_algebra_is_commutative():
     a = group_algebra_cyclic(3, 4)
-    assert a.is_commutative()
+    assert np.array_equal(a.constants, a.constants.transpose(1, 0, 2))
     g = np.array([0, 1, 0, 0])
     assert np.array_equal(a.power_of(g, 4), a.unit)
 
@@ -112,26 +110,11 @@ def test_validation_catches_broken_unit():
         StructureConstantsAlgebra(3, ["1"], [2], [[[1]]])
 
 
-def test_opposite_and_double_opposite():
-    a = upper_triangular(2, 5)
-    aop = opposite(a)
-    assert validate_algebra(aop) == []
-    assert opposite(aop).constants.tolist() == a.constants.tolist()
-    assert not np.array_equal(aop.constants, a.constants)
-
-
 def test_direct_product_unit_splits():
     a = direct_product(dual_numbers(3), matrix_algebra(2, 3))
     assert a.dim == 6
     assert validate_algebra(a) == []
     assert commutator_quotient(a)[0] == 2 + 1
-
-
-def test_enveloping_dimension_and_validity():
-    a = upper_triangular(2, 3)
-    env = enveloping(a)
-    assert env.dim == 9
-    assert validate_algebra(env) == []
 
 
 def test_commutator_quotient_m2_and_upper_triangular():
@@ -160,10 +143,18 @@ def test_commutator_projection_kills_commutators():
             assert not image.any()
 
 
+def json_description(a) -> dict:
+    """The JSON description that `load_algebra` reads back as a."""
+    entries = [[int(i), int(j), int(k), int(a.constants[i, j, k])]
+               for i, j, k in np.argwhere(a.constants != 0)]
+    return {"p": a.p, "power": a.power, "dim": a.dim, "basis": list(a.basis),
+            "unit": [int(v) for v in a.unit], "constants": entries}
+
+
 def test_json_round_trip(tmp_path):
     a = build("product-dual-upper", 3)
     path = tmp_path / "alg.json"
-    dump_algebra(a, str(path))
+    path.write_text(json.dumps(json_description(a)))
     data = json.loads(path.read_text())
     assert data["p"] == 3 and data["power"] == 1 and data["dim"] == a.dim
     b = load_algebra(str(path))
@@ -250,15 +241,6 @@ def test_multiplication_is_associative_on_random_elements(name, p, seed):
     assert np.array_equal(a.multiply(x, a.unit), x % p)
 
 
-def test_left_mult_matrix_agrees_with_multiply():
-    a = build("upper-tri-2", 5)
-    rng = np.random.default_rng(3)
-    x = a.random_element(rng)
-    y = a.random_element(rng)
-    lm = a.left_mult_matrix(x).to_dense()
-    assert np.array_equal((lm @ y) % 5, a.multiply(x, y))
-
-
 # ---------------- powers and exact products at every accepted modulus ----------------
 
 def test_power_of_equals_repeated_product():
@@ -314,11 +296,3 @@ def test_products_are_exact_at_wide_primes():
                 y = [int(v) for v in rng.integers(0, m, a.dim)]
                 want = ref_multiply(c, x, y, m)
                 assert a.multiply(x, y).tolist() == want, (m, base)
-                lm = a.left_mult_matrix(x).to_dense().tolist()
-                assert [sum(lm[k][j] * y[j] for j in range(a.dim)) % m
-                        for k in range(a.dim)] == want, (m, base)
-            env = enveloping(a)
-            d = a.dim
-            for (i, j, k, l, u, v) in ((0, 1, 1, 0, 0, 1), (1, 0, 0, 1, 1, 0), (0, 0, 1, 1, 0, 1)):
-                assert int(env.constants[i * d + j, k * d + l, u * d + v]) == \
-                    c[i][k][u] * c[l][j][v] % m

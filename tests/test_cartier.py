@@ -20,10 +20,8 @@ from nchodge.cartier import (
     cartier0,
     conjugate_ss,
     edgewise_hh_check,
-    hc_via_lambda_p,
     iota_iso,
     iota_matrix,
-    lambda_p_bicomplex,
     vdagger,
     zp_coinvariants,
     zp_homology_dims,
@@ -42,6 +40,7 @@ from nchodge.hochcyc import CyclicLevelMaps, hodge_ledger
 from nchodge.modring import ModMatrix
 from .oracles import (ref_permutation_ranks, ref_rank, ref_zp_action_ranks,
                       ref_zp_homology_dims)
+from .sweeps import lambda_p_hc, matpow, subdivision_identity_failures, two_column_bicomplex
 
 
 def rotation_action(dim: int, p: int, n: int = 0) -> ZpModuleAction:
@@ -225,9 +224,25 @@ def test_iota_level_one_and_p5():
 # ---------------- the subdivided object ----------------
 
 def test_subdivision_identities_hold():
-    assert PCyclicLevels(build("dual-numbers", 3), 2).verify_identities() == []
-    assert PCyclicLevels(build("group-z3", 3), 2).verify_identities(upto=1) == []
-    assert PCyclicLevels(build("dual-numbers", 5), 1).verify_identities() == []
+    assert subdivision_identity_failures(PCyclicLevels(build("dual-numbers", 3), 2)) == []
+    assert subdivision_identity_failures(PCyclicLevels(build("group-z3", 3), 2), upto=1) == []
+    assert subdivision_identity_failures(PCyclicLevels(build("dual-numbers", 5), 1)) == []
+
+
+def test_subdivision_sweep_names_the_level_of_a_wrong_operator():
+    # tamper controls: the sweep must report, not just return []
+    a = build("dual-numbers", 3)
+    for n in (1, 2):
+        for i in range(n):
+            pcyc = PCyclicLevels(a, 2)
+            low, high = pcyc.face(n, i), pcyc.face(n, i + 1)
+            pcyc._faces[(n, i)], pcyc._faces[(n, i + 1)] = high, low
+            assert any(f"level {n}" in f for f in subdivision_identity_failures(pcyc)), (n, i)
+        pcyc = PCyclicLevels(a, 2)
+        plain_rho = pcyc.rho
+        pcyc.rho = lambda m, n=n: (ModMatrix.identity(pcyc.dim(m), 3) if m == n
+                                   else plain_rho(m))
+        assert any(f"level {n}" in f for f in subdivision_identity_failures(pcyc)), n
 
 
 def test_subdivision_levels_and_laziness():
@@ -236,7 +251,7 @@ def test_subdivision_levels_and_laziness():
     assert pcyc.dim(3) == 0
     with pytest.raises(WindowError):
         pcyc.face(3, 0)
-    assert pcyc.sigma(1) == pcyc.rho(1).matpow(2)
+    assert pcyc.sigma(1) == matpow(pcyc.rho(1), 2)
 
 
 def test_parity_guard():
@@ -269,20 +284,15 @@ def test_edgewise_homology_matches():
 
 
 def test_lambda_route_matches_cyclic():
-    rep = hc_via_lambda_p(build("dual-numbers", 3), 3, 4)
-    assert rep.dims == {0: 2, 1: 0, 2: 2}
-    rep = hc_via_lambda_p(build("ground-field", 3), 3, 4)
-    assert rep.dims == {0: 1, 1: 0, 2: 1}
+    dims, hc = lambda_p_hc(build("dual-numbers", 3), 3, 4)
+    assert dims == hc == {0: 2, 1: 0, 2: 2}
+    dims, hc = lambda_p_hc(build("ground-field", 3), 3, 4)
+    assert dims == hc == {0: 1, 1: 0, 2: 1}
 
 
 def test_lambda_bicomplex_squares():
     pcyc = PCyclicLevels(build("dual-numbers", 3), 2)
-    lambda_p_bicomplex(pcyc, 3).check_squares()
-
-
-def test_lambda_window_guard():
-    with pytest.raises(WindowError):
-        hc_via_lambda_p(build("ground-field", 3), 1, 0)
+    two_column_bicomplex(pcyc, 3).check_squares()
 
 
 def test_conjugate_ss_dual_numbers():

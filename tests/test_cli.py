@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from nchodge.algebra import from_json_dict
 from nchodge.cli import main
 from nchodge.errors import NCHodgeError
-from .test_algebra import MALFORMED_FIELDS, dual_numbers_description
+from .test_algebra import MALFORMED_FIELDS, dual_numbers_description, json_description
 
 
 def run(capsys, *argv):
@@ -243,12 +243,12 @@ def test_lift_check_literal(capsys):
 
 
 def _dump_literal_lift(tmp_path):
-    from nchodge.algebra import dump_algebra, literal_lift
+    from nchodge.algebra import literal_lift
     from nchodge.corpus import build
 
     lift = literal_lift(build("dual-numbers", 3))
     path = tmp_path / "lift.json"
-    dump_algebra(lift.lifted, str(path))
+    path.write_text(json.dumps(json_description(lift.lifted)))
     return path
 
 
@@ -304,6 +304,30 @@ def test_prime_flag_changes_modulus(capsys):
     rc, payload = run_json(capsys, "hh", "dual-numbers", "-p", "5")
     assert rc == 0
     assert payload["p"] == 5 and payload["modulus"] == 5
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("cartier0", "m2", "--seed", "-1"), "--seed"),
+    (("cartier0", "dual-numbers", "--samples", "-3"), "--samples"),
+    (("cartier0", "dual-numbers", "--samples", "0"), "--samples"),
+    (("conjugate", "dual-numbers", "-N", "2", "-L", "-1"), "-L/--columns"),
+    (("hh", "dual-numbers", "-N", "2", "--cap", "-1"), "--cap"),
+])
+def test_bad_numeric_argument_exit_2_naming_the_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--quiet"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+def test_subdivision_at_p2_names_the_flag(capsys):
+    rc, _, err = run(capsys, "edgewise-check", "dual-numbers", "-p", "2", "--quiet")
+    assert rc == 2
+    assert "--allow-p2" in err
+    rc, payload = run_json(capsys, "edgewise-check", "dual-numbers", "-p", "2",
+                           "--allow-p2")
+    assert rc == 0 and payload["equal"] is True
 
 
 def test_no_command_exits_2(capsys):

@@ -5,24 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nchodge.cartier import (
-    PCyclicLevels,
-    conjugate_bicomplex,
-    estimate_sd_entries,
-    lambda_p_bicomplex,
-)
+from nchodge.cartier import PCyclicLevels, conjugate_bicomplex, estimate_sd_entries
 from nchodge.complexes import (
     BicomplexWindow,
     ChainComplexWindow,
     IncreasingFiltration,
     LazyDiffs,
     filtration_by_columns,
-    truncate_stupid,
 )
 from nchodge.corpus import build, corpus_names
 from nchodge.errors import NotAComplexError, ShapeError, WindowError
 from nchodge.hochcyc import NormalizedMixedComplex, bB_bicomplex
 from nchodge.modring import ModMatrix
+from .sweeps import two_column_bicomplex
 
 
 def three_term(p=5):
@@ -57,16 +52,6 @@ def test_default_window_excludes_top():
     assert c.vhi == 1
     with pytest.raises(WindowError):
         c.homology_dim(2)
-
-
-def test_truncate_stupid():
-    c = three_term()
-    t = truncate_stupid(c, 1)
-    assert t.hi == 1 and t.dim(1) == 2
-    # degree 0 unchanged, degree 1 no longer trusted
-    assert t.homology_dim(0) == 0
-    with pytest.raises(WindowError):
-        t.homology_dim(1)
 
 
 def square_bicomplex(p=3):
@@ -132,13 +117,6 @@ def test_filtration_rejects_non_subcomplex():
         IncreasingFiltration(c, masks)
 
 
-def test_shift():
-    c = three_term()
-    s = c.shift(2)
-    assert s.lo == 2 and s.hi == 4
-    assert s.homology_dims(range(2, 5)) == {2: 0, 3: 0, 4: 0}
-
-
 # ---------------- totalization on demand ----------------
 
 def eager_total_diffs(bicx: BicomplexWindow) -> dict[int, ModMatrix]:
@@ -197,7 +175,7 @@ def test_on_demand_totalization_matches_eager(p):
         bicxs = [bB_bicomplex(NormalizedMixedComplex(a, 3))]
         pcyc = subdivision_window(a)
         if pcyc is not None:
-            bicxs += [conjugate_bicomplex(pcyc, 3), lambda_p_bicomplex(pcyc, 3)]
+            bicxs += [conjugate_bicomplex(pcyc, 3), two_column_bicomplex(pcyc, 3)]
             subdivided += 1
         for bicx in bicxs:
             want = eager_total_diffs(bicx)
@@ -229,22 +207,6 @@ def test_square_check_covers_the_last_column():
     d_v[(L, 1)] = good.d_v[(L, 1)].scale(2)
     with pytest.raises(NotAComplexError):
         rebuilt(d_v, good.d_h)
-
-
-def test_shift_and_truncation_keep_on_demand_differentials():
-    bicx = conjugate_bicomplex(PCyclicLevels(build("dual-numbers", 3), 2), 3)
-    want = eager_total_diffs(bicx)
-    tot, _ = bicx.total_complex()
-    shifted = tot.shift(2)
-    cut = truncate_stupid(tot, 3)
-    assert list(shifted.diffs) == [n + 2 for n in sorted(want)]
-    assert list(cut.diffs) == [n for n in sorted(want) if n <= 3]
-    for n in want:
-        assert shifted.d(n + 2) == want[n]
-        assert shifted.diffs[n + 2] is tot.d(n)
-        if n <= 3:
-            assert cut.d(n) == want[n]
-    assert shifted.homology_dims() == {n + 2: h for n, h in tot.homology_dims().items()}
 
 
 def test_lazy_diffs_build_once_and_never_read_a_failure_as_zero():

@@ -20,7 +20,6 @@ from nchodge.hochcyc import (
     NormalizedMixedComplex,
     bB_bicomplex,
     b_complex,
-    conn2_bicomplex,
     degeneracy_matrix,
     estimate_entries,
     estimate_normalized_entries,
@@ -35,6 +34,7 @@ from nchodge.hochcyc import (
 from nchodge.complexes import ChainComplexWindow
 from nchodge.modring import ModMatrix
 from .oracles import ref_degeneracy_dense, ref_face_dense, ref_rotation_dense
+from .sweeps import cyclic_identity_failures, two_column_bicomplex
 
 
 # ---------------- operators against the dense per-monomial oracle ----------------
@@ -71,7 +71,7 @@ def test_identities_hold_across_small_corpus():
         if a.dim > 4:
             continue
         cyc = CyclicLevelMaps(a, 3)
-        assert cyc.verify_identities() == [], name
+        assert cyclic_identity_failures(cyc) == [], name
 
 
 @settings(max_examples=10, deadline=None)
@@ -79,7 +79,21 @@ def test_identities_hold_across_small_corpus():
        p=st.sampled_from([2, 3, 5]))
 def test_identities_hold_property(name, p):
     cyc = CyclicLevelMaps(build(name, p), 3)
-    assert cyc.verify_identities() == []
+    assert cyclic_identity_failures(cyc) == []
+
+
+def test_identity_sweep_names_the_level_of_a_wrong_operator():
+    # tamper controls: the sweep must report, not just return []
+    a = build("upper-tri-2", 3)
+    for n in (1, 2, 3):
+        for i in range(n):
+            cyc = CyclicLevelMaps(a, 3)
+            faces = cyc._faces
+            faces[(n, i)], faces[(n, i + 1)] = faces[(n, i + 1)], faces[(n, i)]
+            assert any(f"n={n}" in f for f in cyclic_identity_failures(cyc)), (n, i)
+        cyc = CyclicLevelMaps(a, 3)
+        cyc._rots[n] = ModMatrix.identity(cyc.dim(n), 3)
+        assert any(f"n={n}" in f for f in cyclic_identity_failures(cyc)), n
 
 
 def test_level_dimensions_double_for_dual_numbers():
@@ -158,7 +172,7 @@ def test_periodic_two_column_complex_matches_hc():
     for name in ("ground-field", "dual-numbers"):
         a = build(name, 3)
         hc = hc_dims(a, 6)
-        c = conn2_bicomplex(CyclicLevelMaps(a, 6), 8).total_complex()[0]
+        c = two_column_bicomplex(CyclicLevelMaps(a, 6), 8).total_complex()[0]
         got = {n: c.homology_dim(n) for n in range(5)}
         assert got == hc, name
 

@@ -13,7 +13,7 @@ from nchodge.corpus import build, corpus_names
 from nchodge.errors import InternalCheckError, WindowError
 from nchodge.hochcyc import CyclicLevelMaps, bB_bicomplex, hc_dims, hh_dims, hodge_ss
 from nchodge.modring import ModMatrix, hstack, kernel_basis_fp, rank_fp
-from nchodge.specseq import abutment_check, degenerates_at, pages, span_length
+from nchodge.specseq import abutment_check, pages, span_length
 
 
 def two_step_filtration(p=3):
@@ -35,9 +35,9 @@ def test_two_step_pages_by_hand():
     assert e1.table == e0.table
     assert e1.rank_out(1, 1) == 1 and not e1.is_flat()
     assert e2.table == {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
-    assert degenerates_at(filt, pgs=pgs) == 2
+    assert all(page.is_flat() for page in pgs[2:])
     rep = abutment_check(filt, pgs=pgs)
-    assert rep.final and rep.converged
+    assert rep.final
     assert rep.per_degree == {0: (0, 0), 1: (0, 0)}
 
 
@@ -201,16 +201,21 @@ def test_first_page_is_hochschild():
 
 
 def test_degeneration_pages_match_verdicts():
+    # pages through span_length + 1 include every page that can still move
     filt = hodge_filtration("ground-field", 5)
-    assert degenerates_at(filt) == 1
+    pgs = pages(filt, r_max=span_length(filt) + 1)
+    assert all(page.is_flat() for page in pgs[1:])
+    assert hodge_ss(build("ground-field", 3), 5, pages_budget=0).degenerate
     filt = hodge_filtration("dual-numbers", 5)
-    assert degenerates_at(filt) == 2
+    pgs = pages(filt, r_max=span_length(filt) + 1)
+    assert not pgs[1].is_flat() and all(page.is_flat() for page in pgs[2:])
+    assert not hodge_ss(build("dual-numbers", 3), 5, pages_budget=0).degenerate
 
 
 def test_not_certified_when_pages_stop_early():
     filt = hodge_filtration("ground-field", 4)
     pgs = pages(filt, r_max=2)  # span is 5, so nothing is certified yet
-    assert degenerates_at(filt, pgs=pgs) is None
+    assert not abutment_check(filt, pgs=pgs).final
 
 
 def test_abutment_matches_cyclic_homology():
@@ -218,7 +223,7 @@ def test_abutment_matches_cyclic_homology():
     filt = hodge_filtration("dual-numbers", 6)
     pgs = pages(filt, r_max=span_length(filt) + 1)
     rep = abutment_check(filt, pgs=pgs)
-    assert rep.final and rep.converged
+    assert rep.final and all(s == h for s, h in rep.per_degree.values())
     hc = hc_dims(a, 6)
     sums = pgs[-1].degree_sums()
     assert {n: sums[n] for n in hc} == hc
