@@ -2,10 +2,10 @@
 
 The p-fold edgewise subdivision of the cyclic object of an algebra has
 level n equal to tensor words of length p(n + 1). Its faces and
-degeneracies are composites of p ordinary ones applied once per block,
-the one-step rotation generates a cyclic group of order p(n + 1), and its
-(n + 1)-st power is the block rotation, an action of Z/p commuting with
-the whole simplicial structure.
+degeneracies are p-th Kronecker powers of ordinary ones, one factor per
+block, the one-step rotation generates a cyclic group of order p(n + 1),
+and its (n + 1)-st power is the block rotation, an action of Z/p
+commuting with the whole simplicial structure.
 
 Every Z/p action here is such a block rotation, a permutation of the
 monomial basis, so the Z/p toolkit (`ZpModuleAction` and the homology,
@@ -34,6 +34,7 @@ from .errors import (
     CartierError,
     InternalCheckError,
     ModulusError,
+    NotAComplexError,
     OrderError,
     ParityError,
     ResourceError,
@@ -50,7 +51,7 @@ from .hochcyc import (
     hh_dims,
     rotation_matrix,
 )
-from .modring import ModMatrix, hstack, is_prime, matmul_mod, rank_fp, solve_fp
+from .modring import ModMatrix, hstack, is_prime, kron_power, matmul_mod, rank_fp, solve_fp
 
 
 # ---------------- Z/p actions ----------------
@@ -149,6 +150,16 @@ class ZpModuleAction:
             self._norm = ModMatrix((self.dim, self.dim), self.p, csc)
         return self._norm
 
+    def intertwines(self, mat: ModMatrix, source: "ZpModuleAction") -> bool:
+        """sigma @ mat == mat @ source.sigma, in O(nnz): mat's rows relabeled
+        through this permutation against its columns gathered through the source's."""
+        if mat.shape != (self.dim, source.dim):
+            raise ShapeError(f"{mat.shape} does not map {source.dim} to {self.dim} coordinates")
+        csc = mat.csc()
+        moved = sp.csc_matrix((csc.data.copy(), self.perm[csc.indices], csc.indptr.copy()),
+                              shape=mat.shape)
+        return ModMatrix(mat.shape, mat.modulus, moved) == mat.restrict(cols=source.perm)
+
     def rank_one_minus(self) -> int:
         return self.dim - self.n_orbits()
 
@@ -168,11 +179,8 @@ def zp_invariants(act: ZpModuleAction) -> ModMatrix:
 def zp_coinvariants(act: ZpModuleAction) -> tuple[ModMatrix, ModMatrix]:
     """(projection, section) for the coinvariant quotient, one orbit each."""
     uniq, inverse, _ = act.orbit_data()
-    rows = np.arange(act.dim, dtype=np.int64)
-    proj = ModMatrix.from_arrays(
-        (uniq.shape[0], act.dim), act.p, inverse, rows,
-        np.ones(act.dim, dtype=np.int64))
-    return proj, ModMatrix.from_index_map(uniq, act.dim, act.p)
+    return (ModMatrix.from_index_map(inverse, uniq.shape[0], act.p),
+            ModMatrix.from_index_map(uniq, act.dim, act.p))
 
 
 def zp_homology_dims(act: ZpModuleAction, l_max: int = 4) -> dict[int, int]:
@@ -356,7 +364,9 @@ class PCyclicLevels:
     """Faces, degeneracies and rotations of the p-fold subdivision.
 
     Matrices are built lazily; level n words have p(n + 1) digits, so the
-    constructor only guards the estimated footprint. The conjugate route
+    constructor only guards the estimated footprint. Face i < n and each
+    degeneracy is the p-th Kronecker power of the ordinary one at level n;
+    the wrap face is face 0 after the one-step rotation. The conjugate route
     reads the boundary b, the block rotation as a Z/p action and the
     repeated-word inclusion; `edgewise-check` reads b alone.
     """
@@ -398,12 +408,11 @@ class PCyclicLevels:
             raise WindowError(f"no face ({n}, {i}) in the window")
         key = (n, i)
         if key not in self._faces:
-            a, p = self.algebra, self.p
-            mat = None
-            for j in range(1, p + 1):
-                step = face_matrix(a, p * (n + 1) - j, i + (p - j) * (n + 1))
-                mat = step if mat is None else step @ mat
-            self._faces[key] = mat
+            if i < n:
+                self._faces[key] = kron_power(face_matrix(self.algebra, n, i), self.p)
+            else:  # face 0 after the one-step rotation, as a column gather
+                rot = rotation_matrix(self.algebra.dim, self.p * (n + 1) - 1, self.algebra.modulus)
+                self._faces[key] = self.face(n, 0).restrict(cols=rot.csc().indices)
         return self._faces[key]
 
     def degeneracy(self, n: int, i: int) -> ModMatrix:
@@ -411,12 +420,7 @@ class PCyclicLevels:
             raise WindowError(f"no degeneracy ({n}, {i}) in the window")
         key = (n, i)
         if key not in self._degens:
-            a, p = self.algebra, self.p
-            mat = None
-            for j in range(1, p + 1):
-                step = degeneracy_matrix(a, p * (n + 1) - 2 + j, i + (p - j) * (n + 1))
-                mat = step @ mat if mat is not None else step
-            self._degens[key] = mat
+            self._degens[key] = kron_power(degeneracy_matrix(self.algebra, n, i), self.p)
         return self._degens[key]
 
     def rho(self, n: int) -> ModMatrix:
@@ -500,8 +504,16 @@ def conjugate_bicomplex(pcyc: PCyclicLevels, L: int,
                         check: bool = True) -> BicomplexWindow:
     """Columns carry the subdivided boundary with alternating sign, the
     horizontals resolve the Z/p action: 1 - sigma into even columns, the
-    sigma-norm into odd ones. Every column shares one object per operator
-    and level, which `check_squares` relies on to check each square once."""
+    sigma-norm N into odd ones, one shared object per operator and level.
+
+    check certifies the squares with no product of Z/p operators: for
+    L >= 1 they all vanish iff b_(y-1) b_y = 0 and sigma_(y-1) b_y =
+    b_y sigma_y at every level y >= 1. Proof: the horizontal squares are
+    (1 - sigma) N = N (1 - sigma) = 1 - sigma^p, zero as `ZpModuleAction`
+    certifies sigma^p = 1; the vertical ones are b_(y-1) b_y; the mixed
+    square of an odd column is sigma_(y-1) b - b sigma_y, and that of an
+    even one N_(y-1) b - b N_y, zero with it as N is a polynomial in sigma.
+    """
     mod = pcyc.algebra.modulus
     dims = {}
     d_v = {}
@@ -515,11 +527,14 @@ def conjugate_bicomplex(pcyc: PCyclicLevels, L: int,
             if x >= 1:
                 act = pcyc.action(y)
                 d_h[(x, y)] = act.one_minus() if x % 2 == 1 else act.norm()
-    bicx = BicomplexWindow(L, pcyc.N, dims, d_v, d_h, mod,
-                           sign_tag=SIGN_CONVENTION, check=False)
     if check:
-        bicx.check_squares()
-    return bicx
+        for y in range(1, pcyc.N + 1):
+            if y >= 2 and not (pcyc.b(y - 1) @ pcyc.b(y)).is_zero():
+                raise NotAComplexError(f"b_{y - 1} b_{y} is not zero at level {y}")
+            if L >= 1 and not pcyc.action(y - 1).intertwines(pcyc.b(y), pcyc.action(y)):
+                raise NotAComplexError(f"b_{y} does not commute with sigma at level {y}")
+    return BicomplexWindow(L, pcyc.N, dims, d_v, d_h, mod,
+                           sign_tag=SIGN_CONVENTION, check=False)
 
 
 def _fixed_reduced_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:

@@ -340,9 +340,19 @@ def _int_at_least(least: int):
     return parse
 
 
+def _prime(text: str) -> int:
+    """An argparse type for -p/--prime: a prime, checked before any work starts."""
+    from .modring import is_prime
+
+    value = _int_at_least(2)(text)
+    if not is_prime(value):
+        raise argparse.ArgumentTypeError(f"{value} is not prime")
+    return value
+
+
 def _add_common(sub, levels_default=None, levels_help="chain levels to build"):
     sub.add_argument("algebra", help="builtin corpus name or path to a JSON file")
-    sub.add_argument("-p", "--prime", type=int, default=3,
+    sub.add_argument("-p", "--prime", type=_prime, default=3,
                      help="prime for builtin algebras (default 3)")
     if levels_default is not None:
         sub.add_argument("-N", "--levels", type=int, default=levels_default,
@@ -363,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("corpus", help="list the builtin algebras")
-    sub.add_argument("-p", "--prime", type=int, default=3)
+    sub.add_argument("-p", "--prime", type=_prime, default=3)
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub.add_argument("--quiet", action="store_true")
     sub.set_defaults(func=cmd_corpus)

@@ -160,16 +160,14 @@ class ModMatrix:
                              (np.asarray(rows, dtype=np.int64),
                               np.asarray(cols, dtype=np.int64))),
                             shape=shape)
-        coo.sum_duplicates()
-        return cls(shape, modulus, coo.tocsc())
+        return cls(shape, modulus, coo.tocsc())  # tocsc sums duplicates
 
     @classmethod
     def from_arrays(cls, shape: tuple[int, int], modulus: int,
                     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "ModMatrix":
         coo = sp.coo_matrix((np.asarray(vals, dtype=np.int64),
                              (np.asarray(rows), np.asarray(cols))), shape=shape)
-        coo.sum_duplicates()
-        return cls(shape, modulus, coo.tocsc())
+        return cls(shape, modulus, coo.tocsc())  # tocsc sums duplicates
 
     @classmethod
     def from_dense(cls, arr, modulus: int) -> "ModMatrix":
@@ -285,10 +283,7 @@ class ModMatrix:
         m = self.modulus
         k = (k.value if isinstance(k, ResidueScalar) else int(k)) % m
         out = self._csc.copy()
-        if k * (m - 1) < 1 << 63:
-            out.data = out.data * k
-        else:
-            out.data = np.array([v * k % m for v in out.data.tolist()], dtype=np.int64)
+        out.data = _mulmod(out.data, k, m)
         return ModMatrix(self.shape, m, out)
 
     def transpose(self) -> "ModMatrix":
@@ -314,6 +309,26 @@ class ModMatrix:
                 cols = np.nonzero(cols)[0]
             mat = mat[:, cols]
         return ModMatrix(mat.shape, self.modulus, mat.tocsc())
+
+
+def _mulmod(x, y, m: int) -> np.ndarray:
+    """x * y mod m for residue arrays, exact for m < 2**32 (products fit uint64)."""
+    return (np.asarray(x, dtype=np.uint64) * np.asarray(y, dtype=np.uint64)
+            % np.uint64(m)).astype(np.int64)
+
+
+def kron_power(mat: ModMatrix, k: int) -> ModMatrix:
+    """mat (x) ... (x) mat with k factors, reduced after every step; as in
+    `scipy.sparse.kron`, the first factor acts on the most significant digits."""
+    out = mat
+    for _ in range(k - 1):
+        a, b = mat.csc().tocoo(), out.csc().tocoo()
+        shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+        rows = (a.row.astype(np.int64)[:, None] * b.shape[0] + b.row).ravel()
+        cols = (a.col.astype(np.int64)[:, None] * b.shape[1] + b.col).ravel()
+        data = _mulmod(a.data[:, None], b.data[None, :], mat.modulus).ravel()
+        out = ModMatrix(shape, mat.modulus, sp.coo_matrix((data, (rows, cols)), shape).tocsc())
+    return out
 
 
 def _limb_product(left: sp.csc_matrix, right: sp.csc_matrix, m: int,

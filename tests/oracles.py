@@ -41,16 +41,6 @@ def ref_rank(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-def ref_kernel_dim(rows: list[list[int]], p: int) -> int:
-    ncols = len(rows[0]) if rows else 0
-    return ncols - ref_rank(rows, p)
-
-
-def zp2_add_table(p: int) -> dict[tuple[int, int], int]:
-    q = p * p
-    return {(a, b): (a + b) % q for a in range(q) for b in range(q)}
-
-
 def ref_witt_pair_from_zp2(r: int, p: int) -> tuple[int, int]:
     """Digits (a0, a1) of r mod p**2 in Teichmuller coordinates."""
     q = p * p

@@ -1,5 +1,6 @@
 """Test-side references for the cyclic objects: the identity sweeps of the
-unsubdivided and the p-fold subdivided level maps, and the periodic
+unsubdivided and the p-fold subdivided level maps, the subdivided faces and
+degeneracies composed of p ordinary ones by matmul, and the periodic
 two-column bicomplex whose totalization recomputes cyclic homology.
 
 The package builds its operators by index arithmetic and certifies the
@@ -14,7 +15,8 @@ from __future__ import annotations
 from nchodge.cartier import PCyclicLevels
 from nchodge.complexes import BicomplexWindow
 from nchodge.conventions import SIGN_CONVENTION, cyclic_sign
-from nchodge.hochcyc import CyclicLevelMaps, degeneracy_matrix, hc_dims, rotation_matrix
+from nchodge.hochcyc import (CyclicLevelMaps, degeneracy_matrix, face_matrix, hc_dims,
+                             rotation_matrix)
 from nchodge.modring import ModMatrix
 
 
@@ -28,6 +30,28 @@ def matpow(mat: ModMatrix, k: int) -> ModMatrix:
         base = base @ base if k > 1 else base
         k >>= 1
     return out
+
+
+def composite_face(pcyc: PCyclicLevels, n: int, i: int) -> ModMatrix:
+    """Subdivided face (n, i) as p ordinary faces composed by matmul, one per
+    block from the most significant down: the reference for the Kronecker
+    powers of `PCyclicLevels.face`."""
+    a, p = pcyc.algebra, pcyc.p
+    mat = None
+    for j in range(1, p + 1):
+        step = face_matrix(a, p * (n + 1) - j, i + (p - j) * (n + 1))
+        mat = step if mat is None else step @ mat
+    return mat
+
+
+def composite_degeneracy(pcyc: PCyclicLevels, n: int, i: int) -> ModMatrix:
+    """Subdivided degeneracy (n, i) as p ordinary ones composed by matmul."""
+    a, p = pcyc.algebra, pcyc.p
+    mat = None
+    for j in range(1, p + 1):
+        step = degeneracy_matrix(a, p * (n + 1) - 2 + j, i + (p - j) * (n + 1))
+        mat = step if mat is None else step @ mat
+    return mat
 
 
 def cyclic_identity_failures(cyc: CyclicLevelMaps, through: int | None = None) -> list[str]:

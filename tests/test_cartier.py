@@ -3,8 +3,8 @@
 Group homology dimensions are pinned against the brute-force orbit
 oracle, and the whole Z/p toolkit against dense row reduction of the
 action matrix; the subdivided pipelines are pinned against the
-unsubdivided ones, which share no code with the face composites being
-tested.
+unsubdivided ones, which share no code with the Kronecker-power faces
+being tested.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from nchodge.hochcyc import CyclicLevelMaps, hodge_ledger
 from nchodge.modring import ModMatrix
 from .oracles import (ref_permutation_ranks, ref_rank, ref_zp_action_ranks,
                       ref_zp_homology_dims)
-from .sweeps import lambda_p_hc, matpow, subdivision_identity_failures, two_column_bicomplex
+from .sweeps import (composite_degeneracy, composite_face, lambda_p_hc, matpow,
+                     subdivision_identity_failures, two_column_bicomplex)
 
 
 def rotation_action(dim: int, p: int, n: int = 0) -> ZpModuleAction:
@@ -243,6 +244,53 @@ def test_subdivision_sweep_names_the_level_of_a_wrong_operator():
         pcyc.rho = lambda m, n=n: (ModMatrix.identity(pcyc.dim(m), 3) if m == n
                                    else plain_rho(m))
         assert any(f"level {n}" in f for f in subdivision_identity_failures(pcyc)), n
+
+
+# every level of at most this many words is checked against the composites;
+# at p = 7 that is level 1 of the two-dimensional algebras
+KRONECKER_WORD_BUDGET = 300_000
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_kronecker_operators_match_the_composites(p):
+    # the reference multiplies out p ordinary operators, one per block
+    checked = 0
+    for name in corpus_names():
+        a = build(name, p)
+        fits = [n for n in range(1, 8) if a.dim ** (p * (n + 1)) <= KRONECKER_WORD_BUDGET]
+        if not fits:
+            continue
+        pcyc = PCyclicLevels(a, max(fits), cap=1 << 62)
+        for n in fits:
+            for i in range(n + 1):
+                assert pcyc.face(n, i) == composite_face(pcyc, n, i), (name, n, i)
+            for i in range(n):
+                assert pcyc.degeneracy(n - 1, i) == composite_degeneracy(pcyc, n - 1, i), \
+                    (name, n - 1, i)
+        checked += 1
+    assert checked == {3: 13, 5: 7, 7: 3}[p]
+
+
+def test_intertwines_matches_the_matrix_products():
+    rng = np.random.default_rng(6)
+    for p, lo, hi in ((3, 12, 15), (5, 10, 10), (7, 14, 21)):
+        src = permutation_action(order_p_permutation(hi, p, 1), p)
+        dst = permutation_action(order_p_permutation(lo, p, 2), p)
+        for density in (0.0, 0.1, 0.5):
+            dense_mat = rng.integers(1, p, (lo, hi)) * (rng.random((lo, hi)) < density)
+            mat = ModMatrix.from_dense(dense_mat, p)
+            # the orbit average of a matrix commutes with the actions
+            avg = ModMatrix.zeros(lo, hi, p)
+            s_lo, s_hi = ModMatrix.identity(lo, p), ModMatrix.identity(hi, p)
+            for _ in range(p):
+                avg = avg + s_lo @ mat @ s_hi.T
+                s_lo, s_hi = dst.sigma @ s_lo, src.sigma @ s_hi
+            for m in (mat, avg):
+                want = dst.sigma @ m == m @ src.sigma
+                assert dst.intertwines(m, src) == want
+            assert dst.intertwines(avg, src)
+    with pytest.raises(ShapeError):
+        dst.intertwines(ModMatrix.zeros(lo + 1, hi, p), src)
 
 
 def test_subdivision_levels_and_laziness():

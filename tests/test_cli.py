@@ -321,6 +321,20 @@ def test_bad_numeric_argument_exit_2_naming_the_flag(capsys, argv, flag):
     assert f"argument {flag}:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("corpus", "-p", "4"),
+    ("hh", "dual-numbers", "-p", "9"),
+    ("conjugate", "dual-numbers", "-p", "1"),
+    ("corpus", "-p", "0"),
+])
+def test_non_prime_p_exit_2_naming_the_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--quiet"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument -p/--prime:" in err and "Traceback" not in err
+
+
 def test_subdivision_at_p2_names_the_flag(capsys):
     rc, _, err = run(capsys, "edgewise-check", "dual-numbers", "-p", "2", "--quiet")
     assert rc == 2

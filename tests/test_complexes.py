@@ -186,6 +186,56 @@ def test_on_demand_totalization_matches_eager(p):
     assert subdivided >= (len(corpus_names()) if p == 3 else 6)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_conjugate_square_certificate_agrees_with_check_squares(p):
+    checked = 0
+    for name in corpus_names():
+        pcyc = subdivision_window(build(name, p))
+        if pcyc is None:
+            continue
+        conjugate_bicomplex(pcyc, 3)  # b squared and sigma-equivariance
+        conjugate_bicomplex(pcyc, 3, check=False).check_squares()
+        checked += 1
+    assert checked >= (len(corpus_names()) if p == 3 else 6)
+
+
+def both_certificates_raise(pcyc: PCyclicLevels, level: int) -> None:
+    with pytest.raises(NotAComplexError, match=f"level {level}"):
+        conjugate_bicomplex(pcyc, 3)
+    with pytest.raises(NotAComplexError):
+        conjugate_bicomplex(pcyc, 3, check=False).check_squares()
+
+
+@pytest.mark.parametrize("name", ["dual-numbers", "upper-tri-2", "group-z3"])
+def test_conjugate_square_certificate_catches_a_wrong_boundary(name):
+    a = build(name, 3)
+    N = 2
+    # the top boundary with two columns swapped, a fixed word and a moved one:
+    # b squared still vanishes, so only the equivariance check can object
+    pcyc = PCyclicLevels(a, N)
+    b, act = pcyc.b(N), pcyc.action(N)
+    fixed = np.flatnonzero(act.orbit_data()[2])
+    moved = next(v for v in np.flatnonzero(~act.orbit_data()[2])
+                 if b.restrict(cols=[v]) != b.restrict(cols=[act.perm[v]]))
+    perm = np.arange(pcyc.dim(N))
+    perm[[fixed[0], moved]] = perm[[moved, fixed[0]]]
+    pcyc._b[N] = b @ ModMatrix.from_index_map(perm, pcyc.dim(N), 3)
+    assert (pcyc.b(N - 1) @ pcyc.b(N)).is_zero()
+    both_certificates_raise(pcyc, N)
+    # an inner boundary with the columns of one sigma-orbit doubled: it still
+    # commutes with sigma, so only b squared can object. (Doubling the whole
+    # boundary gives an isomorphic complex, which no certificate may reject.)
+    pcyc = PCyclicLevels(a, N)
+    b, above, act = pcyc.b(1), pcyc.b(2), pcyc.action(1)
+    orbits = (np.flatnonzero(act.orbit_data()[1] == k) for k in range(act.n_orbits()))
+    hit = next(o for o in orbits if not (b.restrict(cols=o) @ above.restrict(rows=o)).is_zero())
+    scale = np.ones(pcyc.dim(1), dtype=np.int64)
+    scale[hit] = 2
+    pcyc._b[1] = b @ ModMatrix.from_index_map(np.arange(pcyc.dim(1)), pcyc.dim(1), 3, vals=scale)
+    assert pcyc.action(0).intertwines(pcyc.b(1), pcyc.action(1))
+    both_certificates_raise(pcyc, 2)
+
+
 def test_square_check_covers_the_last_column():
     # columns share their operator objects, so the check computes each
     # distinct square once; a distinct wrong matrix in the last column is

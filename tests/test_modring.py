@@ -16,6 +16,7 @@ from nchodge.modring import (
     induced_map_rank,
     is_prime,
     kernel_basis_fp,
+    kron_power,
     matmul_mod,
     rank_fp,
     solve_fp,
@@ -66,6 +67,28 @@ def test_matmul_is_exact_past_the_int64_product_bound():
         want = [[sum(int(x) * int(y) for x, y in zip(r, c)) % mod for c in b.T] for r in a]
         assert dense(ModMatrix.from_dense(a, mod) @ ModMatrix.from_dense(b, mod)) == want
         assert matmul_mod(a, b, mod).tolist() == want
+
+
+def test_kron_power_matches_repeated_numpy_kron():
+    rng = np.random.default_rng(8)
+    for mod, k in ((3, 3), (5, 2), (7, 4), (9, 3), (2 ** 31 - 1, 3), (3037000493, 2),
+                   (4294967291, 3), (65521 ** 2, 2)):
+        a = rng.integers(0, mod, (2, 3)) * (rng.random((2, 3)) < 0.7)
+        a[0, 0] = mod - 1
+        want = np.array(a, dtype=object)
+        for _ in range(k - 1):
+            want = np.kron(np.array(a, dtype=object), want) % mod
+        got = kron_power(ModMatrix.from_dense(a, mod), k)
+        assert got.shape == (2 ** k, 3 ** k)
+        assert dense(got) == want.tolist(), mod
+    assert kron_power(ModMatrix.identity(2, 3), 1) == ModMatrix.identity(2, 3)
+
+
+def test_from_arrays_sums_repeated_coordinates():
+    for mod in (5, 4294967291):
+        got = ModMatrix.from_arrays((2, 2), mod, np.array([0, 1, 0, 0]), np.array([1, 0, 1, 1]),
+                                    np.array([mod - 1, 3, mod - 1, 2]))
+        assert dense(got) == [[0, (2 * (mod - 1) + 2) % mod], [3, 0]]
 
 
 def test_index_map_matches_coordinate_construction():
