@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from .algebra import StructureConstantsAlgebra, commutator_quotient
-from .complexes import BicomplexWindow, ChainComplexWindow
+from .complexes import BicomplexWindow, ChainComplexWindow, LazyDiffs
 from .conventions import SIGN_CONVENTION, cyclic_sign
 from .errors import (
     CartierError,
@@ -268,14 +268,15 @@ class IotaReport:
 
 
 def iota_iso(dim: int, p: int, n: int = 0, l_max: int = 4,
-             samples: int = 200, seed: int = 0, check: bool = True) -> IotaReport:
+             samples: int = 200, seed: int = 0) -> IotaReport:
     """Certify that repeated words present every positive Z/p homology
     group of the p-th tensor power of an F_p space of the given dim.
 
     Checks, all by explicit linear algebra: the image is fixed, the
     classes are a basis of H_l for 1 <= l <= l_max, the map commutes with
     digitwise basis permutations and the one-step rotation, and p-fold
-    powering of sampled vectors is additive modulo im(1 - sigma).
+    powering of sampled vectors is additive modulo im(1 - sigma). Any
+    failure raises CartierError.
     """
     length = p * (n + 1)
     sigma = block_rotation(dim, length, n + 1, p)
@@ -330,7 +331,7 @@ def iota_iso(dim: int, p: int, n: int = 0, l_max: int = 4,
     if not additive:
         failures.append("powering is not additive modulo the moved subspace")
 
-    if check and failures:
+    if failures:
         raise CartierError("; ".join(failures))
     return IotaReport(dim=dim, p=p, level=n, homology=hom, bijective=bij,
                       natural=natural, additive=additive, samples=samples,
@@ -500,41 +501,41 @@ def edgewise_hh_check(a: StructureConstantsAlgebra, N: int,
 
 # ---------------- fiberwise group homology bicomplex ----------------
 
-def conjugate_bicomplex(pcyc: PCyclicLevels, L: int,
-                        check: bool = True) -> BicomplexWindow:
+def conjugate_bicomplex(pcyc: PCyclicLevels, L: int) -> BicomplexWindow:
     """Columns carry the subdivided boundary with alternating sign, the
     horizontals resolve the Z/p action: 1 - sigma into even columns, the
-    sigma-norm N into odd ones, one shared object per operator and level.
-
-    check certifies the squares with no product of Z/p operators: for
-    L >= 1 they all vanish iff b_(y-1) b_y = 0 and sigma_(y-1) b_y =
-    b_y sigma_y at every level y >= 1. Proof: the horizontal squares are
-    (1 - sigma) N = N (1 - sigma) = 1 - sigma^p, zero as `ZpModuleAction`
-    certifies sigma^p = 1; the vertical ones are b_(y-1) b_y; the mixed
-    square of an odd column is sigma_(y-1) b - b sigma_y, and that of an
-    even one N_(y-1) b - b N_y, zero with it as N is a polynomial in sigma.
+    sigma-norm N into odd ones, one shared object per operator and level,
+    built when a total degree that holds the cell is read.
+    `certify_conjugate_squares` certifies its squares.
     """
-    mod = pcyc.algebra.modulus
-    dims = {}
-    d_v = {}
-    d_h = {}
-    neg_b = {y: -pcyc.b(y) for y in range(1, pcyc.N + 1)}
-    for x in range(L + 1):
-        for y in range(pcyc.N + 1):
-            dims[(x, y)] = pcyc.dim(y)
-            if y >= 1:
-                d_v[(x, y)] = pcyc.b(y) if x % 2 == 0 else neg_b[y]
-            if x >= 1:
-                act = pcyc.action(y)
-                d_h[(x, y)] = act.one_minus() if x % 2 == 1 else act.norm()
-    if check:
-        for y in range(1, pcyc.N + 1):
-            if y >= 2 and not (pcyc.b(y - 1) @ pcyc.b(y)).is_zero():
-                raise NotAComplexError(f"b_{y - 1} b_{y} is not zero at level {y}")
-            if L >= 1 and not pcyc.action(y - 1).intertwines(pcyc.b(y), pcyc.action(y)):
-                raise NotAComplexError(f"b_{y} does not commute with sigma at level {y}")
-    return BicomplexWindow(L, pcyc.N, dims, d_v, d_h, mod,
-                           sign_tag=SIGN_CONVENTION, check=False)
+    dims = {(x, y): pcyc.dim(y) for x in range(L + 1) for y in range(pcyc.N + 1)}
+    neg_b = LazyDiffs(range(1, pcyc.N + 1), lambda y: -pcyc.b(y))
+    d_v = LazyDiffs([(x, y) for x, y in dims if y >= 1],
+                    lambda c: neg_b[c[1]] if c[0] % 2 else pcyc.b(c[1]))
+    d_h = LazyDiffs([(x, y) for x, y in dims if x >= 1],
+                    lambda c: (pcyc.action(c[1]).one_minus() if c[0] % 2
+                               else pcyc.action(c[1]).norm()))
+    return BicomplexWindow(L, pcyc.N, dims, d_v, d_h, pcyc.algebra.modulus,
+                           sign_tag=SIGN_CONVENTION)
+
+
+def certify_conjugate_squares(pcyc: PCyclicLevels, L: int) -> None:
+    """Certify that every square of `conjugate_bicomplex(pcyc, L)` vanishes,
+    with no product of Z/p operators: for L >= 1 they all vanish iff
+    b_(y-1) b_y = 0 and sigma_(y-1) b_y = b_y sigma_y at every level y >= 1.
+
+    Proof: the horizontal squares are (1 - sigma) N = N (1 - sigma) =
+    1 - sigma^p, zero as `ZpModuleAction` certifies sigma^p = 1; the
+    vertical ones are b_(y-1) b_y; the mixed square of an odd column is
+    sigma_(y-1) b - b sigma_y, and that of an even one N_(y-1) b - b N_y,
+    zero with it as N is a polynomial in sigma. Raises NotAComplexError
+    naming the first level that fails.
+    """
+    for y in range(1, pcyc.N + 1):
+        if y >= 2 and not (pcyc.b(y - 1) @ pcyc.b(y)).is_zero():
+            raise NotAComplexError(f"b_{y - 1} b_{y} is not zero at level {y}")
+        if L >= 1 and not pcyc.action(y - 1).intertwines(pcyc.b(y), pcyc.action(y)):
+            raise NotAComplexError(f"b_{y} does not commute with sigma at level {y}")
 
 
 def _fixed_reduced_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:
@@ -558,11 +559,12 @@ def _fixed_reduced_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:
                 f"ordinary one for {a.label()}")
         diffs[n] = beta
     return ChainComplexWindow(0, pcyc.N, dims, diffs, a.modulus,
-                              vlo=0, vhi=pcyc.N - 1, check=False)
+                              vlo=0, vhi=pcyc.N - 1)
 
 
 def _coinvariant_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:
-    """Induced boundary on Z/p coinvariants, one orbit coordinate each."""
+    """Induced boundary on Z/p coinvariants, one orbit coordinate each;
+    its squares are certified as its homology is read."""
     projs = {}
     secs = {}
     dims = {}
@@ -572,7 +574,7 @@ def _coinvariant_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:
         dims[n] = proj.shape[0]
     diffs = {n: projs[n - 1] @ pcyc.b(n) @ secs[n] for n in range(1, pcyc.N + 1)}
     return ChainComplexWindow(0, pcyc.N, dims, diffs, pcyc.algebra.modulus,
-                              vlo=0, vhi=pcyc.N - 1, check=True)
+                              vlo=0, vhi=pcyc.N - 1)
 
 
 @dataclass
@@ -616,8 +618,8 @@ def conjugate_ss(a: StructureConstantsAlgebra, N: int, L: int | None = None,
     coinv = _coinvariant_complex(pcyc)
     e2_zero = coinv.homology_dims()
     hh = hh_dims(a, N, cap=cap)
-    bicx = conjugate_bicomplex(pcyc, L)
-    tot, _ = bicx.total_complex()
+    certify_conjugate_squares(pcyc, L)
+    tot, _ = conjugate_bicomplex(pcyc, L).total_complex()
     abut = {n: tot.homology_dim(n) for n in range(tot.vlo, tot.vhi + 1)}
     for m in abut:
         upper = e2_zero.get(m, 0) + sum(e2_pos.get(m - j, 0) for j in range(1, m + 1))

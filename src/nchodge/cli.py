@@ -398,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub, levels_default=5)
     sub.add_argument("--pages", action="store_true",
                      help="attach certified page tables when affordable")
-    sub.add_argument("--pages-budget", type=int, default=3000)
-    sub.add_argument("--r-max", type=int, default=3)
+    sub.add_argument("--pages-budget", type=_int_at_least(0), default=3000)
+    sub.add_argument("--r-max", type=_int_at_least(0), default=3)
     sub.set_defaults(func=cmd_hodge)
 
     sub = subs.add_parser("cartier0", help="power map on the commutator quotient")

@@ -4,8 +4,12 @@ A window holds dimensions and differentials for a contiguous range of
 degrees, plus the validity range where homology can be trusted (degrees
 whose neighbours are fully inside the window). Bicomplex windows live in
 the first quadrant, store their differentials with all signs already
-applied, and totalize to a chain window with a block index table whose
-differentials are built on demand.
+applied, and totalize to a chain window with a block index table. Windows
+keep the operator mappings they are given, so cell operators and total
+differentials passed as `LazyDiffs` are built only when a degree is read.
+Nothing is checked on construction: `homology_dim` certifies d^2 = 0 on
+every degree it reads, and `check_differentials`, `check_squares` and
+`IncreasingFiltration.check` certify a whole window on request.
 """
 
 from __future__ import annotations
@@ -19,21 +23,21 @@ from .modring import ModMatrix, homology_dim as _hdim
 
 
 class LazyDiffs(Mapping):
-    """Differentials keyed by degree, each built by build(n) the first time
-    it is read and kept from then on.
+    """Operators keyed by degree or by bicomplex cell, each built by
+    build(key) the first time it is read and kept from then on.
 
     The keys are fixed up front, so iterating, counting and membership never
     build anything; reading a key that is not there raises KeyError before
     any build starts.
     """
 
-    def __init__(self, keys: Iterable[int], build: Callable[[int], ModMatrix]):
+    def __init__(self, keys: Iterable, build: Callable[..., ModMatrix]):
         self._keys = tuple(keys)
         self._key_set = frozenset(self._keys)
         self._build = build
-        self._built: dict[int, ModMatrix] = {}
+        self._built: dict = {}
 
-    def __getitem__(self, n: int) -> ModMatrix:
+    def __getitem__(self, n) -> ModMatrix:
         got = self._built.get(n)
         if got is None:
             if n not in self._key_set:
@@ -52,27 +56,20 @@ class LazyDiffs(Mapping):
 
 
 class ChainComplexWindow:
-    """Degrees lo..hi with d_n: C_n -> C_{n-1} for lo < n <= hi.
-
-    diffs may be a LazyDiffs mapping; it is then kept as it is, so each
-    differential is built only when something reads it.
-    """
+    """Degrees lo..hi with d_n: C_n -> C_{n-1} for lo < n <= hi."""
 
     def __init__(self, lo: int, hi: int, dims: dict[int, int],
                  diffs: Mapping[int, ModMatrix], modulus: int,
-                 vlo: int | None = None, vhi: int | None = None,
-                 check: bool = True):
+                 vlo: int | None = None, vhi: int | None = None):
         if lo > hi:
             raise ShapeError(f"empty degree range [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
         self.modulus = modulus
         self.dims = {n: int(dims.get(n, 0)) for n in range(lo, hi + 1)}
-        self.diffs = diffs if isinstance(diffs, LazyDiffs) else dict(diffs)
+        self.diffs = diffs
         self.vlo = lo if vlo is None else vlo
         self.vhi = hi - 1 if vhi is None else vhi
-        if check:
-            self.check_differentials()
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
@@ -110,19 +107,18 @@ class BicomplexWindow:
 
     d_v[(x, y)] maps (x, y) -> (x, y - 1) and d_h[(x, y)] maps
     (x, y) -> (x - 1, y); both are stored with every sign already applied,
-    so rows, columns and the anticommutation of each square are checked
-    literally. sign_tag records which convention produced the signs.
+    so `check_squares` checks rows, columns and the anticommutation of each
+    square literally. sign_tag records which convention produced the signs.
     complete_x / complete_y assert that the true object vanishes beyond the
     window in that direction, which widens the trusted degree range of the
     totalization.
     """
 
     def __init__(self, X: int, Y: int, dims: dict[tuple[int, int], int],
-                 d_v: dict[tuple[int, int], ModMatrix],
-                 d_h: dict[tuple[int, int], ModMatrix],
+                 d_v: Mapping[tuple[int, int], ModMatrix],
+                 d_h: Mapping[tuple[int, int], ModMatrix],
                  modulus: int, sign_tag: str,
-                 complete_x: bool = False, complete_y: bool = False,
-                 check: bool = True):
+                 complete_x: bool = False, complete_y: bool = False):
         self.X = X
         self.Y = Y
         self.modulus = modulus
@@ -131,24 +127,20 @@ class BicomplexWindow:
         self.complete_y = complete_y
         self.dims = {(x, y): int(dims.get((x, y), 0))
                      for x in range(X + 1) for y in range(Y + 1)}
-        self.d_v = dict(d_v)
-        self.d_h = dict(d_h)
-        if check:
-            self.check_squares()
+        self.d_v = d_v
+        self.d_h = d_h
 
     def dim(self, x: int, y: int) -> int:
         return self.dims.get((x, y), 0)
 
     def dv(self, x: int, y: int) -> ModMatrix:
-        got = self.d_v.get((x, y))
-        if got is not None:
-            return got
+        if (x, y) in self.d_v:
+            return self.d_v[(x, y)]
         return ModMatrix.zeros(self.dim(x, y - 1), self.dim(x, y), self.modulus)
 
     def dh(self, x: int, y: int) -> ModMatrix:
-        got = self.d_h.get((x, y))
-        if got is not None:
-            return got
+        if (x, y) in self.d_h:
+            return self.d_h[(x, y)]
         return ModMatrix.zeros(self.dim(x - 1, y), self.dim(x, y), self.modulus)
 
     def check_squares(self) -> None:
@@ -202,7 +194,8 @@ class BicomplexWindow:
         antidiagonal x + y = n, in increasing x. The total differentials
         are built on demand: d_n is assembled the first time the window
         reads it (through `d`, `diffs` or a homology call) and is kept on
-        the window, so degrees nobody reads cost nothing.
+        the window, so degrees nobody reads cost nothing, and neither do the
+        cell operators that only they read.
         """
         top = self.X + self.Y
         blocks: dict[int, list[tuple[int, int, int, int]]] = {}
@@ -242,7 +235,7 @@ class BicomplexWindow:
 
         diffs = LazyDiffs(range(1, top + 1), build)
         tot = ChainComplexWindow(0, top, tot_dims, diffs, self.modulus,
-                                 vlo=0, vhi=self.trusted_upper(), check=False)
+                                 vlo=0, vhi=self.trusted_upper())
         return tot, blocks
 
 
@@ -251,12 +244,12 @@ class IncreasingFiltration:
 
     masks[l][n] is a boolean array over the degree-n basis. Levels form a
     contiguous range; below the bottom the filtration is empty, from the
-    top on it is everything. Nesting and the subcomplex property are
-    verified on construction.
+    top on it is everything. `check` verifies nesting and the subcomplex
+    property.
     """
 
     def __init__(self, carrier: ChainComplexWindow,
-                 masks: dict[int, dict[int, np.ndarray]], check: bool = True):
+                 masks: dict[int, dict[int, np.ndarray]]):
         if not masks:
             raise ShapeError("filtration needs at least one level")
         self.carrier = carrier
@@ -267,8 +260,6 @@ class IncreasingFiltration:
                 for n in range(carrier.lo, carrier.hi + 1)}
             for l in self.levels
         }
-        if check:
-            self.check()
 
     def mask(self, l: int, n: int) -> np.ndarray:
         if n < self.carrier.lo or n > self.carrier.hi:
@@ -318,5 +309,5 @@ def filtration_by_columns(bicx: BicomplexWindow) -> tuple[ChainComplexWindow,
                     m[off:off + d] = True
             level[n] = m
         masks[l] = level
-    filt = IncreasingFiltration(tot, masks, check=False)
+    filt = IncreasingFiltration(tot, masks)
     return tot, blocks, filt

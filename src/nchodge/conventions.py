@@ -15,8 +15,8 @@ homology:
   B               (1 - t_{n+1}) compose (x -> 1 (x) x) compose N_n.
 
 With these signs b*b = 0, b'*b' = 0, B*B = 0, b*B + B*b = 0, and the
-exchange rule b(1 - t) = (1 - t)b' all hold; the identity checks in
-hochcyc enforce them on every constructed object.
+exchange rule b(1 - t) = (1 - t)b' all hold; the identity sweeps of the
+test suite (tests/sweeps.py) check them on the whole corpus.
 
 In a mixed two-directional complex the vertical differential of column x
 is multiplied by (-1)^x so squares anticommute on the nose.

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import BasisIdempotents, StructureConstantsAlgebra
-from .complexes import BicomplexWindow, ChainComplexWindow, filtration_by_columns
+from .complexes import BicomplexWindow, ChainComplexWindow, LazyDiffs, filtration_by_columns
 from .conventions import SIGN_CONVENTION, cyclic_sign, face_sign
 from .errors import (InternalCheckError, ModulusError, NotAComplexError, ResourceError,
                      ShapeError, WindowError)
@@ -479,7 +479,7 @@ def b_complex(cyc) -> ChainComplexWindow:
     dims = {n: cyc.dim(n) for n in range(cyc.N + 1)}
     diffs = {n: cyc.b(n) for n in range(1, cyc.N + 1)}
     return ChainComplexWindow(0, cyc.N, dims, diffs, cyc.algebra.modulus,
-                              vlo=0, vhi=cyc.N - 1, check=False)
+                              vlo=0, vhi=cyc.N - 1)
 
 
 def hh_dims(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
@@ -493,25 +493,17 @@ def hh_dims(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
 def bB_bicomplex(cyc) -> BicomplexWindow:
     """The mixed bicomplex of a carrier, normalized or not: cell (x, y) holds chains of degree y - x,
     verticals are b, horizontals are B; total degree n sums the chain
-    degrees n, n-2, n-4, ...
+    degrees n, n-2, n-4, ...; each cell's b or B is built when a total
+    degree that holds the cell is read.
     """
     N = cyc.N
-    dims = {}
-    d_v = {}
-    d_h = {}
-    for x in range(N + 1):
-        for y in range(N + 1):
-            m = y - x
-            if m < 0:
-                continue
-            dims[(x, y)] = cyc.dim(m)
-            if m >= 1:
-                d_v[(x, y)] = cyc.b(m)
-            if x >= 1 and m + 1 <= N:
-                d_h[(x, y)] = cyc.B(m)
+    dims = {(x, y): cyc.dim(y - x) for x in range(N + 1) for y in range(x, N + 1)}
+    d_v = LazyDiffs([(x, y) for x, y in dims if y > x], lambda c: cyc.b(c[1] - c[0]))
+    d_h = LazyDiffs([(x, y) for x, y in dims if x >= 1 and y - x < N],
+                    lambda c: cyc.B(c[1] - c[0]))
     return BicomplexWindow(N, N, dims, d_v, d_h, cyc.algebra.modulus,
                            sign_tag=SIGN_CONVENTION, complete_x=True,
-                           complete_y=False, check=False)
+                           complete_y=False)
 
 
 def hc_dims(a: StructureConstantsAlgebra, N: int, cap: int | None = None,

@@ -1,11 +1,13 @@
 """Exact linear algebra mod p and mod p**2.
 
 Matrices carry their modulus and store entries as int64 in scipy sparse
-column format. Rank, kernel, solving and homology dimensions are computed
-by exact Gaussian elimination: a sparse column-reduction pass (columns
-processed by increasing support, pivot rows chosen deterministically) with
-a dense numpy elimination path for small matrices and as a fallback when
-fill-in passes a density threshold. No floating point is used anywhere.
+column format. Ranks and homology dimensions are computed by exact
+Gaussian elimination: a sparse column-reduction pass (columns processed by
+increasing support, pivot rows chosen deterministically) with a dense
+numpy elimination path for small matrices and as a fallback when fill-in
+passes a density threshold. Kernels and solutions are dense only, and
+refuse matrices past TO_DENSE_LIMIT entries. No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse as sp
@@ -149,20 +151,6 @@ class ModMatrix:
         return cls((n, n), modulus, sp.identity(n, dtype=np.int64, format="csc"))
 
     @classmethod
-    def from_entries(cls, shape: tuple[int, int], modulus: int,
-                     entries: Iterable[tuple[int, int, int]]) -> "ModMatrix":
-        rows, cols, vals = [], [], []
-        for i, j, v in entries:
-            rows.append(i)
-            cols.append(j)
-            vals.append(v.value if isinstance(v, ResidueScalar) else int(v))
-        coo = sp.coo_matrix((np.asarray(vals, dtype=np.int64),
-                             (np.asarray(rows, dtype=np.int64),
-                              np.asarray(cols, dtype=np.int64))),
-                            shape=shape)
-        return cls(shape, modulus, coo.tocsc())  # tocsc sums duplicates
-
-    @classmethod
     def from_arrays(cls, shape: tuple[int, int], modulus: int,
                     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "ModMatrix":
         coo = sp.coo_matrix((np.asarray(vals, dtype=np.int64),
@@ -213,10 +201,6 @@ class ModMatrix:
                 f"refusing to densify a {self.shape} matrix",
                 estimate=self.shape[0] * self.shape[1], cap=TO_DENSE_LIMIT)
         return np.asarray(self._csc.todense(), dtype=np.int64)
-
-    def column(self, j: int) -> dict[int, int]:
-        sl = slice(self._csc.indptr[j], self._csc.indptr[j + 1])
-        return dict(zip(self._csc.indices[sl].tolist(), self._csc.data[sl].tolist()))
 
     def is_zero(self) -> bool:
         return self.nnz == 0
@@ -281,7 +265,7 @@ class ModMatrix:
 
     def scale(self, k: int) -> "ModMatrix":
         m = self.modulus
-        k = (k.value if isinstance(k, ResidueScalar) else int(k)) % m
+        k = int(k) % m
         out = self._csc.copy()
         out.data = _mulmod(out.data, k, m)
         return ModMatrix(self.shape, m, out)
@@ -450,41 +434,32 @@ def _columns_of(csc: sp.csc_matrix) -> list[dict[int, int]]:
 
 
 def _column_reduce(cols: list[dict[int, int]], p: int, shape: tuple[int, int],
-                   track: bool = False, fill_guard: bool = True,
-                   order: Sequence[int] | None = None):
+                   fill_guard: bool = True, order: Sequence[int] | None = None
+                   ) -> tuple[int, dict[int, tuple[dict[int, int], int]]]:
     """Persistence-style column reduction mod p, in Python ints.
 
     Columns are processed in the given order, by default by increasing
     support size (a cheap stand-in for Markowitz pivoting); within a column
     the pivot row is the largest remaining row index, which makes the
-    reduction deterministic. Returns (rank, pivots, zero_combos): pivots maps
-    each pivot row to (reduced column, combination, source column index),
-    and zero_combos lists, for each column that reduced to zero, the
-    combination of original columns producing it (combinations only when
-    track=True).
+    reduction deterministic. Returns (rank, pivots): pivots maps each pivot
+    row r to (reduced column, source column index), the column scaled to
+    carry 1 at r.
     """
     area = shape[0] * shape[1]
     allow_restart = fill_guard and 0 < area <= DENSE_ENTRY_LIMIT
     if order is None:
         order = sorted(range(len(cols)), key=lambda j: (len(cols[j]), j))
-    pivots: dict[int, tuple[dict[int, int], dict[int, int] | None, int]] = {}
-    zero_combos: list[dict[int, int]] = []
-    rank = 0
+    pivots: dict[int, tuple[dict[int, int], int]] = {}
     fill = 0
     for j in order:
         c = dict(cols[j])
-        combo = {j: 1} if track else None
         while c:
             r = max(c)
             hit = pivots.get(r)
             if hit is None:
                 inv = pow(c[r], p - 2, p)
                 col = {rr: vv * inv % p for rr, vv in c.items()} if inv != 1 else c
-                comb = None
-                if track:
-                    comb = {jj: vv * inv % p for jj, vv in combo.items()}
-                pivots[r] = (col, comb, j)
-                rank += 1
+                pivots[r] = (col, j)
                 fill += len(col)
                 if allow_restart and fill > FILL_THRESHOLD * area:
                     raise _DenseRestart
@@ -499,18 +474,7 @@ def _column_reduce(cols: list[dict[int, int]], p: int, shape: tuple[int, int],
                     c[rr] = nv
                 else:
                     c.pop(rr, None)
-            if track:
-                pcomb = hit[1]
-                for jj, vv in pcomb.items():
-                    nv = (combo.get(jj, 0) - f * vv) % p
-                    if nv:
-                        combo[jj] = nv
-                    else:
-                        combo.pop(jj, None)
-        else:
-            if track:
-                zero_combos.append(combo)
-    return rank, pivots, zero_combos
+    return len(pivots), pivots
 
 
 def _prime_of(mat: ModMatrix) -> int:
@@ -535,85 +499,39 @@ def rank_fp(mat: ModMatrix) -> int:
     if area <= DENSE_SMALL or (area <= DENSE_ENTRY_LIMIT and mat.density >= FILL_THRESHOLD):
         return len(_dense_rref(np.asarray(csc.todense()), p)[1])
     try:
-        rank, _, _ = _column_reduce(_columns_of(csc), p, (rows, cols), track=False)
+        rank, _ = _column_reduce(_columns_of(csc), p, (rows, cols))
     except _DenseRestart:
         return len(_dense_rref(np.asarray(csc.todense()), p)[1])
     return rank
 
 
 def kernel_basis_fp(mat: ModMatrix) -> ModMatrix:
-    """Matrix whose columns are a basis of the right kernel over F_p."""
+    """Matrix whose columns are a basis of the right kernel over F_p, by
+    dense elimination (ResourceError past TO_DENSE_LIMIT entries)."""
     p = _prime_of(mat)
     rows, cols = mat.shape
     if cols == 0:
         return ModMatrix.zeros(0, 0, mat.modulus)
     if rows == 0 or mat.nnz == 0:
         return ModMatrix.identity(cols, mat.modulus)
-    area = rows * cols
-    if area <= DENSE_ENTRY_LIMIT:
-        ker = _dense_kernel(mat.to_dense(), p)
-        return ModMatrix.from_dense(ker, p)
-    _, _, combos = _column_reduce(_columns_of(mat.csc()), p, (rows, cols),
-                                  track=True, fill_guard=False)
-    entries = []
-    for k, combo in enumerate(combos):
-        for j, v in combo.items():
-            entries.append((j, k, v))
-    return ModMatrix.from_entries((cols, len(combos)), p, entries)
+    return ModMatrix.from_dense(_dense_kernel(mat.to_dense(), p), p)
 
 
 def solve_fp(a: ModMatrix, b: ModMatrix) -> ModMatrix | None:
-    """A particular solution X of a @ X = b over F_p, or None if inconsistent."""
+    """A particular solution X of a @ X = b over F_p, or None if inconsistent,
+    by dense elimination of [a | b] (ResourceError past TO_DENSE_LIMIT entries)."""
     p = _prime_of(a)
     a._join(b)
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"solve with mismatched row counts {a.shape} vs {b.shape}")
     n, k = a.shape[1], b.shape[1]
-    area = a.shape[0] * (n + k)
-    if area > DENSE_ENTRY_LIMIT:
-        return _solve_fp_sparse(a, b, p)
-    aug = np.concatenate([a.to_dense(), b.to_dense()], axis=1)
-    rref, pivots = _dense_rref(aug, p)
+    rref, pivots = _dense_rref(hstack([a, b]).to_dense(), p)
     if any(c >= n for c in pivots):
         return None
     x = np.zeros((n, k), dtype=np.int64)
     for r, c in enumerate(pivots):
         x[c] = rref[r, n:]
     return ModMatrix.from_dense(x, p)
-
-
-def _solve_fp_sparse(a: ModMatrix, b: ModMatrix, p: int) -> ModMatrix | None:
-    cols = _columns_of(a.csc())
-    _, pivots, _ = _column_reduce(cols, p, a.shape, track=True, fill_guard=False)
-    n = a.shape[1]
-    out_entries = []
-    for jb in range(b.shape[1]):
-        c = b.column(jb)
-        combo: dict[int, int] = {}
-        while c:
-            r = max(c)
-            hit = pivots.get(r)
-            if hit is None:
-                return None
-            pc, pcomb, _ = hit
-            f = c.pop(r)
-            for rr, vv in pc.items():
-                if rr == r:
-                    continue
-                nv = (c.get(rr, 0) - f * vv) % p
-                if nv:
-                    c[rr] = nv
-                else:
-                    c.pop(rr, None)
-            for jj, vv in pcomb.items():
-                nv = (combo.get(jj, 0) + f * vv) % p
-                if nv:
-                    combo[jj] = nv
-                else:
-                    combo.pop(jj, None)
-        for jj, vv in combo.items():
-            out_entries.append((jj, jb, vv))
-    return ModMatrix.from_entries((n, b.shape[1]), p, out_entries)
 
 
 def homology_dim(d_in: ModMatrix, d_out: ModMatrix) -> int:

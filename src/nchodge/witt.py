@@ -18,16 +18,13 @@ from math import comb
 from .errors import ModulusError
 from .modring import ResidueScalar, is_prime
 
-CARRY_CACHE_BOUND = 13
-
 
 @lru_cache(maxsize=None)
 def carry_coefficients(p: int) -> tuple[int, ...]:
     """Coefficients of K(X, Y) mod p: entry i multiplies X**i * Y**(p-i).
 
     Index 0 and p are zero; the interior entries are binom(p, i)/p mod p.
-    Cached permanently for p up to CARRY_CACHE_BOUND, computed on the fly
-    (and still memoized for the process) beyond that.
+    Memoized for the life of the process, for every p.
     """
     if not is_prime(p):
         raise ModulusError(f"{p} is not prime")

@@ -188,7 +188,7 @@ def two_column_bicomplex(cyc, L: int) -> BicomplexWindow:
     """Periodic two-column bicomplex of a cyclic object, subdivided or not:
     even columns carry b, odd columns -b'; the horizontals alternate between
     1 - t (into even columns) and the cyclic norm (into odd columns). Its
-    squares are checked on construction."""
+    squares are checked before it is returned."""
     N = cyc.N
     mod = cyc.algebra.modulus
     dims = {}
@@ -203,7 +203,9 @@ def two_column_bicomplex(cyc, L: int) -> BicomplexWindow:
                 d_v[(x, y)] = cyc.b(y) if x % 2 == 0 else neg_bprime[y]
             if x >= 1:
                 d_h[(x, y)] = one_minus_t[y] if x % 2 == 1 else cyc.norm(y)
-    return BicomplexWindow(L, N, dims, d_v, d_h, mod, sign_tag=SIGN_CONVENTION)
+    bicx = BicomplexWindow(L, N, dims, d_v, d_h, mod, sign_tag=SIGN_CONVENTION)
+    bicx.check_squares()
+    return bicx
 
 
 def lambda_p_hc(a, N: int, L: int | None = None, cap: int | None = None

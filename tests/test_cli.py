@@ -312,6 +312,8 @@ def test_prime_flag_changes_modulus(capsys):
     (("cartier0", "dual-numbers", "--samples", "0"), "--samples"),
     (("conjugate", "dual-numbers", "-N", "2", "-L", "-1"), "-L/--columns"),
     (("hh", "dual-numbers", "-N", "2", "--cap", "-1"), "--cap"),
+    (("hodge", "dual-numbers", "-N", "3", "--pages", "--pages-budget", "-5"), "--pages-budget"),
+    (("hodge", "dual-numbers", "-N", "3", "--pages", "--r-max", "-1"), "--r-max"),
 ])
 def test_bad_numeric_argument_exit_2_naming_the_flag(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from nchodge.cartier import PCyclicLevels, conjugate_bicomplex, estimate_sd_entries
+from nchodge.cartier import (
+    PCyclicLevels,
+    certify_conjugate_squares,
+    conjugate_bicomplex,
+    estimate_sd_entries,
+)
 from nchodge.complexes import (
     BicomplexWindow,
     ChainComplexWindow,
@@ -15,7 +20,7 @@ from nchodge.complexes import (
 )
 from nchodge.corpus import build, corpus_names
 from nchodge.errors import NotAComplexError, ShapeError, WindowError
-from nchodge.hochcyc import NormalizedMixedComplex, bB_bicomplex
+from nchodge.hochcyc import NormalizedMixedComplex, bB_bicomplex, hc_dims
 from nchodge.modring import ModMatrix
 from .sweeps import two_column_bicomplex
 
@@ -24,7 +29,9 @@ def three_term(p=5):
     # 0 -> F --(0,1)^T--> F^2 --(1,0)--> F -> 0 : exact in the middle
     d1 = ModMatrix.from_dense([[1, 0]], p)
     d2 = ModMatrix.from_dense([[0], [1]], p)
-    return ChainComplexWindow(0, 2, {0: 1, 1: 2, 2: 1}, {1: d1, 2: d2}, p, vhi=2)
+    c = ChainComplexWindow(0, 2, {0: 1, 1: 2, 2: 1}, {1: d1, 2: d2}, p, vhi=2)
+    c.check_differentials()
+    return c
 
 
 def test_chain_window_homology():
@@ -37,9 +44,11 @@ def test_chain_window_guards():
     p = 3
     with pytest.raises(NotAComplexError):
         ChainComplexWindow(0, 2, {0: 1, 1: 1, 2: 1},
-                           {1: ModMatrix.identity(1, p), 2: ModMatrix.identity(1, p)}, p)
+                           {1: ModMatrix.identity(1, p), 2: ModMatrix.identity(1, p)},
+                           p).check_differentials()
     with pytest.raises(ShapeError):
-        ChainComplexWindow(0, 1, {0: 2, 1: 1}, {1: ModMatrix.identity(1, p)}, p)
+        ChainComplexWindow(0, 1, {0: 2, 1: 1}, {1: ModMatrix.identity(1, p)},
+                           p).check_differentials()
     c = three_term()
     with pytest.raises(WindowError):
         c.homology_dim(3)
@@ -49,6 +58,7 @@ def test_default_window_excludes_top():
     p = 3
     c = ChainComplexWindow(0, 2, {0: 1, 1: 1, 2: 1},
                            {1: ModMatrix.zeros(1, 1, p), 2: ModMatrix.zeros(1, 1, p)}, p)
+    c.check_differentials()
     assert c.vhi == 1
     with pytest.raises(WindowError):
         c.homology_dim(2)
@@ -60,8 +70,10 @@ def square_bicomplex(p=3):
     dims = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
     d_v = {(0, 1): one, (1, 1): -one}
     d_h = {(1, 0): one, (1, 1): one}
-    return BicomplexWindow(1, 1, dims, d_v, d_h, p, sign_tag="test",
+    bicx = BicomplexWindow(1, 1, dims, d_v, d_h, p, sign_tag="test",
                            complete_x=True, complete_y=True)
+    bicx.check_squares()
+    return bicx
 
 
 def test_bicomplex_total_homology():
@@ -79,7 +91,7 @@ def test_bicomplex_rejects_commuting_square():
     d_v = {(0, 1): one, (1, 1): one}
     d_h = {(1, 0): one, (1, 1): one}
     with pytest.raises(NotAComplexError):
-        BicomplexWindow(1, 1, dims, d_v, d_h, p, sign_tag="test")
+        BicomplexWindow(1, 1, dims, d_v, d_h, p, sign_tag="test").check_squares()
 
 
 def test_bicomplex_trusted_window_shrinks_without_completeness():
@@ -87,6 +99,7 @@ def test_bicomplex_trusted_window_shrinks_without_completeness():
     assert bicx.trusted_upper() == 2
     open_bicx = BicomplexWindow(1, 1, bicx.dims, bicx.d_v, bicx.d_h, 3,
                                 sign_tag="test")
+    open_bicx.check_squares()
     assert open_bicx.trusted_upper() == 0
     tot, _ = open_bicx.total_complex()
     with pytest.raises(WindowError):
@@ -109,12 +122,13 @@ def test_filtration_rejects_non_subcomplex():
     p = 3
     d1 = ModMatrix.identity(2, p)
     c = ChainComplexWindow(0, 1, {0: 2, 1: 2}, {1: d1}, p)
+    c.check_differentials()
     masks = {
         0: {0: np.array([True, False]), 1: np.array([False, True])},
         1: {0: np.array([True, True]), 1: np.array([True, True])},
     }
     with pytest.raises(NotAComplexError):
-        IncreasingFiltration(c, masks)
+        IncreasingFiltration(c, masks).check()
 
 
 # ---------------- totalization on demand ----------------
@@ -193,17 +207,17 @@ def test_conjugate_square_certificate_agrees_with_check_squares(p):
         pcyc = subdivision_window(build(name, p))
         if pcyc is None:
             continue
-        conjugate_bicomplex(pcyc, 3)  # b squared and sigma-equivariance
-        conjugate_bicomplex(pcyc, 3, check=False).check_squares()
+        certify_conjugate_squares(pcyc, 3)  # b squared and sigma-equivariance
+        conjugate_bicomplex(pcyc, 3).check_squares()
         checked += 1
     assert checked >= (len(corpus_names()) if p == 3 else 6)
 
 
 def both_certificates_raise(pcyc: PCyclicLevels, level: int) -> None:
     with pytest.raises(NotAComplexError, match=f"level {level}"):
-        conjugate_bicomplex(pcyc, 3)
+        certify_conjugate_squares(pcyc, 3)
     with pytest.raises(NotAComplexError):
-        conjugate_bicomplex(pcyc, 3, check=False).check_squares()
+        conjugate_bicomplex(pcyc, 3).check_squares()
 
 
 @pytest.mark.parametrize("name", ["dual-numbers", "upper-tri-2", "group-z3"])
@@ -242,10 +256,12 @@ def test_square_check_covers_the_last_column():
     # a new square and must still be caught
     pcyc = PCyclicLevels(build("dual-numbers", 3), 2)
     L = 4
+    certify_conjugate_squares(pcyc, L)
     good = conjugate_bicomplex(pcyc, L)
 
     def rebuilt(d_v, d_h):
-        return BicomplexWindow(L, pcyc.N, good.dims, d_v, d_h, 3, sign_tag=good.sign_tag)
+        BicomplexWindow(L, pcyc.N, good.dims, d_v, d_h, 3,
+                        sign_tag=good.sign_tag).check_squares()
 
     rebuilt(good.d_v, {k: m + ModMatrix.zeros(*m.shape, 3) for k, m in good.d_h.items()})
     for y in range(pcyc.N + 1):
@@ -272,7 +288,7 @@ def test_lazy_diffs_build_once_and_never_read_a_failure_as_zero():
     assert list(diffs) == [1, 2] and len(diffs) == 2
     assert 1 in diffs and 3 not in diffs
     assert built == []
-    c = ChainComplexWindow(0, 2, {0: 1, 1: 1, 2: 1}, diffs, 3, check=False)
+    c = ChainComplexWindow(0, 2, {0: 1, 1: 1, 2: 1}, diffs, 3)
     assert c.diffs is diffs
     assert c.d(1) is c.d(1) and built == [1]
     assert c.d(3).shape == (1, 0) and built == [1]
@@ -281,3 +297,39 @@ def test_lazy_diffs_build_once_and_never_read_a_failure_as_zero():
     with pytest.raises(KeyError):
         diffs[3]
     assert built == [1, 2]
+
+
+def test_a_failing_cell_build_propagates_from_the_totalization():
+    # a KeyError raised while a cell operator is built is a failure, not a
+    # missing cell to be read as a zero block
+    p = 3
+    one = ModMatrix.identity(1, p)
+    dims = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
+
+    def lost(cell):
+        raise KeyError(f"lost block {cell}")
+
+    bicx = BicomplexWindow(1, 1, dims, {(0, 1): one, (1, 1): -one},
+                           LazyDiffs([(1, 0), (1, 1)], lost), p, sign_tag="test")
+    tot, _ = bicx.total_complex()
+    with pytest.raises(KeyError, match="lost block"):
+        tot.d(1)
+
+
+def test_conjugate_totalization_builds_no_unread_norm():
+    # with N = 2 and L = 6 the trusted window is [0, 1]: level 2 enters the
+    # read degrees only through its boundary, never through 1 - sigma or N
+    pcyc = PCyclicLevels(build("dual-numbers", 3), 2)
+    tot, _ = conjugate_bicomplex(pcyc, 6).total_complex()
+    assert (tot.vlo, tot.vhi) == (0, 1)
+    tot.homology_dims()
+    act = pcyc.action(2)
+    assert act._norm is None and act._one_minus is None
+
+
+def test_hc_builds_only_the_B_its_degrees_read():
+    # HC_0..HC_4 read total degrees up to 5, whose cells reach B_3 at most
+    a = build("dual-numbers", 3)
+    nc = NormalizedMixedComplex(a, 6)
+    hc_dims(a, 6, carrier=nc)
+    assert max(nc._B) == 3

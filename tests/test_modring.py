@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nchodge.errors import ModulusError, NotAComplexError, ShapeError
+from nchodge.errors import ModulusError, NotAComplexError, ResourceError, ShapeError
 from nchodge.modring import (
+    TO_DENSE_LIMIT,
     ModMatrix,
     ResidueScalar,
     block,
@@ -173,6 +176,23 @@ def test_solve_consistent_and_inconsistent():
     singular = ModMatrix.from_dense([[1, 2], [2, 4]], p)
     target = ModMatrix.from_dense([[1], [0]], p)
     assert solve_fp(singular, target) is None
+
+
+def test_kernel_and_solve_refuse_past_the_dense_limit():
+    n = 1 << 12  # n x (n + 1) entries pass the limit; one entry keeps it sparse
+    assert n * n <= TO_DENSE_LIMIT < n * (n + 1)
+    wide = ModMatrix.from_arrays((n, n + 1), 3, np.array([0]), np.array([0]), np.array([1]))
+    square = wide.restrict(cols=np.arange(n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            kernel_basis_fp(wide)
+        with pytest.raises(ResourceError):
+            solve_fp(square, ModMatrix.zeros(n, 1, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n // 16  # a dense copy takes 8 bytes an entry
 
 
 def test_homology_dim_basics():

@@ -42,6 +42,9 @@ TRACER_HELD = {
     "cartier.ZpModuleAction.orbit_data",
     "cartier.ZpModuleAction.one_minus",
     "cartier.ZpModuleAction.norm",
+    "complexes.ChainComplexWindow.check_differentials",
+    "complexes.BicomplexWindow.check_squares",
+    "complexes.IncreasingFiltration.check",
 }
 
 

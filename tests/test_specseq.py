@@ -19,11 +19,14 @@ from nchodge.specseq import abutment_check, pages, span_length
 def two_step_filtration(p=3):
     # 0 -> F --id--> F -> 0, filtered by (degree-0 line) inside (everything)
     c = ChainComplexWindow(0, 1, {0: 1, 1: 1}, {1: ModMatrix.identity(1, p)}, p, vhi=1)
+    c.check_differentials()
     masks = {
         0: {0: np.array([True]), 1: np.array([False])},
         1: {0: np.array([True]), 1: np.array([True])},
     }
-    return IncreasingFiltration(c, masks)
+    filt = IncreasingFiltration(c, masks)
+    filt.check()
+    return filt
 
 
 def test_two_step_pages_by_hand():
@@ -147,8 +150,11 @@ def elementary_filtration(p, top, nlev, pairs, singles, seed):
                 d[m + 1][i, :] = (d[m + 1][i, :] - c * d[m + 1][j, :]) % p
     carrier = ChainComplexWindow(0, top, {n: len(cells[n]) for n in cells},
                                  {n: ModMatrix.from_dense(d[n], p) for n in d}, p, vhi=top)
+    carrier.check_differentials()
     masks = {l: {n: level[n] <= l for n in cells} for l in range(nlev)}
-    return IncreasingFiltration(carrier, masks)
+    filt = IncreasingFiltration(carrier, masks)
+    filt.check()
+    return filt
 
 
 @settings(max_examples=60, deadline=None)
