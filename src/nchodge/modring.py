@@ -8,12 +8,23 @@ numpy elimination path for small matrices and as a fallback when fill-in
 passes a density threshold. Kernels and solutions are dense only, and
 refuse matrices past TO_DENSE_LIMIT entries. No floating point is used
 anywhere.
+
+Homology dimensions use clearing (Chen-Kerber, "Persistent homology
+computation with a twist", 2011): a wide differential d_out is reduced
+transposed, and the rows where its reduced columns end (its pivot rows)
+are kept on the matrix as an int64 array. Once d_out d_in = 0 is
+certified, `homology_dim` ranks d_in with those rows left out. This is
+exact: a reduced column v of d_out^T whose largest row is i satisfies
+d_in^T v = 0, so row i of d_in is a combination of rows k < i, and by
+induction on i every cleared row lies in the span of the kept ones. The
+kept rows that reduce to zero then number dim H, not dim ker d_out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import isqrt
 from typing import Sequence
 
@@ -126,7 +137,7 @@ def _reduced(mat: sp.csc_matrix, modulus: int) -> sp.csc_matrix:
 class ModMatrix:
     """A matrix of residues mod a prime or prime square."""
 
-    __slots__ = ("shape", "modulus", "_csc", "_rank")
+    __slots__ = ("shape", "modulus", "_csc", "_rank", "_pivot_rows")
 
     def __init__(self, shape: tuple[int, int], modulus: int, csc: sp.csc_matrix):
         split_modulus(modulus)
@@ -139,6 +150,9 @@ class ModMatrix:
         self.modulus = int(modulus)
         self._csc = _reduced(csc, modulus)
         self._rank: int | None = None
+        # rows where the reduced columns of the transpose end, when rank_fp
+        # reduced this matrix transposed and sparsely; None otherwise
+        self._pivot_rows: np.ndarray | None = None
 
     # ---------------- constructors ----------------
 
@@ -205,10 +219,11 @@ class ModMatrix:
     def is_zero(self) -> bool:
         return self.nnz == 0
 
-    def rank(self) -> int:
-        """Rank over F_p, computed by rank_fp once per matrix."""
+    def rank(self, clear: np.ndarray | None = None) -> int:
+        """Rank over F_p, computed by rank_fp once per matrix; clear names
+        rows that lie in the span of the others (see rank_fp)."""
         if self._rank is None:
-            self._rank = rank_fp(self)
+            self._rank = rank_fp(self, clear)
         return self._rank
 
     def __eq__(self, other) -> bool:
@@ -425,12 +440,9 @@ class _DenseRestart(Exception):
 
 
 def _columns_of(csc: sp.csc_matrix) -> list[dict[int, int]]:
-    cols = []
-    indptr, indices, data = csc.indptr, csc.indices, csc.data
-    for j in range(csc.shape[1]):
-        sl = slice(indptr[j], indptr[j + 1])
-        cols.append(dict(zip(indices[sl].tolist(), data[sl].tolist())))
-    return cols
+    """One {row: value} dict per column; the CSC arrays become lists once."""
+    entries = zip(csc.indices.tolist(), csc.data.tolist())
+    return [dict(islice(entries, n)) for n in np.diff(csc.indptr).tolist()]
 
 
 def _column_reduce(cols: list[dict[int, int]], p: int, shape: tuple[int, int],
@@ -484,24 +496,44 @@ def _prime_of(mat: ModMatrix) -> int:
     return p
 
 
-def rank_fp(mat: ModMatrix) -> int:
-    """Rank over F_p, exact."""
+def rank_fp(mat: ModMatrix, clear: np.ndarray | None = None) -> int:
+    """Rank over F_p, exact.
+
+    clear, if given, is an int64 array of rows of mat that lie in the span
+    of the rows it keeps; those rows are left out. The reduction walks the
+    smaller list of vectors: when mat keeps fewer rows than it has columns,
+    it reduces mat^T, and if that reduction is sparse the rows where its
+    reduced columns end (column indices of mat) are recorded on mat, for
+    `homology_dim` to clear the next differential with.
+    """
     p = _prime_of(mat)
     rows, cols = mat.shape
     if rows == 0 or cols == 0 or mat.nnz == 0:
         return 0
-    area = rows * cols
     csc = mat.csc()
+    keep = None
+    if clear is not None and clear.size:
+        keep = np.delete(np.arange(rows), clear)
+        rows = keep.size
     # orient so that the reduction walks the smaller list of vectors
-    if cols > rows:
+    transposed = cols > rows
+    if transposed:
         csc = csc.transpose().tocsc()
         rows, cols = cols, rows
+        if keep is not None:
+            csc = csc[:, keep]
+    elif keep is not None:
+        csc = csc[keep]
+    area = rows * cols
+    # the density of the whole matrix stands in for that of its kept rows
     if area <= DENSE_SMALL or (area <= DENSE_ENTRY_LIMIT and mat.density >= FILL_THRESHOLD):
         return len(_dense_rref(np.asarray(csc.todense()), p)[1])
     try:
-        rank, _ = _column_reduce(_columns_of(csc), p, (rows, cols))
+        rank, pivots = _column_reduce(_columns_of(csc), p, (rows, cols))
     except _DenseRestart:
         return len(_dense_rref(np.asarray(csc.todense()), p)[1])
+    if transposed:
+        mat._pivot_rows = np.fromiter(pivots, dtype=np.int64, count=len(pivots))
     return rank
 
 
@@ -538,7 +570,12 @@ def homology_dim(d_in: ModMatrix, d_out: ModMatrix) -> int:
     """dim ker(d_out) - rank(d_in) for consecutive differentials.
 
     d_out maps the middle degree down, d_in maps into the middle degree.
-    Raises NotAComplexError unless d_out @ d_in = 0.
+    Raises NotAComplexError unless d_out @ d_in = 0. Once that is
+    certified, d_in is ranked with d_out's pivot rows cleared (module
+    docstring): a reduced column v of d_out^T ending at row i gives
+    d_in^T v = 0, so row i of d_in is a combination of rows k < i, and by
+    induction every cleared row lies in the span of the kept ones. Reading
+    degrees in increasing order lets each differential clear the next.
     """
     if d_in.modulus != d_out.modulus:
         raise ModulusError("differentials with different moduli")
@@ -549,7 +586,8 @@ def homology_dim(d_in: ModMatrix, d_out: ModMatrix) -> int:
             f"d_in has {d_in.shape[0]} rows")
     if not (d_out @ d_in).is_zero():
         raise NotAComplexError("d_out @ d_in is not zero")
-    dim = d_out.shape[1] - d_out.rank() - d_in.rank()
+    rank_out = d_out.rank()
+    dim = d_out.shape[1] - rank_out - d_in.rank(clear=d_out._pivot_rows)
     if dim < 0:
         raise NotAComplexError("negative homology dimension; ranks inconsistent")
     return dim

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from nchodge.cartier import (
     PCyclicLevels,
+    _coinvariant_complex,
+    _fixed_reduced_complex,
     certify_conjugate_squares,
     conjugate_bicomplex,
     estimate_sd_entries,
@@ -20,7 +24,7 @@ from nchodge.complexes import (
 )
 from nchodge.corpus import build, corpus_names
 from nchodge.errors import NotAComplexError, ShapeError, WindowError
-from nchodge.hochcyc import NormalizedMixedComplex, bB_bicomplex, hc_dims
+from nchodge.hochcyc import NormalizedMixedComplex, bB_bicomplex, b_complex, hc_dims
 from nchodge.modring import ModMatrix
 from .sweeps import two_column_bicomplex
 
@@ -198,6 +202,52 @@ def test_on_demand_totalization_matches_eager(p):
             for n in want:
                 assert tot.d(n) == want[n], (name, n)
     assert subdivided >= (len(corpus_names()) if p == 3 else 6)
+
+
+def cleared_complexes(a) -> list[tuple[str, ChainComplexWindow]]:
+    """The complexes whose homology the CLI reads degree by degree: b and
+    the bB totalization of the normalized mixed complex and, when a
+    subdivision fits, the conjugate totalization and the coinvariant and
+    fixed complexes."""
+    nc = NormalizedMixedComplex(a, 5)
+    out = [("hh", b_complex(nc)), ("hc", bB_bicomplex(nc).total_complex()[0])]
+    pcyc = subdivision_window(a)
+    if pcyc is not None:
+        out += [("conjugate", conjugate_bicomplex(pcyc, 3).total_complex()[0]),
+                ("coinvariant", _coinvariant_complex(pcyc)),
+                ("fixed", _fixed_reduced_complex(pcyc))]
+    return out
+
+
+@pytest.mark.parametrize("sparse_only", [False, True])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cleared_ranks_equal_uncleared_ranks(p, sparse_only, monkeypatch):
+    from nchodge import modring
+
+    real = modring.rank_fp
+    cleared = Counter()
+
+    def counting(mat, clear=None):
+        if clear is not None and clear.size:
+            cleared[kind] += 1
+        return real(mat, clear)
+
+    monkeypatch.setattr(modring, "rank_fp", counting)
+    if sparse_only:
+        # every rank takes the sparse reduction, so every wide d clears the next
+        monkeypatch.setattr(modring, "DENSE_SMALL", 0)
+        monkeypatch.setattr(modring, "FILL_THRESHOLD", 2.0)
+    for name in corpus_names():
+        for kind, c in cleared_complexes(build(name, p)):
+            c.homology_dims()  # increasing degrees: each rank clears the next
+            for n in range(c.vlo, c.vhi + 2):
+                d = c.d(n)
+                assert d.rank() == real(d), (name, kind, n)
+    assert {"hh", "hc"} <= set(cleared)
+    if p < 7:
+        assert "conjugate" in cleared
+    if p == 3 and sparse_only:
+        assert set(cleared) == {"hh", "hc", "conjugate", "coinvariant", "fixed"}
 
 
 @pytest.mark.parametrize("p", [3, 5])

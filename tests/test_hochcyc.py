@@ -509,3 +509,21 @@ def test_homology_outside_window_rejected():
     c = b_complex(CyclicLevelMaps(build("dual-numbers", 3), 3))
     with pytest.raises(WindowError):
         c.homology_dim(3)
+
+
+def test_clearing_hands_the_top_reduction_of_group_z4_only_its_homology(monkeypatch):
+    from nchodge import modring
+
+    # b_7: C_7 -> C_6 is 2,916 x 8,748 and is reduced transposed; b_6 has
+    # rank 732, so clearing leaves 2,916 - 732 = 2,184 columns, and all of
+    # them are pivots since HH_6 = 0 (without clearing, 732 reduce to zero)
+    seen = []
+    real = modring._column_reduce
+
+    def recording(cols, p, shape, *args, **kwargs):
+        seen.append(shape)
+        return real(cols, p, shape, *args, **kwargs)
+
+    monkeypatch.setattr(modring, "_column_reduce", recording)
+    assert hh_dims(build("group-z4", 3), 7) == {0: 4, **{n: 0 for n in range(1, 7)}}
+    assert seen[-1] == (8748, 2184)

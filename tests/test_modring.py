@@ -118,7 +118,8 @@ def test_rank_is_computed_once_per_matrix(monkeypatch):
 
     calls = []
     real = modring.rank_fp
-    monkeypatch.setattr(modring, "rank_fp", lambda mat: calls.append(mat) or real(mat))
+    monkeypatch.setattr(modring, "rank_fp",
+                        lambda mat, *args: calls.append(mat) or real(mat, *args))
     d_in = ModMatrix.from_dense([[1], [0]], 5)
     d_out = ModMatrix.from_dense([[0, 1]], 5)
     assert homology_dim(d_in, d_out) == homology_dim(d_in, d_out) == 0
@@ -319,3 +320,105 @@ def test_sparse_path_agrees_with_dense_on_structured_input():
     m = ModMatrix.from_dense(data, p)
     assert rank_fp(m) == ref_rank(data.tolist(), p)
     assert rank_fp(m.T) == rank_fp(m)
+
+
+# ---------------- clearing ----------------
+
+def unit_triangular_pair(rng, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """A random invertible n x n matrix mod p, P = L U with L and U unit
+    triangular, and its inverse U^-1 L^-1 by substitution."""
+    low = np.tril(rng.integers(0, p, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    up = np.triu(rng.integers(0, p, (n, n)), 1) + np.eye(n, dtype=np.int64)
+
+    def unit_lower_inverse(t):
+        inv = np.eye(n, dtype=np.int64)
+        for i in range(n):
+            for j in range(i):
+                inv[i] = (inv[i] - t[i, j] * inv[j]) % p
+        return inv
+
+    return low @ up % p, unit_lower_inverse(up.T).T @ unit_lower_inverse(low) % p
+
+
+@st.composite
+def elementary_complex(draw):
+    """(p, ranks, betti, seed): C_n splits as boundaries B_n (rank of d_{n+1}),
+    homology H_n and a complement X_n that d_n sends onto B_{n-1} by the
+    identity; the Betti numbers are the sizes of the H_n."""
+    p = draw(small_primes)
+    top = draw(st.integers(min_value=1, max_value=5))
+    ranks = [0] + [draw(st.integers(min_value=0, max_value=9)) for _ in range(top)] + [0]
+    betti = [draw(st.integers(min_value=0, max_value=4)) for _ in range(top + 1)]
+    return p, ranks, betti, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@given(elementary_complex(), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_cleared_homology_of_a_conjugated_elementary_complex(cx, sparse_only):
+    from nchodge import modring
+
+    p, ranks, betti, seed = cx
+    top = len(betti) - 1
+    rng = np.random.default_rng(seed)
+    dims = [ranks[n + 1] + betti[n] + ranks[n] for n in range(top + 1)]
+    basis = [unit_triangular_pair(rng, dims[n], p) for n in range(top + 1)]
+    diffs = {}
+    for n in range(1, top + 1):
+        # X_n sits last in C_n, B_{n-1} first in C_(n-1)
+        d = np.zeros((dims[n - 1], dims[n]), dtype=np.int64)
+        d[np.arange(ranks[n]), dims[n] - ranks[n] + np.arange(ranks[n])] = 1
+        diffs[n] = ModMatrix.from_dense(basis[n - 1][0] @ d % p @ basis[n][1], p)
+    with pytest.MonkeyPatch.context() as mp:
+        if sparse_only:
+            # every rank takes the sparse reduction, so every wide d clears the next
+            mp.setattr(modring, "DENSE_SMALL", 0)
+            mp.setattr(modring, "FILL_THRESHOLD", 2.0)
+        got = [homology_dim(diffs[n + 1], diffs[n]) if n else
+               homology_dim(diffs[1], ModMatrix.zeros(0, dims[0], p)) for n in range(top)]
+    assert got == betti[:top]
+    assert [diffs[n].rank() for n in diffs] == ranks[1:top + 1]
+
+
+def test_clearing_leaves_out_the_pivot_rows_of_the_outgoing_differential(monkeypatch):
+    from nchodge import modring
+
+    # d_out: F^6 -> F^2 is wide, so it is reduced transposed and its pivot
+    # rows (columns 5 and 3 of d_out, the largest row of each reduced
+    # column of d_out^T) clear rows 5 and 3 of d_in
+    p = 5
+    d_out = ModMatrix.from_dense([[1, 0, 0, 2, 0, 0], [0, 1, 0, 0, 0, 1]], p)
+    d_in = ModMatrix.from_dense([[3, 0, 0], [0, 4, 0], [0, 0, 1], [1, 0, 0],
+                                 [0, 0, 0], [0, 1, 0]], p)
+    assert (d_out @ d_in).is_zero()
+    seen = []
+    real = modring.rank_fp
+    monkeypatch.setattr(modring, "DENSE_SMALL", 0)
+    monkeypatch.setattr(modring, "FILL_THRESHOLD", 2.0)
+    monkeypatch.setattr(modring, "rank_fp", lambda mat, clear=None: seen.append(
+        None if clear is None else sorted(clear.tolist())) or real(mat, clear))
+    assert homology_dim(d_in, d_out) == 6 - 2 - 3
+    assert seen == [None, [3, 5]]
+    assert d_in.rank() == rank_fp(d_in) == 3
+
+
+def test_a_non_complex_is_refused_before_any_cleared_rank(monkeypatch):
+    from nchodge import modring
+
+    # d_out is ranked first, so its pivot rows are on hand; clearing them in
+    # a d_in with d_out d_in != 0 would drop row 1, the only row of d_in that
+    # is not zero, and report rank 0
+    p = 3
+    d_out = ModMatrix.from_dense([[1, 1, 0, 0, 0, 0, 0, 0, 0]], p)
+    good = ModMatrix.from_dense([[1], [2], [0], [0], [0], [0], [0], [0], [0]], p)
+    monkeypatch.setattr(modring, "DENSE_SMALL", 0)
+    monkeypatch.setattr(modring, "FILL_THRESHOLD", 2.0)
+    assert homology_dim(good, d_out) == 9 - 1 - 1
+    bad = ModMatrix.from_dense([[0], [1], [0], [0], [0], [0], [0], [0], [0]], p)
+    calls = []
+    real = modring.rank_fp
+    monkeypatch.setattr(modring, "rank_fp",
+                        lambda mat, *args: calls.append(mat) or real(mat, *args))
+    with pytest.raises(NotAComplexError):
+        homology_dim(bad, d_out)
+    assert calls == []
+    assert bad.rank(clear=np.array([1])) == 0  # what clearing would have said
