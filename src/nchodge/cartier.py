@@ -29,7 +29,7 @@ from scipy import sparse as sp
 
 from .algebra import StructureConstantsAlgebra, commutator_quotient
 from .complexes import BicomplexWindow, ChainComplexWindow, LazyDiffs
-from .conventions import SIGN_CONVENTION, cyclic_sign
+from .conventions import cyclic_sign
 from .errors import (
     CartierError,
     InternalCheckError,
@@ -257,7 +257,6 @@ def _digit_permutation_power(g: np.ndarray, length: int, modulus: int) -> ModMat
 @dataclass
 class IotaReport:
     dim: int
-    p: int
     level: int
     homology: dict[int, int]
     bijective: bool
@@ -333,7 +332,7 @@ def iota_iso(dim: int, p: int, n: int = 0, l_max: int = 4,
 
     if failures:
         raise CartierError("; ".join(failures))
-    return IotaReport(dim=dim, p=p, level=n, homology=hom, bijective=bij,
+    return IotaReport(dim=dim, level=n, homology=hom, bijective=bij,
                       natural=natural, additive=additive, samples=samples,
                       seed=seed)
 
@@ -474,12 +473,10 @@ class PCyclicLevels:
 
 @dataclass
 class EdgewiseReport:
-    p: int
     N: int
     sd_dims: dict[int, int]
     hh: dict[int, int]
     equal: bool
-    sign_tag: str = SIGN_CONVENTION
 
 
 def edgewise_hh_check(a: StructureConstantsAlgebra, N: int,
@@ -496,7 +493,7 @@ def edgewise_hh_check(a: StructureConstantsAlgebra, N: int,
     if sd != hh:
         raise SubdivisionMismatchError(
             f"subdivided homology {sd} differs from {hh} for {a.label()}")
-    return EdgewiseReport(p=a.p, N=N, sd_dims=sd, hh=hh, equal=True)
+    return EdgewiseReport(N=N, sd_dims=sd, hh=hh, equal=True)
 
 
 # ---------------- fiberwise group homology bicomplex ----------------
@@ -515,8 +512,7 @@ def conjugate_bicomplex(pcyc: PCyclicLevels, L: int) -> BicomplexWindow:
     d_h = LazyDiffs([(x, y) for x, y in dims if x >= 1],
                     lambda c: (pcyc.action(c[1]).one_minus() if c[0] % 2
                                else pcyc.action(c[1]).norm()))
-    return BicomplexWindow(L, pcyc.N, dims, d_v, d_h, pcyc.algebra.modulus,
-                           sign_tag=SIGN_CONVENTION)
+    return BicomplexWindow(L, pcyc.N, dims, d_v, d_h, pcyc.algebra.modulus)
 
 
 def certify_conjugate_squares(pcyc: PCyclicLevels, L: int) -> None:
@@ -558,8 +554,7 @@ def _fixed_reduced_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:
                 f"fixed-coordinate boundary at level {n} does not match the "
                 f"ordinary one for {a.label()}")
         diffs[n] = beta
-    return ChainComplexWindow(0, pcyc.N, dims, diffs, a.modulus,
-                              vlo=0, vhi=pcyc.N - 1)
+    return ChainComplexWindow(pcyc.N, dims, diffs, a.modulus)
 
 
 def _coinvariant_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:
@@ -573,13 +568,11 @@ def _coinvariant_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:
         projs[n], secs[n] = proj, sec
         dims[n] = proj.shape[0]
     diffs = {n: projs[n - 1] @ pcyc.b(n) @ secs[n] for n in range(1, pcyc.N + 1)}
-    return ChainComplexWindow(0, pcyc.N, dims, diffs, pcyc.algebra.modulus,
-                              vlo=0, vhi=pcyc.N - 1)
+    return ChainComplexWindow(pcyc.N, dims, diffs, pcyc.algebra.modulus)
 
 
 @dataclass
 class ConjugateSSReport:
-    p: int
     N: int
     L: int
     e1: dict[tuple[int, int], int]
@@ -589,7 +582,6 @@ class ConjugateSSReport:
     matches_hh: bool
     abutment: dict[int, int]
     window: tuple[int, int]
-    sign_tag: str = SIGN_CONVENTION
 
 
 def conjugate_ss(a: StructureConstantsAlgebra, N: int, L: int | None = None,
@@ -620,23 +612,22 @@ def conjugate_ss(a: StructureConstantsAlgebra, N: int, L: int | None = None,
     hh = hh_dims(a, N, cap=cap)
     certify_conjugate_squares(pcyc, L)
     tot, _ = conjugate_bicomplex(pcyc, L).total_complex()
-    abut = {n: tot.homology_dim(n) for n in range(tot.vlo, tot.vhi + 1)}
+    abut = tot.homology_dims()
     for m in abut:
         upper = e2_zero.get(m, 0) + sum(e2_pos.get(m - j, 0) for j in range(1, m + 1))
         if upper < abut[m]:
             raise InternalCheckError(
                 f"second page sums to {upper} in degree {m}, abutment has {abut[m]}")
     return ConjugateSSReport(
-        p=a.p, N=N, L=L, e1=e1, e2_positive=e2_pos, e2_zero=e2_zero,
+        N=N, L=L, e1=e1, e2_positive=e2_pos, e2_zero=e2_zero,
         hh=hh, matches_hh=e2_pos == hh, abutment=abut,
-        window=(tot.vlo, tot.vhi))
+        window=(0, tot.vhi))
 
 
 # ---------------- degree zero power map ----------------
 
 @dataclass
 class Cartier0Report:
-    p: int
     dim_quotient: int
     matrix: ModMatrix
     additive_ok: bool
@@ -696,7 +687,7 @@ def cartier0(a: StructureConstantsAlgebra, samples: int = 1000,
         raise InternalCheckError(
             f"power map certificates failed for {a.label()}: "
             f"additive={additive_ok} representative={representative_ok}")
-    return Cartier0Report(p=p, dim_quotient=q_dim, matrix=matrix,
+    return Cartier0Report(dim_quotient=q_dim, matrix=matrix,
                           additive_ok=additive_ok,
                           representative_ok=representative_ok,
                           samples=samples, seed=seed)

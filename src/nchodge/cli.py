@@ -11,6 +11,7 @@ key order, seeded sampling. JSON payloads carry "schema": "nc-hodge/1".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -461,7 +462,15 @@ def main(argv=None) -> int:
     except NCHodgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    sys.stdout.write(_render(payload, table, args.format))
+    try:
+        sys.stdout.write(_render(payload, table, args.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the interpreter's
+        # final flush stays quiet, and still report what the run found
+        with contextlib.suppress(AttributeError, io.UnsupportedOperation):
+            stdout = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
     return EXIT_FINDINGS if findings else EXIT_OK
 
 

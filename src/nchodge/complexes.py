@@ -1,15 +1,17 @@
 """Windowed chain complexes, bicomplexes and filtrations.
 
-A window holds dimensions and differentials for a contiguous range of
-degrees, plus the validity range where homology can be trusted (degrees
-whose neighbours are fully inside the window). Bicomplex windows live in
-the first quadrant, store their differentials with all signs already
-applied, and totalize to a chain window with a block index table. Windows
-keep the operator mappings they are given, so cell operators and total
-differentials passed as `LazyDiffs` are built only when a degree is read.
-Nothing is checked on construction: `homology_dim` certifies d^2 = 0 on
-every degree it reads, and `check_differentials`, `check_squares` and
-`IncreasingFiltration.check` certify a whole window on request.
+Every window starts in degree 0. A chain window holds dimensions and
+differentials for degrees 0..hi, plus the top degree vhi whose homology
+can be trusted (degrees whose neighbours are fully inside the window).
+Bicomplex windows live in the first quadrant, store their differentials
+with all signs already applied, and totalize to a chain window with a
+block index table. Windows keep the operator mappings they are given, so
+cell operators and total differentials passed as `LazyDiffs` are built
+only when a degree is read. A filtration gives each basis vector its
+level. Nothing is checked on construction: `homology_dim` certifies
+d^2 = 0 on every degree it reads, and `check_differentials`,
+`check_squares` and `IncreasingFiltration.check` certify a whole window on
+request.
 """
 
 from __future__ import annotations
@@ -56,19 +58,18 @@ class LazyDiffs(Mapping):
 
 
 class ChainComplexWindow:
-    """Degrees lo..hi with d_n: C_n -> C_{n-1} for lo < n <= hi."""
+    """Degrees 0..hi with d_n: C_n -> C_{n-1} for 0 < n <= hi; homology is
+    trusted on [0, vhi], by default [0, hi - 1]."""
 
-    def __init__(self, lo: int, hi: int, dims: dict[int, int],
+    def __init__(self, hi: int, dims: dict[int, int],
                  diffs: Mapping[int, ModMatrix], modulus: int,
-                 vlo: int | None = None, vhi: int | None = None):
-        if lo > hi:
-            raise ShapeError(f"empty degree range [{lo}, {hi}]")
-        self.lo = lo
+                 vhi: int | None = None):
+        if hi < 0:
+            raise ShapeError(f"empty degree range [0, {hi}]")
         self.hi = hi
         self.modulus = modulus
-        self.dims = {n: int(dims.get(n, 0)) for n in range(lo, hi + 1)}
+        self.dims = {n: int(dims.get(n, 0)) for n in range(hi + 1)}
         self.diffs = diffs
-        self.vlo = lo if vlo is None else vlo
         self.vhi = hi - 1 if vhi is None else vhi
 
     def dim(self, n: int) -> int:
@@ -81,25 +82,22 @@ class ChainComplexWindow:
         return ModMatrix.zeros(self.dim(n - 1), self.dim(n), self.modulus)
 
     def check_differentials(self) -> None:
-        for n in range(self.lo + 1, self.hi + 1):
+        for n in range(1, self.hi + 1):
             dn = self.d(n)
             if dn.shape != (self.dim(n - 1), self.dim(n)):
                 raise ShapeError(
                     f"d_{n} has shape {dn.shape}, expected {(self.dim(n - 1), self.dim(n))}")
-        for n in range(self.lo + 1, self.hi):
+        for n in range(1, self.hi):
             if not (self.d(n) @ self.d(n + 1)).is_zero():
                 raise NotAComplexError(f"d_{n} d_{n + 1} is not zero")
 
     def homology_dim(self, n: int) -> int:
-        if not (self.vlo <= n <= self.vhi):
-            raise WindowError(
-                f"degree {n} outside the trusted window [{self.vlo}, {self.vhi}]")
+        if not 0 <= n <= self.vhi:
+            raise WindowError(f"degree {n} outside the trusted window [0, {self.vhi}]")
         return _hdim(self.d(n + 1), self.d(n))
 
-    def homology_dims(self, degrees=None) -> dict[int, int]:
-        if degrees is None:
-            degrees = range(self.vlo, self.vhi + 1)
-        return {n: self.homology_dim(n) for n in degrees}
+    def homology_dims(self) -> dict[int, int]:
+        return {n: self.homology_dim(n) for n in range(self.vhi + 1)}
 
 
 class BicomplexWindow:
@@ -108,23 +106,19 @@ class BicomplexWindow:
     d_v[(x, y)] maps (x, y) -> (x, y - 1) and d_h[(x, y)] maps
     (x, y) -> (x - 1, y); both are stored with every sign already applied,
     so `check_squares` checks rows, columns and the anticommutation of each
-    square literally. sign_tag records which convention produced the signs.
-    complete_x / complete_y assert that the true object vanishes beyond the
-    window in that direction, which widens the trusted degree range of the
-    totalization.
+    square literally. complete_x asserts that the true object vanishes
+    beyond column X, which widens the trusted degree range of the
+    totalization from min(X, Y) - 1 to Y - 1.
     """
 
     def __init__(self, X: int, Y: int, dims: dict[tuple[int, int], int],
                  d_v: Mapping[tuple[int, int], ModMatrix],
                  d_h: Mapping[tuple[int, int], ModMatrix],
-                 modulus: int, sign_tag: str,
-                 complete_x: bool = False, complete_y: bool = False):
+                 modulus: int, complete_x: bool = False):
         self.X = X
         self.Y = Y
         self.modulus = modulus
-        self.sign_tag = sign_tag
         self.complete_x = complete_x
-        self.complete_y = complete_y
         self.dims = {(x, y): int(dims.get((x, y), 0))
                      for x in range(X + 1) for y in range(Y + 1)}
         self.d_v = d_v
@@ -182,10 +176,7 @@ class BicomplexWindow:
                     raise NotAComplexError(f"square at {(x, y)} does not anticommute")
 
     def trusted_upper(self) -> int:
-        top = self.X + self.Y
-        limit_x = top if self.complete_x else self.X - 1
-        limit_y = top if self.complete_y else self.Y - 1
-        return min(limit_x, limit_y, top)
+        return self.Y - 1 if self.complete_x else min(self.X, self.Y) - 1
 
     def total_complex(self) -> tuple[ChainComplexWindow, dict[int, list[tuple[int, int, int, int]]]]:
         """Totalize; returns the chain window plus per-degree block tables.
@@ -234,80 +225,60 @@ class BicomplexWindow:
                 (tot_dims[n - 1], tot_dims[n]), self.modulus, rows, cols, vals)
 
         diffs = LazyDiffs(range(1, top + 1), build)
-        tot = ChainComplexWindow(0, top, tot_dims, diffs, self.modulus,
-                                 vlo=0, vhi=self.trusted_upper())
+        tot = ChainComplexWindow(top, tot_dims, diffs, self.modulus,
+                                 vhi=self.trusted_upper())
         return tot, blocks
 
 
 class IncreasingFiltration:
-    """Coordinate-mask filtration of a chain window.
+    """Filtration of a chain window by the level of each coordinate.
 
-    masks[l][n] is a boolean array over the degree-n basis. Levels form a
-    contiguous range; below the bottom the filtration is empty, from the
-    top on it is everything. `check` verifies nesting and the subcomplex
-    property.
+    level[n][i] is the level at which basis vector i of C_n enters, so
+    F_l C_n is spanned by the vectors of level <= l; the levels nest by
+    construction. They lie in levels = (lo, hi): below lo the filtration is
+    empty, from hi on it is everything. `check` verifies the range and the
+    subcomplex property.
     """
 
-    def __init__(self, carrier: ChainComplexWindow,
-                 masks: dict[int, dict[int, np.ndarray]]):
-        if not masks:
-            raise ShapeError("filtration needs at least one level")
+    def __init__(self, carrier: ChainComplexWindow, level: Mapping[int, np.ndarray],
+                 levels: tuple[int, int]):
         self.carrier = carrier
-        self.levels = sorted(masks)
-        self.masks = {
-            l: {n: np.asarray(masks[l].get(n, np.zeros(carrier.dim(n), dtype=bool)),
-                              dtype=bool)
-                for n in range(carrier.lo, carrier.hi + 1)}
-            for l in self.levels
-        }
+        self.level = {n: np.asarray(lev, dtype=np.int64) for n, lev in level.items()}
+        self.levels = levels
 
-    def mask(self, l: int, n: int) -> np.ndarray:
-        if n < self.carrier.lo or n > self.carrier.hi:
-            return np.zeros(0, dtype=bool)
-        if l < self.levels[0]:
-            return np.zeros(self.carrier.dim(n), dtype=bool)
-        if l > self.levels[-1]:
-            return np.ones(self.carrier.dim(n), dtype=bool)
-        return self.masks[l][n]
+    def at(self, n: int) -> np.ndarray:
+        """The levels of the degree-n basis; empty outside the carrier."""
+        return self.level.get(n, np.zeros(0, dtype=np.int64))
 
     def check(self) -> None:
         c = self.carrier
-        for n in range(c.lo, c.hi + 1):
-            for l in self.levels:
-                if self.masks[l][n].shape != (c.dim(n),):
-                    raise ShapeError(f"mask at level {l}, degree {n} has the wrong length")
-            for l in self.levels[:-1]:
-                if np.any(self.masks[l][n] & ~self.masks[l + 1][n]):
-                    raise ShapeError(f"filtration not nested at level {l}, degree {n}")
-            if not np.all(self.masks[self.levels[-1]][n]):
-                raise ShapeError(f"top level is not everything in degree {n}")
-        for n in range(c.lo + 1, c.hi + 1):
-            dmat = c.d(n)
-            for l in self.levels:
-                sub = dmat.restrict(rows=~self.mask(l, n - 1), cols=self.mask(l, n))
-                if not sub.is_zero():
-                    raise NotAComplexError(
-                        f"differential leaves level {l} at degree {n}")
+        lo, hi = self.levels
+        for n in range(c.hi + 1):
+            lev = self.at(n)
+            if lev.shape != (c.dim(n),):
+                raise ShapeError(f"degree {n} has {lev.size} levels for {c.dim(n)} coordinates")
+            if lev.size and (lev.min() < lo or lev.max() > hi):
+                raise ShapeError(f"a level in degree {n} lies outside [{lo}, {hi}]")
+        # F_l is a subcomplex for every l iff no entry of d_n maps a
+        # coordinate of level l into one of a higher level
+        for n in range(1, c.hi + 1):
+            coo = c.d(n).csc().tocoo()
+            src = self.at(n)[coo.col]
+            up = np.flatnonzero(self.at(n - 1)[coo.row] > src)
+            if up.size:
+                raise NotAComplexError(
+                    f"differential leaves level {src[up[0]]} at degree {n}")
 
 
-def filtration_by_columns(bicx: BicomplexWindow) -> tuple[ChainComplexWindow,
-                                                          dict[int, list[tuple[int, int, int, int]]],
-                                                          IncreasingFiltration]:
-    """Totalize and filter by horizontal position: level l keeps cells x <= l.
+def filtration_by_columns(bicx: BicomplexWindow) -> IncreasingFiltration:
+    """Totalize and filter by horizontal position: each coordinate's level is
+    the x of its cell, so level l keeps the cells x <= l.
 
     Both differentials only lower or preserve x, so each level is a
     subcomplex; the associated graded of level l is column l.
     """
     tot, blocks = bicx.total_complex()
-    masks: dict[int, dict[int, np.ndarray]] = {}
-    for l in range(bicx.X + 1):
-        level = {}
-        for n in range(tot.lo, tot.hi + 1):
-            m = np.zeros(tot.dim(n), dtype=bool)
-            for x, y, off, d in blocks[n]:
-                if x <= l:
-                    m[off:off + d] = True
-            level[n] = m
-        masks[l] = level
-    filt = IncreasingFiltration(tot, masks)
-    return tot, blocks, filt
+    level = {n: np.repeat(np.array([x for x, _, _, _ in table], dtype=np.int64),
+                          [d for _, _, _, d in table])
+             for n, table in blocks.items()}
+    return IncreasingFiltration(tot, level, (0, bicx.X))

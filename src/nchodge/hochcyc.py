@@ -44,7 +44,7 @@ import numpy as np
 
 from .algebra import BasisIdempotents, StructureConstantsAlgebra
 from .complexes import BicomplexWindow, ChainComplexWindow, LazyDiffs, filtration_by_columns
-from .conventions import SIGN_CONVENTION, cyclic_sign, face_sign
+from .conventions import cyclic_sign, face_sign
 from .errors import (InternalCheckError, ModulusError, NotAComplexError, ResourceError,
                      ShapeError, WindowError)
 from .modring import ModMatrix, induced_map_rank
@@ -478,8 +478,7 @@ def b_complex(cyc) -> ChainComplexWindow:
     """The b complex of a carrier, normalized or not."""
     dims = {n: cyc.dim(n) for n in range(cyc.N + 1)}
     diffs = {n: cyc.b(n) for n in range(1, cyc.N + 1)}
-    return ChainComplexWindow(0, cyc.N, dims, diffs, cyc.algebra.modulus,
-                              vlo=0, vhi=cyc.N - 1)
+    return ChainComplexWindow(cyc.N, dims, diffs, cyc.algebra.modulus)
 
 
 def hh_dims(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
@@ -501,9 +500,7 @@ def bB_bicomplex(cyc) -> BicomplexWindow:
     d_v = LazyDiffs([(x, y) for x, y in dims if y > x], lambda c: cyc.b(c[1] - c[0]))
     d_h = LazyDiffs([(x, y) for x, y in dims if x >= 1 and y - x < N],
                     lambda c: cyc.B(c[1] - c[0]))
-    return BicomplexWindow(N, N, dims, d_v, d_h, cyc.algebra.modulus,
-                           sign_tag=SIGN_CONVENTION, complete_x=True,
-                           complete_y=False)
+    return BicomplexWindow(N, N, dims, d_v, d_h, cyc.algebra.modulus, complete_x=True)
 
 
 def hc_dims(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
@@ -529,7 +526,6 @@ class SBIReport:
     spots: dict[int, dict[str, bool]] = field(default_factory=dict)
     complex_valid: bool = True
     exact: bool = False
-    sign_tag: str = SIGN_CONVENTION
 
 
 def sbi_check(a: StructureConstantsAlgebra, N: int, cap: int | None = None) -> SBIReport:
@@ -627,7 +623,6 @@ def sbi_ranks(cyc) -> SBIReport:
 
 @dataclass
 class HodgeSSReport:
-    p: int
     N: int
     window: tuple[int, int]
     e1: dict[tuple[int, int], int]
@@ -636,7 +631,6 @@ class HodgeSSReport:
     degenerate: bool
     pages_certified: bool
     page_tables: list | None
-    sign_tag: str = SIGN_CONVENTION
 
 
 def hodge_ss(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
@@ -646,9 +640,11 @@ def hodge_ss(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
     The first page in filtration degree l and total degree n is
     HH_{n - 2l}; the abutment is cyclic homology. The verdict compares
     dim HC_n with the sum of the first page along each antidiagonal, both
-    computed on the normalized mixed complex. Page tables from the generic
-    spectral sequence engine, on the unnormalized totalization, are
-    attached when pages_budget covers the coordinates of its levels.
+    computed on the normalized mixed complex. The abutment can never
+    exceed that sum; if it does the pipeline is broken and this raises.
+    Page tables from the generic spectral sequence engine, on the
+    unnormalized totalization, are attached when pages_budget covers the
+    coordinates of its levels.
     """
     if N < 2:
         raise WindowError("need N >= 2")
@@ -663,21 +659,22 @@ def hodge_ss(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
             e1[(l, n)] = hh[n - 2 * l]
             total += hh[n - 2 * l]
         sums[n] = total
+        if hc[n] > total:
+            raise InternalCheckError(
+                f"cyclic homology exceeds the Hodge stack in degree {n}: "
+                f"{hc[n]} > {total}")
     degenerate = all(hc[n] == sums[n] for n in range(0, N - 1))
     page_tables = None
-    certified = False
     # E_0 is chain level, so pages come from the unnormalized object
     tot_size = sum(a.dim ** (m + 1) for m in range(N + 1))
     if tot_size <= pages_budget:
         from .specseq import pages as ss_pages
 
         cyc = CyclicLevelMaps(a, N, cap=cap)
-        tot, blocks, filt = filtration_by_columns(bB_bicomplex(cyc))
-        page_tables = ss_pages(filt, r_max=r_max)
-        certified = True
+        page_tables = ss_pages(filtration_by_columns(bB_bicomplex(cyc)), r_max=r_max)
     return HodgeSSReport(
-        p=a.p, N=N, window=(0, N - 2), e1=e1, abutment=hc, hodge_sums=sums,
-        degenerate=degenerate, pages_certified=certified, page_tables=page_tables)
+        N=N, window=(0, N - 2), e1=e1, abutment=hc, hodge_sums=sums, degenerate=degenerate,
+        pages_certified=page_tables is not None, page_tables=page_tables)
 
 
 # ---------------- degeneration ledger ----------------
@@ -695,10 +692,8 @@ class LedgerRow:
 
 @dataclass
 class DegenerationLedger:
-    p: int
     N: int
     rows: list[LedgerRow] = field(default_factory=list)
-    sign_tag: str = SIGN_CONVENTION
 
     @property
     def degenerate(self) -> bool:
@@ -708,15 +703,9 @@ class DegenerationLedger:
 def hodge_ledger(a: StructureConstantsAlgebra, N: int,
                  cap: int | None = None) -> DegenerationLedger:
     """Per-degree view of the `hodge_ss` verdict: cyclic homology against
-    the stacked Hochschild dimensions. The abutment can never exceed the
-    stack; if it does the pipeline is broken and this raises."""
+    the stacked Hochschild dimensions, as `hodge_ss` certified them."""
     rep = hodge_ss(a, N, cap=cap, pages_budget=0)
-    ledger = DegenerationLedger(p=a.p, N=N)
+    ledger = DegenerationLedger(N=N)
     for n, total in sorted(rep.hodge_sums.items()):
-        hc = rep.abutment[n]
-        if hc > total:
-            raise InternalCheckError(
-                f"cyclic homology exceeds the Hodge stack in degree {n}: "
-                f"{hc} > {total}")
-        ledger.rows.append(LedgerRow(degree=n, hc=hc, hodge_sum=total))
+        ledger.rows.append(LedgerRow(degree=n, hc=rep.abutment[n], hodge_sum=total))
     return ledger

@@ -295,7 +295,7 @@ class ModMatrix:
 
     def restrict(self, rows: np.ndarray | None = None,
                  cols: np.ndarray | None = None) -> "ModMatrix":
-        """Submatrix on the given index arrays (or boolean masks)."""
+        """Submatrix on the given index arrays (or boolean selectors)."""
         mat = self._csc
         if rows is not None:
             rows = np.asarray(rows)

@@ -5,21 +5,22 @@ The pages are those of
     Z_r(l, n) = { x in F_l C_n : dx in F_{l-r} C_{n-1} },
     E_r(l, n) = Z_r(l, n) / ( Z_{r-1}(l-1, n) + d Z_{r-1}(l+r-1, n+1) ),
 
-with Z_{-1} read as Z_0, read off one persistence pairing per degree. A
-basis vector of C_n has level l if it first enters F_l. Reducing d_n with
-rows and columns in level order (the standard persistence algorithm;
-Zomorodian and Carlsson, DCG 33, 2005) pairs pivot rows sigma of C_{n-1}
-with columns tau of C_n; the pair is a rank-one d_g, g = level(tau) -
-level(sigma), and both ends are gone from page g + 1 on (Basu and Parida,
-Expo. Math. 35, 2017). So dim E_r(l, n) counts the degree-n vectors at
-level l that are unpaired or paired with gap >= r, and the rank of d_r out
-of (l, n) counts the degree-n columns at level l with gap r.
+with Z_{-1} read as Z_0, read off one persistence pairing per degree. The
+filtration gives each basis vector of C_n its level, the l at which it
+first enters F_l. Reducing d_n with rows and columns in level order (the
+standard persistence algorithm; Zomorodian and Carlsson, DCG 33, 2005)
+pairs pivot rows sigma of C_{n-1} with columns tau of C_n; the pair is a
+rank-one d_g, g = level(tau) - level(sigma), and both ends are gone from
+page g + 1 on (Basu and Parida, Expo. Math. 35, 2017). So dim E_r(l, n)
+counts the degree-n vectors at level l that are unpaired or paired with
+gap >= r, and the rank of d_r out of (l, n) counts the degree-n columns at
+level l with gap r.
 
 Certification discipline: entries are reported only for total degrees
 where every chain group a page differential could touch lies inside the
-stored window. All pages move total degree by one, so with a genuine
-bottom at the carrier's vlo that window is [vlo, vhi]; differential ranks
-are additionally available from sources one degree above it.
+stored window. All pages move total degree by one and the carrier starts
+at a genuine bottom, degree 0, so that window is [0, vhi]; differential
+ranks are additionally available from sources one degree above it.
 
 Checked on every call, apart from the pairing: every page transition,
 
@@ -52,7 +53,6 @@ class SSPage:
     table: dict[tuple[int, int], int]
     d_ranks: dict[tuple[int, int], int]
     window: tuple[int, int]
-    level_range: tuple[int, int]
 
     def dim(self, l: int, n: int) -> int:
         return self.table.get((l, n), 0)
@@ -100,17 +100,14 @@ def _check_first_page(filt: IncreasingFiltration, e1: SSPage) -> None:
     on the diagonal blocks of d."""
     c = filt.carrier
 
-    def piece(l: int, n: int) -> np.ndarray:
-        return filt.mask(l, n) & ~filt.mask(l - 1, n)
-
     @cache
     def block_rank(l: int, n: int) -> int:
-        if not c.lo < n <= c.hi:
+        if not 0 < n <= c.hi:
             return 0
-        return rank_fp(c.d(n).restrict(piece(l, n - 1), piece(l, n)))
+        return rank_fp(c.d(n).restrict(filt.at(n - 1) == l, filt.at(n) == l))
 
     for (l, n), dim in e1.table.items():
-        want = int(np.count_nonzero(piece(l, n))) - block_rank(l, n) - block_rank(l, n + 1)
+        want = int(np.count_nonzero(filt.at(n) == l)) - block_rank(l, n) - block_rank(l, n + 1)
         if dim != want:
             raise InternalCheckError(
                 f"page 1 entry ({l}, {n}) has dim {dim}, the homology of "
@@ -128,17 +125,16 @@ def pages(filt: IncreasingFiltration, r_max: int = 3) -> list[SSPage]:
     if r_max < 0:
         raise WindowError("need r_max >= 0")
     c = filt.carrier
-    lmin, lmax = filt.levels[0], filt.levels[-1]
-    degs = list(range(c.vlo, c.vhi + 1))
-    # per degree, from vlo - 1 (rows of d_vlo) to vhi + 1 (sources of the last
-    # reported ranks): each vector's level, the gap of its pair (r_max + 1 if
-    # unpaired, which outlives every page) and, on a column, its pair's gap
-    near = range(c.vlo - 1, c.vhi + 2)
-    lev = {n: lmax - sum((filt.mask(l, n) for l in filt.levels[:-1]),
-                         np.zeros(c.dim(n), dtype=np.int64)) for n in near}
+    lmin, lmax = filt.levels
+    degs = list(range(c.vhi + 1))
+    # per degree, from 0 to vhi + 1 (sources of the last reported ranks): each
+    # vector's level, the gap of its pair (r_max + 1 if unpaired, which
+    # outlives every page) and, on a column, its pair's gap
+    near = range(c.vhi + 2)
+    lev = {n: filt.at(n) for n in near}
     alive = {n: np.full(lev[n].shape, r_max + 1) for n in near}
     head = {n: np.full(lev[n].shape, -1) for n in near}
-    reduced = range(max(c.lo + 1, c.vlo), min(c.hi, c.vhi + 1) + 1)
+    reduced = range(1, min(c.hi, c.vhi + 1) + 1)
     for n, (sigma, tau, gap) in _pairing(filt, lev, reduced).items():
         alive[n - 1][sigma] = alive[n][tau] = head[n][tau] = gap
     out: list[SSPage] = []
@@ -147,8 +143,7 @@ def pages(filt: IncreasingFiltration, r_max: int = 3) -> list[SSPage]:
                  for n in degs for l in range(lmin, lmax + 1)}
         d_ranks = {(l, n): int(np.count_nonzero((lev[n] == l) & (head[n] == r)))
                    for n in degs + [c.vhi + 1] for l in range(lmin, lmax + r + 1)}
-        page = SSPage(r=r, table=table, d_ranks=d_ranks,
-                      window=(c.vlo, c.vhi), level_range=(lmin, lmax))
+        page = SSPage(r=r, table=table, d_ranks=d_ranks, window=(0, c.vhi))
         if out:
             prev = out[-1]
             for (l, n), dim_now in table.items():
@@ -161,7 +156,7 @@ def pages(filt: IncreasingFiltration, r_max: int = 3) -> list[SSPage]:
         out.append(page)
     if r_max >= 1:
         _check_first_page(filt, out[1])
-    abutment_check(filt, pgs=out)
+    abutment_check(filt, out)
     return out
 
 
@@ -181,14 +176,10 @@ class AbutmentReport:
     per_degree: dict[int, tuple[int, int]] = field(default_factory=dict)
 
 
-def abutment_check(filt: IncreasingFiltration,
-                   pgs: list[SSPage] | None = None,
-                   r_max: int | None = None) -> AbutmentReport:
+def abutment_check(filt: IncreasingFiltration, pgs: list[SSPage]) -> AbutmentReport:
     """Compare the last computed page's antidiagonal sums with the homology
     of the carrier. Sums can only overshoot on a non-final page; a strict
     undershoot means the machinery is broken and raises."""
-    if pgs is None:
-        pgs = pages(filt, r_max=span_length(filt) + 1 if r_max is None else r_max)
     last = pgs[-1]
     final = last.r >= span_length(filt) + 1
     per = {}

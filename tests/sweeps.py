@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from nchodge.cartier import PCyclicLevels
 from nchodge.complexes import BicomplexWindow
-from nchodge.conventions import SIGN_CONVENTION, cyclic_sign
+from nchodge.conventions import cyclic_sign
 from nchodge.hochcyc import (CyclicLevelMaps, degeneracy_matrix, face_matrix, hc_dims,
                              rotation_matrix)
 from nchodge.modring import ModMatrix
@@ -203,7 +203,7 @@ def two_column_bicomplex(cyc, L: int) -> BicomplexWindow:
                 d_v[(x, y)] = cyc.b(y) if x % 2 == 0 else neg_bprime[y]
             if x >= 1:
                 d_h[(x, y)] = one_minus_t[y] if x % 2 == 1 else cyc.norm(y)
-    bicx = BicomplexWindow(L, N, dims, d_v, d_h, mod, sign_tag=SIGN_CONVENTION)
+    bicx = BicomplexWindow(L, N, dims, d_v, d_h, mod)
     bicx.check_squares()
     return bicx
 

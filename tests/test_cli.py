@@ -350,3 +350,66 @@ def test_no_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("hc", "group-z4", "-N", "6"), 0),
+    (("hodge", "dual-numbers"), 1),
+])
+def test_closed_stdout_exits_quietly_with_the_earned_code(argv, code):
+    # a reader that left before the payload was written, as in `| head -c 0`
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nchodge
+
+    src = str(Path(nchodge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from nchodge.cli import main; sys.exit(main())",
+             *argv, "--format", "json", "--quiet"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write)
+    assert proc.returncode == code
+    assert proc.stderr == b""
+
+
+# sha256 of whole `--format json` payloads with page tables: a change to any
+# page entry or differential rank must be deliberate and update these
+PINNED_PAGE_PAYLOADS = {
+    "dual-numbers": (1, "06a228e9b41fcb0ef14536cca946ab38e5fbb0733dfe92d452c0ca1496f5452c"),
+    "upper-tri-2": (0, "b1e75f1c1e342ff9d1afb18a467f8ce34154fbb4208182546da2563473ec82cb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PAGE_PAYLOADS))
+def test_hodge_page_payload_bytes_are_pinned(capsys, name):
+    import hashlib
+
+    rc, out, _ = run(capsys, "hodge", name, "-N", "4", "--pages", "--format", "json", "--quiet")
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == PINNED_PAGE_PAYLOADS[name]
+
+
+def test_hodge_certifies_that_cyclic_homology_stays_under_the_stack(capsys, monkeypatch):
+    from nchodge import hochcyc
+
+    real = hochcyc.hc_dims
+
+    def one_too_many(*args, **kwargs):
+        dims = real(*args, **kwargs)
+        dims[2] += 1
+        return dims
+
+    rc, _, err = run(capsys, "hodge", "ground-field", "--quiet")
+    assert rc == 0
+    monkeypatch.setattr(hochcyc, "hc_dims", one_too_many)
+    for command in ("hodge", "ledger"):
+        rc, _, err = run(capsys, command, "ground-field", "--quiet")
+        assert rc == 1
+        assert "exceeds the Hodge stack in degree 2: 2 > 1" in err

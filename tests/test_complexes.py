@@ -33,7 +33,7 @@ def three_term(p=5):
     # 0 -> F --(0,1)^T--> F^2 --(1,0)--> F -> 0 : exact in the middle
     d1 = ModMatrix.from_dense([[1, 0]], p)
     d2 = ModMatrix.from_dense([[0], [1]], p)
-    c = ChainComplexWindow(0, 2, {0: 1, 1: 2, 2: 1}, {1: d1, 2: d2}, p, vhi=2)
+    c = ChainComplexWindow(2, {0: 1, 1: 2, 2: 1}, {1: d1, 2: d2}, p, vhi=2)
     c.check_differentials()
     return c
 
@@ -47,11 +47,11 @@ def test_chain_window_homology():
 def test_chain_window_guards():
     p = 3
     with pytest.raises(NotAComplexError):
-        ChainComplexWindow(0, 2, {0: 1, 1: 1, 2: 1},
+        ChainComplexWindow(2, {0: 1, 1: 1, 2: 1},
                            {1: ModMatrix.identity(1, p), 2: ModMatrix.identity(1, p)},
                            p).check_differentials()
     with pytest.raises(ShapeError):
-        ChainComplexWindow(0, 1, {0: 2, 1: 1}, {1: ModMatrix.identity(1, p)},
+        ChainComplexWindow(1, {0: 2, 1: 1}, {1: ModMatrix.identity(1, p)},
                            p).check_differentials()
     c = three_term()
     with pytest.raises(WindowError):
@@ -60,7 +60,7 @@ def test_chain_window_guards():
 
 def test_default_window_excludes_top():
     p = 3
-    c = ChainComplexWindow(0, 2, {0: 1, 1: 1, 2: 1},
+    c = ChainComplexWindow(2, {0: 1, 1: 1, 2: 1},
                            {1: ModMatrix.zeros(1, 1, p), 2: ModMatrix.zeros(1, 1, p)}, p)
     c.check_differentials()
     assert c.vhi == 1
@@ -69,13 +69,13 @@ def test_default_window_excludes_top():
 
 
 def square_bicomplex(p=3):
-    # Koszul square for two commuting ids with a sign: anticommutes
+    # Koszul square for two commuting ids with a sign: anticommutes; the
+    # empty rows y = 2, 3 make the window complete upwards through degree 2
     one = ModMatrix.identity(1, p)
     dims = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
     d_v = {(0, 1): one, (1, 1): -one}
     d_h = {(1, 0): one, (1, 1): one}
-    bicx = BicomplexWindow(1, 1, dims, d_v, d_h, p, sign_tag="test",
-                           complete_x=True, complete_y=True)
+    bicx = BicomplexWindow(1, 3, dims, d_v, d_h, p, complete_x=True)
     bicx.check_squares()
     return bicx
 
@@ -84,7 +84,7 @@ def test_bicomplex_total_homology():
     bicx = square_bicomplex()
     tot, blocks = bicx.total_complex()
     assert [tot.dim(n) for n in range(0, 3)] == [1, 2, 1]
-    assert tot.homology_dims(range(0, 3)) == {0: 0, 1: 0, 2: 0}
+    assert tot.homology_dims() == {0: 0, 1: 0, 2: 0}
     assert blocks[1] == [(0, 1, 0, 1), (1, 0, 1, 1)]
 
 
@@ -95,14 +95,13 @@ def test_bicomplex_rejects_commuting_square():
     d_v = {(0, 1): one, (1, 1): one}
     d_h = {(1, 0): one, (1, 1): one}
     with pytest.raises(NotAComplexError):
-        BicomplexWindow(1, 1, dims, d_v, d_h, p, sign_tag="test").check_squares()
+        BicomplexWindow(1, 1, dims, d_v, d_h, p).check_squares()
 
 
 def test_bicomplex_trusted_window_shrinks_without_completeness():
     bicx = square_bicomplex()
     assert bicx.trusted_upper() == 2
-    open_bicx = BicomplexWindow(1, 1, bicx.dims, bicx.d_v, bicx.d_h, 3,
-                                sign_tag="test")
+    open_bicx = BicomplexWindow(1, 1, bicx.dims, bicx.d_v, bicx.d_h, 3)
     open_bicx.check_squares()
     assert open_bicx.trusted_upper() == 0
     tot, _ = open_bicx.total_complex()
@@ -110,29 +109,35 @@ def test_bicomplex_trusted_window_shrinks_without_completeness():
         tot.homology_dim(1)
 
 
-def test_column_filtration_masks_and_subcomplex():
+def test_column_filtration_levels_and_subcomplex():
     bicx = square_bicomplex()
-    tot, blocks, filt = filtration_by_columns(bicx)
+    filt = filtration_by_columns(bicx)
     filt.check()
-    assert filt.levels == [0, 1]
-    # level 0 keeps only the x = 0 cells
-    m1 = filt.mask(0, 1)
-    assert m1.tolist() == [True, False]
-    assert filt.mask(-1, 1).tolist() == [False, False]
-    assert filt.mask(5, 1).tolist() == [True, True]
+    assert filt.levels == (0, 1)
+    # each coordinate sits at the x of its cell: level 0 keeps only x = 0
+    assert filt.at(1).tolist() == [0, 1]
+    assert [filt.at(n).tolist() for n in (0, 2, 3)] == [[0], [1], []]
+    assert filt.at(-1).size == filt.at(5).size == 0
 
 
 def test_filtration_rejects_non_subcomplex():
     p = 3
     d1 = ModMatrix.identity(2, p)
-    c = ChainComplexWindow(0, 1, {0: 2, 1: 2}, {1: d1}, p)
+    c = ChainComplexWindow(1, {0: 2, 1: 2}, {1: d1}, p)
     c.check_differentials()
-    masks = {
-        0: {0: np.array([True, False]), 1: np.array([False, True])},
-        1: {0: np.array([True, True]), 1: np.array([True, True])},
-    }
-    with pytest.raises(NotAComplexError):
-        IncreasingFiltration(c, masks).check()
+    # d_1 maps the level-0 vector of degree 1 onto the level-1 vector of degree 0
+    with pytest.raises(NotAComplexError, match="leaves level 0 at degree 1"):
+        IncreasingFiltration(c, {0: [0, 1], 1: [1, 0]}, (0, 1)).check()
+    IncreasingFiltration(c, {0: [0, 1], 1: [0, 1]}, (0, 1)).check()
+
+
+def test_filtration_rejects_levels_outside_its_range_or_basis():
+    p = 3
+    c = ChainComplexWindow(1, {0: 2, 1: 2}, {1: ModMatrix.identity(2, p)}, p)
+    with pytest.raises(ShapeError, match="outside"):
+        IncreasingFiltration(c, {0: [0, 2], 1: [0, 2]}, (0, 1)).check()
+    with pytest.raises(ShapeError, match="degree 1"):
+        IncreasingFiltration(c, {0: [0, 1], 1: [0]}, (0, 1)).check()
 
 
 # ---------------- totalization on demand ----------------
@@ -240,7 +245,7 @@ def test_cleared_ranks_equal_uncleared_ranks(p, sparse_only, monkeypatch):
     for name in corpus_names():
         for kind, c in cleared_complexes(build(name, p)):
             c.homology_dims()  # increasing degrees: each rank clears the next
-            for n in range(c.vlo, c.vhi + 2):
+            for n in range(c.vhi + 2):
                 d = c.d(n)
                 assert d.rank() == real(d), (name, kind, n)
     assert {"hh", "hc"} <= set(cleared)
@@ -310,8 +315,7 @@ def test_square_check_covers_the_last_column():
     good = conjugate_bicomplex(pcyc, L)
 
     def rebuilt(d_v, d_h):
-        BicomplexWindow(L, pcyc.N, good.dims, d_v, d_h, 3,
-                        sign_tag=good.sign_tag).check_squares()
+        BicomplexWindow(L, pcyc.N, good.dims, d_v, d_h, 3).check_squares()
 
     rebuilt(good.d_v, {k: m + ModMatrix.zeros(*m.shape, 3) for k, m in good.d_h.items()})
     for y in range(pcyc.N + 1):
@@ -338,7 +342,7 @@ def test_lazy_diffs_build_once_and_never_read_a_failure_as_zero():
     assert list(diffs) == [1, 2] and len(diffs) == 2
     assert 1 in diffs and 3 not in diffs
     assert built == []
-    c = ChainComplexWindow(0, 2, {0: 1, 1: 1, 2: 1}, diffs, 3)
+    c = ChainComplexWindow(2, {0: 1, 1: 1, 2: 1}, diffs, 3)
     assert c.diffs is diffs
     assert c.d(1) is c.d(1) and built == [1]
     assert c.d(3).shape == (1, 0) and built == [1]
@@ -360,7 +364,7 @@ def test_a_failing_cell_build_propagates_from_the_totalization():
         raise KeyError(f"lost block {cell}")
 
     bicx = BicomplexWindow(1, 1, dims, {(0, 1): one, (1, 1): -one},
-                           LazyDiffs([(1, 0), (1, 1)], lost), p, sign_tag="test")
+                           LazyDiffs([(1, 0), (1, 1)], lost), p)
     tot, _ = bicx.total_complex()
     with pytest.raises(KeyError, match="lost block"):
         tot.d(1)
@@ -371,7 +375,7 @@ def test_conjugate_totalization_builds_no_unread_norm():
     # read degrees only through its boundary, never through 1 - sigma or N
     pcyc = PCyclicLevels(build("dual-numbers", 3), 2)
     tot, _ = conjugate_bicomplex(pcyc, 6).total_complex()
-    assert (tot.vlo, tot.vhi) == (0, 1)
+    assert tot.vhi == 1
     tot.homology_dims()
     act = pcyc.action(2)
     assert act._norm is None and act._one_minus is None

@@ -140,8 +140,8 @@ def test_hh_product_adds():
 def test_bprime_complex_is_acyclic():
     for name in ("dual-numbers", "upper-tri-2"):
         cyc = CyclicLevelMaps(build(name, 3), 4)
-        c = ChainComplexWindow(0, 4, {n: cyc.dim(n) for n in range(5)},
-                               {n: cyc.bprime(n) for n in range(1, 5)}, 3, vlo=0, vhi=3)
+        c = ChainComplexWindow(4, {n: cyc.dim(n) for n in range(5)},
+                               {n: cyc.bprime(n) for n in range(1, 5)}, 3, vhi=3)
         c.check_differentials()
         assert c.homology_dims() == {n: 0 for n in range(4)}
 

@@ -18,13 +18,9 @@ from nchodge.specseq import abutment_check, pages, span_length
 
 def two_step_filtration(p=3):
     # 0 -> F --id--> F -> 0, filtered by (degree-0 line) inside (everything)
-    c = ChainComplexWindow(0, 1, {0: 1, 1: 1}, {1: ModMatrix.identity(1, p)}, p, vhi=1)
+    c = ChainComplexWindow(1, {0: 1, 1: 1}, {1: ModMatrix.identity(1, p)}, p, vhi=1)
     c.check_differentials()
-    masks = {
-        0: {0: np.array([True]), 1: np.array([False])},
-        1: {0: np.array([True]), 1: np.array([True])},
-    }
-    filt = IncreasingFiltration(c, masks)
+    filt = IncreasingFiltration(c, {0: [0], 1: [1]}, (0, 1))
     filt.check()
     return filt
 
@@ -52,9 +48,7 @@ def test_page_bookkeeping_externally():
 
 
 def hodge_filtration(name, N, p=3):
-    cyc = CyclicLevelMaps(build(name, p), N)
-    tot, blocks, filt = filtration_by_columns(bB_bicomplex(cyc))
-    return filt
+    return filtration_by_columns(bB_bicomplex(CyclicLevelMaps(build(name, p), N)))
 
 
 def uncached_page(filt, r):
@@ -64,10 +58,10 @@ def uncached_page(filt, r):
 
     def z(r, l, n):
         empty = ModMatrix.zeros(c.dim(n), 0, c.modulus)
-        src = filt.mask(l, n)
-        if n < c.lo or n > c.hi or not src.any():
+        src = filt.at(n) <= l
+        if n < 0 or n > c.hi or not src.any():
             return empty
-        sub = c.d(n).restrict(~filt.mask(l - max(r, 0), n - 1), src)
+        sub = c.d(n).restrict(filt.at(n - 1) > l - max(r, 0), src)
         incl = ModMatrix.from_index_map(np.nonzero(src)[0], c.dim(n), c.modulus)
         return incl @ kernel_basis_fp(sub)
 
@@ -77,7 +71,7 @@ def uncached_page(filt, r):
         return hstack([z(r - 1, l - 1, n), arrived])
 
     lmin, lmax = filt.levels[0], filt.levels[-1]
-    degs = range(c.vlo, c.vhi + 1)
+    degs = range(c.vhi + 1)
     table = {(l, n): z(r, l, n).shape[1] and z(r, l, n).shape[1] - rank_fp(denom(r, l, n))
              for n in degs for l in range(lmin, lmax + 1)}
     d_ranks = {}
@@ -148,11 +142,10 @@ def elementary_filtration(p, top, nlev, pairs, singles, seed):
                 d[m][:, j] = (d[m][:, j] + c * d[m][:, i]) % p
             if m < top:
                 d[m + 1][i, :] = (d[m + 1][i, :] - c * d[m + 1][j, :]) % p
-    carrier = ChainComplexWindow(0, top, {n: len(cells[n]) for n in cells},
+    carrier = ChainComplexWindow(top, {n: len(cells[n]) for n in cells},
                                  {n: ModMatrix.from_dense(d[n], p) for n in d}, p, vhi=top)
     carrier.check_differentials()
-    masks = {l: {n: level[n] <= l for n in cells} for l in range(nlev)}
-    filt = IncreasingFiltration(carrier, masks)
+    filt = IncreasingFiltration(carrier, level, (0, nlev - 1))
     filt.check()
     return filt
 
