@@ -2,14 +2,17 @@
 within a time budget, cold, one child process per run.
 
     python3 scripts/reach.py --src src --budget 20 > reach.json
+    python3 scripts/reach.py --command conjugate --command edgewise-check
 
 For each row, N doubles from its smallest valid value while the run
 finishes (exit 0, or 1 for a flagged finding) within the budget, then a
 bisection finds the largest such N, assuming that a run that fails at N
 also fails above it. The first N that fails is reported with its outcome:
-"timeout", or "exit 3" when the cap refuses it. Each row also gives the
-cap estimate of the normalized mixed complex at the reached N against the
-entries of b and B actually built there.
+"timeout", or "exit 3" when the cap refuses it. The reached N comes with
+its time and the peak RSS of its process. Each row also gives the cap
+estimate at the reached N against the entries actually built there: of b
+and B of the normalized mixed complex, or of the subdivided b for the
+conjugate route (`conjugate`, `edgewise-check`).
 """
 
 from __future__ import annotations
@@ -22,34 +25,55 @@ import sys
 import time
 
 ROWS = [("sbi", "m2", 6), ("hc", "kronecker", 2), ("ledger", "product-dual-upper", 2),
-        ("hh", "product-ground-m2", 1), ("hh", "group-z4", 1)]
+        ("hh", "product-ground-m2", 1), ("hh", "group-z4", 1),
+        ("conjugate", "dual-numbers", 1), ("conjugate", "trunc-poly-3", 1),
+        ("edgewise-check", "dual-numbers", 1)]
+
+SUBDIVIDED = ("conjugate", "edgewise-check")
 
 BUILT = """
 import sys
+from nchodge.cartier import PCyclicLevels, estimate_sd_entries
 from nchodge.corpus import build
 from nchodge.hochcyc import NormalizedMixedComplex, estimate_normalized_entries
 a, N = build(sys.argv[1], 3), int(sys.argv[2])
-nc = NormalizedMixedComplex(a, N)
-built = sum(nc.b(n).nnz for n in range(1, N + 1)) + sum(nc.B(n).nnz for n in range(N))
-print(estimate_normalized_entries(a, N), built)
+if sys.argv[3] == "subdivided":
+    pcyc = PCyclicLevels(a, N)
+    print(estimate_sd_entries(a, N), sum(pcyc.b(n).nnz for n in range(1, N + 1)))
+else:
+    nc = NormalizedMixedComplex(a, N)
+    built = sum(nc.b(n).nnz for n in range(1, N + 1)) + sum(nc.B(n).nnz for n in range(N))
+    print(estimate_normalized_entries(a, N), built)
+"""
+
+# runs the command line and prints its peak RSS in KiB as the last line of stderr
+CHILD = """
+import resource, sys
+from nchodge.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
 """
 
 
 def run(src: str, argv: list[str], budget: float):
+    """(outcome, seconds, peak RSS in MB or None) of one cold run."""
     env = {**os.environ, "PYTHONPATH": src}
     t0 = time.perf_counter()
     try:
-        proc = subprocess.run([sys.executable, "-m", "nchodge.cli", *argv, "--quiet",
+        proc = subprocess.run([sys.executable, "-c", CHILD, *argv, "--quiet",
                                "--format", "json"], env=env, capture_output=True,
                               timeout=budget)
     except subprocess.TimeoutExpired:
-        return "timeout", budget
+        return "timeout", budget, None
     seconds = time.perf_counter() - t0
-    return ("ok" if proc.returncode in (0, 1) else f"exit {proc.returncode}"), seconds
+    tail = proc.stderr.split()[-1:]
+    rss = round(int(tail[0]) / 1024, 1) if tail and tail[0].isdigit() else None
+    return ("ok" if proc.returncode in (0, 1) else f"exit {proc.returncode}"), seconds, rss
 
 
 def reach(src: str, command: str, algebra: str, lo: int, budget: float) -> dict:
-    tried: dict[int, tuple[str, float]] = {}
+    tried: dict[int, tuple[str, float, float | None]] = {}
 
     def ok(N: int) -> bool:
         tried[N] = run(src, [command, algebra, "-N", str(N)], budget)
@@ -63,9 +87,11 @@ def reach(src: str, command: str, algebra: str, lo: int, budget: float) -> dict:
         good, bad = (mid, bad) if ok(mid) else (good, mid)
     row = {"command": f"{command} {algebra}", "largest_N": good,
            "seconds": None if good is None else round(tried[good][1], 3),
+           "peak_rss_mb": None if good is None else tried[good][2],
            "first_failing_N": bad, "failure": tried[bad][0]}
     if good is not None:
-        out = subprocess.run([sys.executable, "-c", BUILT, algebra, str(good)],
+        kind = "subdivided" if command in SUBDIVIDED else "normalized"
+        out = subprocess.run([sys.executable, "-c", BUILT, algebra, str(good), kind],
                              env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, check=True)
         row["estimate"], row["built"] = (int(x) for x in out.stdout.split())
@@ -76,8 +102,11 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default="src", help="the source tree to run")
     ap.add_argument("--budget", type=float, default=20.0, help="seconds per run")
+    ap.add_argument("--command", action="append",
+                    help="only the rows of this command (repeatable); default all rows")
     args = ap.parse_args()
-    rows = [reach(args.src, *row, args.budget) for row in ROWS]
+    rows = [reach(args.src, *row, args.budget) for row in ROWS
+            if args.command is None or row[0] in args.command]
     print(json.dumps(rows, indent=1))
 
 

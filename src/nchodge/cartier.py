@@ -51,7 +51,8 @@ from .hochcyc import (
     hh_dims,
     rotation_matrix,
 )
-from .modring import ModMatrix, hstack, is_prime, kron_power, matmul_mod, rank_fp, solve_fp
+from .modring import (ModMatrix, hstack, is_prime, kron_power, kron_power_arrays, matmul_mod,
+                      rank_fp, solve_fp)
 
 
 # ---------------- Z/p actions ----------------
@@ -224,12 +225,16 @@ def vdagger(act: ZpModuleAction) -> VDaggerReport:
 
 # ---------------- repeated-word comparison map ----------------
 
+def repeated_words(dim: int, n: int, p: int) -> np.ndarray:
+    """The index of the p-fold repetition of each level-n word, in order."""
+    D = dim ** (n + 1)
+    spread = (D ** p - 1) // (D - 1) if D > 1 else p
+    return np.arange(D, dtype=np.int64) * spread
+
+
 def iota_matrix(dim: int, n: int, p: int, modulus: int) -> ModMatrix:
     """Monomial map sending a level-n word to its p-fold repetition."""
-    D = dim ** (n + 1)
-    cols = np.arange(D, dtype=np.int64)
-    spread = (D ** p - 1) // (D - 1) if D > 1 else p
-    return ModMatrix.from_index_map(cols * spread, dim ** (p * (n + 1)), modulus)
+    return ModMatrix.from_index_map(repeated_words(dim, n, p), dim ** (p * (n + 1)), modulus)
 
 
 def _tensor_power_vec(x: np.ndarray, p: int, modulus: int) -> np.ndarray:
@@ -365,10 +370,13 @@ class PCyclicLevels:
 
     Matrices are built lazily; level n words have p(n + 1) digits, so the
     constructor only guards the estimated footprint. Face i < n and each
-    degeneracy is the p-th Kronecker power of the ordinary one at level n;
-    the wrap face is face 0 after the one-step rotation. The conjugate route
-    reads the boundary b, the block rotation as a Z/p action and the
-    repeated-word inclusion; `edgewise-check` reads b alone.
+    degeneracy is the p-th Kronecker power of the ordinary one at level n,
+    its entries written by digit arithmetic (`kron_power_arrays`); the wrap
+    face is face 0 after the one-step rotation, its columns relabelled.
+    b(n) is one construction from the signed entries of all its faces, and
+    keeps none of them; `face` builds and caches one face for `bprime`.
+    The conjugate route reads b, the block rotation as a Z/p action and the
+    repeated words; `edgewise-check` reads b alone.
     """
 
     def __init__(self, a: StructureConstantsAlgebra, N: int,
@@ -408,12 +416,22 @@ class PCyclicLevels:
             raise WindowError(f"no face ({n}, {i}) in the window")
         key = (n, i)
         if key not in self._faces:
-            if i < n:
-                self._faces[key] = kron_power(face_matrix(self.algebra, n, i), self.p)
-            else:  # face 0 after the one-step rotation, as a column gather
-                rot = rotation_matrix(self.algebra.dim, self.p * (n + 1) - 1, self.algebra.modulus)
-                self._faces[key] = self.face(n, 0).restrict(cols=rot.csc().indices)
+            shape = (self.dim(n - 1), self.dim(n))
+            self._faces[key] = ModMatrix.from_arrays(shape, self.algebra.modulus,
+                                                     *self._face_arrays(n, i))
         return self._faces[key]
+
+    def _face_arrays(self, n: int, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """COO arrays of face (n, i): the p-th Kronecker power of the
+        ordinary face for i < n; for the wrap face, those of face 0 with
+        each column c moved to rho^-1(c), as the wrap face is face 0 after
+        the one-step rotation rho."""
+        rows, cols, vals = kron_power_arrays(face_matrix(self.algebra, n, 0 if i == n else i),
+                                             self.p)
+        if i == n:  # rho^-1 moves the first digit to the end
+            d = self.algebra.dim
+            cols = cols // d + cols % d * d ** (self.p * (n + 1) - 1)
+        return rows, cols, vals
 
     def degeneracy(self, n: int, i: int) -> ModMatrix:
         if not (0 <= n < self.N) or not (0 <= i <= n):
@@ -439,12 +457,15 @@ class PCyclicLevels:
         return self._actions[n]
 
     def b(self, n: int) -> ModMatrix:
+        """The alternating sum of the faces, one construction from their
+        concatenated arrays (duplicates are summed); no face is kept."""
         if n not in self._b:
-            total = self.face(n, 0)
-            for i in range(1, n + 1):
-                step = self.face(n, i)
-                total = total + step if i % 2 == 0 else total - step
-            self._b[n] = total
+            parts = [self._face_arrays(n, i) for i in range(n + 1)]
+            vals = [v if i % 2 == 0 else -v for i, (_, _, v) in enumerate(parts)]
+            self._b[n] = ModMatrix.from_arrays(
+                (self.dim(n - 1), self.dim(n)), self.algebra.modulus,
+                np.concatenate([r for r, _, _ in parts]),
+                np.concatenate([c for _, c, _ in parts]), np.concatenate(vals))
         return self._b[n]
 
     def bprime(self, n: int) -> ModMatrix:
@@ -466,9 +487,6 @@ class PCyclicLevels:
                 total = total + cur
             self._norm[n] = total
         return self._norm[n]
-
-    def fixed_inclusion(self, n: int) -> ModMatrix:
-        return iota_matrix(self.algebra.dim, n, self.p, self.algebra.modulus)
 
 
 @dataclass
@@ -535,7 +553,8 @@ def certify_conjugate_squares(pcyc: PCyclicLevels, L: int) -> None:
 
 
 def _fixed_reduced_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:
-    """The subdivided boundary squeezed onto the repeated-word coordinates.
+    """The subdivided boundary squeezed onto the repeated-word coordinates,
+    a gather of its rows and columns at the p-fold repetitions.
 
     This must coincide with the ordinary boundary of the algebra: the
     comparison map is monomial and Fermat collapses the coefficient
@@ -546,9 +565,8 @@ def _fixed_reduced_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:
     dims = {n: a.dim ** (n + 1) for n in range(pcyc.N + 1)}
     diffs = {}
     for n in range(1, pcyc.N + 1):
-        p_fix = pcyc.fixed_inclusion(n - 1).T
-        e_fix = pcyc.fixed_inclusion(n)
-        beta = p_fix @ pcyc.b(n) @ e_fix
+        beta = pcyc.b(n).restrict(rows=repeated_words(a.dim, n - 1, pcyc.p),
+                                  cols=repeated_words(a.dim, n, pcyc.p))
         if beta != cyc.b(n):
             raise InternalCheckError(
                 f"fixed-coordinate boundary at level {n} does not match the "
@@ -558,16 +576,18 @@ def _fixed_reduced_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:
 
 
 def _coinvariant_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:
-    """Induced boundary on Z/p coinvariants, one orbit coordinate each;
-    its squares are certified as its homology is read."""
-    projs = {}
-    secs = {}
-    dims = {}
-    for n in range(pcyc.N + 1):
-        proj, sec = zp_coinvariants(pcyc.action(n))
-        projs[n], secs[n] = proj, sec
-        dims[n] = proj.shape[0]
-    diffs = {n: projs[n - 1] @ pcyc.b(n) @ secs[n] for n in range(1, pcyc.N + 1)}
+    """Induced boundary on Z/p coinvariants, one orbit coordinate each: b
+    on the orbit representatives, each row relabelled by its orbit (the
+    entries of an orbit are summed). Its squares are certified as its
+    homology is read."""
+    orbits = [pcyc.action(n).orbit_data() for n in range(pcyc.N + 1)]
+    dims = {n: reps.shape[0] for n, (reps, _, _) in enumerate(orbits)}
+    diffs = {}
+    for n in range(1, pcyc.N + 1):
+        on_reps = pcyc.b(n).restrict(cols=orbits[n][0]).csc().tocoo()
+        diffs[n] = ModMatrix.from_arrays(
+            (dims[n - 1], dims[n]), pcyc.algebra.modulus,
+            orbits[n - 1][1][on_reps.row], on_reps.col, on_reps.data)
     return ChainComplexWindow(pcyc.N, dims, diffs, pcyc.algebra.modulus)
 
 

@@ -9,22 +9,29 @@ passes a density threshold. Kernels and solutions are dense only, and
 refuse matrices past TO_DENSE_LIMIT entries. No floating point is used
 anywhere.
 
+The column reduction works on the flat CSC arrays (PHAT's column
+representation; Bauer, Kerber, Reininghaus and Wagner, J. Symbolic
+Comput. 78, 2017): a free column becomes a pivot as it stands, only a
+colliding column gets a working dict, and each pivot is scaled to lead 1
+once, when it is first used.
+
 Homology dimensions use clearing (Chen-Kerber, "Persistent homology
 computation with a twist", 2011): a wide differential d_out is reduced
-transposed, and the rows where its reduced columns end (its pivot rows)
-are kept on the matrix as an int64 array. Once d_out d_in = 0 is
-certified, `homology_dim` ranks d_in with those rows left out. This is
-exact: a reduced column v of d_out^T whose largest row is i satisfies
-d_in^T v = 0, so row i of d_in is a combination of rows k < i, and by
-induction on i every cleared row lies in the span of the kept ones. The
-kept rows that reduce to zero then number dim H, not dim ker d_out.
+transposed, and the rows where its reduced columns end (its pivot rows,
+the lows of its row space, which the dense path reads off an rref with
+the columns reversed) are kept on the matrix as an int64 array. Once
+d_out d_in = 0 is certified, `homology_dim` ranks d_in with those rows
+left out. This is exact: a reduced column v of d_out^T whose largest row
+is i satisfies d_in^T v = 0, so row i of d_in is a combination of rows
+k < i, and by induction on i every cleared row lies in the span of the
+kept ones. The kept rows that reduce to zero then number dim H, not
+dim ker d_out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from math import isqrt
 from typing import Sequence
 
@@ -150,8 +157,9 @@ class ModMatrix:
         self.modulus = int(modulus)
         self._csc = _reduced(csc, modulus)
         self._rank: int | None = None
-        # rows where the reduced columns of the transpose end, when rank_fp
-        # reduced this matrix transposed and sparsely; None otherwise
+        # rows where the reduced columns of the transpose end (the lows of
+        # the row space), when rank_fp reduced this matrix transposed; None
+        # otherwise
         self._pivot_rows: np.ndarray | None = None
 
     # ---------------- constructors ----------------
@@ -297,16 +305,17 @@ class ModMatrix:
                  cols: np.ndarray | None = None) -> "ModMatrix":
         """Submatrix on the given index arrays (or boolean selectors)."""
         mat = self._csc
-        if rows is not None:
-            rows = np.asarray(rows)
-            if rows.dtype == bool:
-                rows = np.nonzero(rows)[0]
-            mat = mat[rows, :]
+        # columns first: a column gather of CSC is a slice per column
         if cols is not None:
             cols = np.asarray(cols)
             if cols.dtype == bool:
                 cols = np.nonzero(cols)[0]
             mat = mat[:, cols]
+        if rows is not None:
+            rows = np.asarray(rows)
+            if rows.dtype == bool:
+                rows = np.nonzero(rows)[0]
+            mat = mat[rows, :]
         return ModMatrix(mat.shape, self.modulus, mat.tocsc())
 
 
@@ -316,18 +325,29 @@ def _mulmod(x, y, m: int) -> np.ndarray:
             % np.uint64(m)).astype(np.int64)
 
 
-def kron_power(mat: ModMatrix, k: int) -> ModMatrix:
-    """mat (x) ... (x) mat with k factors, reduced after every step; as in
-    `scipy.sparse.kron`, the first factor acts on the most significant digits."""
-    out = mat
+def kron_power_arrays(mat: ModMatrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO arrays (rows, cols, vals) of mat (x) ... (x) mat with k factors,
+    by digit arithmetic on the entries of mat: the entry picking entries
+    e_1 .. e_k of mat sits at row sum_t row(e_t) R^(k-t), column
+    sum_t col(e_t) C^(k-t), for mat of shape (R, C), and carries the
+    product of their values. As in `scipy.sparse.kron`, the first factor
+    acts on the most significant digits. No position repeats.
+    """
+    coo = mat.csc().tocoo()
+    r0, c0, v0 = coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
+    rows, cols, vals = r0, c0, v0
     for _ in range(k - 1):
-        a, b = mat.csc().tocoo(), out.csc().tocoo()
-        shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-        rows = (a.row.astype(np.int64)[:, None] * b.shape[0] + b.row).ravel()
-        cols = (a.col.astype(np.int64)[:, None] * b.shape[1] + b.col).ravel()
-        data = _mulmod(a.data[:, None], b.data[None, :], mat.modulus).ravel()
-        out = ModMatrix(shape, mat.modulus, sp.coo_matrix((data, (rows, cols)), shape).tocsc())
-    return out
+        rows = (rows[:, None] * mat.shape[0] + r0).ravel()
+        cols = (cols[:, None] * mat.shape[1] + c0).ravel()
+        vals = _mulmod(vals[:, None], v0[None, :], mat.modulus).ravel()
+    return rows, cols, vals
+
+
+def kron_power(mat: ModMatrix, k: int) -> ModMatrix:
+    """mat (x) ... (x) mat with k factors, one construction from the arrays
+    of `kron_power_arrays`."""
+    shape = (mat.shape[0] ** k, mat.shape[1] ** k)
+    return ModMatrix.from_arrays(shape, mat.modulus, *kron_power_arrays(mat, k))
 
 
 def _limb_product(left: sp.csc_matrix, right: sp.csc_matrix, m: int,
@@ -439,54 +459,98 @@ class _DenseRestart(Exception):
     pass
 
 
-def _columns_of(csc: sp.csc_matrix) -> list[dict[int, int]]:
-    """One {row: value} dict per column; the CSC arrays become lists once."""
-    entries = zip(csc.indices.tolist(), csc.data.tolist())
-    return [dict(islice(entries, n)) for n in np.diff(csc.indptr).tolist()]
+def _canonical(csc: sp.csc_matrix, p: int) -> sp.csc_matrix:
+    """csc itself when its row indices are sorted and distinct within each
+    column and its entries lie in [1, p), else a reduced, sorted copy: the
+    column reduction reads a column's last index as its largest row."""
+    if csc.has_canonical_format and (csc.nnz == 0 or (csc.data.min() > 0
+                                                      and csc.data.max() < p)):
+        return csc
+    out = csc.astype(np.int64)  # a copy, with its format flags recomputed
+    out.sum_duplicates()
+    out.data %= p
+    out.eliminate_zeros()
+    return out
 
 
-def _column_reduce(cols: list[dict[int, int]], p: int, shape: tuple[int, int],
+def _column_reduce(csc: sp.csc_matrix, p: int, shape: tuple[int, int],
                    fill_guard: bool = True, order: Sequence[int] | None = None
-                   ) -> tuple[int, dict[int, tuple[dict[int, int], int]]]:
-    """Persistence-style column reduction mod p, in Python ints.
+                   ) -> tuple[int, dict[int, int]]:
+    """Persistence-style column reduction mod p of the columns of csc.
 
     Columns are processed in the given order, by default by increasing
-    support size (a cheap stand-in for Markowitz pivoting); within a column
-    the pivot row is the largest remaining row index, which makes the
-    reduction deterministic. Returns (rank, pivots): pivots maps each pivot
-    row r to (reduced column, source column index), the column scaled to
-    carry 1 at r.
+    support size, ties by index (a cheap stand-in for Markowitz pivoting);
+    within a column the pivot row is the largest remaining row index, which
+    makes the reduction deterministic. Returns (rank, pivots): pivots maps
+    each pivot row to the index of the column that made it, in the order
+    the pivots were found.
+
+    The CSC arrays become three flat lists once, and a pivot is a (lo, hi)
+    slice of them with its pivot row last. A column whose largest row holds
+    no pivot yet is free: it becomes a pivot as it stands, with no copy and
+    no scaling. Only a column that collides gets a {row: value} dict to
+    eliminate in. A pivot built from such a dict, and a free pivot the
+    first time a collision uses it, is scaled to carry 1 at its row and
+    appended to the flat lists, so each pivot is scaled at most once.
+    The fill counted against FILL_THRESHOLD is the size of every pivot,
+    free ones included.
     """
+    csc = _canonical(csc, p)
     area = shape[0] * shape[1]
-    allow_restart = fill_guard and 0 < area <= DENSE_ENTRY_LIMIT
+    limit = FILL_THRESHOLD * area if fill_guard and 0 < area <= DENSE_ENTRY_LIMIT else None
     if order is None:
-        order = sorted(range(len(cols)), key=lambda j: (len(cols[j]), j))
-    pivots: dict[int, tuple[dict[int, int], int]] = {}
+        order = np.argsort(np.diff(csc.indptr), kind="stable").tolist()
+    ptr = csc.indptr.tolist()
+    rows = csc.indices.tolist()
+    vals = csc.data.tolist()
+    pivots: dict[int, tuple[int, int, int]] = {}  # pivot row -> (lo, hi, source)
     fill = 0
     for j in order:
-        c = dict(cols[j])
-        while c:
-            r = max(c)
-            hit = pivots.get(r)
-            if hit is None:
-                inv = pow(c[r], p - 2, p)
-                col = {rr: vv * inv % p for rr, vv in c.items()} if inv != 1 else c
-                pivots[r] = (col, j)
-                fill += len(col)
-                if allow_restart and fill > FILL_THRESHOLD * area:
-                    raise _DenseRestart
-                break
-            pc = hit[0]
+        lo, hi = ptr[j], ptr[j + 1]
+        if lo == hi:
+            continue
+        r = rows[hi - 1]
+        hit = pivots.get(r)
+        if hit is None:  # a free column
+            pivots[r] = (lo, hi, j)
+            fill += hi - lo
+            if limit is not None and fill > limit:
+                raise _DenseRestart
+            continue
+        c = dict(zip(rows[lo:hi], vals[lo:hi]))
+        while True:
+            lo, hi, src = hit
+            lead = vals[hi - 1]
+            if lead != 1:  # a free pivot's first use: scale it once
+                inv = pow(lead, p - 2, p)
+                vals.extend([v * inv % p for v in vals[lo:hi]])
+                rows.extend(rows[lo:hi])
+                lo, hi = len(rows) - (hi - lo), len(rows)
+                pivots[r] = (lo, hi, src)
             f = c.pop(r)
-            for rr, vv in pc.items():
-                if rr == r:
-                    continue
+            for rr, vv in zip(rows[lo:hi - 1], vals[lo:hi - 1]):
                 nv = (c.get(rr, 0) - f * vv) % p
                 if nv:
                     c[rr] = nv
                 else:
                     c.pop(rr, None)
-    return len(pivots), pivots
+            if not c:
+                break
+            r = max(c)
+            hit = pivots.get(r)
+            if hit is None:
+                inv = pow(c.pop(r), p - 2, p)
+                lo = len(rows)
+                rows.extend(c)
+                rows.append(r)
+                vals.extend([v * inv % p for v in c.values()] if inv != 1 else c.values())
+                vals.append(1)
+                pivots[r] = (lo, len(rows), j)
+                fill += len(rows) - lo
+                if limit is not None and fill > limit:
+                    raise _DenseRestart
+                break
+    return len(pivots), {r: src for r, (_, _, src) in pivots.items()}
 
 
 def _prime_of(mat: ModMatrix) -> int:
@@ -502,9 +566,11 @@ def rank_fp(mat: ModMatrix, clear: np.ndarray | None = None) -> int:
     clear, if given, is an int64 array of rows of mat that lie in the span
     of the rows it keeps; those rows are left out. The reduction walks the
     smaller list of vectors: when mat keeps fewer rows than it has columns,
-    it reduces mat^T, and if that reduction is sparse the rows where its
-    reduced columns end (column indices of mat) are recorded on mat, for
-    `homology_dim` to clear the next differential with.
+    it reduces mat^T, and records on mat the rows where its reduced columns
+    end (column indices of mat), for `homology_dim` to clear the next
+    differential with. They are the lows of the row space of mat, whatever
+    the path: the dense path reads them off an rref of the kept rows with
+    the columns reversed.
     """
     p = _prime_of(mat)
     rows, cols = mat.shape
@@ -515,26 +581,39 @@ def rank_fp(mat: ModMatrix, clear: np.ndarray | None = None) -> int:
     if clear is not None and clear.size:
         keep = np.delete(np.arange(rows), clear)
         rows = keep.size
-    # orient so that the reduction walks the smaller list of vectors
+    # the reduction walks the smaller list of vectors
     transposed = cols > rows
-    if transposed:
-        csc = csc.transpose().tocsc()
-        rows, cols = cols, rows
-        if keep is not None:
-            csc = csc[:, keep]
-    elif keep is not None:
-        csc = csc[keep]
     area = rows * cols
     # the density of the whole matrix stands in for that of its kept rows
     if area <= DENSE_SMALL or (area <= DENSE_ENTRY_LIMIT and mat.density >= FILL_THRESHOLD):
-        return len(_dense_rref(np.asarray(csc.todense()), p)[1])
-    try:
-        rank, pivots = _column_reduce(_columns_of(csc), p, (rows, cols))
-    except _DenseRestart:
-        return len(_dense_rref(np.asarray(csc.todense()), p)[1])
-    if transposed:
-        mat._pivot_rows = np.fromiter(pivots, dtype=np.int64, count=len(pivots))
-    return rank
+        if keep is None:
+            kept = np.asarray(csc.todense())
+        elif mat.shape[0] * cols <= DENSE_ENTRY_LIMIT:
+            kept = np.asarray(csc.todense())[keep]  # cheaper than a sparse row gather
+        else:
+            kept = np.asarray(csc[keep].todense())  # densify the kept rows only
+    else:
+        if transposed:
+            csc = csc.transpose().tocsc()
+            if keep is not None:
+                csc = csc[:, keep]
+        elif keep is not None:
+            csc = csc[keep]
+        try:
+            rank, pivots = _column_reduce(csc, p, csc.shape)
+        except _DenseRestart:
+            kept = np.asarray((csc.T if transposed else csc).todense())
+        else:
+            if transposed:
+                mat._pivot_rows = np.fromiter(pivots, dtype=np.int64, count=len(pivots))
+            return rank
+    if not transposed:
+        return len(_dense_rref(kept, p)[1])
+    # with the columns reversed a row's last entry comes first, so every
+    # pivot column of the rref is a low of the row space
+    lows = _dense_rref(kept[:, ::-1], p)[1]
+    mat._pivot_rows = cols - 1 - np.array(lows, dtype=np.int64)
+    return len(lows)
 
 
 def kernel_basis_fp(mat: ModMatrix) -> ModMatrix:

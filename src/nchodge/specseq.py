@@ -41,7 +41,7 @@ import numpy as np
 
 from .complexes import IncreasingFiltration
 from .errors import InternalCheckError, WindowError
-from .modring import _column_reduce, _columns_of, _prime_of, rank_fp
+from .modring import _column_reduce, _prime_of, rank_fp
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,10 @@ def _pairing(filt: IncreasingFiltration, lev: dict[int, np.ndarray],
         d = c.d(n)
         rows = np.argsort(lev[n - 1], kind="stable")
         order = np.argsort(lev[n], kind="stable").tolist()
-        _, pivots = _column_reduce(_columns_of(d.restrict(rows=rows).csc()),
-                                   _prime_of(d), d.shape, fill_guard=False, order=order)
+        _, pivots = _column_reduce(d.restrict(rows=rows).csc(), _prime_of(d), d.shape,
+                                   fill_guard=False, order=order)
         sigma = rows[np.fromiter(pivots, dtype=np.int64, count=len(pivots))]
-        tau = np.fromiter((src for _, src in pivots.values()), dtype=np.int64,
-                          count=len(pivots))
+        tau = np.fromiter(pivots.values(), dtype=np.int64, count=len(pivots))
         out[n] = (sigma, tau, lev[n][tau] - lev[n - 1][sigma])
     return out
 

@@ -15,11 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 from nchodge.cartier import (
     PCyclicLevels,
+    _coinvariant_complex,
+    _fixed_reduced_complex,
     ZpModuleAction,
     block_rotation,
     cartier0,
     conjugate_ss,
     edgewise_hh_check,
+    estimate_sd_entries,
     iota_iso,
     iota_matrix,
     vdagger,
@@ -29,6 +32,7 @@ from nchodge.cartier import (
 )
 from nchodge.corpus import build, corpus_names
 from nchodge.errors import (
+    InternalCheckError,
     ModulusError,
     OrderError,
     ParityError,
@@ -362,8 +366,68 @@ def test_fixed_reduction_is_plain_boundary():
     pcyc = PCyclicLevels(a, 2)
     cyc = CyclicLevelMaps(a, 2)
     for n in (1, 2):
-        squeezed = pcyc.fixed_inclusion(n - 1).T @ pcyc.b(n) @ pcyc.fixed_inclusion(n)
+        squeezed = iota_matrix(2, n - 1, 3, 3).T @ pcyc.b(n) @ iota_matrix(2, n, 3, 3)
         assert squeezed == cyc.b(n)
+
+
+# levels whose cumulative subdivision estimate stays under this many entries
+# are assembled both ways
+ASSEMBLY_BUDGET = 2_000_000
+
+
+def assembled_levels(p: int):
+    """(name, subdivision, fitting levels) over the corpus at p = 3 and the
+    algebras of dimension at most 2 at p = 5."""
+    for name in corpus_names():
+        a = build(name, p)
+        if p == 5 and a.dim > 2:
+            continue
+        fits = [n for n in range(1, 8) if estimate_sd_entries(a, n) <= ASSEMBLY_BUDGET]
+        if fits:
+            yield name, PCyclicLevels(a, max(fits), cap=ASSEMBLY_BUDGET), fits
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_one_pass_boundary_is_the_alternating_sum_of_the_faces(p):
+    checked = 0
+    for name, pcyc, fits in assembled_levels(p):
+        for n in fits:
+            want = pcyc.face(n, 0)
+            for i in range(1, n + 1):
+                want = want - pcyc.face(n, i) if i % 2 else want + pcyc.face(n, i)
+            assert pcyc.b(n) == want, (name, n)
+        checked += 1
+    assert checked == {3: 13, 5: 3}[p]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_comparison_complexes_are_the_matrix_products(p):
+    # the oracles are the products with the comparison maps that the gathers
+    # replace: p_fix^T b e_fix and proj b sec
+    checked = 0
+    for name, pcyc, fits in assembled_levels(p):
+        fixed, coinv = _fixed_reduced_complex(pcyc), _coinvariant_complex(pcyc)
+        d = pcyc.algebra.dim
+        for n in fits:
+            e_low, e_high = iota_matrix(d, n - 1, p, p), iota_matrix(d, n, p, p)
+            assert fixed.d(n) == e_low.T @ pcyc.b(n) @ e_high, (name, n)
+            proj = zp_coinvariants(pcyc.action(n - 1))[0]
+            sec = zp_coinvariants(pcyc.action(n))[1]
+            assert coinv.d(n) == proj @ pcyc.b(n) @ sec, (name, n)
+        checked += 1
+    assert checked == {3: 13, 5: 3}[p]
+
+
+def test_a_wrong_entry_on_repeated_words_fails_the_fixed_comparison():
+    a = build("upper-tri-2", 3)
+    for n in (1, 2):
+        pcyc = PCyclicLevels(a, 2)
+        row, col = (iota_matrix(a.dim, m, 3, 3).csc().indices[-1] for m in (n - 1, n))
+        bump = ModMatrix.from_arrays(pcyc.b(n).shape, 3, [row], [col], [1])
+        _fixed_reduced_complex(pcyc)
+        pcyc._b[n] = pcyc.b(n) + bump
+        with pytest.raises(InternalCheckError, match=f"level {n}"):
+            _fixed_reduced_complex(pcyc)
 
 
 # ---------------- degree zero power map ----------------

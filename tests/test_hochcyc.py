@@ -511,6 +511,28 @@ def test_homology_outside_window_rejected():
         c.homology_dim(3)
 
 
+def test_a_dense_predecessor_clears_the_next_rank(monkeypatch):
+    from nchodge import modring
+
+    # the normalized b_3 of group-z4 is 36 x 108, under DENSE_SMALL, so the
+    # dense path ranks it; the lows of its row space still clear b_4
+    # (108 x 324), which the sparse reduction takes
+    c = b_complex(NormalizedMixedComplex(build("group-z4", 3), 7))
+    d3, d4 = c.d(3), c.d(4)
+    assert d3.shape == (36, 108) and d3.shape[0] * d3.shape[1] <= modring.DENSE_SMALL
+    real = modring.rank_fp
+    cleared = {}
+
+    def recording(mat, clear=None):
+        cleared[mat.shape] = None if clear is None else clear.size
+        return real(mat, clear)
+
+    monkeypatch.setattr(modring, "rank_fp", recording)
+    assert c.homology_dims() == {0: 4, **{n: 0 for n in range(1, 7)}}
+    assert cleared[(108, 324)] == d3.rank() > 0
+    assert d4.rank() == real(ModMatrix(d4.shape, 3, d4.csc().copy()))
+
+
 def test_clearing_hands_the_top_reduction_of_group_z4_only_its_homology(monkeypatch):
     from nchodge import modring
 

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse as sp
 
 from nchodge.errors import ModulusError, NotAComplexError, ResourceError, ShapeError
 from nchodge.modring import (
@@ -422,3 +423,122 @@ def test_a_non_complex_is_refused_before_any_cleared_rank(monkeypatch):
         homology_dim(bad, d_out)
     assert calls == []
     assert bad.rank(clear=np.array([1])) == 0  # what clearing would have said
+
+
+# ---------------- the column reduction kernel ----------------
+
+WIDE_PRIME = 2 ** 31 - 1
+
+
+def suffix_lows(data: list[list[int]], p: int) -> set[int]:
+    """Lows of the column space of data: the rows i where the rank of rows
+    i.. exceeds that of rows i+1.. (a reduced column ending at i lies in the
+    span of e_0 .. e_i and not below)."""
+    ranks = [ref_rank(data[i:], p) if i < len(data) else 0 for i in range(len(data) + 1)]
+    return {i for i in range(len(data)) if ranks[i] > ranks[i + 1]}
+
+
+def column_data(data: list[list[int]], cols: list[int]) -> list[list[int]]:
+    return [[row[j] for j in cols] for row in data] if cols else [[] for _ in data]
+
+
+@st.composite
+def sparse_matrix(draw):
+    """(p, rows of residues): mostly zeros, with empty columns, columns that
+    repeat another one's low up to a scalar, and leads other than 1."""
+    p = draw(st.sampled_from([2, 3, 5, 7, WIDE_PRIME]))
+    n_rows = draw(st.integers(min_value=1, max_value=8))
+    n_cols = draw(st.integers(min_value=1, max_value=8))
+    entry = st.one_of(st.just(0), st.just(0), st.just(1), st.integers(1, p - 1))
+    cols = [draw(st.lists(entry, min_size=n_rows, max_size=n_rows)) for _ in range(n_cols)]
+    for j in range(1, n_cols):
+        how = draw(st.sampled_from(["keep", "empty", "multiple"]))
+        if how == "empty":
+            cols[j] = [0] * n_rows
+        elif how == "multiple":  # the low of an earlier column, another lead
+            src, k = draw(st.integers(0, j - 1)), draw(st.integers(1, p - 1))
+            low = max((i for i, v in enumerate(cols[src]) if v), default=-1)
+            cols[j] = [(k * cols[src][i] + (cols[j][i] if i < low else 0)) % p
+                       for i in range(n_rows)]
+    return p, [[cols[j][i] for j in range(n_cols)] for i in range(n_rows)]
+
+
+def shuffled_csc(data: list[list[int]], p: int, rng) -> sp.csc_matrix:
+    """The CSC of data with the row indices of each column in random order
+    and its first entry v split into 1 and v - 1 (mod p, maybe 0), the
+    second one last."""
+    csc = ModMatrix.from_dense(data, p).csc()
+    rows, vals, ptr = [], [], [0]
+    for j in range(csc.shape[1]):
+        lo, hi = csc.indptr[j], csc.indptr[j + 1]
+        perm = rng.permutation(hi - lo)
+        r, v = csc.indices[lo:hi][perm].tolist(), csc.data[lo:hi][perm].tolist()
+        if r:
+            r.append(r[0])
+            v.append((v[0] - 1) % p)
+            v[0] = 1
+        rows += r
+        vals += v
+        ptr.append(len(rows))
+    return sp.csc_matrix((np.array(vals, dtype=np.int64), np.array(rows), np.array(ptr)),
+                         shape=csc.shape)
+
+
+@given(sparse_matrix(), st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_column_reduce_finds_the_rank_the_lows_and_their_sources(pm, ordered, rnd):
+    from nchodge.modring import _column_reduce
+
+    p, data = pm
+    n_rows, n_cols = len(data), len(data[0])
+    csc = ModMatrix.from_dense(data, p).csc()
+    order = None
+    if ordered:
+        order = list(range(n_cols))
+        rnd.shuffle(order)
+    rank, pivots = _column_reduce(csc, p, (n_rows, n_cols), False, order)
+    assert rank == len(pivots) == ref_rank(data, p)
+    assert set(pivots) == suffix_lows(data, p)
+    # each source made its pivot: the row is a low of the columns taken up
+    # to the source and not of those taken before it
+    if order is None:
+        order = sorted(range(n_cols), key=lambda j: (sum(1 for row in data if row[j]), j))
+    sources = list(pivots.values())
+    assert len(set(sources)) == len(sources)
+    for r, j in pivots.items():
+        k = order.index(j)
+        made = suffix_lows(column_data(data, order[:k + 1]), p)
+        assert r in made - suffix_lows(column_data(data, order[:k]), p)
+    # unsorted row indices and a split entry are read as the same matrix
+    messy = shuffled_csc(data, p, np.random.default_rng(rnd.randrange(2 ** 32)))
+    assert _column_reduce(messy, p, (n_rows, n_cols), False, order) == (rank, pivots)
+
+
+def test_column_reduce_restarts_densely_past_the_fill_threshold():
+    from nchodge.modring import FILL_THRESHOLD, _column_reduce, _DenseRestart
+
+    p = 5
+    sparse_enough = ModMatrix.identity(8, p).csc()  # fill 8 of 64 entries
+    assert 8 <= FILL_THRESHOLD * 64
+    assert _column_reduce(sparse_enough, p, (8, 8))[0] == 8
+    full = ModMatrix.from_dense(np.triu(np.full((8, 8), 3)), p).csc()  # fill 36 > 16
+    with pytest.raises(_DenseRestart):
+        _column_reduce(full, p, (8, 8))
+    assert _column_reduce(full, p, (8, 8), False)[0] == 8
+
+
+@given(sparse_matrix(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_rank_records_the_lows_of_the_row_space_on_either_path(pm, sparse_only):
+    from nchodge import modring
+
+    p, data = pm
+    wide = [list(col) for col in zip(*data)]  # fewer rows than columns unless square
+    with pytest.MonkeyPatch.context() as mp:
+        if sparse_only:
+            mp.setattr(modring, "DENSE_SMALL", 0)
+            mp.setattr(modring, "FILL_THRESHOLD", 2.0)
+        mat = ModMatrix.from_dense(wide, p)
+        assert rank_fp(mat) == ref_rank(data, p)
+    if len(wide) < len(data) and mat.nnz:  # a zero matrix returns at once
+        assert set(mat._pivot_rows.tolist()) == suffix_lows(data, p)

@@ -20,6 +20,7 @@ PACKAGE = ROOT / "src" / "nchodge"
 TRACER_HELD = {
     "modring.kernel_basis_fp",
     "cartier.zp_invariants",
+    "cartier.zp_coinvariants",
     "hochcyc.face_matrix",
     "hochcyc.degeneracy_matrix",
     "hochcyc.rotation_matrix",
