@@ -2,7 +2,6 @@
 within a time budget, cold, one child process per run.
 
     python3 scripts/reach.py --src src --budget 20 > reach.json
-    python3 scripts/reach.py --command conjugate --command edgewise-check
 
 For each row, N doubles from its smallest valid value while the run
 finishes (exit 0, or 1 for a flagged finding) within the budget, then a
@@ -102,11 +101,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default="src", help="the source tree to run")
     ap.add_argument("--budget", type=float, default=20.0, help="seconds per run")
-    ap.add_argument("--command", action="append",
-                    help="only the rows of this command (repeatable); default all rows")
     args = ap.parse_args()
-    rows = [reach(args.src, *row, args.budget) for row in ROWS
-            if args.command is None or row[0] in args.command]
+    rows = [reach(args.src, *row, args.budget) for row in ROWS]
     print(json.dumps(rows, indent=1))
 
 

@@ -423,15 +423,17 @@ class PCyclicLevels:
 
     def _face_arrays(self, n: int, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """COO arrays of face (n, i): the p-th Kronecker power of the
-        ordinary face for i < n; for the wrap face, those of face 0 with
-        each column c moved to rho^-1(c), as the wrap face is face 0 after
-        the one-step rotation rho."""
-        rows, cols, vals = kron_power_arrays(face_matrix(self.algebra, n, 0 if i == n else i),
-                                             self.p)
-        if i == n:  # rho^-1 moves the first digit to the end
-            d = self.algebra.dim
-            cols = cols // d + cols % d * d ** (self.p * (n + 1) - 1)
-        return rows, cols, vals
+        ordinary face for i < n; for the wrap face, those of face 0 wrapped."""
+        arrays = kron_power_arrays(face_matrix(self.algebra, n, 0 if i == n else i), self.p)
+        return self._wrapped(n, *arrays) if i == n else arrays
+
+    def _wrapped(self, n: int, rows: np.ndarray, cols: np.ndarray,
+                 vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The arrays of face (n, 0) with each column c moved to rho^-1(c),
+        as the wrap face is face 0 after the one-step rotation rho; rho^-1
+        moves the first digit to the end."""
+        d = self.algebra.dim
+        return rows, cols // d + cols % d * d ** (self.p * (n + 1) - 1), vals
 
     def degeneracy(self, n: int, i: int) -> ModMatrix:
         if not (0 <= n < self.N) or not (0 <= i <= n):
@@ -460,7 +462,8 @@ class PCyclicLevels:
         """The alternating sum of the faces, one construction from their
         concatenated arrays (duplicates are summed); no face is kept."""
         if n not in self._b:
-            parts = [self._face_arrays(n, i) for i in range(n + 1)]
+            parts = [self._face_arrays(n, i) for i in range(n)]
+            parts.append(self._wrapped(n, *parts[0]))
             vals = [v if i % 2 == 0 else -v for i, (_, _, v) in enumerate(parts)]
             self._b[n] = ModMatrix.from_arrays(
                 (self.dim(n - 1), self.dim(n)), self.algebra.modulus,

@@ -581,37 +581,33 @@ def rank_fp(mat: ModMatrix, clear: np.ndarray | None = None) -> int:
     if clear is not None and clear.size:
         keep = np.delete(np.arange(rows), clear)
         rows = keep.size
-    # the reduction walks the smaller list of vectors
+    # orient so that the reduction walks the smaller list of vectors
     transposed = cols > rows
+    if transposed:
+        csc = csc.transpose().tocsc()
+        if keep is not None:
+            csc = csc[:, keep]
+    elif keep is not None:
+        csc = csc[keep]
     area = rows * cols
     # the density of the whole matrix stands in for that of its kept rows
     if area <= DENSE_SMALL or (area <= DENSE_ENTRY_LIMIT and mat.density >= FILL_THRESHOLD):
-        if keep is None:
-            kept = np.asarray(csc.todense())
-        elif mat.shape[0] * cols <= DENSE_ENTRY_LIMIT:
-            kept = np.asarray(csc.todense())[keep]  # cheaper than a sparse row gather
-        else:
-            kept = np.asarray(csc[keep].todense())  # densify the kept rows only
+        dense = np.asarray(csc.todense())
     else:
-        if transposed:
-            csc = csc.transpose().tocsc()
-            if keep is not None:
-                csc = csc[:, keep]
-        elif keep is not None:
-            csc = csc[keep]
         try:
             rank, pivots = _column_reduce(csc, p, csc.shape)
         except _DenseRestart:
-            kept = np.asarray((csc.T if transposed else csc).todense())
+            dense = np.asarray(csc.todense())
         else:
             if transposed:
                 mat._pivot_rows = np.fromiter(pivots, dtype=np.int64, count=len(pivots))
             return rank
     if not transposed:
-        return len(_dense_rref(kept, p)[1])
-    # with the columns reversed a row's last entry comes first, so every
-    # pivot column of the rref is a low of the row space
-    lows = _dense_rref(kept[:, ::-1], p)[1]
+        return len(_dense_rref(dense, p)[1])
+    # dense holds the kept rows of mat as its columns; with the columns of
+    # mat reversed a row's last entry comes first, so every pivot column of
+    # the rref is a low of the row space
+    lows = _dense_rref(dense.T[:, ::-1], p)[1]
     mat._pivot_rows = cols - 1 - np.array(lows, dtype=np.int64)
     return len(lows)
 
