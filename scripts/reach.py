@@ -2,6 +2,7 @@
 within a time budget, cold, one child process per run.
 
     python3 scripts/reach.py --src src --budget 20 > reach.json
+    python3 scripts/reach.py --only "hh group-z4" --only "conjugate group-z3"
 
 For each row, N doubles from its smallest valid value while the run
 finishes (exit 0, or 1 for a flagged finding) within the budget, then a
@@ -11,7 +12,8 @@ also fails above it. The first N that fails is reported with its outcome:
 its time and the peak RSS of its process. Each row also gives the cap
 estimate at the reached N against the entries actually built there: of b
 and B of the normalized mixed complex, or of the subdivided b for the
-conjugate route (`conjugate`, `edgewise-check`).
+conjugate route (`conjugate`, `edgewise-check`), both on the algebra in the
+basis the command line runs (`algebra.normalize_basis`).
 """
 
 from __future__ import annotations
@@ -24,18 +26,20 @@ import sys
 import time
 
 ROWS = [("sbi", "m2", 6), ("hc", "kronecker", 2), ("ledger", "product-dual-upper", 2),
-        ("hh", "product-ground-m2", 1), ("hh", "group-z4", 1),
+        ("hh", "product-ground-m2", 1), ("hh", "group-z4", 1), ("hc", "group-z3", 2),
         ("conjugate", "dual-numbers", 1), ("conjugate", "trunc-poly-3", 1),
+        ("conjugate", "group-z3", 1), ("conjugate", "group-z4", 1),
         ("edgewise-check", "dual-numbers", 1)]
 
 SUBDIVIDED = ("conjugate", "edgewise-check")
 
 BUILT = """
 import sys
+from nchodge.algebra import normalize_basis
 from nchodge.cartier import PCyclicLevels, estimate_sd_entries
 from nchodge.corpus import build
 from nchodge.hochcyc import NormalizedMixedComplex, estimate_normalized_entries
-a, N = build(sys.argv[1], 3), int(sys.argv[2])
+a, N = normalize_basis(build(sys.argv[1], 3)), int(sys.argv[2])
 if sys.argv[3] == "subdivided":
     pcyc = PCyclicLevels(a, N)
     print(estimate_sd_entries(a, N), sum(pcyc.b(n).nnz for n in range(1, N + 1)))
@@ -101,8 +105,11 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default="src", help="the source tree to run")
     ap.add_argument("--budget", type=float, default=20.0, help="seconds per run")
+    ap.add_argument("--only", action="append", metavar="'COMMAND ALGEBRA'",
+                    help="measure only this row (repeatable)")
     args = ap.parse_args()
-    rows = [reach(args.src, *row, args.budget) for row in ROWS]
+    rows = [reach(args.src, *row, args.budget) for row in ROWS
+            if not args.only or f"{row[0]} {row[1]}" in args.only]
     print(json.dumps(rows, indent=1))
 
 

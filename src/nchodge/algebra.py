@@ -14,14 +14,17 @@ in `hochcyc` works relative to.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
-from math import isqrt
+from math import isqrt, prod
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, ModulusError, ReductionMismatchError
-from .modring import ModMatrix, _dense_kernel, is_prime, matmul_mod, split_modulus
+from .errors import (ConstructionError, InternalCheckError, ModulusError,
+                     ReductionMismatchError)
+from .modring import (ModMatrix, _dense_kernel, _dense_rref, is_prime, matmul_mod,
+                      split_modulus)
 
 MAX_VALIDATION_REPORTS = 20
 # the largest modulus m with (m - 1)**2 < 2**63: dense elimination and the
@@ -53,6 +56,11 @@ class StructureConstantsAlgebra:
         if self.constants.shape != (self.dim,) * 3:
             raise ConstructionError(
                 f"constants have shape {self.constants.shape}, expected {(self.dim,) * 3}")
+        # products of elements take one integer matmul when its sums stay
+        # below 2**63, as they do for 0/1 constants at every modulus
+        self._table = self.constants.reshape(self.dim * self.dim, self.dim)
+        self._one_matmul = (self.dim ** 2 * (modulus - 1)
+                            * int(self.constants.max(initial=0)) < 1 << 63)
         if check:
             failures = validate_algebra(self)
             if failures:
@@ -63,25 +71,32 @@ class StructureConstantsAlgebra:
     # ---------------- basic operations ----------------
 
     def multiply(self, x, y) -> np.ndarray:
+        """x * y; for stacks of elements (rows), the row-wise products."""
+        m = self.modulus
+        return self._product(np.asarray(x, dtype=np.int64) % m,
+                             np.asarray(y, dtype=np.int64) % m)
+
+    def _product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """multiply, for residue arrays."""
         m, d = self.modulus, self.dim
-        x = np.asarray(x, dtype=np.int64) % m
-        y = np.asarray(y, dtype=np.int64) % m
-        xy = np.outer(x, y) % m
-        return matmul_mod(xy.reshape(1, d * d), self.constants.reshape(d * d, d), m)[0]
+        xy = x[..., :, None] * y[..., None, :] % m
+        lead = xy.shape[:-2]
+        xy = xy.reshape(prod(lead), d * d)
+        out = xy @ self._table % m if self._one_matmul else matmul_mod(xy, self._table, m)
+        return out.reshape(lead + (d,))
 
     def power_of(self, x, k: int) -> np.ndarray:
-        """x**k by square-and-multiply, k >= 1."""
+        """x**k, k >= 1; for a stack of elements (rows), the power of each.
+        Square-and-multiply with both products of a step in one call."""
         if k < 1:
             raise ValueError(f"power_of needs k >= 1, got {k}")
         base = np.asarray(x, dtype=np.int64) % self.modulus
-        out = None
-        while True:
-            if k & 1:
-                out = base if out is None else self.multiply(out, base)
+        one = np.broadcast_to(self.unit, base.shape)
+        acc = np.stack([one, base, one])                # power so far, base, 1
+        while k > 1:
+            acc[:2] = self._product(acc[:2], acc[[1 if k & 1 else 2, 1]])
             k >>= 1
-            if not k:
-                return out
-            base = self.multiply(base, base)
+        return self._product(acc[0], acc[1])
 
     def max_terms(self) -> int:
         vals = (self.constants != 0).sum(axis=2)
@@ -221,6 +236,117 @@ def basis_idempotents(a: StructureConstantsAlgebra) -> BasisIdempotents:
             return BasisIdempotents.ground(a)
         sides.append(np.argmax(keeps, axis=0))
     return BasisIdempotents(eye[S], *sides)
+
+
+# ---------------- basis normalization ----------------
+
+def _rowspace(rows: np.ndarray, p: int) -> np.ndarray:
+    """A basis (rows) of the row space mod p."""
+    rref, pivots = _dense_rref(rows, p)
+    return rref[:len(pivots)]
+
+
+def _fresh(base: np.ndarray, cands: np.ndarray, p: int) -> np.ndarray:
+    """The rows of cands independent of the (independent) rows of base and
+    of the rows of cands before them."""
+    _, pivots = _dense_rref(np.vstack([base, cands]).T, p)
+    return cands[[j - len(base) for j in pivots if j >= len(base)]]
+
+
+def _pairwise(a: StructureConstantsAlgebra, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Every product x y, x-major."""
+    return a.multiply(np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1)))
+
+
+def _local_basis(a: StructureConstantsAlgebra, e: np.ndarray, ex: np.ndarray,
+                 J: np.ndarray) -> np.ndarray:
+    """A basis of the commutative local block eA (rows ex) with radical J:
+    e, a lift of the residue field, then J/J^2, J^2/J^3, ..., each layer
+    past the first taken from products with the first."""
+    p = a.p
+    powers = [J]                                        # J, J^2, ..., 0
+    while len(powers[-1]):
+        powers.append(_rowspace(_pairwise(a, J, powers[-1]), p))
+    out, layer = [_fresh(J, np.vstack([e, ex]), p)], J
+    for k in range(1, len(powers)):
+        layer = _fresh(powers[k], J if k == 1 else _pairwise(a, out[1], layer), p)
+        out.append(layer)
+    return np.vstack(out)
+
+
+def normalize_basis(a: StructureConstantsAlgebra) -> StructureConstantsAlgebra:
+    """An isomorphic copy of a in a basis adapted to its blocks, or a itself.
+
+    Over F_p the centre Z is commutative, so Frobenius F(z) = z^p is linear
+    on it, and B = ker(F - 1) is spanned by the primitive central
+    idempotents, B = F_p^r (Berlekamp's subalgebra). Seeded random elements
+    of B split it (Cantor-Zassenhaus: c = b^((p-1)/2) is 0 or +-1 on each
+    block, so c^2 and (c^2 + c)/2 are idempotents; at p = 2 b itself is).
+    The new basis is the union of the blocks e_i A. A commutative block is
+    local and gets `_local_basis`, with radical J = ker F^m, p^m >= dim;
+    a non-commutative one keeps the given basis vectors when they span it,
+    else e_i and a complement. The copy keeps the name and replaces a only
+    if `basis_idempotents` finds more idempotents on it, or as many with
+    fewer nonzero structure constants. Mod p^2, a is kept.
+    """
+    p, d, c = a.p, a.dim, a.constants
+    if a.power != 1 or d < 2:
+        return a
+    comm = (c - c.transpose(1, 0, 2)) % p               # [x, y]: xy - yx
+    Z = _dense_kernel(comm.transpose(1, 2, 0).reshape(d * d, d), p).T
+    if len(Z) == 1:
+        return a                                        # one non-commutative block
+    FZ = a.power_of(Z, p)
+    B = matmul_mod(_dense_kernel((FZ - Z).T % p, p).T, Z, p)
+    m = 1
+    while p ** m < d:
+        m += 1
+    FmZ = FZ if m == 1 else a.power_of(Z, p ** m)
+    nil = matmul_mod(_dense_kernel(FmZ.T, p).T, Z, p)
+    rng = random.Random(0)
+    pieces = a.unit[None]
+    for _ in range(64):
+        if len(pieces) == len(B):
+            break
+        draws = matmul_mod(np.array([[rng.randrange(p) for _ in B] for _ in range(8)]), B, p)
+        if p > 2:
+            ch = a.power_of(draws, (p - 1) // 2)
+            sq = a.multiply(ch, ch)
+            draws = np.vstack([(sq + ch) * ((p + 1) // 2) % p, sq])
+        for f in draws:
+            ef = a.multiply(pieces, f)
+            pieces = np.vstack([ef, (pieces - ef) % p])
+            pieces = pieces[pieces.any(axis=1)]
+            if len(pieces) == len(B):
+                break
+    else:
+        raise InternalCheckError(f"{len(pieces)} blocks split off, {len(B)} expected")
+    eye = np.eye(d, dtype=np.int64)
+    rows, labels = [], []
+    for i, e in enumerate(pieces):
+        ex = a.multiply(e, eye)                         # row x: e x
+        own = np.all(ex == eye, axis=1)                 # the basis vectors in eA
+        if len(Z) == d or not a.multiply(e, comm.reshape(d * d, d)).any():
+            J = _rowspace(a.multiply(e, nil), p) if len(nil) else nil
+            rows.append(_local_basis(a, e, ex, J))
+        elif not ex[:, ~own].any():
+            rows.append(eye[own])
+        else:
+            rows.append(np.vstack([e, _fresh(e[None], ex, p)]))
+        labels += [f"e{i}.{k}" for k in range(len(rows[-1]))]
+    P = np.vstack(rows)
+    if np.array_equal(P, eye):
+        return a                                        # the given basis is adapted
+    rref, pivots = _dense_rref(np.hstack([P, eye]), p)
+    if pivots != list(range(d)):
+        raise InternalCheckError(f"the blocks of {a.label()} do not make a basis")
+    inv = rref[:, d:]
+    b = StructureConstantsAlgebra(p, labels, matmul_mod(a.unit[None], inv, p)[0],
+                                  matmul_mod(_pairwise(a, P, P), inv, p).reshape(d, d, d),
+                                  name=a.name)
+    keep = (a.idempotents.r, -np.count_nonzero(c)) >= (b.idempotents.r,
+                                                       -np.count_nonzero(b.constants))
+    return a if keep else b
 
 
 # ---------------- validation ----------------

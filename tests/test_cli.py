@@ -146,7 +146,7 @@ def test_any_single_field_either_loads_or_is_bad_input(field, value):
 
 
 def test_cap_exit_3_reports_sizes(capsys):
-    rc, _, err = run(capsys, "hh", "group-z4", "-N", "6", "--cap", "1000", "--quiet")
+    rc, _, err = run(capsys, "hh", "trunc-poly-4", "-N", "6", "--cap", "1000", "--quiet")
     assert rc == 3
     assert "1000" in err and "estimate" in err
 
