@@ -38,15 +38,22 @@ import sys
 from nchodge.algebra import normalize_basis
 from nchodge.cartier import PCyclicLevels, estimate_sd_entries
 from nchodge.corpus import build
+from nchodge.errors import ResourceError
 from nchodge.hochcyc import NormalizedMixedComplex, estimate_normalized_entries
-a, N = normalize_basis(build(sys.argv[1], 3)), int(sys.argv[2])
-if sys.argv[3] == "subdivided":
-    pcyc = PCyclicLevels(a, N)
-    print(estimate_sd_entries(a, N), sum(pcyc.b(n).nnz for n in range(1, N + 1)))
-else:
+
+def built(a, N):
+    if sys.argv[3] == "subdivided":
+        pcyc = PCyclicLevels(a, N)
+        return estimate_sd_entries(a, N), sum(pcyc.b(n).nnz for n in range(1, N + 1))
     nc = NormalizedMixedComplex(a, N)
-    built = sum(nc.b(n).nnz for n in range(1, N + 1)) + sum(nc.B(n).nnz for n in range(N))
-    print(estimate_normalized_entries(a, N), built)
+    return (estimate_normalized_entries(a, N),
+            sum(nc.b(n).nnz for n in range(1, N + 1)) + sum(nc.B(n).nnz for n in range(N)))
+
+a, N = build(sys.argv[1], 3), int(sys.argv[2])
+try:
+    print(*built(normalize_basis(a), N))
+except ResourceError:  # the command line reruns such a window in the given basis
+    print(*built(a, N))
 """
 
 # runs the command line and prints its peak RSS in KiB as the last line of stderr

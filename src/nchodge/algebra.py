@@ -287,7 +287,8 @@ def normalize_basis(a: StructureConstantsAlgebra) -> StructureConstantsAlgebra:
     a non-commutative one keeps the given basis vectors when they span it,
     else e_i and a complement. The copy keeps the name and replaces a only
     if `basis_idempotents` finds more idempotents on it, or as many with
-    fewer nonzero structure constants. Mod p^2, a is kept.
+    fewer nonzero structure constants; only then is it validated. Mod p^2,
+    a is kept.
     """
     p, d, c = a.p, a.dim, a.constants
     if a.power != 1 or d < 2:
@@ -343,10 +344,14 @@ def normalize_basis(a: StructureConstantsAlgebra) -> StructureConstantsAlgebra:
     inv = rref[:, d:]
     b = StructureConstantsAlgebra(p, labels, matmul_mod(a.unit[None], inv, p)[0],
                                   matmul_mod(_pairwise(a, P, P), inv, p).reshape(d, d, d),
-                                  name=a.name)
-    keep = (a.idempotents.r, -np.count_nonzero(c)) >= (b.idempotents.r,
-                                                       -np.count_nonzero(b.constants))
-    return a if keep else b
+                                  name=a.name, check=False)
+    if (a.idempotents.r, -np.count_nonzero(c)) >= (b.idempotents.r,
+                                                   -np.count_nonzero(b.constants)):
+        return a
+    failures = validate_algebra(b)                      # a copy the routes will read
+    if failures:
+        raise InternalCheckError(f"the normalized {a.label()} fails: {failures[0]}")
+    return b
 
 
 # ---------------- validation ----------------
