@@ -2,7 +2,6 @@
 within a time budget, cold, one child process per run.
 
     python3 scripts/reach.py --src src --budget 20 > reach.json
-    python3 scripts/reach.py --only "hh group-z4" --only "conjugate group-z3"
 
 For each row, N doubles from its smallest valid value while the run
 finishes (exit 0, or 1 for a flagged finding) within the budget, then a
@@ -112,11 +111,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default="src", help="the source tree to run")
     ap.add_argument("--budget", type=float, default=20.0, help="seconds per run")
-    ap.add_argument("--only", action="append", metavar="'COMMAND ALGEBRA'",
-                    help="measure only this row (repeatable)")
     args = ap.parse_args()
-    rows = [reach(args.src, *row, args.budget) for row in ROWS
-            if not args.only or f"{row[0]} {row[1]}" in args.only]
+    rows = [reach(args.src, *row, args.budget) for row in ROWS]
     print(json.dumps(rows, indent=1))
 
 
