@@ -212,11 +212,10 @@ def test_lift_check_and_cartier0_read_the_given_constants():
 
 
 def test_normalization_stays_within_its_load_budget():
-    # The budget is 2 ms per load; BENCH_normalize.json records every corpus
-    # algebra under it at p = 3 and 2^31 - 1 (best of 300 calls, idle
-    # 2-core Xeon; 0.9 ms at most). On a shared machine the same call runs
-    # up to 3x slower for seconds at a time, so this test takes the best of
-    # three rounds of 20 calls and allows 3x.
+    # The budget is 2 ms per load. On a shared 2-core Xeon the worst corpus
+    # algebra took 0.9 ms in an idle window and up to 3 ms in slow phases
+    # that last seconds (BENCH_normalize.json), so this test takes the best
+    # of three rounds of 20 calls and allows 3x the budget.
     algebras = [build(name, p) for p in (3, WIDE) for name in corpus_names()]
     best = [float("inf")] * len(algebras)
     for _ in range(3):
