@@ -29,7 +29,7 @@ from scipy import sparse as sp
 
 from .algebra import StructureConstantsAlgebra, commutator_quotient
 from .complexes import BicomplexWindow, ChainComplexWindow, LazyDiffs
-from .conventions import cyclic_sign
+from .conventions import cyclic_sign, face_sum
 from .errors import (
     CartierError,
     InternalCheckError,
@@ -37,14 +37,13 @@ from .errors import (
     NotAComplexError,
     OrderError,
     ParityError,
-    ResourceError,
     ShapeError,
     SubdivisionMismatchError,
     WindowError,
 )
 from .hochcyc import (
-    DEFAULT_ENTRY_CAP,
-    CyclicLevelMaps,
+    _capped_sum,
+    _check_levels,
     b_complex,
     degeneracy_matrix,
     face_matrix,
@@ -355,14 +354,15 @@ def block_rotation(dim: int, length: int, blocksize: int, p: int) -> ModMatrix:
 
 # ---------------- the subdivided cyclic object ----------------
 
-def estimate_sd_entries(a: StructureConstantsAlgebra, N: int) -> int:
+def estimate_sd_entries(a: StructureConstantsAlgebra, N: int, cap: int | None = None) -> int:
+    """Entries of the faces, degeneracies and rotations through level N;
+    with a cap, the sum stops once past it, and a d^p past it is not built."""
     d, p = a.dim, a.p
     tbar, ubar = a.max_terms(), int(np.count_nonzero(a.unit))
-    total = 0
-    for n in range(N + 1):
-        length = p * (n + 1)
-        total += d ** length * (length * (tbar ** p + ubar) + 3)
-    return total
+    if cap is not None and d > 1 and p > cap.bit_length():
+        return cap + 1      # d^p >= 2^p > cap, and tbar <= d
+    return _capped_sum((d ** (p * (n + 1)) * (p * (n + 1) * (tbar ** p + ubar) + 3)
+                        for n in range(N + 1)), cap)
 
 
 class PCyclicLevels:
@@ -381,24 +381,14 @@ class PCyclicLevels:
 
     def __init__(self, a: StructureConstantsAlgebra, N: int,
                  cap: int | None = None, allow_p2: bool = False):
-        if N < 1:
-            raise WindowError("need at least levels 0 and 1")
-        if a.power != 1:
-            raise ModulusError("subdivision runs over F_p")
         if a.p == 2 and not allow_p2:
             raise ParityError(
                 "at p = 2 the sign conventions for the subdivision degenerate; "
                 "pass allow_p2=True (--allow-p2 on the command line) to build it anyway")
-        cap = DEFAULT_ENTRY_CAP if cap is None else cap
-        est = estimate_sd_entries(a, N)
-        if est > cap:
-            raise ResourceError(
-                f"subdivision through level {N} needs about {est} entries, cap is {cap}",
-                estimate=est, cap=cap)
+        _check_levels(a, N, "subdivision", lambda cap: estimate_sd_entries(a, N, cap), cap)
         self.algebra = a
         self.p = a.p
         self.N = N
-        self.cap = cap
         self._faces: dict[tuple[int, int], ModMatrix] = {}
         self._degens: dict[tuple[int, int], ModMatrix] = {}
         self._b: dict[int, ModMatrix] = {}
@@ -473,11 +463,7 @@ class PCyclicLevels:
 
     def bprime(self, n: int) -> ModMatrix:
         if n not in self._bprime:
-            total = self.face(n, 0)
-            for i in range(1, n):
-                step = self.face(n, i)
-                total = total + step if i % 2 == 0 else total - step
-            self._bprime[n] = total
+            self._bprime[n] = face_sum(self.face(n, i) for i in range(n))
         return self._bprime[n]
 
     def norm(self, n: int) -> ModMatrix:
@@ -559,18 +545,17 @@ def _fixed_reduced_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:
     """The subdivided boundary squeezed onto the repeated-word coordinates,
     a gather of its rows and columns at the p-fold repetitions.
 
-    This must coincide with the ordinary boundary of the algebra: the
-    comparison map is monomial and Fermat collapses the coefficient
-    powers. The equality is asserted, not assumed.
+    This must coincide with the ordinary boundary of the algebra, the sum
+    of the signed faces: the comparison map is monomial and Fermat
+    collapses the coefficient powers. The equality is asserted, not assumed.
     """
     a = pcyc.algebra
-    cyc = CyclicLevelMaps(a, pcyc.N, cap=pcyc.cap)
     dims = {n: a.dim ** (n + 1) for n in range(pcyc.N + 1)}
     diffs = {}
     for n in range(1, pcyc.N + 1):
         beta = pcyc.b(n).restrict(rows=repeated_words(a.dim, n - 1, pcyc.p),
                                   cols=repeated_words(a.dim, n, pcyc.p))
-        if beta != cyc.b(n):
+        if beta != face_sum(face_matrix(a, n, i) for i in range(n + 1)):
             raise InternalCheckError(
                 f"fixed-coordinate boundary at level {n} does not match the "
                 f"ordinary one for {a.label()}")

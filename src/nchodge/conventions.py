@@ -29,11 +29,19 @@ unsigned, as a group action of order p.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 SIGN_CONVENTION = "loday-v1"
 
 
 def face_sign(i: int) -> int:
     return -1 if i % 2 else 1
+
+
+def face_sum(faces):
+    """sum of (-1)^i d_i over the faces d_0, d_1, .. given: b, or b'."""
+    return reduce(add, (f.scale(face_sign(i)) for i, f in enumerate(faces)))
 
 
 def cyclic_sign(n: int) -> int:

@@ -13,23 +13,22 @@ projected onto A/S, and B inserts the one idempotent that survives (x)_S.
 With S = k1 the mask is all true and the complex is A (x) Abar^n. S is
 separable, so the complex computes HH and HC (Loday, Cyclic Homology,
 1.2 and 2.2). It carries the HH and HC numbers: `hh_dims` and `hc_dims`
-(the `hh` and `hc` commands), `sbi_check` (`sbi`), the HH/HC verdict of
-`hodge_ss` (`hodge`) and its per-degree view `hodge_ledger` (`ledger`), and
-the HH/HC references of the subdivision routes in `cartier`
-(`edgewise-check`, `conjugate`). Its levels have at most (d - 1)^n / d^n
-times the coordinates of the unnormalized ones, and trace(T0 T^n) in
-general (`estimate_normalized_entries`): 2 per level for the 2 x 2
-matrices, where the complex relative to k has 4 * 3^n.
+(the `hh` and `hc` commands), `sbi_check` (`sbi`), the verdict and the
+page tables of `hodge_ss` (`hodge`) and its per-degree view `hodge_ledger`
+(`ledger`), and the HH/HC references of the subdivision routes in
+`cartier` (`edgewise-check`, `conjugate`). Its levels have at most
+(d - 1)^n / d^n times the coordinates of the unnormalized ones, and
+trace(T0 T^n) in general (`estimate_normalized_entries`): 2 per level for
+the 2 x 2 matrices, where the complex relative to k has 4 * 3^n.
 
 The unnormalized cyclic object (`CyclicLevelMaps`) has level n equal to
 the (n+1)-fold tensor power of A on the monomial basis, with faces
 multiplying adjacent factors (the last face wraps around), the unit
 inserted in front by the extra degeneracy, and the signed rotation as
-cyclic operator. It stays for the page tables of `hodge --pages` and as
-the reference of the p-fold subdivision in `cartier`. Page E_0 is chain
-level (Gr_l C_n), so those tables depend on the chain model, and the
-pinned `nc-hodge/1` payloads and the `--pages-budget` sizes are those of
-the unnormalized complex.
+cyclic operator. No command builds it: its faces are the reference of the
+p-fold subdivision in `cartier`, and `hodge --pages` reports its page E_0
+in closed form from HH (`_cyclic_page_zero`), since the later pages do not
+depend on the chain model.
 
 From these come the b complex, the mixed (b, B) bicomplex whose
 totalization computes cyclic homology, the SBI rank bookkeeping, and the
@@ -38,16 +37,17 @@ Hodge filtration report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .algebra import BasisIdempotents, StructureConstantsAlgebra
 from .complexes import BicomplexWindow, ChainComplexWindow, LazyDiffs, filtration_by_columns
-from .conventions import cyclic_sign, face_sign
+from .conventions import cyclic_sign, face_sign, face_sum
 from .errors import (InternalCheckError, ModulusError, NotAComplexError, ResourceError,
                      ShapeError, WindowError)
 from .modring import ModMatrix, induced_map_rank
+from .specseq import SSPage, pages
 
 DEFAULT_ENTRY_CAP = 1 << 24
 
@@ -149,12 +149,36 @@ def rotation_matrix(dim: int, m: int, modulus: int) -> ModMatrix:
 
 # ---------------- the cyclic object ----------------
 
-def estimate_entries(a: StructureConstantsAlgebra, N: int) -> int:
-    d, tbar, ubar = a.dim, a.max_terms(), int(np.count_nonzero(a.unit))
+def _capped_sum(terms, cap: int | None) -> int:
+    """The sum of terms, read lazily; with a cap, the first partial sum past
+    it, so a refused estimate stops before its terms grow huge."""
     total = 0
-    for m in range(N + 1):
-        total += d ** (m + 1) * ((m + 1) * (tbar + ubar) + 1)
+    for t in terms:
+        total += t
+        if cap is not None and total > cap:
+            break
     return total
+
+
+def _check_levels(a: StructureConstantsAlgebra, N: int, what: str, estimate,
+                  cap: int | None) -> None:
+    """Refuse a chain model through level N of fewer than two levels, over
+    Z/p^2, or with estimate(cap) entries past cap (DEFAULT_ENTRY_CAP if
+    None); the estimate may stop once past the cap, a lower bound then."""
+    if N < 1:
+        raise WindowError("need at least levels 0 and 1")
+    if a.power != 1:
+        raise ModulusError(f"the {what} runs over F_p")
+    cap = DEFAULT_ENTRY_CAP if cap is None else cap
+    est = estimate(cap)
+    if est > cap:
+        raise ResourceError(f"{what} through level {N} needs at least {est} entries, "
+                            f"cap is {cap}", estimate=est, cap=cap)
+
+
+def estimate_entries(a: StructureConstantsAlgebra, N: int, cap: int | None = None) -> int:
+    d, tbar, ubar = a.dim, a.max_terms(), int(np.count_nonzero(a.unit))
+    return _capped_sum((d ** (m + 1) * ((m + 1) * (tbar + ubar) + 1) for m in range(N + 1)), cap)
 
 
 class CyclicLevelMaps:
@@ -163,19 +187,9 @@ class CyclicLevelMaps:
 
     def __init__(self, a: StructureConstantsAlgebra, N: int,
                  cap: int | None = None):
-        if N < 1:
-            raise WindowError("need at least levels 0 and 1")
-        if a.power != 1:
-            raise ModulusError("homology pipelines run over F_p")
-        cap = DEFAULT_ENTRY_CAP if cap is None else cap
-        est = estimate_entries(a, N)
-        if est > cap:
-            raise ResourceError(
-                f"cyclic object through level {N} needs about {est} entries, cap is {cap}",
-                estimate=est, cap=cap)
+        _check_levels(a, N, "cyclic object", lambda cap: estimate_entries(a, N, cap), cap)
         self.algebra = a
         self.N = N
-        self.cap = cap
         self.dims = [a.dim ** (n + 1) for n in range(N + 1)]
         self._faces = {(n, i): face_matrix(a, n, i)
                        for n in range(1, N + 1) for i in range(n + 1)}
@@ -200,20 +214,14 @@ class CyclicLevelMaps:
         if n == 0:
             return ModMatrix.zeros(0, self.dims[0], self.algebra.modulus)
         if n not in self._b:
-            out = self.face(n, 0)
-            for i in range(1, n + 1):
-                out = out + self.face(n, i).scale(face_sign(i))
-            self._b[n] = out
+            self._b[n] = face_sum(self.face(n, i) for i in range(n + 1))
         return self._b[n]
 
     def bprime(self, n: int) -> ModMatrix:
         if n == 0:
             return ModMatrix.zeros(0, self.dims[0], self.algebra.modulus)
         if n not in self._bprime:
-            out = self.face(n, 0)
-            for i in range(1, n):
-                out = out + self.face(n, i).scale(face_sign(i))
-            self._bprime[n] = out
+            self._bprime[n] = face_sum(self.face(n, i) for i in range(n))
         return self._bprime[n]
 
     def norm(self, n: int) -> ModMatrix:
@@ -263,10 +271,10 @@ def _bar_projection(a: StructureConstantsAlgebra,
     return pr, bar
 
 
-def _word_counts(S: BasisIdempotents, bar: np.ndarray, N: int) -> list[int]:
+def _word_counts(S: BasisIdempotents, bar: np.ndarray, N: int):
     """Cyclically composable words a0 | a1 .. an, a1..an in bar, for
-    n = 0..N: trace(T0 T^n), where T0 and T count the basis vectors and the
-    bar vectors of each e_i A e_j. With r = 1 this is d (d - 1)^n."""
+    n = 0..N, lazily: trace(T0 T^n), where T0 and T count the basis vectors
+    and the bar vectors of each e_i A e_j. With r = 1 this is d (d - 1)^n."""
     r = S.r
     T0 = np.zeros((r, r), dtype=object)
     T = np.zeros((r, r), dtype=object)
@@ -274,15 +282,15 @@ def _word_counts(S: BasisIdempotents, bar: np.ndarray, N: int) -> list[int]:
         T0[S.left[x], S.right[x]] += 1
     for x in bar:
         T[S.left[x], S.right[x]] += 1
-    counts, M = [], T0
+    M = T0
     for _ in range(N + 1):
-        counts.append(int(np.trace(M)))
+        yield int(np.trace(M))
         M = M @ T
-    return counts
 
 
 def estimate_normalized_entries(a: StructureConstantsAlgebra, N: int,
-                                S: BasisIdempotents | None = None) -> int:
+                                S: BasisIdempotents | None = None,
+                                cap: int | None = None) -> int:
     """Entries of b and B of the normalized mixed complex relative to S
     (default: the basis idempotents of a) through level N.
 
@@ -295,7 +303,7 @@ def estimate_normalized_entries(a: StructureConstantsAlgebra, N: int,
     S = a.idempotents if S is None else S
     tbar, ubar = a.max_terms(), int(np.count_nonzero(S.span, axis=1).max())
     counts = _word_counts(S, _bar_projection(a, S)[1], N)
-    return sum(c * (m + 1) * ubar * (tbar + ubar) for m, c in enumerate(counts))
+    return _capped_sum((c * (m + 1) * ubar * (tbar + ubar) for m, c in enumerate(counts)), cap)
 
 
 def _composable_words(S: BasisIdempotents, bar: np.ndarray, N: int,
@@ -366,17 +374,9 @@ class NormalizedMixedComplex:
 
     def __init__(self, a: StructureConstantsAlgebra, N: int,
                  cap: int | None = None, S: BasisIdempotents | None = None):
-        if N < 1:
-            raise WindowError("need at least levels 0 and 1")
-        if a.power != 1:
-            raise ModulusError("homology pipelines run over F_p")
         S = a.idempotents if S is None else S
-        cap = DEFAULT_ENTRY_CAP if cap is None else cap
-        est = estimate_normalized_entries(a, N, S)
-        if est > cap:
-            raise ResourceError(
-                f"normalized mixed complex through level {N} needs about {est} "
-                f"entries, cap is {cap}", estimate=est, cap=cap)
+        _check_levels(a, N, "normalized mixed complex",
+                     lambda cap: estimate_normalized_entries(a, N, S, cap), cap)
         self.algebra = a
         self.N = N
         self.S = S
@@ -387,7 +387,7 @@ class NormalizedMixedComplex:
         dtype = np.int64 if d * e ** N < 1 << 63 else object
         self._words = _composable_words(S, bar, N, dtype)
         self.dims = [w.shape[0] for w in self._words]
-        if self.dims != _word_counts(S, bar, N):
+        if self.dims != list(_word_counts(S, bar, N)):
             raise InternalCheckError(
                 f"composable words {self.dims} disagree with the transfer-matrix count")
         c = a.constants
@@ -504,13 +504,15 @@ def bB_bicomplex(cyc) -> BicomplexWindow:
 
 
 def hc_dims(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
-            carrier: NormalizedMixedComplex | None = None) -> dict[int, int]:
-    """Cyclic homology dimensions, reported on the window [0, N-2]."""
+            carrier: NormalizedMixedComplex | None = None,
+            tot: ChainComplexWindow | None = None) -> dict[int, int]:
+    """Cyclic homology dimensions, reported on the window [0, N-2], read on
+    tot, the totalization of a carrier's (b, B) bicomplex, when given."""
     if N < 2:
         raise WindowError("cyclic homology needs N >= 2")
-    if carrier is None:
-        carrier = NormalizedMixedComplex(a, N, cap=cap)
-    tot, _ = bB_bicomplex(carrier).total_complex()
+    if tot is None:
+        carrier = NormalizedMixedComplex(a, N, cap=cap) if carrier is None else carrier
+        tot, _ = bB_bicomplex(carrier).total_complex()
     return {n: tot.homology_dim(n) for n in range(0, N - 1)}
 
 
@@ -633,45 +635,63 @@ class HodgeSSReport:
     page_tables: list | None
 
 
+def _cyclic_page_zero(page: SSPage, d: int, hh: dict[int, int]) -> SSPage:
+    """Page 0 of the cyclic object's column filtration, on the keys of page 0
+    of another chain model of the same mixed complex.
+
+    Column l in total degree n holds the chains of degree n - 2l, so
+    E_0(l, n) = d^(n - 2l + 1), or 0 when n < 2l. d_0 is b, so the rank out
+    of (l, n) is rank b_(n - 2l), from rank b_0 = 0 and
+    rank b_(m+1) = d^(m+1) - rank b_m - dim HH_m. Raises InternalCheckError
+    if a derived rank is negative or exceeds d^(m+1), the smaller dimension
+    b_(m+1) maps between.
+    """
+    ranks = [0]
+    for m in range(max(n - 2 * l for l, n in page.d_ranks)):
+        rank = d ** (m + 1) - ranks[m] - hh[m]
+        if not 0 <= rank <= d ** (m + 1):
+            raise InternalCheckError(f"derived rank b_{m + 1} = {rank} is outside "
+                                     f"[0, {d ** (m + 1)}]")
+        ranks.append(rank)
+    return replace(
+        page, table={(l, n): d ** (n - 2 * l + 1) if n >= 2 * l else 0 for l, n in page.table},
+        d_ranks={(l, n): ranks[n - 2 * l] if n >= 2 * l else 0 for l, n in page.d_ranks})
+
+
 def hodge_ss(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
              pages_budget: int = 3000, r_max: int = 3) -> HodgeSSReport:
-    """The column filtration of the mixed bicomplex.
+    """The column filtration of the mixed bicomplex, on one chain model: the
+    normalized mixed complex and its one totalization.
 
     The first page in filtration degree l and total degree n is
     HH_{n - 2l}; the abutment is cyclic homology. The verdict compares
-    dim HC_n with the sum of the first page along each antidiagonal, both
-    computed on the normalized mixed complex. The abutment can never
-    exceed that sum; if it does the pipeline is broken and this raises.
-    Page tables from the generic spectral sequence engine, on the
-    unnormalized totalization, are attached when pages_budget covers the
-    coordinates of its levels.
+    dim HC_n with the sum of the first page along each antidiagonal. The
+    abutment can never exceed that sum; if it does the pipeline is broken
+    and this raises. Page tables from the generic spectral sequence engine
+    are attached when pages_budget covers the sum of d^(m+1), the
+    coordinates of the cyclic object's levels. Projecting onto the
+    normalized complex is a filtered quasi-isomorphism on b, so every E_r
+    with r >= 1 is that of the cyclic object (Loday, Cyclic Homology, 2.1);
+    the chain-level E_0 is reported for the cyclic object, in closed form
+    (`_cyclic_page_zero`).
     """
     if N < 2:
         raise WindowError("need N >= 2")
     carrier = NormalizedMixedComplex(a, N, cap=cap)
+    filt = filtration_by_columns(bB_bicomplex(carrier))
     hh = hh_dims(a, N, carrier=carrier)
-    hc = hc_dims(a, N, carrier=carrier)
-    e1 = {}
-    sums = {}
-    for n in range(0, N - 1):
-        total = 0
-        for l in range(0, n // 2 + 1):
-            e1[(l, n)] = hh[n - 2 * l]
-            total += hh[n - 2 * l]
-        sums[n] = total
+    hc = hc_dims(a, N, tot=filt.carrier)
+    e1 = {(l, n): hh[n - 2 * l] for n in range(N - 1) for l in range(n // 2 + 1)}
+    sums = {n: sum(hh[n - 2 * l] for l in range(n // 2 + 1)) for n in range(N - 1)}
+    for n, total in sums.items():
         if hc[n] > total:
             raise InternalCheckError(
-                f"cyclic homology exceeds the Hodge stack in degree {n}: "
-                f"{hc[n]} > {total}")
-    degenerate = all(hc[n] == sums[n] for n in range(0, N - 1))
+                f"cyclic homology exceeds the Hodge stack in degree {n}: {hc[n]} > {total}")
+    degenerate = all(hc[n] == sums[n] for n in sums)
     page_tables = None
-    # E_0 is chain level, so pages come from the unnormalized object
-    tot_size = sum(a.dim ** (m + 1) for m in range(N + 1))
-    if tot_size <= pages_budget:
-        from .specseq import pages as ss_pages
-
-        cyc = CyclicLevelMaps(a, N, cap=cap)
-        page_tables = ss_pages(filtration_by_columns(bB_bicomplex(cyc)), r_max=r_max)
+    if sum(a.dim ** (m + 1) for m in range(N + 1)) <= pages_budget:
+        page_tables = pages(filt, r_max=r_max)
+        page_tables[0] = _cyclic_page_zero(page_tables[0], a.dim, hh)
     return HodgeSSReport(
         N=N, window=(0, N - 2), e1=e1, abutment=hc, hodge_sums=sums, degenerate=degenerate,
         pages_certified=page_tables is not None, page_tables=page_tables)

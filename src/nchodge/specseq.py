@@ -34,7 +34,7 @@ carrier (`abutment_check`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -165,25 +165,14 @@ def span_length(filt: IncreasingFiltration) -> int:
     return filt.levels[-1] - filt.levels[0] + 1
 
 
-@dataclass(frozen=True)
-class AbutmentReport:
-    """per_degree[n] = (antidiagonal sum of the last page, homology in
-    degree n). `abutment_check` raises unless sum >= homology, with equality
-    when final, the last page being past span_length(filt)."""
-
-    final: bool
-    per_degree: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-
-def abutment_check(filt: IncreasingFiltration, pgs: list[SSPage]) -> AbutmentReport:
+def abutment_check(filt: IncreasingFiltration, pgs: list[SSPage]) -> None:
     """Compare the last computed page's antidiagonal sums with the homology
-    of the carrier. Sums can only overshoot on a non-final page; a strict
-    undershoot means the machinery is broken and raises."""
+    of the carrier. Sums can only overshoot on a non-final page, one not
+    past span_length(filt); an undershoot, or a final page that differs,
+    means the machinery is broken and raises."""
     last = pgs[-1]
     final = last.r >= span_length(filt) + 1
-    per = {}
-    sums = last.degree_sums()
-    for n, s in sums.items():
+    for n, s in last.degree_sums().items():
         h = filt.carrier.homology_dim(n)
         if s < h:
             raise InternalCheckError(
@@ -191,5 +180,3 @@ def abutment_check(filt: IncreasingFiltration, pgs: list[SSPage]) -> AbutmentRep
         if final and s != h:
             raise InternalCheckError(
                 f"final page sums to {s} in degree {n}, homology has {h}")
-        per[n] = (s, h)
-    return AbutmentReport(final=final, per_degree=per)

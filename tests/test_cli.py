@@ -413,3 +413,41 @@ def test_hodge_certifies_that_cyclic_homology_stays_under_the_stack(capsys, monk
         rc, _, err = run(capsys, command, "ground-field", "--quiet")
         assert rc == 1
         assert "exceeds the Hodge stack in degree 2: 2 > 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hh", "trunc-poly-4", "-N", "10000"),
+    ("conjugate", "dual-numbers", "-p", "1000003", "-N", "1"),
+])
+def test_a_huge_estimate_exits_3_without_a_traceback(capsys, argv):
+    # the estimates stop past the cap instead of building integers with
+    # more digits than Python will format
+    rc, _, err = run(capsys, *argv, "--quiet")
+    assert rc == 3
+    assert "Traceback" not in err and "cap is 16777216" in err
+
+
+def test_a_subdivision_at_a_wide_prime_is_refused_at_once(capsys):
+    import time
+
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "conjugate", "dual-numbers", "-p", "2147483647", "-N", "1", "--quiet")
+    assert rc == 3 and "Traceback" not in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_no_command_builds_the_cyclic_object(capsys, monkeypatch):
+    from nchodge import hochcyc
+    from nchodge.corpus import build
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the unnormalized cyclic object was built")
+
+    monkeypatch.setattr(hochcyc.CyclicLevelMaps, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        hochcyc.CyclicLevelMaps(build("dual-numbers", 3), 2)
+    rc, payload = run_json(capsys, "hodge", "dual-numbers", "-N", "4", "--pages")
+    assert rc == 1 and [pg["r"] for pg in payload["pages"]] == [0, 1, 2, 3]
+    assert run_json(capsys, "ledger", "dual-numbers", "-N", "5")[0] == 1
+    rc, payload = run_json(capsys, "conjugate", "dual-numbers", "-N", "2")
+    assert rc == 0 and payload["matches_hh"] is True

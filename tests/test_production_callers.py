@@ -25,6 +25,7 @@ TRACER_HELD = {
     "hochcyc.degeneracy_matrix",
     "hochcyc.rotation_matrix",
     "hochcyc.extra_degeneracy_matrix",
+    "hochcyc.CyclicLevelMaps",
     "hochcyc.CyclicLevelMaps.__init__",
     "hochcyc.CyclicLevelMaps.b",
     "hochcyc.CyclicLevelMaps.bprime",

@@ -3,11 +3,14 @@ against the independent homology pipelines."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nchodge import specseq
+from nchodge import hochcyc, specseq
+from nchodge.algebra import normalize_basis
 from nchodge.complexes import ChainComplexWindow, IncreasingFiltration, filtration_by_columns
 from nchodge.corpus import build, corpus_names
 from nchodge.errors import InternalCheckError, WindowError
@@ -35,9 +38,13 @@ def test_two_step_pages_by_hand():
     assert e1.rank_out(1, 1) == 1 and not e1.is_flat()
     assert e2.table == {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     assert all(page.is_flat() for page in pgs[2:])
-    rep = abutment_check(filt, pgs=pgs)
-    assert rep.final
-    assert rep.per_degree == {0: (0, 0), 1: (0, 0)}
+    # the last page is final and sums to the homology, 0 in both degrees
+    assert pgs[-1].r >= span_length(filt) + 1
+    assert pgs[-1].degree_sums() == {0: 0, 1: 0}
+    abutment_check(filt, pgs=pgs)
+    tampered = replace(pgs[-1], table={**pgs[-1].table, (0, 1): 1})
+    with pytest.raises(InternalCheckError, match="final page sums to 1 in degree 1"):
+        abutment_check(filt, pgs=[tampered])
 
 
 def test_page_bookkeeping_externally():
@@ -214,19 +221,58 @@ def test_degeneration_pages_match_verdicts():
 def test_not_certified_when_pages_stop_early():
     filt = hodge_filtration("ground-field", 4)
     pgs = pages(filt, r_max=2)  # span is 5, so nothing is certified yet
-    assert not abutment_check(filt, pgs=pgs).final
+    assert pgs[-1].r < span_length(filt) + 1
+    # a non-final page may overshoot the homology; the same sums on a final
+    # page raise
+    over = replace(pgs[-1], table={k: v + 1 for k, v in pgs[-1].table.items()})
+    abutment_check(filt, pgs=[over])
+    with pytest.raises(InternalCheckError, match="final page"):
+        abutment_check(filt, pgs=[replace(over, r=span_length(filt) + 1)])
 
 
 def test_abutment_matches_cyclic_homology():
     a = build("dual-numbers", 3)
     filt = hodge_filtration("dual-numbers", 6)
     pgs = pages(filt, r_max=span_length(filt) + 1)
-    rep = abutment_check(filt, pgs=pgs)
-    assert rep.final and all(s == h for s, h in rep.per_degree.values())
-    hc = hc_dims(a, 6)
+    abutment_check(filt, pgs=pgs)
     sums = pgs[-1].degree_sums()
+    assert sums == {n: filt.carrier.homology_dim(n) for n in sums}
+    hc = hc_dims(a, 6)
     assert {n: sums[n] for n in hc} == hc
     assert sums == {0: 2, 1: 0, 2: 2, 3: 1, 4: 3, 5: 1}
+
+
+def test_hodge_pages_are_the_cyclic_objects_on_the_corpus():
+    # hodge_ss reads its pages off the normalized complex and writes E_0 in
+    # closed form: every page, E_0 included, is the cyclic object's, in the
+    # given and in the normalized basis
+    cases = 0
+    for p in (3, 5, 7):
+        for name in corpus_names():
+            given = build(name, p)
+            for a in (given, normalize_basis(given)):
+                for N in range(2, 5):
+                    rep = hodge_ss(a, N)
+                    if rep.page_tables is None:
+                        break
+                    want = pages(filtration_by_columns(bB_bicomplex(CyclicLevelMaps(a, N))))
+                    assert rep.page_tables == want, (name, p, N, a is given)
+                    cases += 1
+    assert cases >= 200
+
+
+def test_a_negative_derived_rank_fails_page_zero(monkeypatch):
+    # E_0's ranks come from HH: rank b_1 = d - dim HH_0 must lie in [0, d]
+    real = hochcyc.hh_dims
+
+    def shifted(*args, **kwargs):
+        dims = real(*args, **kwargs)
+        dims[0] += 100
+        return dims
+
+    monkeypatch.setattr(hochcyc, "hh_dims", shifted)
+    with pytest.raises(InternalCheckError, match="derived rank b_1"):
+        hodge_ss(build("dual-numbers", 3), 4)
 
 
 def test_hodge_report_attaches_certified_pages():
