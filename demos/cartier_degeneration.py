@@ -9,7 +9,7 @@ rows against cyclic homology gives a per-degree degeneration ledger.
 
 from nchodge.cartier import cartier0, conjugate_ss, edgewise_hh_check
 from nchodge.corpus import build
-from nchodge.hochcyc import hodge_ledger
+from nchodge.hochcyc import hodge_ss
 
 p = 3
 
@@ -29,6 +29,6 @@ for row in c0.matrix.to_dense().tolist():
 
 print("\nthe degeneration ledger, HC_n vs stacked HH:")
 for name in ("upper-tri-2", "dual-numbers"):
-    led = hodge_ledger(build(name, p), 5)
-    rows = [(r.degree, r.hc, r.hodge_sum) for r in led.rows]
-    print(f"  {name}: degenerate = {led.degenerate}  rows (n, HC, sum)={rows}")
+    rep = hodge_ss(build(name, p), 5, pages_budget=0)
+    rows = [(n, rep.abutment[n], total) for n, total in sorted(rep.hodge_sums.items())]
+    print(f"  {name}: degenerate = {rep.degenerate}  rows (n, HC, sum)={rows}")

@@ -56,11 +56,7 @@ class StructureConstantsAlgebra:
         if self.constants.shape != (self.dim,) * 3:
             raise ConstructionError(
                 f"constants have shape {self.constants.shape}, expected {(self.dim,) * 3}")
-        # products of elements take one integer matmul when its sums stay
-        # below 2**63, as they do for 0/1 constants at every modulus
         self._table = self.constants.reshape(self.dim * self.dim, self.dim)
-        self._one_matmul = (self.dim ** 2 * (modulus - 1)
-                            * int(self.constants.max(initial=0)) < 1 << 63)
         if check:
             failures = validate_algebra(self)
             if failures:
@@ -82,8 +78,7 @@ class StructureConstantsAlgebra:
         xy = x[..., :, None] * y[..., None, :] % m
         lead = xy.shape[:-2]
         xy = xy.reshape(prod(lead), d * d)
-        out = xy @ self._table % m if self._one_matmul else matmul_mod(xy, self._table, m)
-        return out.reshape(lead + (d,))
+        return matmul_mod(xy, self._table, m).reshape(lead + (d,))
 
     def power_of(self, x, k: int) -> np.ndarray:
         """x**k, k >= 1; for a stack of elements (rows), the power of each.

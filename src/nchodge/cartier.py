@@ -160,12 +160,6 @@ class ZpModuleAction:
                               shape=mat.shape)
         return ModMatrix(mat.shape, mat.modulus, moved) == mat.restrict(cols=source.perm)
 
-    def rank_one_minus(self) -> int:
-        return self.dim - self.n_orbits()
-
-    def rank_norm(self) -> int:
-        return self.n_orbits() - self.n_fixed()
-
 
 def zp_invariants(act: ZpModuleAction) -> ModMatrix:
     """Columns: a basis of the sigma-fixed subspace, one orbit sum each."""
@@ -184,42 +178,25 @@ def zp_coinvariants(act: ZpModuleAction) -> tuple[ModMatrix, ModMatrix]:
 
 
 def zp_homology_dims(act: ZpModuleAction, l_max: int = 4) -> dict[int, int]:
-    """dim H_l(Z/p, V) for 0 <= l <= l_max.
+    """dim H_l(Z/p, V) for 0 <= l <= l_max: the number of orbits in degree
+    zero and the number of fixed words in every positive degree.
 
-    In degree zero this is the coinvariants; in every positive degree the
-    kernel-mod-image count collapses to dim V - rank(1 - sigma) - rank N
-    for both parities.
+    H_0 is the coinvariants, one class per orbit. In positive degrees the
+    periodic resolution gives ker N / im(1 - sigma) (even) and
+    ker(1 - sigma) / im N (odd): the kernel and the cokernel of the norm
+    from the coinvariants to the invariants. Proof that both count the
+    fixed words: each side has one coordinate per orbit (the orbit class,
+    the orbit sum); the norm sends a free orbit's class to its sum and a
+    fixed word's class to p times itself, which is 0, so its rank is the
+    number of free orbits. The comparison map, including the invariants and
+    projecting to the coinvariants, sends a free orbit's sum to p times its
+    class, 0, and a fixed word to itself, so it identifies the kernel with
+    the cokernel.
     """
-    r1 = act.rank_one_minus()
-    rn = act.rank_norm()
-    out = {0: act.dim - r1}
+    out = {0: act.n_orbits()}
     for l in range(1, l_max + 1):
-        out[l] = act.dim - r1 - rn
+        out[l] = act.n_fixed()
     return out
-
-
-@dataclass
-class VDaggerReport:
-    h0: int
-    h1: int
-    rank_t: int
-
-
-def vdagger(act: ZpModuleAction) -> VDaggerReport:
-    """Two-term norm complex: coinvariants -> invariants via the norm.
-
-    h0 is its cokernel and h1 its kernel. Lemma: on a permutation module
-    h0 = h1 = rank phi = the number of fixed words, where phi is the
-    comparison map induced by including the invariants and projecting to
-    the coinvariants, so phi always identifies the two. Proof: both sides
-    have one coordinate per orbit (the orbit sum, the orbit class); the norm
-    sends a free orbit's class to its sum and a fixed word's class to p
-    times itself, which is 0, so rank_t = #free orbits and h0 = h1 =
-    #fixed; phi sends a free orbit's sum to p times its class, 0, and a
-    fixed word to itself, so rank phi = #fixed as well.
-    """
-    n_orb, n_fix = act.n_orbits(), act.n_fixed()
-    return VDaggerReport(h0=n_fix, h1=n_fix, rank_t=n_orb - n_fix)
 
 
 # ---------------- repeated-word comparison map ----------------
@@ -258,67 +235,46 @@ def _digit_permutation_power(g: np.ndarray, length: int, modulus: int) -> ModMat
     return ModMatrix.from_index_map(rows, d ** length, modulus)
 
 
-@dataclass
-class IotaReport:
-    dim: int
-    level: int
-    homology: dict[int, int]
-    bijective: bool
-    natural: bool
-    additive: bool
-    samples: int
-    seed: int
-
-
 def iota_iso(dim: int, p: int, n: int = 0, l_max: int = 4,
-             samples: int = 200, seed: int = 0) -> IotaReport:
+             samples: int = 200, seed: int = 0) -> None:
     """Certify that repeated words present every positive Z/p homology
     group of the p-th tensor power of an F_p space of the given dim.
 
     Checks, all by explicit linear algebra: the image is fixed, the
-    classes are a basis of H_l for 1 <= l <= l_max, the map commutes with
-    digitwise basis permutations and the one-step rotation, and p-fold
-    powering of sampled vectors is additive modulo im(1 - sigma). Any
-    failure raises CartierError.
+    classes are a basis of H_l for 1 <= l <= l_max (`zp_homology_dims`),
+    the map commutes with digitwise basis permutations and the one-step
+    rotation, and p-fold powering of sampled vectors is additive modulo
+    im(1 - sigma). Any failure raises CartierError.
     """
     length = p * (n + 1)
     sigma = block_rotation(dim, length, n + 1, p)
     act = ZpModuleAction(sigma, p)
     iota = iota_matrix(dim, n, p, p)
     D = iota.shape[1]
+    one_minus, norm = act.one_minus(), act.norm()
     failures = []
 
-    if not (act.one_minus() @ iota).is_zero():
+    if not (one_minus @ iota).is_zero():
         failures.append("image is not fixed")
-    if not (act.norm() @ iota).is_zero():
+    if not (norm @ iota).is_zero():
         failures.append("image does not lie in the kernel of the norm")
 
     hom = zp_homology_dims(act, l_max=l_max)
-    one_minus = act.one_minus()
-    norm = act.norm()
     rk_odd = rank_fp(hstack([iota, norm])) - rank_fp(norm)
     rk_even = rank_fp(hstack([iota, one_minus])) - rank_fp(one_minus)
-    bij = True
     for l in range(1, l_max + 1):
-        rk = rk_odd if l % 2 == 1 else rk_even
-        if not (rk == D == hom[l]):
-            bij = False
+        if not ((rk_odd if l % 2 == 1 else rk_even) == D == hom[l]):
             failures.append(f"classes do not form a basis in degree {l}")
             break
 
     rng = np.random.default_rng(seed)
-    natural = True
-    rho_big = rotation_matrix(dim, length - 1, p)
-    rho_small = rotation_matrix(dim, n, p)
-    if rho_big @ iota != iota @ rho_small:
-        natural = False
+    if rotation_matrix(dim, length - 1, p) @ iota != iota @ rotation_matrix(dim, n, p):
         failures.append("does not intertwine the one-step rotations")
     for _ in range(3):
         g = rng.permutation(dim).astype(np.int64)
         g_small = _digit_permutation_power(g, n + 1, p)
         g_big = _digit_permutation_power(g, length, p)
         if g_big @ iota != iota @ g_small:
-            natural = False
             failures.append("does not commute with a digitwise permutation")
             break
 
@@ -330,15 +286,11 @@ def iota_iso(dim: int, p: int, n: int = 0, l_max: int = 4,
         deltas[:, s] = (both - _tensor_power_vec(x, p, p)
                         - _tensor_power_vec(y, p, p)) % p
     stacked = hstack([one_minus, ModMatrix.from_dense(deltas, p)])
-    additive = rank_fp(stacked) == rank_fp(one_minus)
-    if not additive:
+    if rank_fp(stacked) != rank_fp(one_minus):
         failures.append("powering is not additive modulo the moved subspace")
 
     if failures:
         raise CartierError("; ".join(failures))
-    return IotaReport(dim=dim, level=n, homology=hom, bijective=bij,
-                      natural=natural, additive=additive, samples=samples,
-                      seed=seed)
 
 
 def block_rotation(dim: int, length: int, blocksize: int, p: int) -> ModMatrix:
@@ -483,7 +435,6 @@ class EdgewiseReport:
     N: int
     sd_dims: dict[int, int]
     hh: dict[int, int]
-    equal: bool
 
 
 def edgewise_hh_check(a: StructureConstantsAlgebra, N: int,
@@ -500,7 +451,7 @@ def edgewise_hh_check(a: StructureConstantsAlgebra, N: int,
     if sd != hh:
         raise SubdivisionMismatchError(
             f"subdivided homology {sd} differs from {hh} for {a.label()}")
-    return EdgewiseReport(N=N, sd_dims=sd, hh=hh, equal=True)
+    return EdgewiseReport(N=N, sd_dims=sd, hh=hh)
 
 
 # ---------------- fiberwise group homology bicomplex ----------------
@@ -597,8 +548,8 @@ def conjugate_ss(a: StructureConstantsAlgebra, N: int, L: int | None = None,
                  allow_p2: bool = False) -> ConjugateSSReport:
     """Row-filtration spectral sequence of the fiberwise bicomplex.
 
-    The first page in row j is the Z/p homology of the level, counted
-    through the orbit partition. The second page in positive rows is the
+    The first page in row j is the Z/p homology of the level
+    (`zp_homology_dims`). The second page in positive rows is the
     homology of the fixed-coordinate complex, which the comparison map
     identifies with the Hochschild dimensions of the algebra itself; row
     zero carries the coinvariant complex. The abutment column reports the
@@ -608,11 +559,8 @@ def conjugate_ss(a: StructureConstantsAlgebra, N: int, L: int | None = None,
     pcyc = PCyclicLevels(a, N, cap=cap, allow_p2=allow_p2)
     e1 = {}
     for n in range(N + 1):
-        act = pcyc.action(n)
-        orbits = act.n_orbits()
-        fixed = act.n_fixed()
-        for j in range(L + 1):
-            e1[(j, n)] = orbits if j == 0 else fixed
+        for j, dim in zp_homology_dims(pcyc.action(n), L).items():
+            e1[(j, n)] = dim
     reduced = _fixed_reduced_complex(pcyc)
     e2_pos = reduced.homology_dims()
     coinv = _coinvariant_complex(pcyc)
@@ -638,8 +586,6 @@ def conjugate_ss(a: StructureConstantsAlgebra, N: int, L: int | None = None,
 class Cartier0Report:
     dim_quotient: int
     matrix: ModMatrix
-    additive_ok: bool
-    representative_ok: bool
     samples: int
     seed: int
 
@@ -650,8 +596,9 @@ def cartier0(a: StructureConstantsAlgebra, samples: int = 1000,
 
     The matrix is assembled from a coordinate section of the quotient;
     additivity and independence of the representative are then certified
-    on sampled elements. Both hold identically in characteristic p, so
-    any failure means the quotient or the powering is miscomputed.
+    on sampled elements. Both hold identically in characteristic p, so a
+    failure means the quotient or the powering is miscomputed, and raises
+    InternalCheckError naming the certificate.
     """
     if a.power != 1:
         raise ModulusError("power map runs over F_p")
@@ -668,8 +615,6 @@ def cartier0(a: StructureConstantsAlgebra, samples: int = 1000,
     matrix = hstack(cols) if cols else ModMatrix.zeros(0, 0, p)
 
     rng = np.random.default_rng(seed)
-    additive_ok = True
-    representative_ok = True
     proj_d = proj.to_dense()
 
     def cls_of_power(z: np.ndarray) -> np.ndarray:
@@ -678,24 +623,15 @@ def cartier0(a: StructureConstantsAlgebra, samples: int = 1000,
     for _ in range(samples):
         x = a.random_element(rng)
         y = a.random_element(rng)
-        lhs = cls_of_power((x + y) % p)
-        rhs = (cls_of_power(x) + cls_of_power(y)) % p
-        if not np.array_equal(lhs, rhs):
-            additive_ok = False
-            break
+        if not np.array_equal(cls_of_power((x + y) % p),
+                              (cls_of_power(x) + cls_of_power(y)) % p):
+            raise InternalCheckError(
+                f"power map certificate failed for {a.label()}: not additive")
         u = a.random_element(rng)
         v = a.random_element(rng)
         comm = (a.multiply(u, v) - a.multiply(v, u)) % p
-        lhs = cls_of_power((x + comm) % p)
-        rhs = cls_of_power(x)
-        if not np.array_equal(lhs, rhs):
-            representative_ok = False
-            break
-    if not (additive_ok and representative_ok):
-        raise InternalCheckError(
-            f"power map certificates failed for {a.label()}: "
-            f"additive={additive_ok} representative={representative_ok}")
-    return Cartier0Report(dim_quotient=q_dim, matrix=matrix,
-                          additive_ok=additive_ok,
-                          representative_ok=representative_ok,
-                          samples=samples, seed=seed)
+        if not np.array_equal(cls_of_power((x + comm) % p), cls_of_power(x)):
+            raise InternalCheckError(
+                f"power map certificate failed for {a.label()}: "
+                f"depends on the representative")
+    return Cartier0Report(dim_quotient=q_dim, matrix=matrix, samples=samples, seed=seed)

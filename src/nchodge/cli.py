@@ -22,16 +22,10 @@ from .errors import (
     CartierError,
     ConstructionError,
     InternalCheckError,
-    ModulusError,
     NCHodgeError,
     NotAComplexError,
-    OrderError,
-    ParityError,
-    ReductionMismatchError,
     ResourceError,
-    ShapeError,
     SubdivisionMismatchError,
-    WindowError,
 )
 
 SCHEMA = "nc-hodge/1"
@@ -41,8 +35,6 @@ EXIT_FINDINGS = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
-_INPUT_ERRORS = (ConstructionError, ModulusError, ShapeError, WindowError,
-                 OrderError, ParityError, ReductionMismatchError)
 _FINDING_ERRORS = (InternalCheckError, SubdivisionMismatchError, CartierError,
                    NotAComplexError)
 
@@ -189,7 +181,7 @@ def cmd_hodge(args):
     payload["hodge_sums"] = _dims_list(rep.hodge_sums)
     payload["abutment"] = _dims_list(rep.abutment)
     payload["degenerate"] = rep.degenerate
-    payload["pages_certified"] = rep.pages_certified
+    payload["pages_certified"] = rep.page_tables is not None
     if rep.page_tables is not None:
         payload["pages"] = [
             {"r": page.r, "entries": _triples(page.table),
@@ -212,8 +204,8 @@ def cmd_cartier0(args):
     payload = _base_payload("cartier0", a)
     payload["dim_quotient"] = rep.dim_quotient
     payload["matrix"] = rep.matrix.to_dense().tolist()
-    payload["additive_ok"] = rep.additive_ok
-    payload["representative_ok"] = rep.representative_ok
+    # always true: a failed certificate exits 1 before anything is printed
+    payload["additive_ok"] = payload["representative_ok"] = True
     payload["samples"] = rep.samples
     payload["seed"] = rep.seed
     rows = [[i, j, v] for i, row in enumerate(payload["matrix"])
@@ -233,10 +225,10 @@ def cmd_edgewise_check(args):
     payload["window"] = [0, rep.N - 1]
     payload["subdivided"] = _dims_list(rep.sd_dims)
     payload["plain"] = _dims_list(rep.hh)
-    payload["equal"] = rep.equal
+    payload["equal"] = True  # a mismatch exits 1 before anything is printed
     rows = [[n, rep.sd_dims[n], rep.hh[n]] for n in sorted(rep.sd_dims)]
     table = (["degree", "subdivided", "plain"], rows)
-    return payload, table, not rep.equal
+    return payload, table, False
 
 
 def cmd_conjugate(args):
@@ -262,22 +254,21 @@ def cmd_conjugate(args):
 
 
 def cmd_ledger(args):
-    from .hochcyc import hodge_ledger
+    from .hochcyc import hodge_ss
 
     a = _load_algebra(args, normalize=True)
     _progress(args, "stacking Hochschild dimensions against cyclic homology")
-    led = hodge_ledger(a, args.levels, cap=args.cap)
+    rep = hodge_ss(a, args.levels, cap=args.cap, pages_budget=0)
+    rows = [[n, rep.abutment[n], total, rep.abutment[n] == total]
+            for n, total in sorted(rep.hodge_sums.items())]
     payload = _base_payload("ledger", a)
-    payload["N"] = led.N
-    payload["window"] = [0, led.N - 2]
-    payload["rows"] = [
-        {"degree": r.degree, "hc": r.hc, "hodge_sum": r.hodge_sum,
-         "equal": r.equal} for r in led.rows
-    ]
-    payload["degenerate"] = led.degenerate
-    rows = [[r.degree, r.hc, r.hodge_sum, r.equal] for r in led.rows]
+    payload["N"] = rep.N
+    payload["window"] = list(rep.window)
+    payload["rows"] = [{"degree": n, "hc": hc, "hodge_sum": total, "equal": equal}
+                       for n, hc, total, equal in rows]
+    payload["degenerate"] = rep.degenerate
     table = (["degree", "hc", "hodge_sum", "equal"], rows)
-    return payload, table, not led.degenerate
+    return payload, table, not rep.degenerate
 
 
 def cmd_lift_check(args):
@@ -476,9 +467,6 @@ def main(argv=None) -> int:
         print(f"error: {exc} (estimate {exc.estimate}, cap {exc.cap})",
               file=sys.stderr)
         return EXIT_RESOURCE
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except _FINDING_ERRORS as exc:
         print(f"finding: {exc}", file=sys.stderr)
         return EXIT_FINDINGS

@@ -9,9 +9,9 @@ block index table. Windows keep the operator mappings they are given, so
 cell operators and total differentials passed as `LazyDiffs` are built
 only when a degree is read. A filtration gives each basis vector its
 level. Nothing is checked on construction: `homology_dim` certifies
-d^2 = 0 on every degree it reads, and `check_differentials`,
-`check_squares` and `IncreasingFiltration.check` certify a whole window on
-request.
+d^2 = 0 on every degree it reads and keeps that degree's answer, and
+`check_differentials`, `check_squares` and `IncreasingFiltration.check`
+certify a whole window on request.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ class ChainComplexWindow:
         self.dims = {n: int(dims.get(n, 0)) for n in range(hi + 1)}
         self.diffs = diffs
         self.vhi = hi - 1 if vhi is None else vhi
+        self._homology: dict[int, int] = {}
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
@@ -92,9 +93,12 @@ class ChainComplexWindow:
                 raise NotAComplexError(f"d_{n} d_{n + 1} is not zero")
 
     def homology_dim(self, n: int) -> int:
+        """dim H_n, certified and computed on the first read and kept."""
         if not 0 <= n <= self.vhi:
             raise WindowError(f"degree {n} outside the trusted window [0, {self.vhi}]")
-        return _hdim(self.d(n + 1), self.d(n))
+        if n not in self._homology:
+            self._homology[n] = _hdim(self.d(n + 1), self.d(n))
+        return self._homology[n]
 
     def homology_dims(self) -> dict[int, int]:
         return {n: self.homology_dim(n) for n in range(self.vhi + 1)}

@@ -13,9 +13,9 @@ projected onto A/S, and B inserts the one idempotent that survives (x)_S.
 With S = k1 the mask is all true and the complex is A (x) Abar^n. S is
 separable, so the complex computes HH and HC (Loday, Cyclic Homology,
 1.2 and 2.2). It carries the HH and HC numbers: `hh_dims` and `hc_dims`
-(the `hh` and `hc` commands), `sbi_check` (`sbi`), the verdict and the
-page tables of `hodge_ss` (`hodge`) and its per-degree view `hodge_ledger`
-(`ledger`), and the HH/HC references of the subdivision routes in
+(the `hh` and `hc` commands), `sbi_check` (`sbi`), the degeneration
+verdict and the page tables of `hodge_ss` (`hodge`, and `ledger`, its
+per-degree view), and the HH/HC references of the subdivision routes in
 `cartier` (`edgewise-check`, `conjugate`). Its levels have at most
 (d - 1)^n / d^n times the coordinates of the unnormalized ones, and
 trace(T0 T^n) in general (`estimate_normalized_entries`): 2 per level for
@@ -631,7 +631,6 @@ class HodgeSSReport:
     abutment: dict[int, int]
     hodge_sums: dict[int, int]
     degenerate: bool
-    pages_certified: bool
     page_tables: list | None
 
 
@@ -694,38 +693,4 @@ def hodge_ss(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
         page_tables[0] = _cyclic_page_zero(page_tables[0], a.dim, hh)
     return HodgeSSReport(
         N=N, window=(0, N - 2), e1=e1, abutment=hc, hodge_sums=sums, degenerate=degenerate,
-        pages_certified=page_tables is not None, page_tables=page_tables)
-
-
-# ---------------- degeneration ledger ----------------
-
-@dataclass
-class LedgerRow:
-    degree: int
-    hc: int
-    hodge_sum: int
-
-    @property
-    def equal(self) -> bool:
-        return self.hc == self.hodge_sum
-
-
-@dataclass
-class DegenerationLedger:
-    N: int
-    rows: list[LedgerRow] = field(default_factory=list)
-
-    @property
-    def degenerate(self) -> bool:
-        return all(r.equal for r in self.rows)
-
-
-def hodge_ledger(a: StructureConstantsAlgebra, N: int,
-                 cap: int | None = None) -> DegenerationLedger:
-    """Per-degree view of the `hodge_ss` verdict: cyclic homology against
-    the stacked Hochschild dimensions, as `hodge_ss` certified them."""
-    rep = hodge_ss(a, N, cap=cap, pages_budget=0)
-    ledger = DegenerationLedger(N=N)
-    for n, total in sorted(rep.hodge_sums.items()):
-        ledger.rows.append(LedgerRow(degree=n, hc=rep.abutment[n], hodge_sum=total))
-    return ledger
+        page_tables=page_tables)

@@ -377,12 +377,15 @@ def _limb_bits(k: int, m: int) -> int:
 def matmul_mod(left: np.ndarray, right: np.ndarray, m: int) -> np.ndarray:
     """left @ right mod m for dense int64 residue arrays, exact for m < 2**32.
 
-    Below the int64 accumulation bound k * (m - 1)**2 < 2**63, k the inner
-    dimension, this is one integer matmul; above it the right factor is cut
-    into limbs as in `_limb_product`.
+    Below the int64 accumulation bound k * max(left) * max(right) < 2**63,
+    k the inner dimension, this is one integer matmul (for 0/1 structure
+    constants at every modulus); above it the right factor is cut into
+    limbs as in `_limb_product`. The entries are read only when the
+    residue bound k * (m - 1)**2 does not already settle it.
     """
     k = left.shape[-1]
-    if k * (m - 1) ** 2 < 1 << 63:
+    if (k * (m - 1) ** 2 < 1 << 63
+            or k * int(left.max(initial=0)) * int(right.max(initial=0)) < 1 << 63):
         return left @ right % m
     s = _limb_bits(k, m)
     out = np.zeros((left.shape[0], right.shape[-1]), dtype=np.int64)

@@ -25,13 +25,13 @@ from nchodge.cartier import (
     estimate_sd_entries,
     iota_iso,
     iota_matrix,
-    vdagger,
     zp_coinvariants,
     zp_homology_dims,
     zp_invariants,
 )
 from nchodge.corpus import build, corpus_names
 from nchodge.errors import (
+    CartierError,
     InternalCheckError,
     ModulusError,
     OrderError,
@@ -40,7 +40,7 @@ from nchodge.errors import (
     ShapeError,
     WindowError,
 )
-from nchodge.hochcyc import CyclicLevelMaps, face_matrix, hodge_ledger, rotation_matrix
+from nchodge.hochcyc import CyclicLevelMaps, face_matrix, hodge_ss, rotation_matrix
 from nchodge.modring import ModMatrix, kron_power
 from .oracles import (ref_permutation_ranks, ref_rank, ref_zp_action_ranks,
                       ref_zp_homology_dims)
@@ -92,14 +92,14 @@ def test_homology_frozen_d3_p3():
 # ---------------- the Z/p toolkit against dense row reduction ----------------
 
 def check_against_dense_oracle(act: ZpModuleAction) -> None:
-    """Homology, the norm complex, invariants and coinvariants of act
+    """Homology, the orbit counts, invariants and coinvariants of act
     against pure-python ranks of its dense matrix."""
     ref = ref_zp_action_ranks(act.sigma.to_dense().tolist(), act.p)
     n, r1, rn = ref["n"], ref["rank_one_minus"], ref["rank_norm"]
     h = n - r1 - rn
     assert zp_homology_dims(act, 3) == {0: n - r1, 1: h, 2: h, 3: h}
-    rep = vdagger(act)
-    assert (rep.h0, rep.h1, rep.rank_t) == (h, h, rn)
+    # rank(1 - sigma) = n - #orbits, rank N = #free orbits
+    assert (n - act.n_orbits(), act.n_orbits() - act.n_fixed()) == (r1, rn)
     assert h == ref["phi_rank"] == act.n_fixed()
     inc = zp_invariants(act)
     assert (act.one_minus() @ inc).is_zero()
@@ -190,19 +190,20 @@ def test_permutation_test_rejects_a_repeated_index():
 
 
 def assert_tight(act: ZpModuleAction) -> None:
-    """h0 = h1 = rank phi = #fixed words, with the ranks of 1 - sigma, N and
-    (1 - sigma)^2 taken by the independent oracle."""
+    """H_1 = H_2 = rank phi = #fixed words and rank N = #free orbits, with
+    the ranks of 1 - sigma, N and (1 - sigma)^2 taken by the independent
+    oracle."""
     ref = ref_permutation_ranks(act.perm.tolist(), act.p)
     h = ref["n"] - ref["rank_one_minus"] - ref["rank_norm"]
-    rep = vdagger(act)
-    assert rep.h0 == rep.h1 == h == ref["phi_rank"] == act.n_fixed()
-    assert rep.rank_t == ref["rank_norm"]
+    hom = zp_homology_dims(act, 2)
+    assert hom[1] == hom[2] == h == ref["phi_rank"] == act.n_fixed()
+    assert act.n_orbits() - act.n_fixed() == ref["rank_norm"]
 
 
-def test_vdagger_frozen_and_tight():
-    rep = vdagger(rotation_action(3, 3))
-    assert (rep.h0, rep.h1, rep.rank_t) == (3, 3, 8)
-    assert_tight(rotation_action(3, 3))
+def test_orbit_counts_frozen_and_tight():
+    act = rotation_action(3, 3)
+    assert (act.n_orbits(), act.n_fixed()) == (11, 3)
+    assert_tight(act)
     assert_tight(permutation_action(order_p_permutation(12, 3, 1), 3))
 
 
@@ -215,15 +216,30 @@ def test_iota_matrix_spot_values():
     assert col[7] == 1 and col.sum() == 1  # digits (1, 1, 1)
 
 
-def test_iota_report_frozen():
-    rep = iota_iso(3, 3, samples=100)
-    assert rep.homology == {0: 11, 1: 3, 2: 3, 3: 3, 4: 3}
-    assert rep.bijective and rep.natural and rep.additive
+def test_iota_certifies_without_a_report():
+    # a failed check raises; H_l itself is zp_homology_dims (pinned above)
+    assert iota_iso(3, 3, samples=100) is None
 
 
 def test_iota_level_one_and_p5():
-    assert iota_iso(4, 3, n=1, samples=40).bijective
-    assert iota_iso(2, 5, samples=40).bijective
+    iota_iso(4, 3, n=1, samples=40)
+    iota_iso(2, 5, samples=40)
+
+
+def test_a_broken_repeated_word_map_is_refused(monkeypatch):
+    import nchodge.cartier as cartier
+
+    real = cartier.iota_matrix
+
+    def shifted(dim, n, p, modulus):
+        # the first word goes to the second repeated word instead of its own
+        rows = cartier.repeated_words(dim, n, p)
+        rows[0] = rows[1]
+        return ModMatrix.from_index_map(rows, real(dim, n, p, modulus).shape[0], modulus)
+
+    monkeypatch.setattr(cartier, "iota_matrix", shifted)
+    with pytest.raises(CartierError, match="basis"):
+        iota_iso(3, 3, samples=10)
 
 
 # ---------------- the subdivided object ----------------
@@ -330,9 +346,9 @@ def test_tight_at_every_level():
 
 def test_edgewise_homology_matches():
     rep = edgewise_hh_check(build("dual-numbers", 3), 3)
-    assert rep.equal and rep.sd_dims == {0: 2, 1: 1, 2: 1}
+    assert rep.sd_dims == rep.hh == {0: 2, 1: 1, 2: 1}
     rep = edgewise_hh_check(build("m2", 3), 2)
-    assert rep.equal and rep.sd_dims == {0: 1, 1: 0}
+    assert rep.sd_dims == rep.hh == {0: 1, 1: 0}
 
 
 def test_lambda_route_matches_cyclic():
@@ -449,7 +465,29 @@ def test_cartier0_matrix_algebra():
     rep = cartier0(build("m2", 3), samples=200)
     assert rep.dim_quotient == 1
     assert rep.matrix.to_dense().tolist() == [[1]]
-    assert rep.additive_ok and rep.representative_ok
+
+
+@pytest.mark.parametrize("wrong, certificate", [
+    # x^p + 1: the constant term is counted twice in x^p + y^p
+    (lambda x, power: (power + 1) % 3, "not additive"),
+    # e00 <-> e01 instead of powering: linear, but it moves the commutator
+    # e01 onto the trace, which A/[A, A] sees
+    (lambda x, power: x[..., [1, 0, 2, 3]], "depends on the representative"),
+])
+def test_cartier0_refuses_a_wrong_power_map(monkeypatch, capsys, wrong, certificate):
+    from nchodge import corpus
+    from nchodge.cli import main
+
+    a = build("m2", 3)
+    real = type(a).power_of
+    monkeypatch.setattr(type(a), "power_of",
+                        lambda self, x, k: wrong(np.asarray(x) % 3, real(self, x, k)))
+    with pytest.raises(InternalCheckError, match=certificate):
+        cartier0(a, samples=50)
+    monkeypatch.setattr(corpus, "build", lambda name, p: a)
+    assert main(["cartier0", "m2", "--samples", "50", "--quiet"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and certificate in err
 
 
 def test_cartier0_group_algebra():
@@ -459,17 +497,15 @@ def test_cartier0_group_algebra():
     assert got[:, 0].tolist() == got[:, 1].tolist() == got[:, 2].tolist()
 
 
-# ---------------- ledger ----------------
+# ---------------- degeneration verdict per degree ----------------
 
 def test_ledger_frozen_rows():
-    led = hodge_ledger(build("upper-tri-2", 3), 5)
-    assert [(r.degree, r.hc, r.hodge_sum) for r in led.rows] == \
-        [(0, 2, 2), (1, 0, 0), (2, 2, 2), (3, 0, 0)]
-    assert led.degenerate
-    led = hodge_ledger(build("dual-numbers", 3), 5)
-    assert [(r.degree, r.hc, r.hodge_sum) for r in led.rows] == \
-        [(0, 2, 2), (1, 0, 1), (2, 2, 3), (3, 1, 2)]
-    assert not led.degenerate
+    rep = hodge_ss(build("upper-tri-2", 3), 5, pages_budget=0)
+    assert (rep.abutment, rep.hodge_sums) == ({0: 2, 1: 0, 2: 2, 3: 0}, {0: 2, 1: 0, 2: 2, 3: 0})
+    assert rep.degenerate
+    rep = hodge_ss(build("dual-numbers", 3), 5, pages_budget=0)
+    assert (rep.abutment, rep.hodge_sums) == ({0: 2, 1: 0, 2: 2, 3: 1}, {0: 2, 1: 1, 2: 3, 3: 2})
+    assert not rep.degenerate
 
 
 def test_ledger_never_reverses():
@@ -477,5 +513,5 @@ def test_ledger_never_reverses():
         a = build(name, 3)
         if a.dim > 4:
             continue
-        led = hodge_ledger(a, 4)
-        assert all(r.hc <= r.hodge_sum for r in led.rows), name
+        rep = hodge_ss(a, 4, pages_budget=0)
+        assert all(rep.abutment[n] <= rep.hodge_sums[n] for n in rep.hodge_sums), name

@@ -151,6 +151,25 @@ def test_cap_exit_3_reports_sizes(capsys):
     assert "1000" in err and "estimate" in err
 
 
+def test_a_window_too_small_exit_2(capsys):
+    rc, _, err = run(capsys, "hc", "dual-numbers", "-N", "1", "--quiet")
+    assert rc == 2 and err == "error: cyclic homology needs N >= 2\n"
+
+
+@pytest.mark.parametrize("error", [
+    "ConstructionError", "ModulusError", "ShapeError", "WindowError",
+    "OrderError", "ParityError", "ReductionMismatchError"])
+def test_every_input_error_exits_2(capsys, monkeypatch, error):
+    from nchodge import errors, hochcyc
+
+    def refuse(*args, **kwargs):
+        raise getattr(errors, error)("refused here")
+
+    monkeypatch.setattr(hochcyc, "hh_dims", refuse)
+    rc, out, err = run(capsys, "hh", "dual-numbers", "--quiet")
+    assert (rc, out, err) == (2, "", "error: refused here\n")
+
+
 def test_modulus_past_the_int64_bound_exit_2(capsys):
     rc, _, err = run(capsys, "hh", "dual-numbers", "-p", "4294967291", "--quiet")
     assert rc == 2
@@ -201,6 +220,8 @@ def test_hodge_pages_attached(capsys):
     assert payload["degenerate"] is True
     assert payload["pages_certified"] is True
     assert [pg["r"] for pg in payload["pages"]] == [0, 1, 2, 3]
+    rc, payload = run_json(capsys, "hodge", "ground-field", "-N", "4")
+    assert rc == 0 and payload["pages_certified"] is False and "pages" not in payload
 
 
 def test_cartier0_matrix(capsys):
@@ -209,7 +230,7 @@ def test_cartier0_matrix(capsys):
     assert rc == 0
     assert payload["matrix"] == [[1, 0, 0, 0], [0, 0, 0, 0],
                                  [0, 0, 0, 0], [0, 1, 0, 0]]
-    assert payload["additive_ok"] and payload["representative_ok"]
+    assert payload["additive_ok"] is payload["representative_ok"] is True
 
 
 def test_cartier0_at_a_wide_prime_finishes(capsys):
@@ -226,6 +247,15 @@ def test_edgewise_check_exit_0(capsys):
     assert rc == 0
     assert payload["equal"] is True
     assert payload["subdivided"] == payload["plain"]
+
+
+def test_edgewise_check_mismatch_exit_1_before_printing(capsys, monkeypatch):
+    from nchodge import cartier
+
+    real = cartier.hh_dims
+    monkeypatch.setattr(cartier, "hh_dims", lambda *a, **k: {**real(*a, **k), 0: 0})
+    rc, out, err = run(capsys, "edgewise-check", "dual-numbers", "-N", "2", "--quiet")
+    assert rc == 1 and out == "" and err.startswith("finding: subdivided homology")
 
 
 def test_conjugate_matches_hh(capsys):

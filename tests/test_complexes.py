@@ -58,6 +58,25 @@ def test_chain_window_guards():
         c.homology_dim(3)
 
 
+def test_homology_is_certified_once_per_degree(monkeypatch):
+    # the HC read and the abutment check of `hodge --pages` read the same
+    # window: the second read of a degree multiplies nothing
+    tot, _ = bB_bicomplex(NormalizedMixedComplex(build("group-z3", 3), 5)).total_complex()
+    calls = Counter()
+    real = ModMatrix.__matmul__
+
+    def counted(self, other):
+        calls["matmul"] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(ModMatrix, "__matmul__", counted)
+    first = tot.homology_dims()
+    assert calls["matmul"] > 0
+    calls.clear()
+    assert tot.homology_dims() == first
+    assert calls["matmul"] == 0
+
+
 def test_default_window_excludes_top():
     p = 3
     c = ChainComplexWindow(2, {0: 1, 1: 1, 2: 1},

@@ -73,6 +73,20 @@ def test_matmul_is_exact_past_the_int64_product_bound():
         assert matmul_mod(a, b, mod).tolist() == want
 
 
+def test_matmul_of_a_zero_one_factor_at_a_wide_prime():
+    # k (m - 1)^2 passes 2^63 but k max(left) max(right) does not: one
+    # integer matmul, as for the 0/1 structure constants of an algebra
+    m = 2 ** 31 - 1
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, m, (6, 9))
+    b = rng.integers(0, 2, (9, 4))
+    assert 9 * (m - 1) ** 2 >= 1 << 63
+    want = [[sum(int(x) * int(y) for x, y in zip(r, c)) % m for c in b.T] for r in a]
+    assert matmul_mod(a, b, m).tolist() == want
+    assert matmul_mod(b.T.copy(), a.T.copy(), m).tolist() == np.array(want).T.tolist()
+    assert matmul_mod(a[:, :0], b[:0], m).tolist() == [[0] * 4] * 6
+
+
 def test_kron_power_matches_repeated_numpy_kron():
     rng = np.random.default_rng(8)
     for mod, k in ((3, 3), (5, 2), (7, 4), (9, 3), (2 ** 31 - 1, 3), (3037000493, 2),

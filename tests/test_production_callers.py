@@ -3,7 +3,10 @@ caller: a reference to its name somewhere in `src/nchodge/` or `demos/`
 outside its own definition. Tests do not count as callers.
 
 Module-level names count as referenced through a bare name, an import or
-an attribute; method names only through an attribute (`x.name`).
+an attribute; method names only through an attribute (`x.name`). Every
+field of a dataclass of the package is read the same way: a production
+file loads an attribute of that name (`rep.name`), so a report carries no
+field that only tests look at.
 """
 
 from __future__ import annotations
@@ -95,6 +98,29 @@ def unreferenced(package: Path, callers) -> list[str]:
     return out
 
 
+def _dataclass_fields(package: Path):
+    """(qualified name, field name) for every annotated field of every
+    class decorated with `dataclass` (bare or called) in the package."""
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef) or "dataclass" not in {
+                    ast.unparse(dec.func if isinstance(dec, ast.Call) else dec).rsplit(".", 1)[-1]
+                    for dec in node.decorator_list}:
+                continue
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    yield f"{path.stem}.{node.name}.{sub.target.id}", sub.target.id
+
+
+def unread_fields(package: Path, callers) -> list[str]:
+    """Dataclass fields of the package that no caller file loads as an
+    attribute; a keyword argument or an assignment is no read."""
+    loaded = {node.attr for path in callers
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [qual for qual, name in _dataclass_fields(package) if name not in loaded]
+
+
 def test_every_public_name_has_a_production_caller():
     callers = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     missing = sorted(set(unreferenced(PACKAGE, callers)) - TRACER_HELD)
@@ -117,3 +143,25 @@ def test_the_scan_reports_an_uncalled_definition(tmp_path):
         "    def put(self):\n        return 0\n\n\n"
         "def caller(box):\n    return box.get()\n")
     assert unreferenced(tmp_path, [mod]) == ["mod.unused", "mod.Box", "mod.caller"]
+
+
+def test_every_dataclass_field_has_a_production_reader():
+    callers = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    assert unread_fields(PACKAGE, callers) == []
+
+
+def test_the_scan_reports_an_unread_field(tmp_path):
+    # control: a field only built or assigned is unread; one loaded anywhere,
+    # even in another file, is read; a plain class's annotations are no fields
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass Report:\n    shown: int\n    built: int\n    stored: int\n\n\n"
+        "@dataclass(frozen=True)\nclass Page:\n    r: int\n\n\n"
+        "class Plain:\n    hidden: int\n\n\n"
+        "def make():\n    rep = Report(shown=1, built=2, stored=3)\n"
+        "    rep.stored = 4\n    return rep\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("def show(rep):\n    return rep.shown\n")
+    assert unread_fields(tmp_path, [mod, reader]) == [
+        "mod.Report.built", "mod.Report.stored", "mod.Page.r"]

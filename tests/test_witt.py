@@ -11,7 +11,6 @@ from nchodge.witt import (
     W2Element,
     carry_coefficients,
     teichmuller,
-    verify_w2_ring,
     w2_add,
     w2_iso_zp2,
     w2_mul,
@@ -67,11 +66,6 @@ def test_iso_round_trip_and_oracle():
         q = p * p
         for r in range(q):
             assert w2_iso_zp2(from_zp2(r, p)).value == r
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_ring_axioms_exhaustive(p):
-    assert verify_w2_ring(p) == []
 
 
 @given(st.sampled_from([2, 3, 5, 7, 11, 13]),
