@@ -8,11 +8,14 @@ finishes (exit 0, or 1 for a flagged finding) within the budget, then a
 bisection finds the largest such N, assuming that a run that fails at N
 also fails above it. The first N that fails is reported with its outcome:
 "timeout", or "exit 3" when the cap refuses it. The reached N comes with
-its time and the peak RSS of its process. Each row also gives the cap
-estimate at the reached N against the entries actually built there: of b
-and B of the normalized mixed complex, or of the subdivided b for the
-conjugate route (`conjugate`, `edgewise-check`), both on the algebra in the
-basis the command line runs (`algebra.normalize_basis`).
+its time and the peak RSS of its process. Each row also gives, at the
+reached N, the entries that `hochcyc.level_counts` counts next to those
+the operators hand to `ModMatrix.from_arrays` before duplicates are
+summed: b (`hh`) or b and B of the normalized mixed complex, or the
+subdivided b (`conjugate`, `edgewise-check`), on the algebra in the basis
+the command line runs (`algebra.normalize_basis`). The two agree; the cap
+charges a little more (a gather per face and rotation, and the words of
+the subdivision).
 """
 
 from __future__ import annotations
@@ -34,25 +37,42 @@ SUBDIVIDED = ("conjugate", "edgewise-check")
 
 BUILT = """
 import sys
+from unittest import mock
 from nchodge.algebra import normalize_basis
-from nchodge.cartier import PCyclicLevels, estimate_sd_entries
+from nchodge.cartier import PCyclicLevels
 from nchodge.corpus import build
-from nchodge.errors import ResourceError
-from nchodge.hochcyc import NormalizedMixedComplex, estimate_normalized_entries
+from nchodge.hochcyc import NormalizedMixedComplex, level_counts
+from nchodge.modring import ModMatrix
 
-def built(a, N):
-    if sys.argv[3] == "subdivided":
-        pcyc = PCyclicLevels(a, N)
-        return estimate_sd_entries(a, N), sum(pcyc.b(n).nnz for n in range(1, N + 1))
-    nc = NormalizedMixedComplex(a, N)
-    return (estimate_normalized_entries(a, N),
-            sum(nc.b(n).nnz for n in range(1, N + 1)) + sum(nc.B(n).nnz for n in range(N)))
+name, N, kind = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+a = normalize_basis(build(name, 3))
+lengths = []
+real = ModMatrix.from_arrays.__func__
 
-a, N = build(sys.argv[1], 3), int(sys.argv[2])
-try:
-    print(*built(normalize_basis(a), N))
-except ResourceError:  # the command line reruns such a window in the given basis
-    print(*built(a, N))
+def record(cls, shape, modulus, rows, cols, vals):
+    lengths.append(rows.shape[0])
+    return real(cls, shape, modulus, rows, cols, vals)
+
+def built(op, levels):
+    # an operator's last construction is itself, from its concatenated arrays
+    total = 0
+    for n in levels:
+        op(n)
+        total += lengths[-1]
+    return total
+
+with mock.patch.object(ModMatrix, "from_arrays", classmethod(record)):
+    if kind == "subdivided":
+        count = sum(b for _, b, _ in level_counts(a, N, p=a.p))
+        entries = built(PCyclicLevels(a, N).b, range(1, N + 1))
+    else:
+        counts = list(level_counts(a, N))[:N + 1]
+        nc = NormalizedMixedComplex(a, N, charge_B=kind == "bB")
+        count, entries = sum(b for _, b, _ in counts), built(nc.b, range(1, N + 1))
+        if kind == "bB":
+            count += sum(B for _, _, B in counts[:N])
+            entries += built(nc.B, range(N))
+print(count, entries)
 """
 
 # runs the command line and prints its peak RSS in KiB as the last line of stderr
@@ -99,11 +119,11 @@ def reach(src: str, command: str, algebra: str, lo: int, budget: float) -> dict:
            "peak_rss_mb": None if good is None else tried[good][2],
            "first_failing_N": bad, "failure": tried[bad][0]}
     if good is not None:
-        kind = "subdivided" if command in SUBDIVIDED else "normalized"
+        kind = ("subdivided" if command in SUBDIVIDED else "b" if command == "hh" else "bB")
         out = subprocess.run([sys.executable, "-c", BUILT, algebra, str(good), kind],
                              env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, check=True)
-        row["estimate"], row["built"] = (int(x) for x in out.stdout.split())
+        row["count"], row["built"] = (int(x) for x in out.stdout.split())
     return row
 
 

@@ -22,10 +22,10 @@ from nchodge.corpus import build, corpus_names
 from nchodge.hochcyc import (
     DEFAULT_ENTRY_CAP,
     NormalizedMixedComplex,
-    estimate_normalized_entries,
     hc_dims,
     hh_dims,
     hodge_ss,
+    level_counts,
     sbi_ranks,
 )
 
@@ -65,7 +65,8 @@ def main() -> int:
                 continue
             ground = BasisIdempotents.ground(a)
             top = 2
-            while estimate_normalized_entries(a, top + 1, ground) <= DEFAULT_ENTRY_CAP:
+            while sum(b + B for _, b, B in level_counts(a, top + 1, ground)) \
+                    <= DEFAULT_ENTRY_CAP:
                 top += 1
             t0 = time.perf_counter()
             bad = {N: b for N in range(2, top + 1) if (b := check(a, N))}

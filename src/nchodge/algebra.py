@@ -93,10 +93,6 @@ class StructureConstantsAlgebra:
             k >>= 1
         return self._product(acc[0], acc[1])
 
-    def max_terms(self) -> int:
-        vals = (self.constants != 0).sum(axis=2)
-        return int(vals.max()) if self.dim else 0
-
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, self.modulus, self.dim, dtype=np.int64)
 

@@ -42,12 +42,12 @@ from .errors import (
     WindowError,
 )
 from .hochcyc import (
-    _capped_sum,
     _check_levels,
     b_complex,
     degeneracy_matrix,
     face_matrix,
     hh_dims,
+    level_counts,
     rotation_matrix,
 )
 from .modring import (ModMatrix, hstack, is_prime, kron_power, kron_power_arrays, matmul_mod,
@@ -306,38 +306,38 @@ def block_rotation(dim: int, length: int, blocksize: int, p: int) -> ModMatrix:
 
 # ---------------- the subdivided cyclic object ----------------
 
-def estimate_sd_entries(a: StructureConstantsAlgebra, N: int, cap: int | None = None) -> int:
-    """Entries of the faces, degeneracies and rotations through level N;
-    with a cap, the sum stops once past it, and a d^p past it is not built."""
-    d, p = a.dim, a.p
-    tbar, ubar = a.max_terms(), int(np.count_nonzero(a.unit))
-    if cap is not None and d > 1 and p > cap.bit_length():
-        return cap + 1      # d^p >= 2^p > cap, and tbar <= d
-    return _capped_sum((d ** (p * (n + 1)) * (p * (n + 1) * (tbar ** p + ubar) + 3)
-                        for n in range(N + 1)), cap)
+def estimate_sd_entries(a: StructureConstantsAlgebra, N: int) -> int:
+    """The entries of the subdivided b through level N (`level_counts`)."""
+    return sum(b for _, b, _ in level_counts(a, N, p=a.p))
 
 
 class PCyclicLevels:
     """Faces, degeneracies and rotations of the p-fold subdivision.
 
     Matrices are built lazily; level n words have p(n + 1) digits, so the
-    constructor only guards the estimated footprint. Face i < n and each
-    degeneracy is the p-th Kronecker power of the ordinary one at level n,
-    its entries written by digit arithmetic (`kron_power_arrays`); the wrap
-    face is face 0 after the one-step rotation, its columns relabelled.
-    b(n) is one construction from the signed entries of all its faces, and
-    keeps none of them; `face` builds and caches one face for `bprime`.
-    The conjugate route reads b, the block rotation as a Z/p action and the
-    repeated words; `edgewise-check` reads b alone.
+    constructor only guards the entries. Face i < n and each degeneracy is
+    the p-th Kronecker power of the ordinary one at level n, its entries
+    written by digit arithmetic (`kron_power_arrays`); the wrap face is
+    face 0 after the one-step rotation, its columns relabelled. b(n) is one
+    construction from the signed entries of all its faces, and keeps none
+    of them; `face` builds and caches one face for `bprime`. The conjugate
+    route reads b, the block rotation as a Z/p action and the repeated
+    words; `edgewise-check` reads b alone. The cap charges b (`level_counts`)
+    and a column per word; with L, the conjugate bicomplex: b in each of its
+    L + 1 columns, and p + 3 entries per word for sigma, 1 - sigma and N.
     """
 
-    def __init__(self, a: StructureConstantsAlgebra, N: int,
-                 cap: int | None = None, allow_p2: bool = False):
+    def __init__(self, a: StructureConstantsAlgebra, N: int, cap: int | None = None,
+                 allow_p2: bool = False, L: int | None = None):
         if a.p == 2 and not allow_p2:
             raise ParityError(
                 "at p = 2 the sign conventions for the subdivision degenerate; "
                 "pass allow_p2=True (--allow-p2 on the command line) to build it anyway")
-        _check_levels(a, N, "subdivision", lambda cap: estimate_sd_entries(a, N, cap), cap)
+        copies, per_word = (1, 1) if L is None else (L + 1, a.p + 3)
+        # with d > 1 and p > log2(cap), b_1 alone writes 2 nnz(c)^p > 2^p entries
+        _check_levels(a, N, "the subdivided b" if L is None else "the conjugate bicomplex",
+                      lambda cap: [0, cap + 1] if a.dim > 1 and a.p > cap.bit_length() else
+                      (copies * b + per_word * w for w, b, _ in level_counts(a, N, p=a.p)), cap)
         self.algebra = a
         self.p = a.p
         self.N = N
@@ -556,7 +556,7 @@ def conjugate_ss(a: StructureConstantsAlgebra, N: int, L: int | None = None,
     homology of the truncated totalization on its trusted window.
     """
     L = 2 * a.p if L is None else L
-    pcyc = PCyclicLevels(a, N, cap=cap, allow_p2=allow_p2)
+    pcyc = PCyclicLevels(a, N, cap=cap, allow_p2=allow_p2, L=L)
     e1 = {}
     for n in range(N + 1):
         for j, dim in zp_homology_dims(pcyc.action(n), L).items():

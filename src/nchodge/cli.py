@@ -48,8 +48,7 @@ def _load_algebra(args, normalize: bool = False):
     """The algebra named on the command line. The homology commands pass
     normalize=True: their answers are invariants of the algebra, and their
     cost falls when the basis exposes its blocks (`normalize_basis`).
-    `validate`, `cartier0` and `lift-check` speak about the given constants,
-    and so does a rerun by `_run`."""
+    `validate`, `cartier0` and `lift-check` speak about the given constants."""
     from .algebra import load_algebra, normalize_basis
     from .corpus import build, corpus_names
 
@@ -62,9 +61,7 @@ def _load_algebra(args, normalize: bool = False):
         raise ConstructionError(
             f"unknown algebra '{spec}'; builtins are: {', '.join(corpus_names())}; "
             "anything else must be a path to a JSON file")
-    b = normalize_basis(a) if normalize and not getattr(args, "given_basis", False) else a
-    args.rebased = b is not a
-    return b
+    return normalize_basis(a) if normalize else a
 
 
 def _dims_list(dims: dict[int, int]) -> list[list[int]]:
@@ -292,20 +289,6 @@ def cmd_lift_check(args):
     return payload, table, not rep.valid
 
 
-def _run(args):
-    """args.func(args), run again in the given basis when the normalized one
-    is refused by the cap: its unit has a term per block, which the
-    subdivision's estimate charges, and normalizing must not cost a window
-    (`conjugate group-z3 -p 5 -N 1`)."""
-    try:
-        return args.func(args)
-    except ResourceError:
-        if not getattr(args, "rebased", False):
-            raise
-        args.given_basis = True
-        return args.func(args)
-
-
 # ---------------- rendering ----------------
 
 def _render_text(payload: dict, table) -> str:
@@ -452,7 +435,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, table, findings = _run(args)
+        payload, table, findings = args.func(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
@@ -464,8 +447,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceError as exc:
-        print(f"error: {exc} (estimate {exc.estimate}, cap {exc.cap})",
-              file=sys.stderr)
+        print(f"error: {exc} ({exc.count} entries, cap is {exc.cap})", file=sys.stderr)
         return EXIT_RESOURCE
     except _FINDING_ERRORS as exc:
         print(f"finding: {exc}", file=sys.stderr)

@@ -37,12 +37,12 @@ class ReductionMismatchError(ConstructionError):
 
 
 class ResourceError(NCHodgeError):
-    """An estimated allocation exceeds the configured entry cap."""
+    """The entries a computation would write exceed the configured cap."""
 
-    def __init__(self, message: str, estimate: int | None = None, cap: int | None = None):
+    def __init__(self, message: str, count: int | None = None, cap: int | None = None,
+                 level: int | None = None):
         super().__init__(message)
-        self.estimate = estimate
-        self.cap = cap
+        self.count, self.cap, self.level = count, cap, level
 
 
 class ParityError(NCHodgeError):

@@ -18,8 +18,12 @@ verdict and the page tables of `hodge_ss` (`hodge`, and `ledger`, its
 per-degree view), and the HH/HC references of the subdivision routes in
 `cartier` (`edgewise-check`, `conjugate`). Its levels have at most
 (d - 1)^n / d^n times the coordinates of the unnormalized ones, and
-trace(T0 T^n) in general (`estimate_normalized_entries`): 2 per level for
-the 2 x 2 matrices, where the complex relative to k has 4 * 3^n.
+trace(T0 T^n) in general: 2 per level for the 2 x 2 matrices, where the
+complex relative to k has 4 * 3^n.
+
+The `--cap` guard charges the entries the operators write, counted from
+those transfer matrices (`level_counts`), and one per face and rotation
+gathered: `hh` pays for b; `hc`, `sbi`, `hodge` and `ledger` for b and B.
 
 The unnormalized cyclic object (`CyclicLevelMaps`) has level n equal to
 the (n+1)-fold tensor power of A on the monomial basis, with faces
@@ -147,38 +151,76 @@ def rotation_matrix(dim: int, m: int, modulus: int) -> ModMatrix:
     return ModMatrix.from_index_map(rows, size, modulus)
 
 
-# ---------------- the cyclic object ----------------
+# ---------------- the entry cap ----------------
 
-def _capped_sum(terms, cap: int | None) -> int:
-    """The sum of terms, read lazily; with a cap, the first partial sum past
-    it, so a refused estimate stops before its terms grow huge."""
-    total = 0
-    for t in terms:
-        total += t
-        if cap is not None and total > cap:
-            break
-    return total
-
-
-def _check_levels(a: StructureConstantsAlgebra, N: int, what: str, estimate,
+def _check_levels(a: StructureConstantsAlgebra, N: int, what: str, charges,
                   cap: int | None) -> None:
     """Refuse a chain model through level N of fewer than two levels, over
-    Z/p^2, or with estimate(cap) entries past cap (DEFAULT_ENTRY_CAP if
-    None); the estimate may stop once past the cap, a lower bound then."""
+    Z/p^2, or whose entries, charges(cap) level by level, pass cap."""
     if N < 1:
         raise WindowError("need at least levels 0 and 1")
     if a.power != 1:
-        raise ModulusError(f"the {what} runs over F_p")
-    cap = DEFAULT_ENTRY_CAP if cap is None else cap
-    est = estimate(cap)
-    if est > cap:
-        raise ResourceError(f"{what} through level {N} needs at least {est} entries, "
-                            f"cap is {cap}", estimate=est, cap=cap)
+        raise ModulusError(f"{what} runs over F_p")
+    cap, total = DEFAULT_ENTRY_CAP if cap is None else cap, 0
+    for n, entries in enumerate(charges(cap)):
+        total += entries
+        if total > cap:
+            raise ResourceError(f"{what} through level {N} passes the cap at level {n}",
+                                count=total, cap=cap, level=n)
 
 
-def estimate_entries(a: StructureConstantsAlgebra, N: int, cap: int | None = None) -> int:
-    d, tbar, ubar = a.dim, a.max_terms(), int(np.count_nonzero(a.unit))
-    return _capped_sum((d ** (m + 1) * ((m + 1) * (tbar + ubar) + 1) for m in range(N + 1)), cap)
+def level_counts(a: StructureConstantsAlgebra, N: int, S: BasisIdempotents | None = None,
+                 p: int | None = None):
+    """(words, entries of b(n), entries of B(n)) for n = 0..N, lazily: the
+    COO entries written before duplicates are summed, no word enumerated.
+
+    With p, the p-fold edgewise subdivision of the cyclic object (p = 1:
+    the cyclic object), no B: each of the n + 1 faces of level n is the
+    p-th Kronecker power of one with d^(n-1) nnz(c) entries. Otherwise the
+    normalized mixed complex relative to S (default: the basis
+    idempotents): trace(T0 T^n) words at level n, closed walks in the
+    quiver of the blocks e_i A e_j (T0, T: basis and bar vectors by block).
+    A factor weighted by the terms of the product a face gathers counts
+    that face: W for face 0 (a0 a1) and the wrap face (an a0), Wm for the
+    middle ones (pr(ai ai+1)); each of the n + 1 rotations of B writes the
+    terms of pr(a0) (P0) times the u terms of a row of S. O(N r^3).
+    """
+    d, c = a.dim, a.constants
+    if p is not None:
+        yield d ** p, 0, 0
+        for n in range(1, N + 1):
+            yield d ** (p * (n + 1)), (n + 1) * (d ** (n - 1) * int(np.count_nonzero(c))) ** p, 0
+        return
+    S = a.idempotents if S is None else S
+    pr, bar = _bar_projection(a, S)
+    left, right = np.eye(S.r, dtype=np.int64)[:, S.left], np.eye(S.r, dtype=np.int64)[:, S.right]
+
+    def flow(x, y, weights):
+        """r x r: the weights of the composable letter pairs in x, y, by block."""
+        return left[:, x] @ (weights * (right[:, x].T @ left[:, y])) @ right[:, y].T
+
+    every, r, u = np.arange(d), S.r, int(np.count_nonzero(S.span[0]))
+    T0, T = left @ right.T, left[:, bar] @ right[:, bar].T
+    P0 = (left * (pr != 0).sum(axis=0)) @ right.T
+    W = flow(every, bar, (c[:, bar] != 0).sum(2)) + flow(bar, every, (c[bar, :] != 0).sum(2))
+    Wm = flow(bar, bar, (_middle_products(a, pr, bar) != 0).sum(2))
+    # M^k = [[T^k, sum of T^i Wm T^(k-1-i) over i < k], [0, T^k]]; read times
+    # its right column holds b, the words and B of level k + 1 on the diagonal
+    M = np.block([[T, Wm], [0 * T, T]]).astype(object)
+    read = np.block([[T0, W], [0 * T, T @ T0], [0 * T, T @ P0]]).astype(object)
+    power = np.identity(2 * r, dtype=object)    # M^(n-1) at level n
+    yield int(T0.trace()), 0, u * int(P0.trace())
+    for n in range(1, N + 1):
+        b, words, B = np.trace((read @ power[:, r:]).reshape(3, r, r), axis1=1, axis2=2)
+        power = power @ M
+        yield int(words), int(b), u * (n + 1) * int(B)
+
+
+# ---------------- the cyclic object ----------------
+
+def estimate_entries(a: StructureConstantsAlgebra, N: int) -> int:
+    """The entries of the faces of the cyclic object through level N."""
+    return sum(b for _, b, _ in level_counts(a, N, p=1))
 
 
 class CyclicLevelMaps:
@@ -187,7 +229,8 @@ class CyclicLevelMaps:
 
     def __init__(self, a: StructureConstantsAlgebra, N: int,
                  cap: int | None = None):
-        _check_levels(a, N, "cyclic object", lambda cap: estimate_entries(a, N, cap), cap)
+        _check_levels(a, N, "the cyclic object",
+                      lambda cap: (w + b for w, b, _ in level_counts(a, N, p=1)), cap)
         self.algebra = a
         self.N = N
         self.dims = [a.dim ** (n + 1) for n in range(N + 1)]
@@ -271,39 +314,10 @@ def _bar_projection(a: StructureConstantsAlgebra,
     return pr, bar
 
 
-def _word_counts(S: BasisIdempotents, bar: np.ndarray, N: int):
-    """Cyclically composable words a0 | a1 .. an, a1..an in bar, for
-    n = 0..N, lazily: trace(T0 T^n), where T0 and T count the basis vectors
-    and the bar vectors of each e_i A e_j. With r = 1 this is d (d - 1)^n."""
-    r = S.r
-    T0 = np.zeros((r, r), dtype=object)
-    T = np.zeros((r, r), dtype=object)
-    for x in range(S.left.size):
-        T0[S.left[x], S.right[x]] += 1
-    for x in bar:
-        T[S.left[x], S.right[x]] += 1
-    M = T0
-    for _ in range(N + 1):
-        yield int(np.trace(M))
-        M = M @ T
-
-
-def estimate_normalized_entries(a: StructureConstantsAlgebra, N: int,
-                                S: BasisIdempotents | None = None,
-                                cap: int | None = None) -> int:
-    """Entries of b and B of the normalized mixed complex relative to S
-    (default: the basis idempotents of a) through level N.
-
-    A column of level m meets m + 1 faces of at most tbar * ubar terms (a
-    middle product projected onto A/S) and m + 1 rotations of at most
-    ubar * ubar terms (the surviving row of S times the projected slot 0),
-    where ubar bounds the terms of a row of S (1 for basis idempotents, the
-    terms of the unit for S = k1) and of a column of the projection.
-    """
-    S = a.idempotents if S is None else S
-    tbar, ubar = a.max_terms(), int(np.count_nonzero(S.span, axis=1).max())
-    counts = _word_counts(S, _bar_projection(a, S)[1], N)
-    return _capped_sum((c * (m + 1) * ubar * (tbar + ubar) for m, c in enumerate(counts)), cap)
+def _middle_products(a: StructureConstantsAlgebra, pr: np.ndarray, bar: np.ndarray):
+    """[x, y, k]: the coordinates of pr(bar_x bar_y)."""
+    mid = a.constants[np.ix_(bar, bar)].astype(object) @ pr.T.astype(object)
+    return (mid % a.modulus).astype(np.int64)
 
 
 def _composable_words(S: BasisIdempotents, bar: np.ndarray, N: int,
@@ -369,14 +383,23 @@ class NormalizedMixedComplex:
 
     with e the row of S that survives (x)_S in front of a_i: the unit when
     r = 1, the idempotent e_left(a_i) otherwise. Every row built is
-    certified to land on a composable word.
+    certified to land on a composable word. The cap is charged for b, and
+    for B unless charge_B is False (`hh_dims` reads b alone).
     """
 
-    def __init__(self, a: StructureConstantsAlgebra, N: int,
-                 cap: int | None = None, S: BasisIdempotents | None = None):
+    def __init__(self, a: StructureConstantsAlgebra, N: int, cap: int | None = None,
+                 S: BasisIdempotents | None = None, charge_B: bool = True):
         S = a.idempotents if S is None else S
-        _check_levels(a, N, "normalized mixed complex",
-                     lambda cap: estimate_normalized_entries(a, N, S, cap), cap)
+        words = []      # per level, as the guard reads them
+
+        def charges(cap):
+            # a face or a rotation costs a gather even when it writes nothing
+            for n, (w, b, B) in enumerate(level_counts(a, N, S)):
+                words.append(w)
+                yield b + n + 1 + (B + n + 1 if charge_B and n < N else 0)
+
+        _check_levels(a, N, f"{'b and B' if charge_B else 'b'} of the normalized mixed complex",
+                      charges, cap)
         self.algebra = a
         self.N = N
         self.S = S
@@ -387,14 +410,13 @@ class NormalizedMixedComplex:
         dtype = np.int64 if d * e ** N < 1 << 63 else object
         self._words = _composable_words(S, bar, N, dtype)
         self.dims = [w.shape[0] for w in self._words]
-        if self.dims != list(_word_counts(S, bar, N)):
+        if self.dims != words:
             raise InternalCheckError(
                 f"composable words {self.dims} disagree with the transfer-matrix count")
         c = a.constants
-        mid = c[np.ix_(bar, bar)].astype(object) @ pr.T.astype(object)
         self._first = _rows_by_key(c[:, bar, :])      # a0 * a1, full
         self._wrap = _rows_by_key(c[bar, :, :])       # an * a0, full
-        self._mid = _rows_by_key((mid % a.modulus).astype(np.int64))  # pr(ai * ai+1)
+        self._mid = _rows_by_key(_middle_products(a, pr, bar))  # pr(ai * ai+1)
         self._prT = _rows_by_key(pr.T)                # a0 -> pr(a0)
         self._unit = _rows_by_key(S.span)             # block -> its row of S
         self._b: dict[int, ModMatrix] = {}
@@ -485,7 +507,7 @@ def hh_dims(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
             carrier: NormalizedMixedComplex | None = None) -> dict[int, int]:
     """Hochschild homology dimensions on the window [0, N-1]."""
     if carrier is None:
-        carrier = NormalizedMixedComplex(a, N, cap=cap)
+        carrier = NormalizedMixedComplex(a, N, cap=cap, charge_B=False)
     return b_complex(carrier).homology_dims()
 
 

@@ -221,7 +221,7 @@ class ModMatrix:
         if self.shape[0] * self.shape[1] > TO_DENSE_LIMIT:
             raise ResourceError(
                 f"refusing to densify a {self.shape} matrix",
-                estimate=self.shape[0] * self.shape[1], cap=TO_DENSE_LIMIT)
+                count=self.shape[0] * self.shape[1], cap=TO_DENSE_LIMIT)
         return np.asarray(self._csc.todense(), dtype=np.int64)
 
     def is_zero(self) -> bool:

@@ -22,7 +22,6 @@ from nchodge.cartier import (
     cartier0,
     conjugate_ss,
     edgewise_hh_check,
-    estimate_sd_entries,
     iota_iso,
     iota_matrix,
     zp_coinvariants,
@@ -330,9 +329,17 @@ def test_parity_guard():
 
 
 def test_resource_guard_reports_estimate():
+    # through level 6 of dual-numbers, b and one entry per word fit; seven
+    # copies of b and the Z/p operators of the conjugate bicomplex do not
+    a = build("dual-numbers", 3)
+    PCyclicLevels(a, 6)
     with pytest.raises(ResourceError) as exc:
-        PCyclicLevels(build("upper-tri-2", 3), 3)
-    assert exc.value.estimate > exc.value.cap
+        PCyclicLevels(a, 6, L=6)
+    assert exc.value.count > exc.value.cap and exc.value.level == 6
+    assert "conjugate bicomplex through level 6" in str(exc.value)
+    with pytest.raises(ResourceError) as exc:
+        PCyclicLevels(a, 7)
+    assert "subdivided b through level 7" in str(exc.value)
 
 
 def test_tight_at_every_level():
@@ -386,21 +393,21 @@ def test_fixed_reduction_is_plain_boundary():
         assert squeezed == cyc.b(n)
 
 
-# levels whose cumulative subdivision estimate stays under this many entries
-# are assembled both ways
-ASSEMBLY_BUDGET = 2_000_000
+# the top level assembled both ways, by p and the dimension of the algebra:
+# level 1 for the rest of the corpus at p = 3; at p = 5 only the algebras of
+# dimension at most 2
+ASSEMBLED_TOP = {(3, 1): 7, (3, 2): 4, (3, 3): 2, (5, 1): 7, (5, 2): 2}
 
 
 def assembled_levels(p: int):
-    """(name, subdivision, fitting levels) over the corpus at p = 3 and the
-    algebras of dimension at most 2 at p = 5."""
+    """(name, subdivision, levels to assemble) over the corpus at p = 3 and
+    the algebras of dimension at most 2 at p = 5."""
     for name in corpus_names():
         a = build(name, p)
         if p == 5 and a.dim > 2:
             continue
-        fits = [n for n in range(1, 8) if estimate_sd_entries(a, n) <= ASSEMBLY_BUDGET]
-        if fits:
-            yield name, PCyclicLevels(a, max(fits), cap=ASSEMBLY_BUDGET), fits
+        top = ASSEMBLED_TOP.get((p, a.dim), 1)
+        yield name, PCyclicLevels(a, top), list(range(1, top + 1))
 
 
 @pytest.mark.parametrize("p", [3, 5])

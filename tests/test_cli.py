@@ -146,9 +146,13 @@ def test_any_single_field_either_loads_or_is_bad_input(field, value):
 
 
 def test_cap_exit_3_reports_sizes(capsys):
+    # b of trunc-poly-4 writes 12, 48, 180, 648 and 2268 entries at levels
+    # 1 to 5, and level n costs n + 1 gathers more: 903 through level 4,
+    # 3177 through level 5
     rc, _, err = run(capsys, "hh", "trunc-poly-4", "-N", "6", "--cap", "1000", "--quiet")
     assert rc == 3
-    assert "1000" in err and "estimate" in err
+    assert err == ("error: b of the normalized mixed complex through level 6 passes the cap "
+                   "at level 5 (3177 entries, cap is 1000)\n")
 
 
 def test_a_window_too_small_exit_2(capsys):
@@ -455,6 +459,20 @@ def test_a_huge_estimate_exits_3_without_a_traceback(capsys, argv):
     rc, _, err = run(capsys, *argv, "--quiet")
     assert rc == 3
     assert "Traceback" not in err and "cap is 16777216" in err
+
+
+def test_a_window_of_empty_levels_is_refused_at_once(capsys):
+    # relative to its two idempotents every level of kronecker from 1 on is
+    # empty, but level n costs n + 1 gathers: the count passes 2^24 at the
+    # first level m with (m + 1) (m + 2) / 2 > 2^24
+    import time
+
+    level = next(m for m in range(10_000) if (m + 1) * (m + 2) // 2 > 1 << 24)
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "hh", "kronecker", "-N", "100000", "--quiet")
+    assert rc == 3 and "Traceback" not in err
+    assert f"passes the cap at level {level} (" in err and level == 5792
+    assert time.perf_counter() - start < 2.0
 
 
 def test_a_subdivision_at_a_wide_prime_is_refused_at_once(capsys):

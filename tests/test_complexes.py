@@ -13,7 +13,6 @@ from nchodge.cartier import (
     _fixed_reduced_complex,
     certify_conjugate_squares,
     conjugate_bicomplex,
-    estimate_sd_entries,
 )
 from nchodge.complexes import (
     BicomplexWindow,
@@ -201,11 +200,16 @@ def eager_total_diffs(bicx: BicomplexWindow) -> dict[int, ModMatrix]:
     return diffs
 
 
-def subdivision_window(a, budget: int = 2_000_000) -> PCyclicLevels | None:
-    """The subdivision through level 2, or else 1, that fits the budget."""
-    for N in (2, 1):
-        if estimate_sd_entries(a, N) <= budget:
-            return PCyclicLevels(a, N, cap=budget)
+# the top level of the subdivision window, by p and the largest dimension
+# that takes it; larger algebras take none
+SUBDIVISION_TOP = {3: [(3, 2), (5, 1)], 5: [(2, 2), (3, 1)], 7: [(1, 2), (2, 1)]}
+
+
+def subdivision_window(a) -> PCyclicLevels | None:
+    """The subdivision through level 2, or else 1, by the dimension of a."""
+    for dim, N in SUBDIVISION_TOP[a.p]:
+        if a.dim <= dim:
+            return PCyclicLevels(a, N)
     return None
 
 

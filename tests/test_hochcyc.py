@@ -7,12 +7,16 @@ per-monomial oracles in oracles.py.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse as sp
 
-from nchodge.algebra import BasisIdempotents, StructureConstantsAlgebra, truncated_poly
+from nchodge.algebra import (BasisIdempotents, StructureConstantsAlgebra, normalize_basis,
+                             truncated_poly)
+from nchodge.cartier import PCyclicLevels
 from nchodge.corpus import build, corpus_names
 from nchodge.errors import InternalCheckError, ResourceError, WindowError
 from nchodge.hochcyc import (
@@ -21,12 +25,13 @@ from nchodge.hochcyc import (
     bB_bicomplex,
     b_complex,
     degeneracy_matrix,
+    DEFAULT_ENTRY_CAP,
     estimate_entries,
-    estimate_normalized_entries,
     face_matrix,
     hc_dims,
     hh_dims,
     hodge_ss,
+    level_counts,
     rotation_matrix,
     sbi_check,
     sbi_ranks,
@@ -99,7 +104,8 @@ def test_identity_sweep_names_the_level_of_a_wrong_operator():
 def test_level_dimensions_double_for_dual_numbers():
     cyc = CyclicLevelMaps(build("dual-numbers", 3), 5)
     assert [cyc.dim(n) for n in range(6)] == [2, 4, 8, 16, 32, 64]
-    assert estimate_entries(build("dual-numbers", 3), 5) < (1 << 24)
+    # the faces write (n + 1) 2^(n - 1) 3 entries at level n
+    assert estimate_entries(build("dual-numbers", 3), 5) == 480
 
 
 def test_connes_b_at_level_zero():
@@ -257,16 +263,55 @@ def test_normalized_dims_shrink():
     assert empty.B(0).shape == (0, 1) and empty.b(1).shape == (1, 0)
 
 
-def test_normalized_estimate_bounds_the_entries_built():
-    for name in corpus_names():
-        a = build(name, 3)
-        nc = NormalizedMixedComplex(a, 4)
-        built = sum(nc.b(n).nnz for n in range(1, 5)) + sum(nc.B(n).nnz for n in range(4))
-        assert built <= estimate_normalized_entries(a, 4), name
-    # the unnormalized top level of group-z4 at N = 9 has 4^10 coordinates,
-    # the normalized one 4 * 3^9
-    assert estimate_normalized_entries(build("group-z4", 3), 9) < (1 << 24) \
-        < estimate_entries(build("group-z4", 3), 9)
+def coo_lengths(op, levels) -> list[int]:
+    """The entries op(n) hands to `ModMatrix.from_arrays`, before duplicates
+    are summed: its last construction is the operator itself."""
+    seen = []
+    real = ModMatrix.from_arrays.__func__
+
+    def record(cls, shape, modulus, rows, cols, vals):
+        seen.append(rows.shape[0])
+        return real(cls, shape, modulus, rows, cols, vals)
+
+    out = []
+    with mock.patch.object(ModMatrix, "from_arrays", classmethod(record)):
+        for n in levels:
+            op(n)
+            out.append(seen[-1])
+    return out
+
+
+# a window is compared while its count stays under this many entries
+COUNTED_BUDGET = 200_000
+
+
+def test_normalized_count_is_the_entries_built():
+    compared = 0
+    for p in (3, 5, 7):
+        for name in corpus_names():
+            given = build(name, p)
+            for a in {id(x): x for x in (given, normalize_basis(given))}.values():
+                counts = list(level_counts(a, 40))
+                running = np.cumsum([b + B for _, b, B in counts])
+                N = max(1, int(np.searchsorted(running, COUNTED_BUDGET, side="right")) - 1)
+                nc = NormalizedMixedComplex(a, N)
+                assert nc.dims == [w for w, _, _ in counts[:N + 1]], (name, p)
+                assert coo_lengths(nc.b, range(1, N + 1)) == \
+                    [b for _, b, _ in counts[1:N + 1]], (name, p)
+                assert coo_lengths(nc.B, range(N)) == [B for _, _, B in counts[:N]], (name, p)
+                sd = list(level_counts(a, 6, p=p))
+                fits = [n for n in range(1, 7) if sd[n][0] <= COUNTED_BUDGET
+                        and sum(b for _, b, _ in sd[:n + 1]) <= COUNTED_BUDGET]
+                if fits:
+                    pcyc = PCyclicLevels(a, max(fits))
+                    assert coo_lengths(pcyc.b, fits) == [sd[n][1] for n in fits], (name, p)
+                    compared += 1
+    assert compared >= 25
+    # the unnormalized level 10 of group-z4 has 4^11 coordinates, the
+    # normalized one relative to k 4 * 3^10
+    a = build("group-z4", 3)
+    assert sum(b + B for _, b, B in level_counts(a, 10, S=BasisIdempotents.ground(a))) \
+        < DEFAULT_ENTRY_CAP < estimate_entries(a, 10)
 
 
 # ---------------- relative to the basis idempotents ----------------
@@ -288,7 +333,7 @@ def test_detected_idempotents_and_relative_levels():
     for name in set(corpus_names()) - set(IDEMPOTENT):
         d = build(name, 3).dim
         assert levels[name] == [d * (d - 1) ** n for n in range(10)], name
-    assert estimate_normalized_entries(build("m2", 3), 30) < 10_000
+    assert sum(b + B for _, b, B in level_counts(build("m2", 3), 30)) < 10_000
 
 
 def quotient(a, n):
@@ -496,7 +541,7 @@ def test_resource_cap_reports_estimate():
     a = build("m2", 3)
     with pytest.raises(ResourceError) as exc:
         CyclicLevelMaps(a, 9, cap=10_000)
-    assert exc.value.estimate > exc.value.cap == 10_000
+    assert exc.value.count > exc.value.cap == 10_000
 
 
 def test_connes_b_needs_headroom():

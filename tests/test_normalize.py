@@ -19,11 +19,15 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nchodge.algebra import StructureConstantsAlgebra, from_json_dict, literal_lift, normalize_basis
+from nchodge.cartier import PCyclicLevels
 from nchodge.cli import main
 from nchodge.corpus import build, corpus_names
+from nchodge.errors import ResourceError
+from nchodge.hochcyc import NormalizedMixedComplex
 from .test_algebra import json_description
 
 WIDE = 2147483647
@@ -128,15 +132,62 @@ def test_group_z4_reaches_past_the_cap_of_its_group_basis():
     assert json.loads(text)["dims"] == [[0, 4]] + [[n, 0] for n in range(1, 40)]
 
 
-def test_a_window_the_normalized_basis_refuses_runs_in_the_given_one():
-    # F_5[Z/3] = F_5 x F_25: the normalized unit has two terms and a product
-    # in the F_25 block has two, and the subdivision's estimate charges both
-    from nchodge.cartier import estimate_sd_entries
-    from nchodge.hochcyc import DEFAULT_ENTRY_CAP
+class Admitted(Exception):
+    """Raised where a window the cap admits would start building its words."""
 
-    a = build("group-z3", 5)
-    assert estimate_sd_entries(a, 1) <= DEFAULT_ENTRY_CAP < estimate_sd_entries(
-        normalize_basis(a), 1)
+
+def largest_window(make) -> int:
+    """The largest N for which make(N) passes the cap check (0 for none).
+    The count passes any cap from some level on, and every window below
+    that level fits."""
+    with pytest.raises(ResourceError) as exc:
+        make(1 << 20)
+    top = exc.value.level
+    if top:
+        try:
+            make(top)
+        except ResourceError:
+            return top - 1
+    return top
+
+
+def cap_checks(a) -> dict[str, object]:
+    """make(N) per charge of the homology commands: b (hh), b and B (hc,
+    sbi, hodge, ledger), the subdivided b (edgewise-check) and the conjugate
+    bicomplex (conjugate); it raises ResourceError or returns."""
+    def normalized(charge_B):
+        def make(N):
+            with mock.patch("nchodge.hochcyc._composable_words", side_effect=Admitted), \
+                    contextlib.suppress(Admitted):
+                NormalizedMixedComplex(a, N, charge_B=charge_B)
+        return make
+
+    return {"b": normalized(False), "bB": normalized(True),
+            "subdivided": lambda N: PCyclicLevels(a, N, allow_p2=True),
+            "conjugate": lambda N: PCyclicLevels(a, N, allow_p2=True, L=2 * a.p)}
+
+
+def test_the_normalized_basis_refuses_no_window_the_given_one_admits():
+    compared = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for name in corpus_names():
+            a = build(name, p)
+            b = normalize_basis(a)
+            if b is a:
+                continue
+            given, normal = cap_checks(a), cap_checks(b)
+            for charge, make in given.items():
+                top = largest_window(make)
+                if top:
+                    normal[charge](top)     # raises ResourceError on a flip
+            compared += 1
+    assert compared >= 15
+
+
+def test_conjugate_group_z3_at_5_runs_in_the_normalized_basis():
+    # F_5[Z/3] = F_5 x F_25: the command runs in the basis of the two blocks
+    # and must print what the group basis gives
+    assert normalize_basis(build("group-z3", 5)).idempotents.r == 2
     argv = ("conjugate", "group-z3", "-p", "5", "-N", "1")
     code, text = payload(*argv)
     assert code == 0 and (code, text) == given_basis_payload(*argv)
