@@ -27,8 +27,9 @@ import subprocess
 import sys
 import time
 
-ROWS = [("sbi", "m2", 6), ("hc", "kronecker", 2), ("ledger", "product-dual-upper", 2),
-        ("hh", "product-ground-m2", 1), ("hh", "group-z4", 1), ("hc", "group-z3", 2),
+ROWS = [("sbi", "m2", 6), ("sbi", "trunc-poly-4", 6), ("hc", "kronecker", 2),
+        ("ledger", "product-dual-upper", 2), ("hh", "product-ground-m2", 1),
+        ("hh", "group-z4", 1), ("hc", "group-z3", 2),
         ("conjugate", "dual-numbers", 1), ("conjugate", "trunc-poly-3", 1),
         ("conjugate", "group-z3", 1), ("conjugate", "group-z4", 1),
         ("edgewise-check", "dual-numbers", 1)]

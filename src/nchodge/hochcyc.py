@@ -35,8 +35,16 @@ in closed form from HH (`_cyclic_page_zero`), since the later pages do not
 depend on the chain model.
 
 From these come the b complex, the mixed (b, B) bicomplex whose
-totalization computes cyclic homology, the SBI rank bookkeeping, and the
-Hodge filtration report.
+totalization computes cyclic homology, and its column filtration, whose
+one persistence pairing (`specseq.pair_gaps`) gives both the Hodge pages
+and the SBI ranks. The SBI triangle HH_n -I-> HC_n -S-> HC_{n-2} -D->
+HH_{n-1} is the long exact sequence of the filtration's first step F_0,
+the b complex, inside the totalization. A pair of d_n kills, at the level
+of its column, the class born at the level of its row, and an unpaired
+vector is a class of the totalization; so rank I_n counts the unpaired
+degree-n vectors at level 0, rank S_n those at level >= 1, and rank D_n
+the pairs of d_n that run from a row at level 0 to a column at level >= 1
+(`sbi_ranks`).
 """
 
 from __future__ import annotations
@@ -50,8 +58,8 @@ from .complexes import BicomplexWindow, ChainComplexWindow, LazyDiffs, filtratio
 from .conventions import cyclic_sign, face_sign, face_sum
 from .errors import (InternalCheckError, ModulusError, NotAComplexError, ResourceError,
                      ShapeError, WindowError)
-from .modring import ModMatrix, induced_map_rank
-from .specseq import SSPage, pages
+from .modring import ModMatrix
+from .specseq import UNPAIRED, SSPage, pages, pair_gaps
 
 DEFAULT_ENTRY_CAP = 1 << 24
 
@@ -562,85 +570,61 @@ def sbi_check(a: StructureConstantsAlgebra, N: int, cap: int | None = None) -> S
 
 
 def sbi_ranks(cyc) -> SBIReport:
-    """The SBI rank bookkeeping on a mixed complex carrier: any object with
-    `N`, `algebra`, `dim(n)`, `b(n)` and `B(n)` through level N.
+    """The SBI triangle on a mixed complex carrier: any object with `N`,
+    `algebra`, `dim(n)`, `b(n)` and `B(n)` through level N.
 
-    For each degree n in [2, N-1] the three checks are
-      dim HC_n       = rank I_n + rank S_n,
-      dim HC_{n-2}   = rank S_n + rank D_n,
-      dim HH_{n-1}   = rank D_n + rank I_{n-1},
-    where I includes Hochschild chains as the leftmost column, S projects
-    away that column (shifting total degree by two), and D is the
-    connecting map realized by B on the adjacent column. If the
-    totalization fails d^2 = 0 the report has complex_valid=False.
+    The triangle is the long exact sequence of F_0 in Tot, the first step
+    of the column filtration of the (b, B) bicomplex: F_0 is the b complex,
+    Tot computes HC, and Tot/F_0 is Tot shifted up by two,
+
+        HH_n --I--> HC_n --S--> HC_{n-2} --D--> HH_{n-1}.
+
+    The ranks are read off the persistence pairing of that filtration
+    (`specseq.pair_gaps`, the one `hodge --pages` reads). A pair kills, at
+    its column's level, the class born at its row's level; an unpaired
+    vector is a class that lives in Tot. So in degree n
+      rank I_n = unpaired vectors at level 0 (born in F_0, alive in Tot),
+      rank S_n = unpaired vectors at level >= 1 (ker S = im I),
+      rank D_n = pairs of d_n with the row at level 0 and the column at
+                 level >= 1 (classes of F_0 that die in Tot: im D = ker I).
+    For each degree n in [2, N-1] three spots check these counts against
+    other computations:
+      at_hc        dim HC_n     = rank I_n + rank S_n, HC from the cleared
+                   ranks of Tot, another elimination;
+      at_hc_shift  dim HC_{n-2} = rank S_n + rank D_n, the periodicity
+                   Tot/F_0 = Tot[2];
+      at_hh        dim HH_{n-1} = rank D_n + rank I_{n-1}, HH from the
+                   b complex.
+    If the totalization fails d^2 = 0 the report has complex_valid=False.
     """
     N = cyc.N
-    tot, blocks = bB_bicomplex(cyc).total_complex()
+    filt = filtration_by_columns(bB_bicomplex(cyc))
     hh = b_complex(cyc).homology_dims()
     try:
-        hc = {n: tot.homology_dim(n) for n in range(0, N)}
+        hc = {n: filt.carrier.homology_dim(n) for n in range(0, N)}
     except NotAComplexError:
         return SBIReport(N=N, degrees=[], hh=hh, hc={},
                          complex_valid=False, exact=False)
-    mod = cyc.algebra.modulus
-
-    def include(n: int) -> ModMatrix:
-        rows = tot.dim(n)
-        table = {(x, y): off for x, y, off, _ in blocks[n]}
-        off = table[(0, n)]
-        cols = np.arange(cyc.dim(n), dtype=np.int64)
-        return ModMatrix.from_arrays((rows, cyc.dim(n)), mod,
-                                     cols + off, cols,
-                                     np.ones(cyc.dim(n), dtype=np.int64))
-
-    def project(n: int) -> ModMatrix:
-        # Tot_n -> Tot_{n-2} dropping the x = 0 block
-        src = {(x, y): off for x, y, off, _ in blocks[n]}
-        tgt = {(x, y): off for x, y, off, _ in blocks[n - 2]}
-        rows_l, cols_l = [], []
-        for (x, y), off in src.items():
-            if x == 0 or y < x:
-                continue
-            dim = cyc.dim(y - x)
-            idx = np.arange(dim, dtype=np.int64)
-            rows_l.append(idx + tgt[(x - 1, y - 1)])
-            cols_l.append(idx + off)
-        rows = np.concatenate(rows_l) if rows_l else np.zeros(0, dtype=np.int64)
-        cols = np.concatenate(cols_l) if cols_l else np.zeros(0, dtype=np.int64)
-        return ModMatrix.from_arrays((tot.dim(n - 2), tot.dim(n)), mod,
-                                     rows, cols, np.ones(rows.shape[0], dtype=np.int64))
-
-    def connecting(n: int) -> ModMatrix:
-        # Tot_{n-2} (the quotient coordinates) -> C_{n-1}, via B off the
-        # block that lifts to (1, n-1)
-        src = {(x, y): off for x, y, off, _ in blocks[n - 2]}
-        off = src[(0, n - 2)]
-        Bmat = cyc.B(n - 2)
-        coo = Bmat.csc().tocoo()
-        return ModMatrix.from_arrays((cyc.dim(n - 1), tot.dim(n - 2)), mod,
-                                     coo.row, coo.col + off, coo.data)
-
+    level, gap, head = pair_gaps(filt)
+    rank_I = {n: int(np.count_nonzero((gap[n] == UNPAIRED) & (level[n] == 0)))
+              for n in range(1, N)}
     degrees = list(range(2, N))
     ranks: dict[int, dict[str, int]] = {}
     spots: dict[int, dict[str, bool]] = {}
-    rank_I: dict[int, int] = {}
-    for n in range(1, N):
-        rank_I[n] = induced_map_rank(include(n), cyc.b(n), tot.d(n + 1))
-    all_ok = True
     for n in degrees:
-        rS = induced_map_rank(project(n), tot.d(n), tot.d(n - 1))
-        rD = induced_map_rank(connecting(n), tot.d(n - 2), cyc.b(n))
-        entry = {"I": rank_I[n], "S": rS, "D": rD, "I_prev": rank_I[n - 1]}
-        checks = {
+        lifted = level[n] >= 1
+        rS = int(np.count_nonzero((gap[n] == UNPAIRED) & lifted))
+        # a pair's row sits at its column's level minus the gap, here 0
+        rD = int(np.count_nonzero((head[n] == level[n]) & lifted))
+        ranks[n] = {"I": rank_I[n], "S": rS, "D": rD, "I_prev": rank_I[n - 1]}
+        spots[n] = {
             "at_hc": hc[n] == rank_I[n] + rS,
             "at_hc_shift": hc[n - 2] == rS + rD,
             "at_hh": hh[n - 1] == rD + rank_I[n - 1],
         }
-        ranks[n] = entry
-        spots[n] = checks
-        all_ok = all_ok and all(checks.values())
+    exact = all(all(checks.values()) for checks in spots.values())
     return SBIReport(N=N, degrees=degrees, hh=hh, hc=hc, ranks=ranks,
-                     spots=spots, complex_valid=True, exact=all_ok)
+                     spots=spots, complex_valid=True, exact=exact)
 
 
 # ---------------- Hodge filtration ----------------

@@ -406,13 +406,6 @@ def hstack(mats: Sequence[ModMatrix]) -> ModMatrix:
     return ModMatrix(out.shape, m, out)
 
 
-def block(rows: Sequence[Sequence[ModMatrix | None]], modulus: int) -> ModMatrix:
-    """Block matrix; None blocks are zero (shapes inferred from neighbors)."""
-    grid = [[b.csc() if b is not None else None for b in row] for row in rows]
-    out = sp.bmat(grid, format="csc", dtype=np.int64)
-    return ModMatrix(out.shape, modulus, out)
-
-
 # ---------------- dense elimination ----------------
 
 def _dense_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -669,24 +662,3 @@ def homology_dim(d_in: ModMatrix, d_out: ModMatrix) -> int:
     if dim < 0:
         raise NotAComplexError("negative homology dimension; ranks inconsistent")
     return dim
-
-
-def induced_map_rank(f: ModMatrix, d_dom: ModMatrix, d_cod_in: ModMatrix) -> int:
-    """Rank of the map induced on homology by f in a fixed degree.
-
-    f sends cycles to cycles and boundaries to boundaries; d_dom is the
-    outgoing differential on the domain degree, d_cod_in the incoming
-    differential on the codomain degree. Uses the identity
-    rank = rank [[f, d_cod_in], [d_dom, 0]] - rank d_dom - rank d_cod_in,
-    which needs no explicit kernel bases.
-    """
-    if f.shape[1] != d_dom.shape[1]:
-        raise ShapeError("f and d_dom must share their domain")
-    if f.shape[0] != d_cod_in.shape[0]:
-        raise ShapeError("f and d_cod_in must share their codomain")
-    m = f.modulus
-    big = block([[f, d_cod_in], [d_dom, None]], m)
-    r = rank_fp(big) - d_dom.rank() - d_cod_in.rank()
-    if r < 0:
-        raise NotAComplexError("induced rank came out negative")
-    return r

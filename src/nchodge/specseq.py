@@ -14,7 +14,10 @@ rank-one d_g, g = level(tau) - level(sigma), and both ends are gone from
 page g + 1 on (Basu and Parida, Expo. Math. 35, 2017). So dim E_r(l, n)
 counts the degree-n vectors at level l that are unpaired or paired with
 gap >= r, and the rank of d_r out of (l, n) counts the degree-n columns at
-level l with gap r.
+level l with gap r. `_pairing` finds the same pairs on the coboundaries,
+from degree 1 up, with clearing, where the elimination does less work.
+`pair_gaps` hands them out as arrays; `hochcyc.sbi_ranks` reads the SBI
+triangle off the same arrays, at the filtration's first step.
 
 Certification discipline: entries are reported only for total degrees
 where every chain group a page differential could touch lies inside the
@@ -42,6 +45,9 @@ import numpy as np
 from .complexes import IncreasingFiltration
 from .errors import InternalCheckError, WindowError
 from .modring import _column_reduce, _prime_of, rank_fp
+
+# the gap of an unpaired vector: past every page, so it counts on all of them
+UNPAIRED = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -72,26 +78,56 @@ class SSPage:
 
 
 def _pairing(filt: IncreasingFiltration, lev: dict[int, np.ndarray],
-             degrees: range) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The pivot pairs of d_n for n in degrees: (rows of C_{n-1}, columns of
+             top: int) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The pivot pairs of d_n for 0 < n <= top: (rows of C_{n-1}, columns of
     C_n, gaps), one entry per pair.
 
-    Rows are renumbered and columns taken in level order, ties by index, so
-    a pivot is the remaining row last in level order and a column only ever
-    receives columns of no higher level.
+    Each degree is ordered by level, ties by index. The pairs are read off
+    the coboundary d_n^T with both orders reversed, which has the same
+    pairs as d_n (de Silva, Morozov and Vejdemo-Johansson, Inverse Problems
+    27, 2011): a column of C_{n-1} only receives columns of no lower level,
+    and its pivot is the remaining row of C_n first in level order. The
+    degrees go up with clearing (Chen and Kerber, 2011): a vector of C_n
+    that pairs in d_n has a coboundary that reduces to zero, so d_{n+1}^T
+    skips it.
     """
     c = filt.carrier
     out = {}
-    for n in degrees:
+    cleared = np.zeros(0, dtype=np.int64)
+    for n in range(1, top + 1):
         d = c.d(n)
-        rows = np.argsort(lev[n - 1], kind="stable")
-        order = np.argsort(lev[n], kind="stable").tolist()
-        _, pivots = _column_reduce(d.restrict(rows=rows).csc(), _prime_of(d), d.shape,
-                                   fill_guard=False, order=order)
-        sigma = rows[np.fromiter(pivots, dtype=np.int64, count=len(pivots))]
-        tau = np.fromiter(pivots.values(), dtype=np.int64, count=len(pivots))
+        rows = np.argsort(lev[n], kind="stable")[::-1]
+        order = np.argsort(lev[n - 1], kind="stable")[::-1]
+        keep = np.ones(order.size, dtype=bool)
+        keep[cleared] = False
+        cod = d.T.restrict(rows=rows)
+        _, pivots = _column_reduce(cod.csc(), _prime_of(d), cod.shape,
+                                   fill_guard=False, order=order[keep[order]].tolist())
+        tau = rows[np.fromiter(pivots, dtype=np.int64, count=len(pivots))]
+        sigma = np.fromiter(pivots.values(), dtype=np.int64, count=len(pivots))
         out[n] = (sigma, tau, lev[n][tau] - lev[n - 1][sigma])
+        cleared = tau
     return out
+
+
+def pair_gaps(filt: IncreasingFiltration
+              ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """The persistence pairing as arrays, per degree n in [0, vhi + 1]:
+    level[n], each vector's level; gap[n], the gap of the pair it is in, as
+    row or as column, UNPAIRED if none; head[n], on a column of a pair of
+    d_n that pair's gap, -1 elsewhere.
+
+    d_n is reduced for 0 < n <= min(hi, vhi + 1): head is complete on
+    [0, vhi + 1] and gap on [0, vhi], the degrees whose homology is trusted.
+    """
+    c = filt.carrier
+    near = range(c.vhi + 2)
+    level = {n: filt.at(n) for n in near}
+    gap = {n: np.full(level[n].shape, UNPAIRED) for n in near}
+    head = {n: np.full(level[n].shape, -1) for n in near}
+    for n, (sigma, tau, g) in _pairing(filt, level, min(c.hi, c.vhi + 1)).items():
+        gap[n - 1][sigma] = gap[n][tau] = head[n][tau] = g
+    return level, gap, head
 
 
 def _check_first_page(filt: IncreasingFiltration, e1: SSPage) -> None:
@@ -126,19 +162,10 @@ def pages(filt: IncreasingFiltration, r_max: int = 3) -> list[SSPage]:
     c = filt.carrier
     lmin, lmax = filt.levels
     degs = list(range(c.vhi + 1))
-    # per degree, from 0 to vhi + 1 (sources of the last reported ranks): each
-    # vector's level, the gap of its pair (r_max + 1 if unpaired, which
-    # outlives every page) and, on a column, its pair's gap
-    near = range(c.vhi + 2)
-    lev = {n: filt.at(n) for n in near}
-    alive = {n: np.full(lev[n].shape, r_max + 1) for n in near}
-    head = {n: np.full(lev[n].shape, -1) for n in near}
-    reduced = range(1, min(c.hi, c.vhi + 1) + 1)
-    for n, (sigma, tau, gap) in _pairing(filt, lev, reduced).items():
-        alive[n - 1][sigma] = alive[n][tau] = head[n][tau] = gap
+    lev, gap, head = pair_gaps(filt)
     out: list[SSPage] = []
     for r in range(r_max + 1):
-        table = {(l, n): int(np.count_nonzero((lev[n] == l) & (alive[n] >= r)))
+        table = {(l, n): int(np.count_nonzero((lev[n] == l) & (gap[n] >= r)))
                  for n in degs for l in range(lmin, lmax + 1)}
         d_ranks = {(l, n): int(np.count_nonzero((lev[n] == l) & (head[n] == r)))
                    for n in degs + [c.vhi + 1] for l in range(lmin, lmax + r + 1)}

@@ -217,6 +217,29 @@ def test_sbi_exit_0(capsys):
     assert payload["exact"] is True and payload["complex_valid"] is True
 
 
+@pytest.mark.parametrize("name, lowest", [("m2", 1), ("trunc-poly-3", 2)])
+def test_sbi_fails_when_the_pairing_drops_a_pair(capsys, monkeypatch, name, lowest):
+    # the spots compare the pairing with other eliminations, so one pair
+    # lost from any d_n that has one (n >= lowest) is flagged
+    from nchodge import specseq
+    from nchodge.corpus import build
+    from nchodge.hochcyc import sbi_check
+
+    real = specseq._pairing
+    for degree in range(lowest, 7):
+        def dropped(*args):
+            out = real(*args)
+            assert out[degree][0].size, f"d_{degree} has no pair"
+            out[degree] = tuple(a[1:] for a in out[degree])
+            return out
+
+        monkeypatch.setattr(specseq, "_pairing", dropped)
+        rep = sbi_check(build(name, 3), 6)
+        assert rep.complex_valid and not rep.exact, degree
+        rc, payload = run_json(capsys, "sbi", name, "-N", "6")
+        assert (rc, payload["exact"]) == (1, False), degree
+
+
 def test_hodge_pages_attached(capsys):
     rc, payload = run_json(capsys, "hodge", "ground-field", "-N", "4",
                            "--pages")
@@ -414,20 +437,36 @@ def test_closed_stdout_exits_quietly_with_the_earned_code(argv, code):
     assert proc.stderr == b""
 
 
-# sha256 of whole `--format json` payloads with page tables: a change to any
-# page entry or differential rank must be deliberate and update these
-PINNED_PAGE_PAYLOADS = {
-    "dual-numbers": (1, "06a228e9b41fcb0ef14536cca946ab38e5fbb0733dfe92d452c0ca1496f5452c"),
-    "upper-tri-2": (0, "b1e75f1c1e342ff9d1afb18a467f8ce34154fbb4208182546da2563473ec82cb"),
+# exit code and sha256 of whole `--format json` payloads, keyed by command
+# line: a change to any page entry, differential rank, SBI rank or spot must
+# be deliberate and update these. --r-max 50 runs pages past the span, where
+# only unpaired vectors are left.
+PINNED_PAYLOADS = {
+    "hodge dual-numbers -N 4 --pages": (1, "06a228e9b41fcb0ef14536cca946ab38e5fbb0733dfe92d452c0ca1496f5452c"),
+    "hodge upper-tri-2 -N 4 --pages": (0, "b1e75f1c1e342ff9d1afb18a467f8ce34154fbb4208182546da2563473ec82cb"),
+    "hodge dual-numbers -N 4 --pages --r-max 50": (1, "0d74f069c42475a8a6f643d094e8736e416ec351916fda347b05a813280c8d64"),
+    "sbi a2-path -N 6": (0, "0b6a07d3a7f1735f03563ee96fad443c783b33e4bdb1da5c07406774fe302146"),
+    "sbi dual-numbers -N 6": (0, "4653dfd14063998d4e71130f4faa8e04978ab2277678e3fa483664656e5faa0f"),
+    "sbi ground-field -N 6": (0, "912ad3f57144a0cfc895eb086ecb67d434d5caaaef7161a226694af03715b773"),
+    "sbi group-z2 -N 6": (0, "51711becdffcd5da3cc5e03be6bdb4359778b1fecc18e43e8313c15bac1b2a0f"),
+    "sbi group-z3 -N 6": (0, "48eb50753a141e3e959bdb82730c99891cad74d974166061cfe3b775c0f15cac"),
+    "sbi group-z4 -N 6": (0, "1c1df76a6833fc426dad58b75174c376caf1eb4dc30eda45053ee4c6135bf530"),
+    "sbi kronecker -N 6": (0, "df3803d910192bd3259ca509b6c7aea15a6f4c8f4f76ef5861d511e6b37c08bb"),
+    "sbi m2 -N 6": (0, "7a8a84d0f149948ee24de571b4c69243e45e991e6c40f1ebccf122173759183c"),
+    "sbi product-dual-upper -N 6": (0, "aaac6d0a9582b5a9886cc0c2e9ba483451df831f9909d03d9270bc869f5eec82"),
+    "sbi product-ground-m2 -N 6": (0, "cd762a741155c4b89519c58e93a68b1813878bab3f4360c874389f3e0cfb566f"),
+    "sbi trunc-poly-3 -N 6": (0, "3f73408cd3cae50ad223de2fd546a5c462d35d96e22dc5e05d9603d3bad08093"),
+    "sbi trunc-poly-4 -N 6": (0, "f6c41b8bba02d5b9a26b589ff6cc928f323e34f9666d728ad9e0560d5f527304"),
+    "sbi upper-tri-2 -N 6": (0, "04fe30d35af28cfb81662992e2786153c4f3c07c292ded86324053036a9345e1"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_PAGE_PAYLOADS))
-def test_hodge_page_payload_bytes_are_pinned(capsys, name):
+@pytest.mark.parametrize("command", sorted(PINNED_PAYLOADS))
+def test_payload_bytes_are_pinned(capsys, command):
     import hashlib
 
-    rc, out, _ = run(capsys, "hodge", name, "-N", "4", "--pages", "--format", "json", "--quiet")
-    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == PINNED_PAGE_PAYLOADS[name]
+    rc, out, _ = run(capsys, *command.split(), "--format", "json", "--quiet")
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == PINNED_PAYLOADS[command]
 
 
 def test_hodge_certifies_that_cyclic_homology_stays_under_the_stack(capsys, monkeypatch):

@@ -14,10 +14,8 @@ from nchodge.modring import (
     TO_DENSE_LIMIT,
     ModMatrix,
     ResidueScalar,
-    block,
     homology_dim,
     hstack,
-    induced_map_rank,
     is_prime,
     kernel_basis_fp,
     kron_power,
@@ -248,9 +246,6 @@ def test_stack_and_block():
     b = ModMatrix.zeros(2, 1, p)
     h = hstack([a, b])
     assert h.shape == (2, 3)
-    blk = block([[a, None], [None, a]], p)
-    assert blk.shape == (4, 4)
-    assert rank_fp(blk) == 4
 
 
 def test_transpose_and_matmul_reduce():
@@ -259,14 +254,6 @@ def test_transpose_and_matmul_reduce():
     sq = m @ m
     assert dense(sq) == [[2, 2], [2, 2]]  # 8 mod 3
     assert dense(m.T) == dense(m)
-
-
-def test_induced_map_rank_identity_complex():
-    # complexes with zero differentials: induced rank is just rank of f
-    p = 5
-    f = ModMatrix.from_dense([[1, 0], [0, 0]], p)
-    z = ModMatrix.zeros(2, 2, p)
-    assert induced_map_rank(f, z, z) == 1
 
 
 small_primes = st.sampled_from([2, 3, 5, 7])
