@@ -18,6 +18,7 @@ import sys
 import time
 
 from nchodge.algebra import BasisIdempotents
+from nchodge.complexes import filtration_by_columns
 from nchodge.corpus import build, corpus_names
 from nchodge.hochcyc import (
     DEFAULT_ENTRY_CAP,
@@ -30,10 +31,13 @@ from nchodge.hochcyc import (
 )
 
 
+def hc_of(carrier) -> dict[int, int]:
+    return hc_dims(carrier.algebra, carrier.N, tot=filtration_by_columns(carrier).carrier)
+
+
 def summary(carrier) -> tuple:
     if carrier.N < 3:
-        a, N = carrier.algebra, carrier.N
-        return hh_dims(a, N, carrier=carrier), hc_dims(a, N, carrier=carrier), {}, {}
+        return hh_dims(carrier.algebra, carrier.N, carrier=carrier), hc_of(carrier), {}, {}
     rep = sbi_ranks(carrier)
     return rep.hh, rep.hc, rep.ranks, rep.spots
 
@@ -44,7 +48,7 @@ def check(a, N: int) -> list[str]:
     bad = []
     if summary(NormalizedMixedComplex(a, N)) != want:
         bad.append("hh/hc/sbi")
-    hh, hc = want[0], hc_dims(a, N, carrier=ground)
+    hh, hc = want[0], hc_of(ground)
     sums = {n: sum(hh[n - 2 * l] for l in range(n // 2 + 1)) for n in range(N - 1)}
     rep = hodge_ss(a, N, pages_budget=0)
     if (rep.abutment, rep.hodge_sums, rep.degenerate) != \

@@ -3,15 +3,14 @@
 Every window starts in degree 0. A chain window holds dimensions and
 differentials for degrees 0..hi, plus the top degree vhi whose homology
 can be trusted (degrees whose neighbours are fully inside the window).
-Bicomplex windows live in the first quadrant, store their differentials
-with all signs already applied, and totalize to a chain window with a
-block index table. Windows keep the operator mappings they are given, so
-cell operators and total differentials passed as `LazyDiffs` are built
-only when a degree is read. A filtration gives each basis vector its
-level. Nothing is checked on construction: `homology_dim` certifies
-d^2 = 0 on every degree it reads and keeps that degree's answer, and
-`check_differentials`, `check_squares` and `IncreasingFiltration.check`
-certify a whole window on request.
+A mixed complex (C, b, B) totalizes straight from its levels, filtered by
+columns (`filtration_by_columns`). The periodic bicomplex of the conjugate
+route is a first-quadrant window with every sign applied, totalized
+through a block table. Operators passed as `LazyDiffs` are built only when
+a degree is read. Nothing is checked on construction: `homology_dim`
+certifies d^2 = 0 on every degree it reads and keeps that degree's answer,
+and `check_differentials`, `check_squares` and
+`IncreasingFiltration.check` certify a whole window on request.
 """
 
 from __future__ import annotations
@@ -110,19 +109,16 @@ class BicomplexWindow:
     d_v[(x, y)] maps (x, y) -> (x, y - 1) and d_h[(x, y)] maps
     (x, y) -> (x - 1, y); both are stored with every sign already applied,
     so `check_squares` checks rows, columns and the anticommutation of each
-    square literally. complete_x asserts that the true object vanishes
-    beyond column X, which widens the trusted degree range of the
-    totalization from min(X, Y) - 1 to Y - 1.
+    square literally. The totalization trusts the degrees below min(X, Y).
     """
 
     def __init__(self, X: int, Y: int, dims: dict[tuple[int, int], int],
                  d_v: Mapping[tuple[int, int], ModMatrix],
                  d_h: Mapping[tuple[int, int], ModMatrix],
-                 modulus: int, complete_x: bool = False):
+                 modulus: int):
         self.X = X
         self.Y = Y
         self.modulus = modulus
-        self.complete_x = complete_x
         self.dims = {(x, y): int(dims.get((x, y), 0))
                      for x in range(X + 1) for y in range(Y + 1)}
         self.d_v = d_v
@@ -179,9 +175,6 @@ class BicomplexWindow:
                         self.dv(x - 1, y), self.dh(x, y), self.dh(x, y - 1), self.dv(x, y)):
                     raise NotAComplexError(f"square at {(x, y)} does not anticommute")
 
-    def trusted_upper(self) -> int:
-        return self.Y - 1 if self.complete_x else min(self.X, self.Y) - 1
-
     def total_complex(self) -> tuple[ChainComplexWindow, dict[int, list[tuple[int, int, int, int]]]]:
         """Totalize; returns the chain window plus per-degree block tables.
 
@@ -230,7 +223,7 @@ class BicomplexWindow:
 
         diffs = LazyDiffs(range(1, top + 1), build)
         tot = ChainComplexWindow(top, tot_dims, diffs, self.modulus,
-                                 vhi=self.trusted_upper())
+                                 vhi=min(self.X, self.Y) - 1)
         return tot, blocks
 
 
@@ -274,15 +267,43 @@ class IncreasingFiltration:
                     f"differential leaves level {src[up[0]]} at degree {n}")
 
 
-def filtration_by_columns(bicx: BicomplexWindow) -> IncreasingFiltration:
-    """Totalize and filter by horizontal position: each coordinate's level is
-    the x of its cell, so level l keeps the cells x <= l.
+def filtration_by_columns(mixed) -> IncreasingFiltration:
+    """The column filtration of the totalization of a mixed complex: any
+    object with `N`, `algebra`, `dim(m)`, `b(m)` and `B(m)` through level N.
 
-    Both differentials only lower or preserve x, so each level is a
-    subcomplex; the associated graded of level l is column l.
+    Degree n in [0, N] holds C_{n-2l} in column l, l = 0..n//2, and a
+    coordinate's level is its column. d_n is b inside a column plus B into
+    the column before; bB + Bb = 0, so no sign is needed. Each level is a
+    subcomplex, whose graded piece l is the b complex shifted by 2l. d_n is
+    built on its first read from the CSC arrays of b and B, and an empty
+    column builds neither. Homology is trusted on [0, N - 1].
     """
-    tot, blocks = bicx.total_complex()
-    level = {n: np.repeat(np.array([x for x, _, _, _ in table], dtype=np.int64),
-                          [d for _, _, _, d in table])
-             for n, table in blocks.items()}
-    return IncreasingFiltration(tot, level, (0, bicx.X))
+    N, mod = mixed.N, mixed.algebra.modulus
+    dims = np.array([mixed.dim(m) for m in range(N + 1)], dtype=np.int64)
+
+    def offsets(n: int) -> np.ndarray:
+        """Where each column of degree n starts, then where the last ends."""
+        return np.concatenate(([0], np.cumsum(dims[n::-2])))
+
+    def build(n: int) -> ModMatrix:
+        src, tgt = offsets(n).tolist(), offsets(n - 1).tolist()
+        parts = []
+        for l, m in enumerate(range(n, -1, -2)):
+            if dims[m] == 0:
+                continue
+            ops = [(mixed.b(m), tgt[l])] if m else []
+            ops += [(mixed.B(m), tgt[l - 1])] if l else []
+            for op, row in ops:
+                # Python int offsets keep the operator's index dtype
+                csc = op.csc()
+                cols = np.repeat(np.arange(dims[m], dtype=csc.indices.dtype), np.diff(csc.indptr))
+                parts.append((csc.indices + row, cols + src[l], csc.data))
+        if not parts:
+            return ModMatrix.zeros(tgt[-1], src[-1], mod)
+        rows, cols, vals = (np.concatenate(z) for z in zip(*parts))
+        return ModMatrix.from_arrays((tgt[-1], src[-1]), mod, rows, cols, vals)
+
+    level = {n: np.repeat(np.arange(n // 2 + 1), dims[n::-2]) for n in range(N + 1)}
+    tot = ChainComplexWindow(N, {n: lev.size for n, lev in level.items()},
+                             LazyDiffs(range(1, N + 1), build), mod)
+    return IncreasingFiltration(tot, level, (0, N))

@@ -34,16 +34,12 @@ p-fold subdivision in `cartier`, and `hodge --pages` reports its page E_0
 in closed form from HH (`_cyclic_page_zero`), since the later pages do not
 depend on the chain model.
 
-From these come the b complex, the mixed (b, B) bicomplex whose
-totalization computes cyclic homology, and its column filtration, whose
-one persistence pairing (`specseq.pair_gaps`) gives both the Hodge pages
-and the SBI ranks. The SBI triangle HH_n -I-> HC_n -S-> HC_{n-2} -D->
-HH_{n-1} is the long exact sequence of the filtration's first step F_0,
-the b complex, inside the totalization. A pair of d_n kills, at the level
-of its column, the class born at the level of its row, and an unpaired
-vector is a class of the totalization; so rank I_n counts the unpaired
-degree-n vectors at level 0, rank S_n those at level >= 1, and rank D_n
-the pairs of d_n that run from a row at level 0 to a column at level >= 1
+From these come the b complex and the column filtration of the
+totalization Tot_n = C_n + C_{n-2} + .. with d = b + B
+(`complexes.filtration_by_columns`), which computes cyclic homology. One
+persistence pairing of that filtration (`specseq.pair_gaps`) gives both
+the Hodge pages and the SBI triangle HH_n -I-> HC_n -S-> HC_{n-2} -D->
+HH_{n-1}, the long exact sequence of its first step F_0, the b complex
 (`sbi_ranks`).
 """
 
@@ -54,7 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import BasisIdempotents, StructureConstantsAlgebra
-from .complexes import BicomplexWindow, ChainComplexWindow, LazyDiffs, filtration_by_columns
+from .complexes import ChainComplexWindow, filtration_by_columns
 from .conventions import cyclic_sign, face_sign, face_sum
 from .errors import (InternalCheckError, ModulusError, NotAComplexError, ResourceError,
                      ShapeError, WindowError)
@@ -519,30 +515,14 @@ def hh_dims(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
     return b_complex(carrier).homology_dims()
 
 
-def bB_bicomplex(cyc) -> BicomplexWindow:
-    """The mixed bicomplex of a carrier, normalized or not: cell (x, y) holds chains of degree y - x,
-    verticals are b, horizontals are B; total degree n sums the chain
-    degrees n, n-2, n-4, ...; each cell's b or B is built when a total
-    degree that holds the cell is read.
-    """
-    N = cyc.N
-    dims = {(x, y): cyc.dim(y - x) for x in range(N + 1) for y in range(x, N + 1)}
-    d_v = LazyDiffs([(x, y) for x, y in dims if y > x], lambda c: cyc.b(c[1] - c[0]))
-    d_h = LazyDiffs([(x, y) for x, y in dims if x >= 1 and y - x < N],
-                    lambda c: cyc.B(c[1] - c[0]))
-    return BicomplexWindow(N, N, dims, d_v, d_h, cyc.algebra.modulus, complete_x=True)
-
-
 def hc_dims(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
-            carrier: NormalizedMixedComplex | None = None,
             tot: ChainComplexWindow | None = None) -> dict[int, int]:
     """Cyclic homology dimensions, reported on the window [0, N-2], read on
-    tot, the totalization of a carrier's (b, B) bicomplex, when given."""
+    tot, the totalization of a mixed complex through level N, when given."""
     if N < 2:
         raise WindowError("cyclic homology needs N >= 2")
     if tot is None:
-        carrier = NormalizedMixedComplex(a, N, cap=cap) if carrier is None else carrier
-        tot, _ = bB_bicomplex(carrier).total_complex()
+        tot = filtration_by_columns(NormalizedMixedComplex(a, N, cap=cap)).carrier
     return {n: tot.homology_dim(n) for n in range(0, N - 1)}
 
 
@@ -574,7 +554,7 @@ def sbi_ranks(cyc) -> SBIReport:
     `algebra`, `dim(n)`, `b(n)` and `B(n)` through level N.
 
     The triangle is the long exact sequence of F_0 in Tot, the first step
-    of the column filtration of the (b, B) bicomplex: F_0 is the b complex,
+    of the column filtration of Tot (`filtration_by_columns`): F_0 is the b complex,
     Tot computes HC, and Tot/F_0 is Tot shifted up by two,
 
         HH_n --I--> HC_n --S--> HC_{n-2} --D--> HH_{n-1}.
@@ -598,7 +578,7 @@ def sbi_ranks(cyc) -> SBIReport:
     If the totalization fails d^2 = 0 the report has complex_valid=False.
     """
     N = cyc.N
-    filt = filtration_by_columns(bB_bicomplex(cyc))
+    filt = filtration_by_columns(cyc)
     hh = b_complex(cyc).homology_dims()
     try:
         hc = {n: filt.carrier.homology_dim(n) for n in range(0, N)}
@@ -683,7 +663,7 @@ def hodge_ss(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
     if N < 2:
         raise WindowError("need N >= 2")
     carrier = NormalizedMixedComplex(a, N, cap=cap)
-    filt = filtration_by_columns(bB_bicomplex(carrier))
+    filt = filtration_by_columns(carrier)
     hh = hh_dims(a, N, carrier=carrier)
     hc = hc_dims(a, N, tot=filt.carrier)
     e1 = {(l, n): hh[n - 2 * l] for n in range(N - 1) for l in range(n // 2 + 1)}

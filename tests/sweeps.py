@@ -1,7 +1,9 @@
 """Test-side references for the cyclic objects: the identity sweeps of the
 unsubdivided and the p-fold subdivided level maps, the subdivided faces and
-degeneracies composed of p ordinary ones by matmul, and the periodic
-two-column bicomplex whose totalization recomputes cyclic homology.
+degeneracies composed of p ordinary ones by matmul, the periodic
+two-column bicomplex whose totalization recomputes cyclic homology, and
+the (b, B) bicomplex of a mixed complex, whose totalization and block
+tables are the reference of `complexes.filtration_by_columns`.
 
 The package builds its operators by index arithmetic and certifies the
 algebra (associativity, unit) when it is loaded. These sweeps multiply the
@@ -12,8 +14,11 @@ level, and an empty list when every identity holds.
 
 from __future__ import annotations
 
+import numpy as np
+
 from nchodge.cartier import PCyclicLevels
-from nchodge.complexes import BicomplexWindow
+from nchodge.complexes import (BicomplexWindow, IncreasingFiltration, LazyDiffs,
+                               filtration_by_columns)
 from nchodge.conventions import cyclic_sign
 from nchodge.hochcyc import (CyclicLevelMaps, degeneracy_matrix, face_matrix, hc_dims,
                              rotation_matrix)
@@ -220,3 +225,32 @@ def lambda_p_hc(a, N: int, L: int | None = None, cap: int | None = None
     dims = {n: tot.homology_dim(n) for n in range(top + 1)}
     hc = hc_dims(a, top + 2, cap=cap)
     return dims, {n: hc[n] for n in dims if n in hc}
+
+
+def bB_bicomplex(cyc) -> BicomplexWindow:
+    """The mixed bicomplex of a mixed complex, normalized or not: cell
+    (x, y) holds chains of degree y - x, verticals are b, horizontals are
+    B; total degree n sums the chain degrees n, n-2, n-4, ...; each cell's
+    b or B is built when a total degree that holds the cell is read."""
+    N = cyc.N
+    dims = {(x, y): cyc.dim(y - x) for x in range(N + 1) for y in range(x, N + 1)}
+    d_v = LazyDiffs([(x, y) for x, y in dims if y > x], lambda c: cyc.b(c[1] - c[0]))
+    d_h = LazyDiffs([(x, y) for x, y in dims if x >= 1 and y - x < N],
+                    lambda c: cyc.B(c[1] - c[0]))
+    return BicomplexWindow(N, N, dims, d_v, d_h, cyc.algebra.modulus)
+
+
+def bB_filtration(cyc) -> IncreasingFiltration:
+    """The column filtration of `bB_bicomplex`: each coordinate of the
+    totalization sits at the x of its cell, read off the block tables."""
+    bicx = bB_bicomplex(cyc)
+    tot, blocks = bicx.total_complex()
+    level = {n: np.repeat(np.array([x for x, _, _, _ in table], dtype=np.int64),
+                          [d for _, _, _, d in table])
+             for n, table in blocks.items()}
+    return IncreasingFiltration(tot, level, (0, bicx.X))
+
+
+def hc_of(cyc) -> dict[int, int]:
+    """`hc_dims` read on a given mixed complex, normalized or not."""
+    return hc_dims(cyc.algebra, cyc.N, tot=filtration_by_columns(cyc).carrier)

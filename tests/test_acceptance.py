@@ -20,7 +20,6 @@ from nchodge.cartier import (
 from nchodge.corpus import build, corpus_names
 from nchodge.hochcyc import (
     CyclicLevelMaps,
-    bB_bicomplex,
     hc_dims,
     hh_dims,
     hodge_ss,
@@ -29,7 +28,7 @@ from nchodge.hochcyc import (
 )
 from nchodge.modring import ModMatrix
 from nchodge.witt import verify_w2_ring
-from .sweeps import cyclic_identity_failures, lambda_p_hc, matpow
+from .sweeps import bB_bicomplex, cyclic_identity_failures, lambda_p_hc, matpow
 from .test_cartier import assert_tight
 from .test_hochcyc import FlippedB
 

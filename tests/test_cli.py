@@ -438,10 +438,36 @@ def test_closed_stdout_exits_quietly_with_the_earned_code(argv, code):
 
 
 # exit code and sha256 of whole `--format json` payloads, keyed by command
-# line: a change to any page entry, differential rank, SBI rank or spot must
-# be deliberate and update these. --r-max 50 runs pages past the span, where
-# only unpaired vectors are left.
+# line: a change to any HC dimension, ledger row, page entry, differential
+# rank, SBI rank or spot must be deliberate and update these. --r-max 50 runs
+# pages past the span, where only unpaired vectors are left.
 PINNED_PAYLOADS = {
+    "hc a2-path -N 6": (0, "a521f508fad684d161ddd1a085ccfe68f8e85792fb0e474edcb5b652accc4ee0"),
+    "hc dual-numbers -N 6": (0, "b4eb4bef481d7c9ec5c7c3b00cd503377c244d04fde488a4b27ff1c96d9330e1"),
+    "hc ground-field -N 6": (0, "4d2fb5e917bc671af47d96b04b0bf6c49b8ba0dec49c34b1ab16b1eb0b0d96da"),
+    "hc group-z2 -N 6": (0, "dfbce246525bfd38d1a77605a6277806c79780c51f1650b3f386a02693d2b7ed"),
+    "hc group-z3 -N 6": (0, "27710b113c03ff160ea45855f578395b0f7ab97851725cf9b110298b68aeab89"),
+    "hc group-z4 -N 6": (0, "10b71cebaefb0577d616c9c09512487f1ae6f42a7ad80f7c5c6fdc3b06ed6e44"),
+    "hc kronecker -N 6": (0, "068798637ff0ab32c6c19a34ababd57070aa7db28c885aba32e5900bcb9dfb87"),
+    "hc m2 -N 6": (0, "bf071c56355b4a2a44c1ed579f285df0544f4f51fcf200295b7d3b17da74a642"),
+    "hc product-dual-upper -N 6": (0, "8cd0581648fcc41640af3e66107fc9ea450b1761ec44625eda68d8a35248a390"),
+    "hc product-ground-m2 -N 6": (0, "39efd6e50b3b3ed7aef1743aaef6c9058655fa198da0c5741fbe577169953767"),
+    "hc trunc-poly-3 -N 6": (0, "a6aecda5f9c034ad64ca5492bc3499791c964456353434f6d5ac184c93a5b711"),
+    "hc trunc-poly-4 -N 6": (0, "32ae67dbea9543102b7a494eea1402a7f816da02aa709efbe94037f3eab2a974"),
+    "hc upper-tri-2 -N 6": (0, "ff5db7813ec633487138be1f5987f08a1cc9616f9e21244769e2ffd70799a3f9"),
+    "ledger a2-path -N 6": (0, "c94b8cb15d749c311e9922c33cebbe28634133c13bb6dfcfb5fb91f5df106963"),
+    "ledger dual-numbers -N 6": (1, "690d11da1b48891426b2028dc389a62f5cf84e3b863d1721748fe1cfd3236ba2"),
+    "ledger ground-field -N 6": (0, "bf4369686f9ae5ec5306f07277f556e2b7590390d9f1ecbe5ed4cbce9fd9a9c9"),
+    "ledger group-z2 -N 6": (0, "f6d0caeda37d0de222bc168415ac4376e678d323195bc66e90f358ccfe76f254"),
+    "ledger group-z3 -N 6": (1, "f1bc418352c40f4b745c08a4104806f115e827a1466abcf801eabb2f666fd55c"),
+    "ledger group-z4 -N 6": (0, "7f2236b46597e52e8d15510bff149dcacdee4d52dfa1de9af76839e4c4f01946"),
+    "ledger kronecker -N 6": (0, "cacde1b238fe641c1e6f1f4e59b8206f8c4cb3a57ef1a60f9d9c9d7b78303ad1"),
+    "ledger m2 -N 6": (0, "0652dbcf7e7aa763c7cc614d6a2ba7ef7e5d05c1f36fc298c74da9d851ea0646"),
+    "ledger product-dual-upper -N 6": (1, "f79c2aab82e260fb4b72d1c2ba2131ad92105edaba5699e3cafc3b071c6eb82e"),
+    "ledger product-ground-m2 -N 6": (0, "796e304e928e63abbd6d5521229f3b68918a10b43d36732661afd5f61ecdd962"),
+    "ledger trunc-poly-3 -N 6": (1, "d78a7fb46f0e99ef6fbd0b897c53b62314329e5161d0a13577b054176e99119e"),
+    "ledger trunc-poly-4 -N 6": (1, "761c8ff1ba6ed46c22b7771b79d410a470f4e5a1b7982fc24401e567916fb014"),
+    "ledger upper-tri-2 -N 6": (0, "309d20c0542e3a1e96a71e1b05bcfebf8e253c34f8cf35d038ce0c3d2ced3466"),
     "hodge dual-numbers -N 4 --pages": (1, "06a228e9b41fcb0ef14536cca946ab38e5fbb0733dfe92d452c0ca1496f5452c"),
     "hodge upper-tri-2 -N 4 --pages": (0, "b1e75f1c1e342ff9d1afb18a467f8ce34154fbb4208182546da2563473ec82cb"),
     "hodge dual-numbers -N 4 --pages --r-max 50": (1, "0d74f069c42475a8a6f643d094e8736e416ec351916fda347b05a813280c8d64"),

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from nchodge.algebra import normalize_basis
 from nchodge.cartier import (
     PCyclicLevels,
     _coinvariant_complex,
@@ -23,9 +25,9 @@ from nchodge.complexes import (
 )
 from nchodge.corpus import build, corpus_names
 from nchodge.errors import NotAComplexError, ShapeError, WindowError
-from nchodge.hochcyc import NormalizedMixedComplex, bB_bicomplex, b_complex, hc_dims
+from nchodge.hochcyc import CyclicLevelMaps, NormalizedMixedComplex, b_complex, hc_dims
 from nchodge.modring import ModMatrix
-from .sweeps import two_column_bicomplex
+from .sweeps import bB_bicomplex, bB_filtration, two_column_bicomplex
 
 
 def three_term(p=5):
@@ -60,7 +62,7 @@ def test_chain_window_guards():
 def test_homology_is_certified_once_per_degree(monkeypatch):
     # the HC read and the abutment check of `hodge --pages` read the same
     # window: the second read of a degree multiplies nothing
-    tot, _ = bB_bicomplex(NormalizedMixedComplex(build("group-z3", 3), 5)).total_complex()
+    tot = filtration_by_columns(NormalizedMixedComplex(build("group-z3", 3), 5)).carrier
     calls = Counter()
     real = ModMatrix.__matmul__
 
@@ -88,12 +90,12 @@ def test_default_window_excludes_top():
 
 def square_bicomplex(p=3):
     # Koszul square for two commuting ids with a sign: anticommutes; the
-    # empty rows y = 2, 3 make the window complete upwards through degree 2
+    # empty cells beyond x, y = 1 make the window complete through degree 2
     one = ModMatrix.identity(1, p)
     dims = {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1}
     d_v = {(0, 1): one, (1, 1): -one}
     d_h = {(1, 0): one, (1, 1): one}
-    bicx = BicomplexWindow(1, 3, dims, d_v, d_h, p, complete_x=True)
+    bicx = BicomplexWindow(3, 3, dims, d_v, d_h, p)
     bicx.check_squares()
     return bicx
 
@@ -118,24 +120,95 @@ def test_bicomplex_rejects_commuting_square():
 
 def test_bicomplex_trusted_window_shrinks_without_completeness():
     bicx = square_bicomplex()
-    assert bicx.trusted_upper() == 2
     open_bicx = BicomplexWindow(1, 1, bicx.dims, bicx.d_v, bicx.d_h, 3)
     open_bicx.check_squares()
-    assert open_bicx.trusted_upper() == 0
     tot, _ = open_bicx.total_complex()
     with pytest.raises(WindowError):
         tot.homology_dim(1)
 
 
+class ToyMixed:
+    """A mixed complex through level N from dims and dicts of b and B, with
+    zero maps elsewhere; records every level whose b or B is read."""
+
+    def __init__(self, dims, b, B, p=3):
+        self.N, self.dims, self._b, self._B = len(dims) - 1, dims, b, B
+        self.algebra = SimpleNamespace(modulus=p)
+        self.read = []
+
+    def dim(self, m):
+        return self.dims[m]
+
+    def b(self, m):
+        self.read.append(("b", m))
+        return self._b.get(m, ModMatrix.zeros(self.dims[m - 1], self.dims[m],
+                                              self.algebra.modulus))
+
+    def B(self, m):
+        self.read.append(("B", m))
+        return self._B.get(m, ModMatrix.zeros(self.dims[m + 1], self.dims[m],
+                                              self.algebra.modulus))
+
+
 def test_column_filtration_levels_and_subcomplex():
-    bicx = square_bicomplex()
-    filt = filtration_by_columns(bicx)
+    # C = (1, 1, 1, 0) with b = 0 and B_0 = 1: degree n holds C_n, C_(n-2),
+    # ... in columns 0, 1, ..., and d_2 sends column 1 (C_0) onto C_1 by B_0
+    p = 3
+    toy = ToyMixed([1, 1, 1, 0], {}, {0: ModMatrix.identity(1, p)}, p)
+    filt = filtration_by_columns(toy)
     filt.check()
-    assert filt.levels == (0, 1)
-    # each coordinate sits at the x of its cell: level 0 keeps only x = 0
-    assert filt.at(1).tolist() == [0, 1]
-    assert [filt.at(n).tolist() for n in (0, 2, 3)] == [[0], [1], []]
+    tot = filt.carrier
+    assert filt.levels == (0, 3)
+    assert (tot.hi, tot.vhi) == (3, 2)
+    # each coordinate sits at its column: level 0 keeps only C_n itself
+    assert [filt.at(n).tolist() for n in range(4)] == [[0], [0], [0, 1], [1]]
     assert filt.at(-1).size == filt.at(5).size == 0
+    assert tot.d(2).to_dense().tolist() == [[0, 1]]
+    assert tot.homology_dims() == {0: 1, 1: 0, 2: 1}
+
+
+def test_an_empty_level_builds_neither_b_nor_B():
+    # levels 1 and 4 are empty: no column that holds them reads its b or B
+    p = 3
+    toy = ToyMixed([2, 0, 1, 1, 0, 1, 1], {}, {}, p)
+    tot = filtration_by_columns(toy).carrier
+    for n in range(1, toy.N + 1):
+        tot.d(n)
+    assert sorted(set(toy.read)) == sorted(
+        {("b", m) for m in (2, 3, 5, 6)} | {("B", m) for m in (0, 2, 3)})
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_column_filtration_equals_the_bicomplex_route(p):
+    # dims, every d_n and the levels against the totalization of the N x N
+    # (b, B) bicomplex and its block tables, on both chain models
+    for name in corpus_names():
+        a = build(name, p)
+        for N in range(2, 7):
+            for mixed in (NormalizedMixedComplex(a, N), CyclicLevelMaps(a, N)):
+                got, want = filtration_by_columns(mixed), bB_filtration(mixed)
+                key = (name, N, type(mixed).__name__)
+                assert got.levels == want.levels and got.carrier.vhi == want.carrier.vhi, key
+                for n in range(N + 1):
+                    assert got.carrier.dim(n) == want.carrier.dim(n), (key, n)
+                    assert np.array_equal(got.at(n), want.at(n)), (key, n)
+                for n in range(1, N + 1):
+                    assert got.carrier.d(n) == want.carrier.d(n), (key, n)
+
+
+def test_hc_of_a_long_window_of_empty_levels_stays_small():
+    # relative to its two idempotents every level of kronecker from 1 on is
+    # empty; the totalization keeps no table per cell of the N x N window
+    import tracemalloc
+
+    a = normalize_basis(build("kronecker", 3))
+    tracemalloc.start()
+    try:
+        hc_dims(a, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_filtration_rejects_non_subcomplex():
@@ -238,7 +311,7 @@ def cleared_complexes(a) -> list[tuple[str, ChainComplexWindow]]:
     subdivision fits, the conjugate totalization and the coinvariant and
     fixed complexes."""
     nc = NormalizedMixedComplex(a, 5)
-    out = [("hh", b_complex(nc)), ("hc", bB_bicomplex(nc).total_complex()[0])]
+    out = [("hh", b_complex(nc)), ("hc", filtration_by_columns(nc).carrier)]
     pcyc = subdivision_window(a)
     if pcyc is not None:
         out += [("conjugate", conjugate_bicomplex(pcyc, 3).total_complex()[0]),
@@ -408,5 +481,5 @@ def test_hc_builds_only_the_B_its_degrees_read():
     # HC_0..HC_4 read total degrees up to 5, whose cells reach B_3 at most
     a = build("dual-numbers", 3)
     nc = NormalizedMixedComplex(a, 6)
-    hc_dims(a, 6, carrier=nc)
+    hc_dims(a, 6, tot=filtration_by_columns(nc).carrier)
     assert max(nc._B) == 3

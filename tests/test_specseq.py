@@ -14,9 +14,10 @@ from nchodge.algebra import normalize_basis
 from nchodge.complexes import ChainComplexWindow, IncreasingFiltration, filtration_by_columns
 from nchodge.corpus import build, corpus_names
 from nchodge.errors import InternalCheckError, WindowError
-from nchodge.hochcyc import CyclicLevelMaps, bB_bicomplex, hc_dims, hh_dims, hodge_ss
+from nchodge.hochcyc import CyclicLevelMaps, hc_dims, hh_dims, hodge_ss
 from nchodge.modring import ModMatrix, hstack, kernel_basis_fp, rank_fp
 from nchodge.specseq import abutment_check, pages, span_length
+from .sweeps import bB_filtration
 
 
 def two_step_filtration(p=3):
@@ -55,7 +56,7 @@ def test_page_bookkeeping_externally():
 
 
 def hodge_filtration(name, N, p=3):
-    return filtration_by_columns(bB_bicomplex(CyclicLevelMaps(build(name, p), N)))
+    return filtration_by_columns(CyclicLevelMaps(build(name, p), N))
 
 
 def uncached_page(filt, r):
@@ -255,7 +256,7 @@ def test_hodge_pages_are_the_cyclic_objects_on_the_corpus():
                     rep = hodge_ss(a, N)
                     if rep.page_tables is None:
                         break
-                    want = pages(filtration_by_columns(bB_bicomplex(CyclicLevelMaps(a, N))))
+                    want = pages(bB_filtration(CyclicLevelMaps(a, N)))
                     assert rep.page_tables == want, (name, p, N, a is given)
                     cases += 1
     assert cases >= 200
