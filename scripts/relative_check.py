@@ -8,7 +8,7 @@ and `ledger` print (computed on the relative carrier), must be those of
 the HH and HC relative to k. Prints one line per algebra and prime and
 exits 1 on any disagreement.
 
-    PYTHONPATH=src python3 scripts/relative_check.py [-p 3 5 7]
+    PYTHONPATH=src:. python3 scripts/relative_check.py [-p 3 5 7]
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import sys
 import time
 
-from nchodge.algebra import BasisIdempotents
 from nchodge.complexes import filtration_by_columns
 from nchodge.corpus import build, corpus_names
 from nchodge.hochcyc import (
@@ -29,6 +28,7 @@ from nchodge.hochcyc import (
     level_counts,
     sbi_ranks,
 )
+from tests.sweeps import over_k
 
 
 def hc_of(carrier) -> dict[int, int]:
@@ -43,7 +43,7 @@ def summary(carrier) -> tuple:
 
 
 def check(a, N: int) -> list[str]:
-    ground = NormalizedMixedComplex(a, N, S=BasisIdempotents.ground(a))
+    ground = NormalizedMixedComplex(over_k(a), N)
     want = summary(ground)
     bad = []
     if summary(NormalizedMixedComplex(a, N)) != want:
@@ -67,9 +67,8 @@ def main() -> int:
             a = build(name, p)
             if a.idempotents.r == 1:
                 continue
-            ground = BasisIdempotents.ground(a)
             top = 2
-            while sum(b + B for _, b, B in level_counts(a, top + 1, ground)) \
+            while sum(b + B for _, b, B in level_counts(over_k(a), top + 1)) \
                     <= DEFAULT_ENTRY_CAP:
                 top += 1
             t0 = time.perf_counter()

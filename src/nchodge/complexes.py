@@ -273,37 +273,47 @@ def filtration_by_columns(mixed) -> IncreasingFiltration:
 
     Degree n in [0, N] holds C_{n-2l} in column l, l = 0..n//2, and a
     coordinate's level is its column. d_n is b inside a column plus B into
-    the column before; bB + Bb = 0, so no sign is needed. Each level is a
+    the column before; bB + Bb = 0, so no sign is needed. So
+
+        d_n = [[b_n, B_{n-2} 0], [0, d_{n-2}]]:
+
+    below its first block row and column, d_n is d_{n-2}. Each level is a
     subcomplex, whose graded piece l is the b complex shifted by 2l. d_n is
-    built on its first read from the CSC arrays of b and B, and an empty
-    column builds neither. Homology is trusted on [0, N - 1].
+    built on its first read from the CSC arrays of b_n, B_{n-2} and d_{n-2},
+    upward from the highest degree of its parity already built, never by
+    recursion; an empty level builds neither b nor B. Homology is trusted
+    on [0, N - 1].
     """
     N, mod = mixed.N, mixed.algebra.modulus
-    dims = np.array([mixed.dim(m) for m in range(N + 1)], dtype=np.int64)
+    dims = [mixed.dim(m) for m in range(N + 1)]
+    level = {n: np.repeat(np.arange(n // 2 + 1), dims[n::-2]) for n in range(N + 1)}
+    size = [lev.size for lev in level.values()]
+    built: dict[int, ModMatrix] = {}    # every d_n built, read or not
 
-    def offsets(n: int) -> np.ndarray:
-        """Where each column of degree n starts, then where the last ends."""
-        return np.concatenate(([0], np.cumsum(dims[n::-2])))
+    def coo(op: ModMatrix, row: int, col: int):
+        # Python int offsets keep the operator's index dtype
+        csc = op.csc()
+        cols = np.repeat(np.arange(op.shape[1], dtype=csc.indices.dtype), np.diff(csc.indptr))
+        return csc.indices + row, cols + col, csc.data
+
+    def step(n: int) -> ModMatrix:
+        parts = [coo(mixed.b(n), 0, 0)] if dims[n] else []
+        if n >= 2 and dims[n - 2]:
+            parts.append(coo(mixed.B(n - 2), 0, dims[n]))
+        if n >= 3:
+            parts.append(coo(built[n - 2], dims[n - 1], dims[n]))
+        if not parts:
+            return ModMatrix.zeros(size[n - 1], size[n], mod)
+        rows, cols, vals = (np.concatenate(z) for z in zip(*parts))
+        return ModMatrix.from_arrays((size[n - 1], size[n]), mod, rows, cols, vals)
 
     def build(n: int) -> ModMatrix:
-        src, tgt = offsets(n).tolist(), offsets(n - 1).tolist()
-        parts = []
-        for l, m in enumerate(range(n, -1, -2)):
-            if dims[m] == 0:
-                continue
-            ops = [(mixed.b(m), tgt[l])] if m else []
-            ops += [(mixed.B(m), tgt[l - 1])] if l else []
-            for op, row in ops:
-                # Python int offsets keep the operator's index dtype
-                csc = op.csc()
-                cols = np.repeat(np.arange(dims[m], dtype=csc.indices.dtype), np.diff(csc.indptr))
-                parts.append((csc.indices + row, cols + src[l], csc.data))
-        if not parts:
-            return ModMatrix.zeros(tgt[-1], src[-1], mod)
-        rows, cols, vals = (np.concatenate(z) for z in zip(*parts))
-        return ModMatrix.from_arrays((tgt[-1], src[-1]), mod, rows, cols, vals)
+        low = n
+        while low > 2 and low - 2 not in built:
+            low -= 2
+        for m in range(low, n + 1, 2):
+            built[m] = step(m)
+        return built[n]
 
-    level = {n: np.repeat(np.arange(n // 2 + 1), dims[n::-2]) for n in range(N + 1)}
-    tot = ChainComplexWindow(N, {n: lev.size for n, lev in level.items()},
-                             LazyDiffs(range(1, N + 1), build), mod)
+    tot = ChainComplexWindow(N, dict(enumerate(size)), LazyDiffs(range(1, N + 1), build), mod)
     return IncreasingFiltration(tot, level, (0, N))

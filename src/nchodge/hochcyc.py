@@ -52,8 +52,8 @@ import numpy as np
 from .algebra import BasisIdempotents, StructureConstantsAlgebra
 from .complexes import ChainComplexWindow, filtration_by_columns
 from .conventions import cyclic_sign, face_sign, face_sum
-from .errors import (InternalCheckError, ModulusError, NotAComplexError, ResourceError,
-                     ShapeError, WindowError)
+from .errors import (InternalCheckError, ModulusError, ResourceError, ShapeError,
+                     WindowError)
 from .modring import ModMatrix
 from .specseq import UNPAIRED, SSPage, pages, pair_gaps
 
@@ -173,16 +173,15 @@ def _check_levels(a: StructureConstantsAlgebra, N: int, what: str, charges,
                                 count=total, cap=cap, level=n)
 
 
-def level_counts(a: StructureConstantsAlgebra, N: int, S: BasisIdempotents | None = None,
-                 p: int | None = None):
+def level_counts(a: StructureConstantsAlgebra, N: int, p: int | None = None):
     """(words, entries of b(n), entries of B(n)) for n = 0..N, lazily: the
     COO entries written before duplicates are summed, no word enumerated.
 
     With p, the p-fold edgewise subdivision of the cyclic object (p = 1:
     the cyclic object), no B: each of the n + 1 faces of level n is the
     p-th Kronecker power of one with d^(n-1) nnz(c) entries. Otherwise the
-    normalized mixed complex relative to S (default: the basis
-    idempotents): trace(T0 T^n) words at level n, closed walks in the
+    normalized mixed complex relative to S, the basis idempotents:
+    trace(T0 T^n) words at level n, closed walks in the
     quiver of the blocks e_i A e_j (T0, T: basis and bar vectors by block).
     A factor weighted by the terms of the product a face gathers counts
     that face: W for face 0 (a0 a1) and the wrap face (an a0), Wm for the
@@ -195,7 +194,7 @@ def level_counts(a: StructureConstantsAlgebra, N: int, S: BasisIdempotents | Non
         for n in range(1, N + 1):
             yield d ** (p * (n + 1)), (n + 1) * (d ** (n - 1) * int(np.count_nonzero(c))) ** p, 0
         return
-    S = a.idempotents if S is None else S
+    S = a.idempotents
     pr, bar = _bar_projection(a, S)
     left, right = np.eye(S.r, dtype=np.int64)[:, S.left], np.eye(S.r, dtype=np.int64)[:, S.right]
 
@@ -324,62 +323,70 @@ def _middle_products(a: StructureConstantsAlgebra, pr: np.ndarray, bar: np.ndarr
     return (mid % a.modulus).astype(np.int64)
 
 
-def _composable_words(S: BasisIdempotents, bar: np.ndarray, N: int,
-                      dtype) -> list[np.ndarray]:
-    """Level n = 0..N: the sorted indices a0 + d (a1 + e (a2 + ..)) (slot 0
-    over A, slots 1..n over bar, e = |bar|) of the words with
-    right(a_i) = left(a_i+1) and right(an) = left(a0)."""
+def _composable_words(S: BasisIdempotents, bar: np.ndarray, N: int) -> list[np.ndarray]:
+    """Level n = 0..N: the words a0 | a1 .. an with right(a_i) = left(a_i+1)
+    and right(an) = left(a0), as rows of n + 1 digits (a0 a basis letter,
+    a1..an indices into bar), sorted with slot n most significant."""
     d = S.left.size
-    idx = np.arange(d).astype(dtype)              # open words a0 | .. | ak
+    words = np.arange(d, dtype=np.min_scalar_type(d - 1))[:, None]   # open words a0 | .. | ak
     first, last = S.left, S.right
-    out = [idx[last == first]]
-    weight = d
+    out = [words[last == first]]
     for _ in range(N):
-        parts = [(idx[:0], first[:0], last[:0])]
-        for y, x in enumerate(bar):                 # ascending y keeps idx sorted
-            fits = last == S.left[x]
-            parts.append((idx[fits] + weight * y, first[fits],
-                          np.full(int(fits.sum()), S.right[x])))
-        idx, first, last = (np.concatenate(z) for z in zip(*parts))
-        out.append(idx[last == first])
-        weight *= bar.size
+        # y-major, so the rows stay sorted under their new most significant slot
+        y, w = np.nonzero(S.left[bar][:, None] == last)
+        words = np.concatenate([words[w], y[:, None].astype(words.dtype)], axis=1)
+        first, last = first[w], S.right[bar][y]
+        out.append(words[last == first])
     return out
 
 
-def _rows_by_key(table: np.ndarray):
-    """A table [key.., k] as CSR rows over the flattened leading axes."""
+def _rows_by_key(table: np.ndarray, digit: np.dtype):
+    """A table [key.., k] as CSR rows over the flattened leading axes, with
+    the columns k as digits."""
     flat = table.reshape(int(np.prod(table.shape[:-1])), table.shape[-1])
     q, k = np.nonzero(flat)
     ptr = np.zeros(flat.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(q, minlength=flat.shape[0]), out=ptr[1:])
-    return ptr, k, flat[q, k]
+    return ptr, k.astype(digit), flat[q, k]
 
 
 def _gather(keys: np.ndarray, rows):
-    """(j, k, v) for every column j and every term (k, v) of row keys[j]."""
+    """(j, k, v) for every j and every term (k, v) of row keys[j]."""
     ptr, k, v = rows
-    start, count = ptr[keys], ptr[keys + 1] - ptr[keys]
-    j = np.repeat(np.arange(keys.shape[0]), count)
-    at = np.arange(j.shape[0]) + np.repeat(start - (np.cumsum(count) - count), count)
-    return j, k[at], v[at]
+    count = np.diff(ptr).astype(np.min_scalar_type(k.size))[keys]
+    j = np.flatnonzero(count)           # the keys with terms
+    count = count[j]
+    at = ptr[keys[j]] + count
+    at -= np.cumsum(count, dtype=np.int64)      # the first term of each key, less its rank
+    at = np.repeat(at, count)
+    at += np.arange(at.size)
+    return np.repeat(j, count), k[at], v[at]
+
+
+def _sort_keys(words: np.ndarray) -> np.ndarray:
+    """One byte string per word, ordered as the words: slot n first, each
+    digit big-endian."""
+    big = np.ascontiguousarray(words[:, ::-1], dtype=words.dtype.newbyteorder(">"))
+    return big.view(np.dtype((np.void, big.itemsize * big.shape[1]))).ravel()
 
 
 class NormalizedMixedComplex:
     """The normalized mixed complex relative to S, (A (x)_S^e (A/S)^(x)_S n,
     b, B), through level N.
 
-    S is a separable subalgebra spanned by basis idempotents (default: those
-    of the algebra, `BasisIdempotents`; k1 when there are none). The
-    quotient from the complex relative to k is a map of mixed complexes and
-    an isomorphism on HH, hence on HC (SBI and the five lemma).
+    S is the separable subalgebra spanned by the basis idempotents of the
+    algebra (`BasisIdempotents`; k1 when there are none). The quotient from
+    the complex relative to k is a map of mixed complexes and an isomorphism
+    on HH, hence on HC (SBI and the five lemma).
 
     Level n is spanned by the cyclically composable words a0 | a1 .. an:
     a0 a basis vector of A, a1..an bar vectors (the basis of A/S from
     `_bar_projection`), with right(a_i) = left(a_i+1) and right(an) =
-    left(a0). They are indexed by their rank among the little-endian
-    indices a0 + d (a1 + e (a2 + ..)), slot 0 fastest, so with r = 1 every
-    word is composable and the index is the word itself. b and B are built
-    by index arithmetic on those indices, from projected structure-constant
+    left(a0). A level is a (count, n + 1) array of digits, a0 and the
+    indices of a1..an into bar, sorted with slot n most significant; a
+    word's coordinate is its row. With r = 1 every word is composable and
+    the row is the index a0 + d (a1 + e (a2 + ..)), e = |bar|. b and B are
+    each one gather on these rows, from projected structure-constant
     tables: products into slot 0 (face 0 and the wrap-around face) keep the
     full product, middle products are projected onto A/S, and
 
@@ -392,13 +399,14 @@ class NormalizedMixedComplex:
     """
 
     def __init__(self, a: StructureConstantsAlgebra, N: int, cap: int | None = None,
-                 S: BasisIdempotents | None = None, charge_B: bool = True):
-        S = a.idempotents if S is None else S
+                 charge_B: bool = True):
+        S = a.idempotents
         words = []      # per level, as the guard reads them
 
         def charges(cap):
-            # a face or a rotation costs a gather even when it writes nothing
-            for n, (w, b, B) in enumerate(level_counts(a, N, S)):
+            # a face or a rotation is charged one entry even when it writes
+            # nothing, which bounds the work of an empty level
+            for n, (w, b, B) in enumerate(level_counts(a, N)):
                 words.append(w)
                 yield b + n + 1 + (B + n + 1 if charge_B and n < N else 0)
 
@@ -409,20 +417,21 @@ class NormalizedMixedComplex:
         self.S = S
         pr, bar = _bar_projection(a, S)
         self._bar = bar
-        d, e = a.dim, bar.size
-        # word indices stay below d e^N; past int64 they are Python ints
-        dtype = np.int64 if d * e ** N < 1 << 63 else object
-        self._words = _composable_words(S, bar, N, dtype)
+        self._words = _composable_words(S, bar, N)
         self.dims = [w.shape[0] for w in self._words]
         if self.dims != words:
             raise InternalCheckError(
                 f"composable words {self.dims} disagree with the transfer-matrix count")
-        c = a.constants
-        self._first = _rows_by_key(c[:, bar, :])      # a0 * a1, full
-        self._wrap = _rows_by_key(c[bar, :, :])       # an * a0, full
-        self._mid = _rows_by_key(_middle_products(a, pr, bar))  # pr(ai * ai+1)
-        self._prT = _rows_by_key(pr.T)                # a0 -> pr(a0)
-        self._unit = _rows_by_key(S.span)             # block -> its row of S
+        c, d, e, digit = a.constants, a.dim, bar.size, self._words[0].dtype
+        # [face 0, middle or wrap face, slot i, slot i + 1]: a0 a1, pr(ai ai+1), an a0
+        products = np.zeros((3, d, d, d), dtype=np.int64)
+        products[0, :, :e] = c[:, bar]
+        products[1, :e, :e, :e] = _middle_products(a, pr, bar)
+        products[2, :e] = c[bar]
+        self._faces = _rows_by_key(products, digit)
+        self._prT = _rows_by_key(pr.T, digit)         # a0 -> pr(a0)
+        self._unit = _rows_by_key(S.span, digit)      # block -> its row of S
+        self._block = S.left[bar].astype(digit)      # the block a bar vector starts in
         self._b: dict[int, ModMatrix] = {}
         self._B: dict[int, ModMatrix] = {}
 
@@ -430,13 +439,17 @@ class NormalizedMixedComplex:
         return self.dims[n]
 
     def _position(self, n: int, words: np.ndarray) -> np.ndarray:
-        """Rank of each word among the composable words of level n."""
+        """The coordinate of each word, a row of digits, at level n."""
         have = self._words[n]
-        if have.size == self.algebra.dim * self._bar.size ** n:
-            return words        # every word is composable: rank = index
+        d, e = self.algebra.dim, self._bar.size
+        if have.shape[0] == d * e ** n:
+            # every word is composable: the index a0 + d (a1 + e (a2 + ..))
+            weights = np.cumprod([1, d] + [e] * (n - 1))[:n + 1]
+            return np.einsum("ij,j->i", words, weights, dtype=np.int64)
+        have, words = _sort_keys(have), _sort_keys(words)
         pos = np.searchsorted(have, words)
-        if words.size and (have.size == 0 or not np.array_equal(
-                have[np.minimum(pos, have.size - 1)], words)):
+        if words.size and (have.size == 0 or np.any(
+                have[np.minimum(pos, have.size - 1)] != words)):
             raise InternalCheckError(
                 f"an operator into level {n} leaves the composable words")
         return pos
@@ -446,55 +459,51 @@ class NormalizedMixedComplex:
         if n == 0:
             return ModMatrix.zeros(0, self.dims[0], mod)
         if n not in self._b:
-            d, e = self.algebra.dim, self._bar.size
-            words = self._words[n]
-            dtype = words.dtype
-            rows_l, cols_l, vals_l = [], [], []
-
-            def merge(keys, table, base, stride, sign):
-                j, k, v = _gather(keys.astype(np.int64), table)
-                rows_l.append(base[j] + k.astype(dtype) * stride)
-                cols_l.append(j)
-                vals_l.append(sign * v)
-
-            a0, rest = words % d, words // d
-            merge(a0 * e + rest % e, self._first, d * (rest // e), 1, 1)
-            for i in range(1, n):
-                lo = d * e ** (i - 1)
-                q = words // lo
-                merge(q % e * e + q // e % e, self._mid,
-                      words % lo + q // (e * e) * (lo * e), lo, face_sign(i))
-            top = d * e ** (n - 1)
-            merge(words // top * d + a0, self._wrap, words % top - a0, 1, face_sign(n))
-            rows = self._position(n - 1, np.concatenate(rows_l))
-            self._b[n] = ModMatrix.from_arrays(
-                (self.dims[n - 1], self.dims[n]), mod, rows,
-                np.concatenate(cols_l), np.concatenate(vals_l))
+            d, words = self.algebra.dim, self._words[n]
+            # face i multiplies slot i by slot i + 1 mod n + 1, writes the
+            # product into the lower of the two slots and drops the higher
+            slot = np.arange(n + 1, dtype=np.min_scalar_type(n))
+            low, high = np.minimum(slot, np.roll(slot, -1)), np.maximum(slot, np.roll(slot, -1))
+            table = np.minimum(slot, 1).astype(np.int32)     # face 0, middle, wrap
+            table[n] = 2
+            keys = words.astype(np.int32)
+            keys *= d
+            keys += np.roll(words, -1, axis=1)
+            keys += d * d * table
+            col, k, v = _gather(keys.reshape(-1), self._faces)
+            del keys
+            col, i = np.divmod(col, n + 1)
+            i = i.astype(slot.dtype)
+            rows = words[col][(slot != high[:, None])[i]].reshape(-1, n)
+            at = np.arange(0, rows.size, n)
+            at += low[i]
+            rows.reshape(-1)[at] = k
+            rows = self._position(n - 1, rows)
+            np.negative(v, out=v, where=i % 2 == 1)
+            self._b[n] = ModMatrix.from_arrays((self.dims[n - 1], self.dims[n]), mod, rows, col, v)
         return self._b[n]
 
     def B(self, n: int) -> ModMatrix:
         if n >= self.N:
             raise WindowError(f"B at level {n} needs level {n + 1} (window tops at {self.N})")
         if n not in self._B:
-            a = self.algebra
-            d, mod, e = a.dim, a.modulus, self._bar.size
-            words = self._words[n]
-            col, j, coef = _gather((words % d).astype(np.int64), self._prT)
-            bar_words = j.astype(words.dtype) + e * (words // d)[col]  # pr(a0), a1, .., an
-            rows_l, cols_l, vals_l = [], [], []
-            for i in range(n + 1):
-                cut = e ** i
-                rot = bar_words // cut + bar_words % cut * e ** (n + 1 - i)
-                blocks = self.S.left[self._bar[(rot % e).astype(np.int64)]]
-                t, u, s = _gather(blocks, self._unit)
-                sign = -1 if (n * i) % 2 else 1
-                rows_l.append(u.astype(words.dtype) + d * rot[t])
-                cols_l.append(col[t])
-                vals_l.append(sign * (coef[t] * s % mod))
-            rows = self._position(n + 1, np.concatenate(rows_l))
+            mod, words = self.algebra.modulus, self._words[n]
+            col, j, coef = _gather(words[:, 0], self._prT)
+            bar_words = words[col]                      # pr(a0), a1, .., an on bar
+            bar_words[:, 0] = j
+            # the row of S in front of a_i, then rotation i: the window at i
+            # of the row written twice
+            t, u, s = _gather(self._block[bar_words].reshape(-1), self._unit)
+            t, i = np.divmod(t, n + 1)
+            i = i.astype(np.min_scalar_type(n))
+            rows = np.concatenate([u[:, None], np.lib.stride_tricks.sliding_window_view(
+                np.concatenate([bar_words, bar_words], axis=1), n + 1, axis=1)[t, i]], axis=1)
+            rows = self._position(n + 1, rows)
+            s *= coef[t]
+            s %= mod
+            np.negative(s, out=s, where=(i % 2 == 1) & (n % 2 == 1))
             self._B[n] = ModMatrix.from_arrays(
-                (self.dims[n + 1], self.dims[n]), mod, rows,
-                np.concatenate(cols_l), np.concatenate(vals_l))
+                (self.dims[n + 1], self.dims[n]), mod, rows, col[t], s)
         return self._B[n]
 
 
@@ -536,7 +545,6 @@ class SBIReport:
     hc: dict[int, int]
     ranks: dict[int, dict[str, int]] = field(default_factory=dict)
     spots: dict[int, dict[str, bool]] = field(default_factory=dict)
-    complex_valid: bool = True
     exact: bool = False
 
 
@@ -575,16 +583,12 @@ def sbi_ranks(cyc) -> SBIReport:
                    Tot/F_0 = Tot[2];
       at_hh        dim HH_{n-1} = rank D_n + rank I_{n-1}, HH from the
                    b complex.
-    If the totalization fails d^2 = 0 the report has complex_valid=False.
+    A totalization that fails d^2 = 0 raises NotAComplexError.
     """
     N = cyc.N
     filt = filtration_by_columns(cyc)
     hh = b_complex(cyc).homology_dims()
-    try:
-        hc = {n: filt.carrier.homology_dim(n) for n in range(0, N)}
-    except NotAComplexError:
-        return SBIReport(N=N, degrees=[], hh=hh, hc={},
-                         complex_valid=False, exact=False)
+    hc = {n: filt.carrier.homology_dim(n) for n in range(0, N)}
     level, gap, head = pair_gaps(filt)
     rank_I = {n: int(np.count_nonzero((gap[n] == UNPAIRED) & (level[n] == 0)))
               for n in range(1, N)}
@@ -604,7 +608,7 @@ def sbi_ranks(cyc) -> SBIReport:
         }
     exact = all(all(checks.values()) for checks in spots.values())
     return SBIReport(N=N, degrees=degrees, hh=hh, hc=hc, ranks=ranks,
-                     spots=spots, complex_valid=True, exact=exact)
+                     spots=spots, exact=exact)
 
 
 # ---------------- Hodge filtration ----------------

@@ -3,7 +3,8 @@ unsubdivided and the p-fold subdivided level maps, the subdivided faces and
 degeneracies composed of p ordinary ones by matmul, the periodic
 two-column bicomplex whose totalization recomputes cyclic homology, and
 the (b, B) bicomplex of a mixed complex, whose totalization and block
-tables are the reference of `complexes.filtration_by_columns`.
+tables are the reference of `complexes.filtration_by_columns`, and the
+algebra seen relative to the ground field (`over_k`).
 
 The package builds its operators by index arithmetic and certifies the
 algebra (associativity, unit) when it is loaded. These sweeps multiply the
@@ -14,7 +15,11 @@ level, and an empty list when every identity holds.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
+
+from nchodge.algebra import BasisIdempotents
 
 from nchodge.cartier import PCyclicLevels
 from nchodge.complexes import (BicomplexWindow, IncreasingFiltration, LazyDiffs,
@@ -254,3 +259,11 @@ def bB_filtration(cyc) -> IncreasingFiltration:
 def hc_of(cyc) -> dict[int, int]:
     """`hc_dims` read on a given mixed complex, normalized or not."""
     return hc_dims(cyc.algebra, cyc.N, tot=filtration_by_columns(cyc).carrier)
+
+
+def over_k(a):
+    """A copy of a whose basis idempotents are S = k1: its normalized mixed
+    complex is the one relative to the ground field."""
+    out = copy.copy(a)
+    out.idempotents = BasisIdempotents.ground(a)
+    return out

@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse as sp
 
-from nchodge.algebra import (BasisIdempotents, StructureConstantsAlgebra, normalize_basis,
-                             truncated_poly)
+from nchodge.algebra import StructureConstantsAlgebra, normalize_basis, truncated_poly
 from nchodge.cartier import PCyclicLevels
 from nchodge.corpus import build, corpus_names
-from nchodge.errors import InternalCheckError, ResourceError, WindowError
+from nchodge.errors import InternalCheckError, NotAComplexError, ResourceError, WindowError
 from nchodge.hochcyc import (
     CyclicLevelMaps,
     NormalizedMixedComplex,
@@ -38,7 +37,7 @@ from nchodge.hochcyc import (
 from nchodge.complexes import ChainComplexWindow
 from nchodge.modring import ModMatrix
 from .oracles import ref_degeneracy_dense, ref_face_dense, ref_rotation_dense
-from .sweeps import bB_bicomplex, cyclic_identity_failures, hc_of, two_column_bicomplex
+from .sweeps import bB_bicomplex, cyclic_identity_failures, hc_of, over_k, two_column_bicomplex
 
 
 # ---------------- operators against the dense per-monomial oracle ----------------
@@ -226,7 +225,7 @@ def test_normalized_operators_match_projection_oracle():
             a = build(name, p)
             N = 4 if a.dim <= 4 else 3
             oracle = ProjectionOracle(a, N)
-            nc = NormalizedMixedComplex(a, N, S=BasisIdempotents.ground(a))
+            nc = NormalizedMixedComplex(over_k(a), N)
             for n in range(1, N + 1):
                 assert nc.b(n) == oracle.b(n), (name, p, n)
             for n in range(N):
@@ -248,7 +247,7 @@ def test_normalized_and_plain_routes_agree_on_corpus():
             assert hh_dims(a, N, carrier=plain) == hh_dims(a, N, carrier=normal), (name, p)
             assert hc_of(plain) == hc_of(normal), (name, p)
             got, want = sbi_ranks(normal), sbi_ranks(plain)
-            assert got.exact and got.complex_valid, (name, p)
+            assert got.exact, (name, p)
             assert (got.hh, got.hc, got.ranks, got.spots) == \
                 (want.hh, want.hc, want.ranks, want.spots), (name, p)
 
@@ -309,7 +308,7 @@ def test_normalized_count_is_the_entries_built():
     # the unnormalized level 10 of group-z4 has 4^11 coordinates, the
     # normalized one relative to k 4 * 3^10
     a = build("group-z4", 3)
-    assert sum(b + B for _, b, B in level_counts(a, 10, S=BasisIdempotents.ground(a))) \
+    assert sum(b + B for _, b, B in level_counts(over_k(a), 10)) \
         < DEFAULT_ENTRY_CAP < estimate_entries(a, 10)
 
 
@@ -368,15 +367,15 @@ def test_relative_operators_are_the_quotient_of_the_operators_over_k():
             a = build(name, p)
             N = 4 if a.dim <= 4 else 3
             rel = NormalizedMixedComplex(a, N)
-            over_k = NormalizedMixedComplex(a, N, S=BasisIdempotents.ground(a))
+            ground = NormalizedMixedComplex(over_k(a), N)
             q = [quotient(a, n) for n in range(N + 1)]
             assert [m.shape[0] for m in q] == rel.dims, (name, p)
             if a.idempotents.r == 1:
-                assert rel.dims == over_k.dims, (name, p)
+                assert rel.dims == ground.dims, (name, p)
             for n in range(1, N + 1):
-                assert rel.b(n) @ q[n] == q[n - 1] @ over_k.b(n), (name, p, n)
+                assert rel.b(n) @ q[n] == q[n - 1] @ ground.b(n), (name, p, n)
             for n in range(N):
-                assert rel.B(n) @ q[n] == q[n + 1] @ over_k.B(n), (name, p, n)
+                assert rel.B(n) @ q[n] == q[n + 1] @ ground.B(n), (name, p, n)
 
 
 def homology_summary(carrier):
@@ -390,11 +389,11 @@ def test_relative_and_ground_carriers_agree():
         for name in IDEMPOTENT:
             a = build(name, p)
             for N in (3, 6):
-                over_k = NormalizedMixedComplex(a, N, S=BasisIdempotents.ground(a))
+                ground = NormalizedMixedComplex(over_k(a), N)
                 assert homology_summary(NormalizedMixedComplex(a, N)) == \
-                    homology_summary(over_k), (name, p, N)
-            hh = hh_dims(a, 6, carrier=over_k)
-            hc = hc_of(over_k)
+                    homology_summary(ground), (name, p, N)
+            hh = hh_dims(a, 6, carrier=ground)
+            hc = hc_of(ground)
             rep = hodge_ss(a, 6, pages_budget=0)
             assert rep.abutment == hc, (name, p)
             assert rep.hodge_sums == {n: sum(hh[n - 2 * l] for l in range(n // 2 + 1))
@@ -453,12 +452,12 @@ def test_dropping_a_composable_word_fails_the_agreement():
     N = 6
     for name in IDEMPOTENT:
         a = build(name, 3)
-        want = homology_summary(NormalizedMixedComplex(a, N, S=BasisIdempotents.ground(a)))
+        want = homology_summary(NormalizedMixedComplex(over_k(a), N))
         assert homology_summary(NormalizedMixedComplex(a, N)) == want
         for n in range(N - 1):
             for w in range(NormalizedMixedComplex(a, N).dim(n)):
                 nc = NormalizedMixedComplex(a, N)
-                nc._words[n] = np.delete(nc._words[n], w)
+                nc._words[n] = np.delete(nc._words[n], w, axis=0)
                 nc.dims[n] -= 1
                 try:
                     got = homology_summary(nc)
@@ -471,14 +470,14 @@ def test_dropping_a_composable_word_fails_the_agreement():
 
 def test_sbi_exact_for_dual_numbers():
     rep = sbi_check(build("dual-numbers", 3), 6)
-    assert rep.complex_valid and rep.exact
+    assert rep.exact
     assert rep.degrees == [2, 3, 4, 5]
     assert all(all(v for v in rep.spots[n].values()) for n in rep.degrees)
 
 
 def test_sbi_exact_for_matrix_algebra():
     rep = sbi_check(build("m2", 3), 6)
-    assert rep.complex_valid and rep.exact
+    assert rep.exact
 
 
 class FlippedB:
@@ -501,9 +500,8 @@ class FlippedB:
 def test_sbi_detects_flipped_connecting_map():
     # on the unnormalized carrier: negating the normalized B at level 1
     # leaves a valid, exact triangle for the dual numbers
-    rep = sbi_ranks(FlippedB(CyclicLevelMaps(build("dual-numbers", 3), 6), 1))
-    assert not rep.complex_valid
-    assert not rep.exact
+    with pytest.raises(NotAComplexError):
+        sbi_ranks(FlippedB(CyclicLevelMaps(build("dual-numbers", 3), 6), 1))
 
 
 def test_sbi_needs_room():
