@@ -14,8 +14,9 @@ the operators hand to `ModMatrix.from_arrays` before duplicates are
 summed: b (`hh`) or b and B of the normalized mixed complex, or the
 subdivided b (`conjugate`, `edgewise-check`), on the algebra in the basis
 the command line runs (`algebra.normalize_basis`). The two agree; the cap
-charges a little more (a gather per face and rotation, and the words of
-the subdivision).
+charges a little more (one entry per face and rotation, and the words of
+the subdivision). The recount runs under the same budget, and both are
+null when it runs out.
 """
 
 from __future__ import annotations
@@ -121,10 +122,13 @@ def reach(src: str, command: str, algebra: str, lo: int, budget: float) -> dict:
            "first_failing_N": bad, "failure": tried[bad][0]}
     if good is not None:
         kind = ("subdivided" if command in SUBDIVIDED else "b" if command == "hh" else "bB")
-        out = subprocess.run([sys.executable, "-c", BUILT, algebra, str(good), kind],
-                             env={**os.environ, "PYTHONPATH": src},
-                             capture_output=True, text=True, check=True)
-        row["count"], row["built"] = (int(x) for x in out.stdout.split())
+        try:
+            out = subprocess.run([sys.executable, "-c", BUILT, algebra, str(good), kind],
+                                 env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                                 text=True, check=True, timeout=budget)
+            row["count"], row["built"] = (int(x) for x in out.stdout.split())
+        except subprocess.TimeoutExpired:
+            row["count"] = row["built"] = None
     return row
 
 

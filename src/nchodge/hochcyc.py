@@ -7,11 +7,11 @@ The normalized mixed complex (`NormalizedMixedComplex`) is taken relative
 to the subalgebra S spanned by the basis idempotents of A (S = k1 when
 there are none, `algebra.BasisIdempotents`): level n is A (x)_S^e
 (A/S)^(x)_S n, with the normalized b and Connes B. Its words are the
-cyclically composable a0 | a1 .. an with a1..an outside S, a composability
-mask on the index set of the complex relative to k; middle products are
-projected onto A/S, and B inserts the one idempotent that survives (x)_S.
-With S = k1 the mask is all true and the complex is A (x) Abar^n. S is
-separable, so the complex computes HH and HC (Loday, Cyclic Homology,
+cyclically composable a0 | a1 .. an with a1..an outside S, kept as rows of
+digits; each of b and B is one gather over a level's rows, whatever n.
+Middle products are projected onto A/S, and B inserts the one idempotent
+that survives (x)_S. With S = k1 every word is composable and the complex
+is A (x) Abar^n. S is separable, so the complex computes HH and HC (Loday, Cyclic Homology,
 1.2 and 2.2). It carries the HH and HC numbers: `hh_dims` and `hc_dims`
 (the `hh` and `hc` commands), `sbi_check` (`sbi`), the degeneration
 verdict and the page tables of `hodge_ss` (`hodge`, and `ledger`, its
@@ -22,8 +22,9 @@ trace(T0 T^n) in general: 2 per level for the 2 x 2 matrices, where the
 complex relative to k has 4 * 3^n.
 
 The `--cap` guard charges the entries the operators write, counted from
-those transfer matrices (`level_counts`), and one per face and rotation
-gathered: `hh` pays for b; `hc`, `sbi`, `hodge` and `ledger` for b and B.
+those transfer matrices (`level_counts`), and one per face and rotation,
+which bounds the work of a level that writes nothing: `hh` pays for b;
+`hc`, `sbi`, `hodge` and `ledger` for b and B.
 
 The unnormalized cyclic object (`CyclicLevelMaps`) has level n equal to
 the (n+1)-fold tensor power of A on the monomial basis, with faces
@@ -181,8 +182,8 @@ def level_counts(a: StructureConstantsAlgebra, N: int, p: int | None = None):
     the cyclic object), no B: each of the n + 1 faces of level n is the
     p-th Kronecker power of one with d^(n-1) nnz(c) entries. Otherwise the
     normalized mixed complex relative to S, the basis idempotents:
-    trace(T0 T^n) words at level n, closed walks in the
-    quiver of the blocks e_i A e_j (T0, T: basis and bar vectors by block).
+    trace(T0 T^n) words at level n, closed walks in the quiver of the
+    blocks e_i A e_j (T0, T: basis and bar vectors by block).
     A factor weighted by the terms of the product a face gathers counts
     that face: W for face 0 (a0 a1) and the wrap face (an a0), Wm for the
     middle ones (pr(ai ai+1)); each of the n + 1 rotations of B writes the
@@ -474,7 +475,7 @@ class NormalizedMixedComplex:
             del keys
             col, i = np.divmod(col, n + 1)
             i = i.astype(slot.dtype)
-            rows = words[col][(slot != high[:, None])[i]].reshape(-1, n)
+            rows = words[col][slot != high[i][:, None]].reshape(-1, n)
             at = np.arange(0, rows.size, n)
             at += low[i]
             rows.reshape(-1)[at] = k

@@ -34,7 +34,8 @@ from nchodge.hochcyc import (
     sbi_check,
     sbi_ranks,
 )
-from nchodge.complexes import ChainComplexWindow
+from nchodge import hochcyc
+from nchodge.complexes import ChainComplexWindow, filtration_by_columns
 from nchodge.modring import ModMatrix
 from .oracles import ref_degeneracy_dense, ref_face_dense, ref_rotation_dense
 from .sweeps import bB_bicomplex, cyclic_identity_failures, hc_of, over_k, two_column_bicomplex
@@ -310,6 +311,41 @@ def test_normalized_count_is_the_entries_built():
     a = build("group-z4", 3)
     assert sum(b + B for _, b, B in level_counts(over_k(a), 10)) \
         < DEFAULT_ENTRY_CAP < estimate_entries(a, 10)
+
+
+def test_each_operator_is_a_fixed_number_of_gathers():
+    # all faces of b(n) in one gather, all rotations of B(n) in one
+    nc = NormalizedMixedComplex(build("m2", 3), 201)
+    calls = []
+    for n in (20, 200):
+        with mock.patch.object(hochcyc, "_gather", side_effect=hochcyc._gather) as spy:
+            nc.b(n)
+            nc.B(n)
+        calls.append(spy.call_count)
+    assert calls[0] == calls[1], calls
+
+
+def test_reading_the_top_total_degree_first_needs_no_recursion():
+    # d_N is built upward from the lowest degree of its parity, not by
+    # reading d_(N-2) through the lazy mapping
+    N = 3000
+    nc = NormalizedMixedComplex(build("m2", 3), N)
+    tot = filtration_by_columns(nc).carrier
+    top = tot.d(N)
+    assert top.shape == (tot.dim(N - 1), tot.dim(N))
+    # below its first block row and column d_N is d_(N-2)
+    assert top.restrict(rows=np.arange(nc.dim(N - 1), tot.dim(N - 1)),
+                        cols=np.arange(nc.dim(N), tot.dim(N))) == tot.d(N - 2)
+
+
+def test_words_past_int64_keep_their_digits():
+    # relative to k, level 70 of product-ground-m2 has 5 * 4^70 words and
+    # relative to S their indices reach 5 * 2^70 > 2^63; k x M_2 has the HH
+    # and HC of two points
+    a = build("product-ground-m2", 3)
+    assert 5 * 2 ** 70 > 1 << 63
+    assert hh_dims(a, 70) == {n: 2 if n == 0 else 0 for n in range(70)}
+    assert hc_dims(a, 70) == {n: 0 if n % 2 else 2 for n in range(69)}
 
 
 # ---------------- relative to the basis idempotents ----------------
