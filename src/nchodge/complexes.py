@@ -273,22 +273,20 @@ def filtration_by_columns(mixed) -> IncreasingFiltration:
 
     Degree n in [0, N] holds C_{n-2l} in column l, l = 0..n//2, and a
     coordinate's level is its column. d_n is b inside a column plus B into
-    the column before; bB + Bb = 0, so no sign is needed. So
-
-        d_n = [[b_n, B_{n-2} 0], [0, d_{n-2}]]:
-
-    below its first block row and column, d_n is d_{n-2}. Each level is a
-    subcomplex, whose graded piece l is the b complex shifted by 2l. d_n is
-    built on its first read from the CSC arrays of b_n, B_{n-2} and d_{n-2},
-    upward from the highest degree of its parity already built, never by
-    recursion; an empty level builds neither b nor B. Homology is trusted
-    on [0, N - 1].
+    the column before; bB + Bb = 0, so no sign is needed. So d_n =
+    [[b_n, B_{n-2} 0], [0, d_{n-2}]]: below its first block row and column,
+    d_n is d_{n-2}. Each level is a subcomplex, whose graded piece l is the
+    b complex shifted by 2l. d_n is built on its first read from the CSC
+    arrays of b_n, B_{n-2} and d_{n-2}, upward from the highest degree of
+    its parity already built, never by recursion; an empty level builds
+    neither b nor B. Homology is trusted on [0, N - 1].
     """
     N, mod = mixed.N, mixed.algebra.modulus
     dims = [mixed.dim(m) for m in range(N + 1)]
     level = {n: np.repeat(np.arange(n // 2 + 1), dims[n::-2]) for n in range(N + 1)}
     size = [lev.size for lev in level.values()]
-    built: dict[int, ModMatrix] = {}    # every d_n built, read or not
+    # every d_n built, read or not, from the zero maps out of degrees -1 and 0
+    built = {-1: ModMatrix.zeros(0, 0, mod), 0: ModMatrix.zeros(0, size[0], mod)}
 
     def coo(op: ModMatrix, row: int, col: int):
         # Python int offsets keep the operator's index dtype
@@ -296,23 +294,18 @@ def filtration_by_columns(mixed) -> IncreasingFiltration:
         cols = np.repeat(np.arange(op.shape[1], dtype=csc.indices.dtype), np.diff(csc.indptr))
         return csc.indices + row, cols + col, csc.data
 
-    def step(n: int) -> ModMatrix:
-        parts = [coo(mixed.b(n), 0, 0)] if dims[n] else []
-        if n >= 2 and dims[n - 2]:
-            parts.append(coo(mixed.B(n - 2), 0, dims[n]))
-        if n >= 3:
-            parts.append(coo(built[n - 2], dims[n - 1], dims[n]))
-        if not parts:
-            return ModMatrix.zeros(size[n - 1], size[n], mod)
-        rows, cols, vals = (np.concatenate(z) for z in zip(*parts))
-        return ModMatrix.from_arrays((size[n - 1], size[n]), mod, rows, cols, vals)
-
     def build(n: int) -> ModMatrix:
         low = n
-        while low > 2 and low - 2 not in built:
+        while low - 2 not in built:
             low -= 2
         for m in range(low, n + 1, 2):
-            built[m] = step(m)
+            parts = [coo(built[m - 2], dims[m - 1], dims[m])]
+            if dims[m]:
+                parts.append(coo(mixed.b(m), 0, 0))
+            if m >= 2 and dims[m - 2]:
+                parts.append(coo(mixed.B(m - 2), 0, dims[m]))
+            built[m] = ModMatrix.from_arrays((size[m - 1], size[m]), mod,
+                                             *map(np.concatenate, zip(*parts)))
         return built[n]
 
     tot = ChainComplexWindow(N, dict(enumerate(size)), LazyDiffs(range(1, N + 1), build), mod)

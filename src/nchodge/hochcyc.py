@@ -11,15 +11,15 @@ cyclically composable a0 | a1 .. an with a1..an outside S, kept as rows of
 digits; each of b and B is one gather over a level's rows, whatever n.
 Middle products are projected onto A/S, and B inserts the one idempotent
 that survives (x)_S. With S = k1 every word is composable and the complex
-is A (x) Abar^n. S is separable, so the complex computes HH and HC (Loday, Cyclic Homology,
-1.2 and 2.2). It carries the HH and HC numbers: `hh_dims` and `hc_dims`
-(the `hh` and `hc` commands), `sbi_check` (`sbi`), the degeneration
-verdict and the page tables of `hodge_ss` (`hodge`, and `ledger`, its
-per-degree view), and the HH/HC references of the subdivision routes in
-`cartier` (`edgewise-check`, `conjugate`). Its levels have at most
-(d - 1)^n / d^n times the coordinates of the unnormalized ones, and
-trace(T0 T^n) in general: 2 per level for the 2 x 2 matrices, where the
-complex relative to k has 4 * 3^n.
+is A (x) Abar^n. S is separable, so the complex computes HH and HC (Loday,
+Cyclic Homology, 1.2 and 2.2). It carries the HH and HC numbers: `hh_dims`
+and `hc_dims` (the `hh` and `hc` commands), `sbi_check` (`sbi`), the
+degeneration verdict and the page tables of `hodge_ss` (`hodge`, and
+`ledger`, its per-degree view), and the HH/HC references of the
+subdivision routes in `cartier` (`edgewise-check`, `conjugate`). Its
+levels have at most (d - 1)^n / d^n times the coordinates of the
+unnormalized ones, and trace(T0 T^n) in general: 2 per level for the 2 x 2
+matrices, where the complex relative to k has 4 * 3^n.
 
 The `--cap` guard charges the entries the operators write, counted from
 those transfer matrices (`level_counts`), and one per face and rotation,
@@ -52,7 +52,7 @@ import numpy as np
 
 from .algebra import BasisIdempotents, StructureConstantsAlgebra
 from .complexes import ChainComplexWindow, filtration_by_columns
-from .conventions import cyclic_sign, face_sign, face_sum
+from .conventions import cyclic_sign, face_sum
 from .errors import (InternalCheckError, ModulusError, ResourceError, ShapeError,
                      WindowError)
 from .modring import ModMatrix
@@ -357,16 +357,14 @@ def _gather(keys: np.ndarray, rows):
     count = np.diff(ptr).astype(np.min_scalar_type(k.size))[keys]
     j = np.flatnonzero(count)           # the keys with terms
     count = count[j]
-    at = ptr[keys[j]] + count
-    at -= np.cumsum(count, dtype=np.int64)      # the first term of each key, less its rank
-    at = np.repeat(at, count)
+    # the first term of each key, less the rank of that term among all
+    at = np.repeat(ptr[keys[j]] + count - np.cumsum(count, dtype=np.int64), count)
     at += np.arange(at.size)
     return np.repeat(j, count), k[at], v[at]
 
 
 def _sort_keys(words: np.ndarray) -> np.ndarray:
-    """One byte string per word, ordered as the words: slot n first, each
-    digit big-endian."""
+    """One byte string per word that sorts as the words: slot n first, big-endian."""
     big = np.ascontiguousarray(words[:, ::-1], dtype=words.dtype.newbyteorder(">"))
     return big.view(np.dtype((np.void, big.itemsize * big.shape[1]))).ravel()
 
@@ -383,13 +381,13 @@ class NormalizedMixedComplex:
     Level n is spanned by the cyclically composable words a0 | a1 .. an:
     a0 a basis vector of A, a1..an bar vectors (the basis of A/S from
     `_bar_projection`), with right(a_i) = left(a_i+1) and right(an) =
-    left(a0). A level is a (count, n + 1) array of digits, a0 and the
+    left(a0). Level n is a (count, n + 1) array of digits, a0 and the
     indices of a1..an into bar, sorted with slot n most significant; a
-    word's coordinate is its row. With r = 1 every word is composable and
-    the row is the index a0 + d (a1 + e (a2 + ..)), e = |bar|. b and B are
-    each one gather on these rows, from projected structure-constant
-    tables: products into slot 0 (face 0 and the wrap-around face) keep the
-    full product, middle products are projected onto A/S, and
+    word's coordinate is its row, with r = 1 its index a0 + d (a1 + e (a2
+    + ..)), e = |bar|. b and B are each one gather on these rows, from
+    projected structure-constant tables: products into slot 0 (face 0 and
+    the wrap face) keep the full product, middle products are projected
+    onto A/S, and
 
         B(a0 (x) .. (x) an) = sum_i (-1)^(n i) e (x) a_i .. a_n (x) pr(a0) .. a_(i-1),
 
@@ -415,7 +413,6 @@ class NormalizedMixedComplex:
                       charges, cap)
         self.algebra = a
         self.N = N
-        self.S = S
         pr, bar = _bar_projection(a, S)
         self._bar = bar
         self._words = _composable_words(S, bar, N)
@@ -432,7 +429,7 @@ class NormalizedMixedComplex:
         self._faces = _rows_by_key(products, digit)
         self._prT = _rows_by_key(pr.T, digit)         # a0 -> pr(a0)
         self._unit = _rows_by_key(S.span, digit)      # block -> its row of S
-        self._block = S.left[bar].astype(digit)      # the block a bar vector starts in
+        self._block = S.left[bar].astype(digit)       # the block a bar vector starts in
         self._b: dict[int, ModMatrix] = {}
         self._B: dict[int, ModMatrix] = {}
 
@@ -449,8 +446,7 @@ class NormalizedMixedComplex:
             return np.einsum("ij,j->i", words, weights, dtype=np.int64)
         have, words = _sort_keys(have), _sort_keys(words)
         pos = np.searchsorted(have, words)
-        if words.size and (have.size == 0 or np.any(
-                have[np.minimum(pos, have.size - 1)] != words)):
+        if words.size and (have.size == 0 or np.any(have[np.minimum(pos, have.size - 1)] != words)):
             raise InternalCheckError(
                 f"an operator into level {n} leaves the composable words")
         return pos
@@ -465,22 +461,17 @@ class NormalizedMixedComplex:
             # product into the lower of the two slots and drops the higher
             slot = np.arange(n + 1, dtype=np.min_scalar_type(n))
             low, high = np.minimum(slot, np.roll(slot, -1)), np.maximum(slot, np.roll(slot, -1))
-            table = np.minimum(slot, 1).astype(np.int32)     # face 0, middle, wrap
-            table[n] = 2
-            keys = words.astype(np.int32)
-            keys *= d
-            keys += np.roll(words, -1, axis=1)
-            keys += d * d * table
+            keys = words.astype(np.int32) * d + np.roll(words, -1, axis=1)
+            keys[:, 1:] += d * d        # the middle faces, then the wrap face n
+            keys[:, n] += d * d
             col, k, v = _gather(keys.reshape(-1), self._faces)
             del keys
             col, i = np.divmod(col, n + 1)
             i = i.astype(slot.dtype)
             rows = words[col][slot != high[i][:, None]].reshape(-1, n)
-            at = np.arange(0, rows.size, n)
-            at += low[i]
-            rows.reshape(-1)[at] = k
+            rows.reshape(-1)[np.arange(0, rows.size, n) + low[i]] = k
             rows = self._position(n - 1, rows)
-            np.negative(v, out=v, where=i % 2 == 1)
+            np.negative(v, out=v, where=i % 2 == 1)         # face_sign(i)
             self._b[n] = ModMatrix.from_arrays((self.dims[n - 1], self.dims[n]), mod, rows, col, v)
         return self._b[n]
 
@@ -496,12 +487,10 @@ class NormalizedMixedComplex:
             # of the row written twice
             t, u, s = _gather(self._block[bar_words].reshape(-1), self._unit)
             t, i = np.divmod(t, n + 1)
-            i = i.astype(np.min_scalar_type(n))
             rows = np.concatenate([u[:, None], np.lib.stride_tricks.sliding_window_view(
                 np.concatenate([bar_words, bar_words], axis=1), n + 1, axis=1)[t, i]], axis=1)
             rows = self._position(n + 1, rows)
-            s *= coef[t]
-            s %= mod
+            s = s * coef[t] % mod
             np.negative(s, out=s, where=(i % 2 == 1) & (n % 2 == 1))
             self._B[n] = ModMatrix.from_arrays(
                 (self.dims[n + 1], self.dims[n]), mod, rows, col[t], s)
