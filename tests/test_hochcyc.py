@@ -339,11 +339,10 @@ def test_reading_the_top_total_degree_first_needs_no_recursion():
 
 
 def test_words_past_int64_keep_their_digits():
-    # relative to k, level 70 of product-ground-m2 has 5 * 4^70 words and
-    # relative to S their indices reach 5 * 2^70 > 2^63; k x M_2 has the HH
-    # and HC of two points
+    # relative to S the word indices of level 70 of product-ground-m2 reach
+    # d e^70 = 5 * 2^70 > 2^63, where they used to become Python ints;
+    # k x M_2 has the HH and HC of two points
     a = build("product-ground-m2", 3)
-    assert 5 * 2 ** 70 > 1 << 63
     assert hh_dims(a, 70) == {n: 2 if n == 0 else 0 for n in range(70)}
     assert hc_dims(a, 70) == {n: 0 if n % 2 else 2 for n in range(69)}
 
