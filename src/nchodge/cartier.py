@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse as sp
 
 from .algebra import StructureConstantsAlgebra, commutator_quotient
 from .complexes import BicomplexWindow, ChainComplexWindow, LazyDiffs
@@ -50,7 +49,7 @@ from .hochcyc import (
     level_counts,
     rotation_matrix,
 )
-from .modring import (ModMatrix, hstack, is_prime, kron_power, kron_power_arrays, matmul_mod,
+from .modring import (CSC, ModMatrix, hstack, is_prime, kron_power, kron_power_arrays, matmul_mod,
                       rank_fp, solve_fp)
 
 
@@ -145,9 +144,8 @@ class ZpModuleAction:
             indptr = np.zeros(self.dim + 1, dtype=np.int64)
             np.cumsum(moved * self.p, out=indptr[1:])
             # ModMatrix sorts the rows within each column
-            csc = sp.csc_matrix((np.ones(rows.shape[0], dtype=np.int64), rows, indptr),
-                                shape=(self.dim, self.dim))
-            self._norm = ModMatrix((self.dim, self.dim), self.p, csc)
+            self._norm = ModMatrix((self.dim, self.dim), self.p,
+                                   CSC(indptr, rows, np.ones(rows.shape[0], dtype=np.int64)))
         return self._norm
 
     def intertwines(self, mat: ModMatrix, source: "ZpModuleAction") -> bool:
@@ -156,9 +154,8 @@ class ZpModuleAction:
         if mat.shape != (self.dim, source.dim):
             raise ShapeError(f"{mat.shape} does not map {source.dim} to {self.dim} coordinates")
         csc = mat.csc()
-        moved = sp.csc_matrix((csc.data.copy(), self.perm[csc.indices], csc.indptr.copy()),
-                              shape=mat.shape)
-        return ModMatrix(mat.shape, mat.modulus, moved) == mat.restrict(cols=source.perm)
+        moved = ModMatrix(mat.shape, mat.modulus, csc._replace(indices=self.perm[csc.indices]))
+        return moved == mat.restrict(cols=source.perm)
 
 
 def zp_invariants(act: ZpModuleAction) -> ModMatrix:
@@ -523,10 +520,9 @@ def _coinvariant_complex(pcyc: PCyclicLevels) -> ChainComplexWindow:
     dims = {n: reps.shape[0] for n, (reps, _, _) in enumerate(orbits)}
     diffs = {}
     for n in range(1, pcyc.N + 1):
-        on_reps = pcyc.b(n).restrict(cols=orbits[n][0]).csc().tocoo()
+        rows, cols, vals = pcyc.b(n).restrict(cols=orbits[n][0]).coo()
         diffs[n] = ModMatrix.from_arrays(
-            (dims[n - 1], dims[n]), pcyc.algebra.modulus,
-            orbits[n - 1][1][on_reps.row], on_reps.col, on_reps.data)
+            (dims[n - 1], dims[n]), pcyc.algebra.modulus, orbits[n - 1][1][rows], cols, vals)
     return ChainComplexWindow(pcyc.N, dims, diffs, pcyc.algebra.modulus)
 
 

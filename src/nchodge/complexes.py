@@ -208,10 +208,10 @@ class BicomplexWindow:
                 for mat, tgt in ((self.dv(x, y), (x, y - 1)), (self.dh(x, y), (x - 1, y))):
                     if tgt not in target_offsets or mat.nnz == 0:
                         continue
-                    coo = mat.csc().tocoo()
-                    rows_list.append(coo.row + target_offsets[tgt])
-                    cols_list.append(coo.col + off)
-                    vals_list.append(coo.data)
+                    rows, cols, vals = mat.coo()
+                    rows_list.append(rows + target_offsets[tgt])
+                    cols_list.append(cols + off)
+                    vals_list.append(vals)
             if rows_list:
                 rows = np.concatenate(rows_list)
                 cols = np.concatenate(cols_list)
@@ -259,9 +259,9 @@ class IncreasingFiltration:
         # F_l is a subcomplex for every l iff no entry of d_n maps a
         # coordinate of level l into one of a higher level
         for n in range(1, c.hi + 1):
-            coo = c.d(n).csc().tocoo()
-            src = self.at(n)[coo.col]
-            up = np.flatnonzero(self.at(n - 1)[coo.row] > src)
+            rows, cols, _ = c.d(n).coo()
+            src = self.at(n)[cols]
+            up = np.flatnonzero(self.at(n - 1)[rows] > src)
             if up.size:
                 raise NotAComplexError(
                     f"differential leaves level {src[up[0]]} at degree {n}")
@@ -288,22 +288,20 @@ def filtration_by_columns(mixed) -> IncreasingFiltration:
     # every d_n built, read or not, from the zero maps out of degrees -1 and 0
     built = {-1: ModMatrix.zeros(0, 0, mod), 0: ModMatrix.zeros(0, size[0], mod)}
 
-    def coo(op: ModMatrix, row: int, col: int):
-        # Python int offsets keep the operator's index dtype
-        csc = op.csc()
-        cols = np.repeat(np.arange(op.shape[1], dtype=csc.indices.dtype), np.diff(csc.indptr))
-        return csc.indices + row, cols + col, csc.data
+    def shifted(op: ModMatrix, row: int, col: int):
+        rows, cols, vals = op.coo()
+        return rows + row, cols + col, vals
 
     def build(n: int) -> ModMatrix:
         low = n
         while low - 2 not in built:
             low -= 2
         for m in range(low, n + 1, 2):
-            parts = [coo(built[m - 2], dims[m - 1], dims[m])]
+            parts = [shifted(built[m - 2], dims[m - 1], dims[m])]
             if dims[m]:
-                parts.append(coo(mixed.b(m), 0, 0))
+                parts.append(shifted(mixed.b(m), 0, 0))
             if m >= 2 and dims[m - 2]:
-                parts.append(coo(mixed.B(m - 2), 0, dims[m]))
+                parts.append(shifted(mixed.B(m - 2), 0, dims[m]))
             built[m] = ModMatrix.from_arrays((size[m - 1], size[m]), mod,
                                              *map(np.concatenate, zip(*parts)))
         return built[n]

@@ -1,7 +1,9 @@
 """Exact linear algebra mod p and mod p**2.
 
-Matrices carry their modulus and store entries as int64 in scipy sparse
-column format. Ranks and homology dimensions are computed by exact
+Matrices carry their modulus and store their entries as three numpy
+arrays in compressed sparse column format (`CSC`), kept canonical: every
+operation builds its result from coordinates with one sort on an int64
+key. Ranks and homology dimensions are computed by exact
 Gaussian elimination: a sparse column-reduction pass (columns processed by
 increasing support, pivot rows chosen deterministically) with a dense
 numpy elimination path for small matrices and as a fallback when fill-in
@@ -33,10 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse as sp
 
 from .errors import ModulusError, NotAComplexError, ResourceError, ShapeError
 
@@ -48,6 +49,8 @@ DENSE_ENTRY_LIMIT = 1 << 21
 FILL_THRESHOLD = 0.25
 # refuse accidental huge densification
 TO_DENSE_LIMIT = 1 << 24
+# products a sparse matmul expands at once, about
+MATMUL_BLOCK = 1 << 15
 
 
 # Miller-Rabin with these bases is deterministic for n < 3.3 * 10**24
@@ -82,9 +85,9 @@ def is_prime(n: int) -> bool:
 def split_modulus(m: int) -> tuple[int, int]:
     """Return (p, k) with m = p**k, k in {1, 2} and p prime.
 
-    Moduli must lie below 2**32: then a residue times a limb of at least one
-    bit, summed over fewer than 2**31 terms, fits in int64, which is what
-    ModMatrix.__matmul__ needs to stay exact.
+    Moduli must lie below 2**32: then the product of two residues fits in
+    uint64, and a sum of fewer than 2**31 residues fits in int64, which is
+    what ModMatrix.__matmul__ needs to stay exact.
     """
     if not 2 <= m < 1 << 32:
         raise ModulusError(f"modulus {m} is outside [2, 2^32)")
@@ -131,14 +134,146 @@ class ResidueScalar:
         return ResidueScalar((-self.value) % self.modulus, self.modulus)
 
 
-def _reduced(mat: sp.csc_matrix, modulus: int) -> sp.csc_matrix:
-    mat = mat.tocsc()
-    if mat.dtype != np.int64:
-        mat = mat.astype(np.int64)
-    mat.data %= modulus
-    mat.eliminate_zeros()
-    mat.sort_indices()
-    return mat
+class CSC(NamedTuple):
+    """Compressed sparse columns: column j holds the rows
+    indices[indptr[j]:indptr[j + 1]] with the values at the same positions
+    of data. A ModMatrix keeps its CSC canonical: rows strictly increasing
+    within each column, values in [1, modulus), indices in int32 while the
+    shape and the entry count fit."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _index_dtype(shape: tuple[int, int], nnz: int):
+    return np.int32 if max(shape[0], shape[1], nnz) < 1 << 31 else np.int64
+
+
+def _mod(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m for an int64 array, by floor division (numpy's % is slower)."""
+    q = x // m
+    q *= m
+    return np.subtract(x, q, out=q)
+
+
+def _col_of_entries(indptr: np.ndarray) -> np.ndarray:
+    """The column of each stored entry: the number of columns, after the
+    first, that start at or before it."""
+    nnz = int(indptr[-1])
+    return np.cumsum(np.bincount(indptr[1:-1], minlength=nnz + 1)[:nnz])
+
+
+def _segments(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, at): at lists the positions starts[t] .. starts[t] + counts[t] - 1
+    for every t in turn, from at[ptr[t]] on."""
+    ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    at = np.repeat(starts - ptr[:-1], counts)
+    at += np.arange(at.size)
+    return ptr, at
+
+
+def _row_bits(shape: tuple[int, int]) -> int:
+    """r such that key = column << r | row orders positions by (column, row)
+    within int64; ResourceError when the shape leaves no such r."""
+    r = max(shape[0] - 1, 0).bit_length()
+    if max(shape[1] - 1, 0).bit_length() + r > 63:
+        raise ResourceError(f"a {shape} matrix has more positions than an int64 key holds",
+                            count=shape[0] * shape[1], cap=1 << 63)
+    return r
+
+
+def _from_coo(shape: tuple[int, int], m: int, rows, cols, vals) -> CSC:
+    """The canonical CSC of the entries (rows[t], cols[t], vals[t])."""
+    key = np.asarray(cols, dtype=np.int64) << _row_bits(shape)
+    key |= rows
+    return _from_keys(shape, m, key, vals)
+
+
+def _from_keys(shape: tuple[int, int], m: int, key: np.ndarray, vals) -> CSC:
+    """The canonical CSC of the entries vals[t] at the positions
+    key[t] = column << _row_bits(shape) | row, in any order: sorted by key,
+    repeated positions summed, reduced mod m, zeros dropped. key is
+    overwritten. Values are reduced before they are summed, so a sum of
+    fewer than 2**31 of them stays below 2**63 at every m < 2**32."""
+    n_cols = shape[1]
+    r, s = _row_bits(shape), (m - 1).bit_length()
+    vals = np.asarray(vals, dtype=np.int64)
+    if vals.size and (vals.min() < 0 or vals.max() >= m):
+        vals = _mod(vals, m)
+    if key.size and not (key[1:] >= key[:-1]).all():
+        if max(n_cols - 1, 0).bit_length() + r + s <= 63:
+            # one sort of each key with its value in the low s bits
+            key <<= s
+            key |= vals
+            key.sort()
+            vals = key & ((1 << s) - 1)
+            key >>= s
+        else:
+            order = np.argsort(key)
+            key, vals = key[order], vals[order]
+            del order
+    if key.size:
+        new = np.empty(key.size, dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        if not new.all():
+            starts = np.flatnonzero(new)
+            del new
+            key, vals = key[starts], _mod(np.add.reduceat(vals, starts), m)
+        nz = vals != 0
+        if not nz.all():
+            key, vals = key[nz], vals[nz]
+    idx = _index_dtype(shape, key.size)
+    indptr = np.zeros(n_cols + 1, dtype=idx)
+    if not key.size:
+        return CSC(indptr, key.astype(idx), vals)
+    col = key >> r
+    key &= (1 << r) - 1  # now the row of each entry
+    # a column ends where the next entry's column differs; an empty column
+    # ends where the one before it does
+    end = np.flatnonzero(col[1:] != col[:-1])
+    indptr[col[end] + 1] = end + 1
+    indptr[col[-1] + 1] = col.size
+    del col, end
+    np.maximum.accumulate(indptr, out=indptr)
+    return CSC(indptr, key.astype(idx), vals)
+
+
+def _canonical_csc(shape: tuple[int, int], m: int, csc) -> CSC:
+    """The arrays of csc, checked against shape, in the index dtype; through
+    `_from_coo` unless the rows strictly increase within each column and
+    the values lie in [1, m)."""
+    indptr, indices, data = (np.asarray(a) for a in (csc.indptr, csc.indices, csc.data))
+    rows, cols = shape
+    if (indptr.shape != (cols + 1,) or indptr[0] != 0 or indptr[-1] != indices.size
+            or data.shape != indices.shape or (np.diff(indptr) < 0).any()
+            or (indices.size and (indices.min() < 0 or indices.max() >= rows))):
+        raise ShapeError(f"CSC arrays do not describe a {shape} matrix")
+    if data.size:
+        up = np.diff(indices) > 0
+        # a column's first entry may lie below the previous column's last
+        starts = indptr[1:-1]
+        up[starts[(starts > 0) & (starts < data.size)] - 1] = True
+        if data.min() < 1 or data.max() >= m or not up.all():
+            return _from_coo(shape, m, indices, _col_of_entries(indptr), data)
+    idx = _index_dtype(shape, data.size)
+    return CSC(indptr.astype(idx, copy=False), indices.astype(idx, copy=False),
+               data.astype(np.int64, copy=False))
+
+
+def _selector(sel, n: int) -> np.ndarray:
+    """Index array of a boolean selector or an index array into n items."""
+    sel = np.asarray(sel)
+    if sel.dtype == bool:
+        if sel.shape != (n,):
+            raise ShapeError(f"boolean selector of shape {sel.shape} for {n} indices")
+        return np.flatnonzero(sel)
+    sel = sel.astype(np.int64, copy=False)
+    if sel.size and (sel.min() < 0 or sel.max() >= n):
+        raise ShapeError(f"selector leaves the range [0, {n})")
+    return sel
 
 
 class ModMatrix:
@@ -146,16 +281,20 @@ class ModMatrix:
 
     __slots__ = ("shape", "modulus", "_csc", "_rank", "_pivot_rows")
 
-    def __init__(self, shape: tuple[int, int], modulus: int, csc: sp.csc_matrix):
+    def __init__(self, shape: tuple[int, int], modulus: int, csc, *, canonical: bool = False):
+        """csc is any object with CSC arrays indptr, indices and data; they
+        are read, never written, and made canonical when they are not.
+        canonical=True skips the checks, for arrays built canonical here."""
         split_modulus(modulus)
         rows, cols = shape
         if rows < 0 or cols < 0:
             raise ShapeError(f"bad shape {shape}")
-        if csc.shape != (rows, cols):
-            raise ShapeError(f"data shape {csc.shape} does not match {shape}")
         self.shape = (int(rows), int(cols))
         self.modulus = int(modulus)
-        self._csc = _reduced(csc, modulus)
+        if canonical:
+            self._csc = csc
+        else:
+            self._csc = _canonical_csc(self.shape, self.modulus, csc)
         self._rank: int | None = None
         # rows where the reduced columns of the transpose end (the lows of
         # the row space), when rank_fp reduced this matrix transposed; None
@@ -166,63 +305,79 @@ class ModMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, modulus: int) -> "ModMatrix":
-        return cls((rows, cols), modulus, sp.csc_matrix((rows, cols), dtype=np.int64))
+        empty = np.zeros(0, dtype=np.int64)
+        return cls((rows, cols), modulus, CSC(np.zeros(cols + 1, dtype=np.int64), empty, empty))
 
     @classmethod
     def identity(cls, n: int, modulus: int) -> "ModMatrix":
-        return cls((n, n), modulus, sp.identity(n, dtype=np.int64, format="csc"))
+        return cls((n, n), modulus, CSC(np.arange(n + 1), np.arange(n),
+                                        np.ones(n, dtype=np.int64)))
 
     @classmethod
     def from_arrays(cls, shape: tuple[int, int], modulus: int,
                     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "ModMatrix":
-        coo = sp.coo_matrix((np.asarray(vals, dtype=np.int64),
-                             (np.asarray(rows), np.asarray(cols))), shape=shape)
-        return cls(shape, modulus, coo.tocsc())  # tocsc sums duplicates
+        """The matrix with entries vals at (rows, cols), in any order;
+        repeated positions are summed."""
+        split_modulus(modulus)
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if rows.size and (rows.min() < 0 or rows.max() >= shape[0]
+                          or cols.min() < 0 or cols.max() >= shape[1]):
+            raise ShapeError(f"an entry lies outside the {shape} matrix")
+        return cls(shape, modulus, _from_coo(shape, modulus, rows, cols, vals), canonical=True)
 
     @classmethod
     def from_dense(cls, arr, modulus: int) -> "ModMatrix":
         a = np.asarray(arr, dtype=np.int64)
         if a.ndim != 2:
             raise ShapeError("dense input must be 2-dimensional")
-        return cls(a.shape, modulus, sp.csc_matrix(a % modulus))
+        a = a % modulus
+        cols, rows = np.nonzero(a.T)  # column by column, rows increasing
+        return cls.from_arrays(a.shape, modulus, rows, cols, a[rows, cols])
 
     @classmethod
     def from_index_map(cls, rows_for_col: np.ndarray, n_rows: int, modulus: int,
                        vals: np.ndarray | None = None) -> "ModMatrix":
-        """Column j carries a single entry at row rows_for_col[j].
-
-        The CSC arrays are written directly (one entry per column needs no
-        sorting); they are copies, since reduction works in place.
-        """
-        rows_for_col = np.array(rows_for_col, dtype=np.int64)
+        """Column j carries a single entry at row rows_for_col[j], 1 unless
+        vals gives it; one entry per column needs no sorting."""
+        rows_for_col = np.asarray(rows_for_col)
         n_cols = rows_for_col.shape[0]
-        vals = np.ones(n_cols, dtype=np.int64) if vals is None else np.array(vals, dtype=np.int64)
         if n_cols and not (0 <= rows_for_col.min() and rows_for_col.max() < n_rows):
             raise ShapeError(f"index map leaves the {n_rows} rows")
-        indptr = np.arange(n_cols + 1, dtype=np.int64)
-        csc = sp.csc_matrix((vals, rows_for_col, indptr), shape=(n_rows, n_cols))
-        return cls((n_rows, n_cols), modulus, csc)
+        if vals is not None:
+            return cls.from_arrays((n_rows, n_cols), modulus, rows_for_col, np.arange(n_cols),
+                                   vals)
+        idx = _index_dtype((n_rows, n_cols), n_cols)
+        return cls((n_rows, n_cols), modulus, CSC(
+            np.arange(n_cols + 1, dtype=idx), rows_for_col.astype(idx),
+            np.ones(n_cols, dtype=np.int64)), canonical=True)
 
     # ---------------- basic queries ----------------
 
     @property
     def nnz(self) -> int:
-        return int(self._csc.nnz)
+        return int(self._csc.data.size)
 
     @property
     def density(self) -> float:
         area = self.shape[0] * self.shape[1]
         return self.nnz / area if area else 0.0
 
-    def csc(self) -> sp.csc_matrix:
+    def csc(self) -> CSC:
         return self._csc
+
+    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of the entries, column by column, as int64."""
+        csc = self._csc
+        return csc.indices.astype(np.int64), _col_of_entries(csc.indptr), csc.data
 
     def to_dense(self) -> np.ndarray:
         if self.shape[0] * self.shape[1] > TO_DENSE_LIMIT:
             raise ResourceError(
                 f"refusing to densify a {self.shape} matrix",
                 count=self.shape[0] * self.shape[1], cap=TO_DENSE_LIMIT)
-        return np.asarray(self._csc.todense(), dtype=np.int64)
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self._csc.indices, _col_of_entries(self._csc.indptr)] = self._csc.data
+        return out
 
     def is_zero(self) -> bool:
         return self.nnz == 0
@@ -239,7 +394,8 @@ class ModMatrix:
             return NotImplemented
         if self.shape != other.shape or self.modulus != other.modulus:
             return False
-        return (self._csc - other._csc).nnz == 0
+        # both sides are canonical
+        return all(np.array_equal(x, y) for x, y in zip(self._csc, other._csc))
 
     __hash__ = None
 
@@ -255,47 +411,76 @@ class ModMatrix:
             raise ModulusError(f"moduli differ: {self.modulus} vs {other.modulus}")
 
     def __matmul__(self, other: "ModMatrix") -> "ModMatrix":
+        """Each entry (k, j, v) of the right factor is expanded over column k
+        of the left one; every product is reduced mod m (exact in uint64 for
+        m < 2**32) and the products at one position are summed. The columns
+        of the right factor are taken in blocks of about MATMUL_BLOCK
+        products, so the expansion never holds many more at once."""
         self._join(other)
         if self.shape[1] != other.shape[0]:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        m, right = self.modulus, other._csc
-        # an output entry sums at most k products of two residues, k the
-        # largest column count of the right factor; its row count bounds k
-        # without a pass over the columns
-        k = right.shape[0]
-        if k * (m - 1) ** 2 >= 1 << 63:
-            k = int(np.diff(right.indptr).max(initial=0))
-        if k * (m - 1) ** 2 < 1 << 63:
-            prod = self._csc @ right
-        else:
-            prod = _limb_product(self._csc, right, m, k)
-        return ModMatrix((self.shape[0], other.shape[1]), m, prod.tocsc())
+        left, right = self._csc, other._csc
+        count = np.diff(left.indptr)[right.indices]
+        before = np.cumsum(count)  # products up to each entry of the right factor
+        # a new block starts at the column of every MATMUL_BLOCK-th product
+        marks = np.arange(MATMUL_BLOCK, before[-1] if before.size else 0, MATMUL_BLOCK)
+        entry = np.searchsorted(before, marks, side="right")
+        inner = np.searchsorted(right.indptr, entry, side="right") - 1
+        cuts = [0, *sorted({c for c in inner.tolist() if c > 0}), other.shape[1]]
+        parts = [self._product_of_columns(right, count, lo, hi)
+                 for lo, hi in zip(cuts[:-1], cuts[1:])]
+        return parts[0] if len(parts) == 1 else hstack(parts)
+
+    def _product_of_columns(self, right: CSC, count: np.ndarray, lo: int, hi: int
+                            ) -> "ModMatrix":
+        """self @ (columns lo .. hi - 1 of right); count[t] is the length of
+        the left column that entry t of right meets."""
+        m, left = self.modulus, self._csc
+        first, last = int(right.indptr[lo]), int(right.indptr[hi])
+        indptr = right.indptr[lo:hi + 1] - first
+        count, k = count[first:last], right.indices[first:last]
+        # the entries of the right factor whose row is a nonempty left column
+        hit = np.flatnonzero(count)
+        col = np.searchsorted(indptr, hit.astype(indptr.dtype), side="right") - 1
+        count = count[hit]
+        _, at = _segments(left.indptr[k[hit]].astype(np.int64), count)
+        shape = (self.shape[0], hi - lo)
+        key = np.repeat(col << _row_bits(shape), count)
+        key |= left.indices[at]
+        vals = _mulmod(left.data[at], np.repeat(right.data[first:last][hit], count), m)
+        return ModMatrix(shape, m, _from_keys(shape, m, key, vals), canonical=True)
+
+    def _plus(self, other: "ModMatrix", sign: int) -> "ModMatrix":
+        self._join(other)
+        if self.shape != other.shape:
+            raise ShapeError(f"cannot combine {self.shape} and {other.shape}")
+        (r0, c0, v0), (r1, c1, v1) = self.coo(), other.coo()
+        return ModMatrix(self.shape, self.modulus, _from_coo(
+            self.shape, self.modulus, np.concatenate([r0, r1]), np.concatenate([c0, c1]),
+            np.concatenate([v0, v1 if sign > 0 else self.modulus - v1])), canonical=True)
 
     def __add__(self, other: "ModMatrix") -> "ModMatrix":
-        self._join(other)
-        if self.shape != other.shape:
-            raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return ModMatrix(self.shape, self.modulus, (self._csc + other._csc).tocsc())
+        return self._plus(other, 1)
 
     def __sub__(self, other: "ModMatrix") -> "ModMatrix":
-        self._join(other)
-        if self.shape != other.shape:
-            raise ShapeError(f"cannot subtract {self.shape} and {other.shape}")
-        return ModMatrix(self.shape, self.modulus, (self._csc - other._csc).tocsc())
+        return self._plus(other, -1)
 
     def __neg__(self) -> "ModMatrix":
         return self.scale(-1)
 
     def scale(self, k: int) -> "ModMatrix":
         m = self.modulus
-        k = int(k) % m
-        out = self._csc.copy()
-        out.data = _mulmod(out.data, k, m)
-        return ModMatrix(self.shape, m, out)
+        csc = self._csc
+        return ModMatrix(self.shape, m, csc._replace(data=_mulmod(csc.data, int(k) % m, m)))
 
     def transpose(self) -> "ModMatrix":
-        return ModMatrix((self.shape[1], self.shape[0]), self.modulus,
-                         self._csc.transpose().tocsc())
+        indptr, indices, data = self._csc
+        shape = (self.shape[1], self.shape[0])
+        key = indices.astype(np.int64)
+        key <<= _row_bits(shape)
+        key |= _col_of_entries(indptr)
+        return ModMatrix(shape, self.modulus, _from_keys(shape, self.modulus, key, data),
+                         canonical=True)
 
     @property
     def T(self) -> "ModMatrix":
@@ -303,26 +488,43 @@ class ModMatrix:
 
     def restrict(self, rows: np.ndarray | None = None,
                  cols: np.ndarray | None = None) -> "ModMatrix":
-        """Submatrix on the given index arrays (or boolean selectors)."""
-        mat = self._csc
+        """Submatrix on the given index arrays (or boolean selectors); cols
+        may repeat a column, rows may not repeat a row."""
+        indptr, indices, data = self._csc
+        n_rows, n_cols = self.shape
         # columns first: a column gather of CSC is a slice per column
         if cols is not None:
-            cols = np.asarray(cols)
-            if cols.dtype == bool:
-                cols = np.nonzero(cols)[0]
-            mat = mat[:, cols]
-        if rows is not None:
-            rows = np.asarray(rows)
-            if rows.dtype == bool:
-                rows = np.nonzero(rows)[0]
-            mat = mat[rows, :]
-        return ModMatrix(mat.shape, self.modulus, mat.tocsc())
+            cols = _selector(cols, n_cols)
+            ptr, at = _segments(indptr[cols].astype(np.int64), np.diff(indptr)[cols])
+            n_cols = cols.size
+            idx = _index_dtype((n_rows, n_cols), at.size)
+            indptr, indices, data = ptr.astype(idx), indices[at].astype(idx, copy=False), data[at]
+        if rows is None:
+            return ModMatrix((n_rows, n_cols), self.modulus, CSC(indptr, indices, data),
+                             canonical=True)
+        rows = _selector(rows, n_rows)
+        renumber = np.full(n_rows, -1, dtype=np.int64)
+        renumber[rows] = np.arange(rows.size)
+        if np.count_nonzero(renumber >= 0) != rows.size:
+            raise ShapeError("restrict repeats a row")
+        new = renumber[indices]
+        kept = new >= 0
+        shape = (rows.size, n_cols)
+        key = _col_of_entries(indptr)[kept]
+        key <<= _row_bits(shape)
+        key |= new[kept]
+        # the rows keep their order within a column unless rows does not increase
+        return ModMatrix(shape, self.modulus, _from_keys(shape, self.modulus, key, data[kept]),
+                         canonical=True)
 
 
 def _mulmod(x, y, m: int) -> np.ndarray:
     """x * y mod m for residue arrays, exact for m < 2**32 (products fit uint64)."""
-    return (np.asarray(x, dtype=np.uint64) * np.asarray(y, dtype=np.uint64)
-            % np.uint64(m)).astype(np.int64)
+    # residues are not negative, so their int64 bits read as uint64 unchanged
+    prod = (np.asarray(x, dtype=np.int64).view(np.uint64)
+            * np.asarray(y, dtype=np.int64).view(np.uint64))
+    prod -= prod // np.uint64(m) * np.uint64(m)
+    return prod.view(np.int64)
 
 
 def kron_power_arrays(mat: ModMatrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -330,11 +532,10 @@ def kron_power_arrays(mat: ModMatrix, k: int) -> tuple[np.ndarray, np.ndarray, n
     by digit arithmetic on the entries of mat: the entry picking entries
     e_1 .. e_k of mat sits at row sum_t row(e_t) R^(k-t), column
     sum_t col(e_t) C^(k-t), for mat of shape (R, C), and carries the
-    product of their values. As in `scipy.sparse.kron`, the first factor
+    product of their values. As in the Kronecker product, the first factor
     acts on the most significant digits. No position repeats.
     """
-    coo = mat.csc().tocoo()
-    r0, c0, v0 = coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
+    r0, c0, v0 = mat.coo()
     rows, cols, vals = r0, c0, v0
     for _ in range(k - 1):
         rows = (rows[:, None] * mat.shape[0] + r0).ravel()
@@ -350,25 +551,6 @@ def kron_power(mat: ModMatrix, k: int) -> ModMatrix:
     return ModMatrix.from_arrays(shape, mat.modulus, *kron_power_arrays(mat, k))
 
 
-def _limb_product(left: sp.csc_matrix, right: sp.csc_matrix, m: int,
-                  k: int) -> sp.csc_matrix:
-    """left @ right mod m, exactly, when k * (m - 1)**2 would overflow int64.
-
-    The right factor is cut into s-bit limbs with
-    max(k, 2) * (m - 1) * (2**s - 1) < 2**63, so every limb product is exact
-    in int64, and the reduced limb products are recombined by Horner's rule
-    mod m; max(k, 2) also keeps (m - 1) * 2**s + m below 2**63.
-    """
-    s = _limb_bits(k, m)
-    out = None
-    for shift in reversed(range(0, (m - 1).bit_length(), s)):
-        limb = right.copy()
-        limb.data = (right.data >> shift) & ((1 << s) - 1)
-        part = _reduced(left @ limb, m)
-        out = part if out is None else _reduced(out * (1 << s) + part, m)
-    return out
-
-
 def _limb_bits(k: int, m: int) -> int:
     """The largest s with max(k, 2) * (m - 1) * (2**s - 1) < 2**63."""
     return ((((1 << 63) - 1) // (max(k, 2) * (m - 1))) + 1).bit_length() - 1
@@ -380,8 +562,11 @@ def matmul_mod(left: np.ndarray, right: np.ndarray, m: int) -> np.ndarray:
     Below the int64 accumulation bound k * max(left) * max(right) < 2**63,
     k the inner dimension, this is one integer matmul (for 0/1 structure
     constants at every modulus); above it the right factor is cut into
-    limbs as in `_limb_product`. The entries are read only when the
-    residue bound k * (m - 1)**2 does not already settle it.
+    s-bit limbs with max(k, 2) * (m - 1) * (2**s - 1) < 2**63, so every limb
+    product is exact in int64, and the reduced limb products are recombined
+    by Horner's rule mod m; max(k, 2) also keeps (m - 1) * 2**s + m below
+    2**63. The entries are read only when the residue bound
+    k * (m - 1)**2 does not already settle it.
     """
     k = left.shape[-1]
     if (k * (m - 1) ** 2 < 1 << 63
@@ -398,12 +583,22 @@ def matmul_mod(left: np.ndarray, right: np.ndarray, m: int) -> np.ndarray:
 def hstack(mats: Sequence[ModMatrix]) -> ModMatrix:
     if not mats:
         raise ShapeError("hstack of nothing")
-    m = mats[0].modulus
+    m, n_rows = mats[0].modulus, mats[0].shape[0]
     for mm in mats:
         if mm.modulus != m:
             raise ModulusError("hstack with mixed moduli")
-    out = sp.hstack([mm.csc() for mm in mats], format="csc")
-    return ModMatrix(out.shape, m, out)
+        if mm.shape[0] != n_rows:
+            raise ShapeError("hstack with mixed row counts")
+    parts = [mm.csc() for mm in mats]
+    offsets = np.cumsum([0] + [part.data.size for part in parts])
+    shape = (n_rows, sum(mm.shape[1] for mm in mats))
+    idx = _index_dtype(shape, int(offsets[-1]))
+    indptr = np.concatenate([np.zeros(1, dtype=idx)]
+                            + [part.indptr[1:] + off for part, off in zip(parts, offsets)])
+    return ModMatrix(shape, m, CSC(
+        indptr.astype(idx, copy=False),
+        np.concatenate([part.indices for part in parts]).astype(idx, copy=False),
+        np.concatenate([part.data for part in parts])), canonical=True)
 
 
 # ---------------- dense elimination ----------------
@@ -455,24 +650,11 @@ class _DenseRestart(Exception):
     pass
 
 
-def _canonical(csc: sp.csc_matrix, p: int) -> sp.csc_matrix:
-    """csc itself when its row indices are sorted and distinct within each
-    column and its entries lie in [1, p), else a reduced, sorted copy: the
-    column reduction reads a column's last index as its largest row."""
-    if csc.has_canonical_format and (csc.nnz == 0 or (csc.data.min() > 0
-                                                      and csc.data.max() < p)):
-        return csc
-    out = csc.astype(np.int64)  # a copy, with its format flags recomputed
-    out.sum_duplicates()
-    out.data %= p
-    out.eliminate_zeros()
-    return out
-
-
-def _column_reduce(csc: sp.csc_matrix, p: int, shape: tuple[int, int],
+def _column_reduce(csc: CSC, p: int, shape: tuple[int, int],
                    fill_guard: bool = True, order: Sequence[int] | None = None
                    ) -> tuple[int, dict[int, int]]:
-    """Persistence-style column reduction mod p of the columns of csc.
+    """Persistence-style column reduction mod p of the columns of csc, the
+    canonical CSC of a ModMatrix.
 
     Columns are processed in the given order, by default by increasing
     support size, ties by index (a cheap stand-in for Markowitz pivoting);
@@ -491,7 +673,6 @@ def _column_reduce(csc: sp.csc_matrix, p: int, shape: tuple[int, int],
     The fill counted against FILL_THRESHOLD is the size of every pivot,
     free ones included.
     """
-    csc = _canonical(csc, p)
     area = shape[0] * shape[1]
     limit = FILL_THRESHOLD * area if fill_guard and 0 < area <= DENSE_ENTRY_LIMIT else None
     if order is None:
@@ -572,28 +753,24 @@ def rank_fp(mat: ModMatrix, clear: np.ndarray | None = None) -> int:
     rows, cols = mat.shape
     if rows == 0 or cols == 0 or mat.nnz == 0:
         return 0
-    csc = mat.csc()
     keep = None
     if clear is not None and clear.size:
         keep = np.delete(np.arange(rows), clear)
         rows = keep.size
     # orient so that the reduction walks the smaller list of vectors
     transposed = cols > rows
-    if transposed:
-        csc = csc.transpose().tocsc()
-        if keep is not None:
-            csc = csc[:, keep]
-    elif keep is not None:
-        csc = csc[keep]
+    work = mat.T if transposed else mat
+    if keep is not None:
+        work = work.restrict(cols=keep) if transposed else work.restrict(rows=keep)
     area = rows * cols
     # the density of the whole matrix stands in for that of its kept rows
     if area <= DENSE_SMALL or (area <= DENSE_ENTRY_LIMIT and mat.density >= FILL_THRESHOLD):
-        dense = np.asarray(csc.todense())
+        dense = work.to_dense()
     else:
         try:
-            rank, pivots = _column_reduce(csc, p, csc.shape)
+            rank, pivots = _column_reduce(work.csc(), p, work.shape)
         except _DenseRestart:
-            dense = np.asarray(csc.todense())
+            dense = work.to_dense()
         else:
             if transposed:
                 mat._pivot_rows = np.fromiter(pivots, dtype=np.int64, count=len(pivots))

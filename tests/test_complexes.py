@@ -258,10 +258,10 @@ def eager_total_diffs(bicx: BicomplexWindow) -> dict[int, ModMatrix]:
             for mat, tgt in ((bicx.dv(x, y), (x, y - 1)), (bicx.dh(x, y), (x - 1, y))):
                 if tgt not in target_offsets or mat.nnz == 0:
                     continue
-                coo = mat.csc().tocoo()
-                rows_list.append(coo.row + target_offsets[tgt])
-                cols_list.append(coo.col + off)
-                vals_list.append(coo.data)
+                rows, cols, vals = mat.coo()
+                rows_list.append(rows + target_offsets[tgt])
+                cols_list.append(cols + off)
+                vals_list.append(vals)
         if rows_list:
             rows = np.concatenate(rows_list)
             cols = np.concatenate(cols_list)

@@ -11,6 +11,7 @@ from scipy import sparse as sp
 
 from nchodge.errors import ModulusError, NotAComplexError, ResourceError, ShapeError
 from nchodge.modring import (
+    CSC,
     TO_DENSE_LIMIT,
     ModMatrix,
     ResidueScalar,
@@ -464,13 +465,13 @@ def sparse_matrix(draw):
     return p, [[cols[j][i] for j in range(n_cols)] for i in range(n_rows)]
 
 
-def shuffled_csc(data: list[list[int]], p: int, rng) -> sp.csc_matrix:
-    """The CSC of data with the row indices of each column in random order
-    and its first entry v split into 1 and v - 1 (mod p, maybe 0), the
+def shuffled_csc(data: list[list[int]], p: int, rng) -> CSC:
+    """The CSC arrays of data with the row indices of each column in random
+    order and its first entry v split into 1 and v - 1 (mod p, maybe 0), the
     second one last."""
     csc = ModMatrix.from_dense(data, p).csc()
     rows, vals, ptr = [], [], [0]
-    for j in range(csc.shape[1]):
+    for j in range(len(data[0])):
         lo, hi = csc.indptr[j], csc.indptr[j + 1]
         perm = rng.permutation(hi - lo)
         r, v = csc.indices[lo:hi][perm].tolist(), csc.data[lo:hi][perm].tolist()
@@ -481,8 +482,7 @@ def shuffled_csc(data: list[list[int]], p: int, rng) -> sp.csc_matrix:
         rows += r
         vals += v
         ptr.append(len(rows))
-    return sp.csc_matrix((np.array(vals, dtype=np.int64), np.array(rows), np.array(ptr)),
-                         shape=csc.shape)
+    return CSC(np.array(ptr), np.array(rows, dtype=np.int64), np.array(vals, dtype=np.int64))
 
 
 @given(sparse_matrix(), st.booleans(), st.randoms(use_true_random=False))
@@ -510,9 +510,12 @@ def test_column_reduce_finds_the_rank_the_lows_and_their_sources(pm, ordered, rn
         k = order.index(j)
         made = suffix_lows(column_data(data, order[:k + 1]), p)
         assert r in made - suffix_lows(column_data(data, order[:k]), p)
-    # unsorted row indices and a split entry are read as the same matrix
-    messy = shuffled_csc(data, p, np.random.default_rng(rnd.randrange(2 ** 32)))
-    assert _column_reduce(messy, p, (n_rows, n_cols), False, order) == (rank, pivots)
+    # the constructor reads unsorted row indices and a split entry as the
+    # same matrix
+    messy = ModMatrix((n_rows, n_cols), p,
+                      shuffled_csc(data, p, np.random.default_rng(rnd.randrange(2 ** 32))))
+    assert messy == ModMatrix.from_dense(data, p)
+    assert _column_reduce(messy.csc(), p, (n_rows, n_cols), False, order) == (rank, pivots)
 
 
 def test_column_reduce_restarts_densely_past_the_fill_threshold():
