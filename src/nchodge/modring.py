@@ -138,8 +138,8 @@ class CSC(NamedTuple):
     """Compressed sparse columns: column j holds the rows
     indices[indptr[j]:indptr[j + 1]] with the values at the same positions
     of data. A ModMatrix keeps its CSC canonical: rows strictly increasing
-    within each column, values in [1, modulus), indices in int32 while the
-    shape and the entry count fit."""
+    within each column, values in [1, modulus), indptr and indices in int32
+    while the shape and the entry count fit."""
 
     indptr: np.ndarray
     indices: np.ndarray

@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse as sp
 
 from nchodge.errors import ModulusError, NotAComplexError, ResourceError, ShapeError
 from nchodge.modring import (
