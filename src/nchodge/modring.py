@@ -1,15 +1,15 @@
 """Exact linear algebra mod p and mod p**2.
 
 Matrices carry their modulus and store their entries as three numpy
-arrays in compressed sparse column format (`CSC`), kept canonical: every
-operation builds its result from coordinates with one sort on an int64
-key. Ranks and homology dimensions are computed by exact
-Gaussian elimination: a sparse column-reduction pass (columns processed by
-increasing support, pivot rows chosen deterministically) with a dense
-numpy elimination path for small matrices and as a fallback when fill-in
-passes a density threshold. Kernels and solutions are dense only, and
-refuse matrices past TO_DENSE_LIMIT entries. No floating point is used
-anywhere.
+arrays in compressed sparse column format (`CSC`), kept canonical;
+products, sums, transposes and row selections are rebuilt from
+coordinates with one sort on an int64 key. Ranks and homology dimensions
+are computed by exact Gaussian elimination: a sparse column-reduction pass
+(columns processed by increasing support, pivot rows chosen
+deterministically) with a dense numpy elimination path for small matrices
+and as a fallback when fill-in passes a density threshold. Kernels and
+solutions are dense only, and refuse matrices past TO_DENSE_LIMIT
+entries. No floating point is used anywhere.
 
 The column reduction works on the flat CSC arrays (PHAT's column
 representation; Bauer, Kerber, Reininghaus and Wagner, J. Symbolic
