@@ -150,13 +150,6 @@ def _index_dtype(shape: tuple[int, int], nnz: int):
     return np.int32 if max(shape[0], shape[1], nnz) < 1 << 31 else np.int64
 
 
-def _mod(x: np.ndarray, m: int) -> np.ndarray:
-    """x mod m for an int64 array, by floor division (numpy's % is slower)."""
-    q = x // m
-    q *= m
-    return np.subtract(x, q, out=q)
-
-
 def _col_of_entries(indptr: np.ndarray) -> np.ndarray:
     """The column of each stored entry: the number of columns, after the
     first, that start at or before it."""
@@ -185,26 +178,33 @@ def _row_bits(shape: tuple[int, int]) -> int:
 
 
 def _from_coo(shape: tuple[int, int], m: int, rows, cols, vals) -> CSC:
-    """The canonical CSC of the entries (rows[t], cols[t], vals[t])."""
+    """The canonical CSC of the entries (rows[t], cols[t], vals[t]), for
+    integer values of any sign and size below 2**63."""
+    vals = np.asarray(vals, dtype=np.int64)
+    if vals.size and (vals.min() < 0 or vals.max() >= m):
+        vals = vals % m
     key = np.asarray(cols, dtype=np.int64) << _row_bits(shape)
     key |= rows
     return _from_keys(shape, m, key, vals)
 
 
-def _from_keys(shape: tuple[int, int], m: int, key: np.ndarray, vals) -> CSC:
-    """The canonical CSC of the entries vals[t] at the positions
-    key[t] = column << _row_bits(shape) | row, in any order: sorted by key,
-    repeated positions summed, reduced mod m, zeros dropped. key is
-    overwritten. Values are reduced before they are summed, so a sum of
-    fewer than 2**31 of them stays below 2**63 at every m < 2**32."""
-    n_cols = shape[1]
-    r, s = _row_bits(shape), (m - 1).bit_length()
-    vals = np.asarray(vals, dtype=np.int64)
-    if vals.size and (vals.min() < 0 or vals.max() >= m):
-        vals = _mod(vals, m)
+def _from_keys(shape: tuple[int, int], m: int, key: np.ndarray, vals: np.ndarray) -> CSC:
+    """The canonical CSC of the residues vals[t] at the positions
+    key[t] = column << _row_bits(shape) | row, in any order. key is
+    overwritten."""
+    return _csc_of_sorted(shape, *_summed(shape, m, key, vals))
+
+
+def _summed(shape: tuple[int, int], m: int, key: np.ndarray, vals: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(key, vals) with every position of key once, in increasing order,
+    carrying the sum mod m of the residues vals at it; zero sums dropped.
+    key is overwritten. A sum of fewer than 2**31 residues below 2**32
+    stays below 2**63."""
+    s = (m - 1).bit_length()
     if key.size and not (key[1:] >= key[:-1]).all():
-        if max(n_cols - 1, 0).bit_length() + r + s <= 63:
-            # one sort of each key with its value in the low s bits
+        if _row_bits(shape) + max(shape[1] - 1, 0).bit_length() + s <= 63:
+            # one sort of each key with its residue in the low s bits
             key <<= s
             key |= vals
             key.sort()
@@ -221,12 +221,19 @@ def _from_keys(shape: tuple[int, int], m: int, key: np.ndarray, vals) -> CSC:
         if not new.all():
             starts = np.flatnonzero(new)
             del new
-            key, vals = key[starts], _mod(np.add.reduceat(vals, starts), m)
+            key, vals = key[starts], np.add.reduceat(vals, starts) % m
         nz = vals != 0
         if not nz.all():
             key, vals = key[nz], vals[nz]
+    return key, vals
+
+
+def _csc_of_sorted(shape: tuple[int, int], key: np.ndarray, vals: np.ndarray) -> CSC:
+    """The CSC of the residues vals at the positions key, strictly
+    increasing. key is overwritten."""
+    r = _row_bits(shape)
     idx = _index_dtype(shape, key.size)
-    indptr = np.zeros(n_cols + 1, dtype=idx)
+    indptr = np.zeros(shape[1] + 1, dtype=idx)
     if not key.size:
         return CSC(indptr, key.astype(idx), vals)
     col = key >> r
@@ -252,10 +259,10 @@ def _canonical_csc(shape: tuple[int, int], m: int, csc) -> CSC:
             or (indices.size and (indices.min() < 0 or indices.max() >= rows))):
         raise ShapeError(f"CSC arrays do not describe a {shape} matrix")
     if data.size:
-        up = np.diff(indices) > 0
-        # a column's first entry may lie below the previous column's last
-        starts = indptr[1:-1]
-        up[starts[(starts > 0) & (starts < data.size)] - 1] = True
+        # up[t]: entry t lies below entry t - 1 or starts a column
+        up = np.ones(data.size + 1, dtype=bool)
+        np.greater(indices[1:], indices[:-1], out=up[1:-1])
+        up[indptr[:-1]] = True
         if data.min() < 1 or data.max() >= m or not up.all():
             return _from_coo(shape, m, indices, _col_of_entries(indptr), data)
     idx = _index_dtype(shape, data.size)
@@ -281,25 +288,30 @@ class ModMatrix:
 
     __slots__ = ("shape", "modulus", "_csc", "_rank", "_pivot_rows")
 
-    def __init__(self, shape: tuple[int, int], modulus: int, csc, *, canonical: bool = False):
+    def __init__(self, shape: tuple[int, int], modulus: int, csc):
         """csc is any object with CSC arrays indptr, indices and data; they
-        are read, never written, and made canonical when they are not.
-        canonical=True skips the checks, for arrays built canonical here."""
+        are read, never written, and made canonical when they are not."""
         split_modulus(modulus)
         rows, cols = shape
         if rows < 0 or cols < 0:
             raise ShapeError(f"bad shape {shape}")
         self.shape = (int(rows), int(cols))
         self.modulus = int(modulus)
-        if canonical:
-            self._csc = csc
-        else:
-            self._csc = _canonical_csc(self.shape, self.modulus, csc)
+        self._csc = _canonical_csc(self.shape, self.modulus, csc)
         self._rank: int | None = None
         # rows where the reduced columns of the transpose end (the lows of
         # the row space), when rank_fp reduced this matrix transposed; None
         # otherwise
         self._pivot_rows: np.ndarray | None = None
+
+    @classmethod
+    def _of(cls, shape: tuple[int, int], modulus: int, csc: CSC) -> "ModMatrix":
+        """The matrix of a canonical CSC that this module built, without
+        the passes over every entry with which __init__ checks its input."""
+        mat = cls.__new__(cls)
+        mat.shape, mat.modulus, mat._csc = shape, modulus, csc
+        mat._rank = mat._pivot_rows = None
+        return mat
 
     # ---------------- constructors ----------------
 
@@ -323,7 +335,7 @@ class ModMatrix:
         if rows.size and (rows.min() < 0 or rows.max() >= shape[0]
                           or cols.min() < 0 or cols.max() >= shape[1]):
             raise ShapeError(f"an entry lies outside the {shape} matrix")
-        return cls(shape, modulus, _from_coo(shape, modulus, rows, cols, vals), canonical=True)
+        return cls._of(shape, modulus, _from_coo(shape, modulus, rows, cols, vals))
 
     @classmethod
     def from_dense(cls, arr, modulus: int) -> "ModMatrix":
@@ -338,18 +350,11 @@ class ModMatrix:
     def from_index_map(cls, rows_for_col: np.ndarray, n_rows: int, modulus: int,
                        vals: np.ndarray | None = None) -> "ModMatrix":
         """Column j carries a single entry at row rows_for_col[j], 1 unless
-        vals gives it; one entry per column needs no sorting."""
-        rows_for_col = np.asarray(rows_for_col)
-        n_cols = rows_for_col.shape[0]
-        if n_cols and not (0 <= rows_for_col.min() and rows_for_col.max() < n_rows):
-            raise ShapeError(f"index map leaves the {n_rows} rows")
-        if vals is not None:
-            return cls.from_arrays((n_rows, n_cols), modulus, rows_for_col, np.arange(n_cols),
-                                   vals)
-        idx = _index_dtype((n_rows, n_cols), n_cols)
+        vals gives it."""
+        n_cols = len(rows_for_col)
         return cls((n_rows, n_cols), modulus, CSC(
-            np.arange(n_cols + 1, dtype=idx), rows_for_col.astype(idx),
-            np.ones(n_cols, dtype=np.int64)), canonical=True)
+            np.arange(n_cols + 1), rows_for_col,
+            np.ones(n_cols, dtype=np.int64) if vals is None else vals))
 
     # ---------------- basic queries ----------------
 
@@ -415,49 +420,47 @@ class ModMatrix:
         of the left one; every product is reduced mod m (exact in uint64 for
         m < 2**32) and the products at one position are summed. The columns
         of the right factor are taken in blocks of about MATMUL_BLOCK
-        products, so the expansion never holds many more at once."""
+        products, so the expansion never holds many more at once; each
+        block is sorted and summed alone, and since the blocks follow the
+        columns in order, their positions concatenate into the product's CSC."""
         self._join(other)
         if self.shape[1] != other.shape[0]:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        left, right = self._csc, other._csc
-        count = np.diff(left.indptr)[right.indices]
-        before = np.cumsum(count)  # products up to each entry of the right factor
-        # a new block starts at the column of every MATMUL_BLOCK-th product
-        marks = np.arange(MATMUL_BLOCK, before[-1] if before.size else 0, MATMUL_BLOCK)
-        entry = np.searchsorted(before, marks, side="right")
-        inner = np.searchsorted(right.indptr, entry, side="right") - 1
-        cuts = [0, *sorted({c for c in inner.tolist() if c > 0}), other.shape[1]]
-        parts = [self._product_of_columns(right, count, lo, hi)
-                 for lo, hi in zip(cuts[:-1], cuts[1:])]
-        return parts[0] if len(parts) == 1 else hstack(parts)
-
-    def _product_of_columns(self, right: CSC, count: np.ndarray, lo: int, hi: int
-                            ) -> "ModMatrix":
-        """self @ (columns lo .. hi - 1 of right); count[t] is the length of
-        the left column that entry t of right meets."""
-        m, left = self.modulus, self._csc
-        first, last = int(right.indptr[lo]), int(right.indptr[hi])
-        indptr = right.indptr[lo:hi + 1] - first
-        count, k = count[first:last], right.indices[first:last]
-        # the entries of the right factor whose row is a nonempty left column
-        hit = np.flatnonzero(count)
-        col = np.searchsorted(indptr, hit.astype(indptr.dtype), side="right") - 1
-        count = count[hit]
-        _, at = _segments(left.indptr[k[hit]].astype(np.int64), count)
-        shape = (self.shape[0], hi - lo)
-        key = np.repeat(col << _row_bits(shape), count)
-        key |= left.indices[at]
-        vals = _mulmod(left.data[at], np.repeat(right.data[first:last][hit], count), m)
-        return ModMatrix(shape, m, _from_keys(shape, m, key, vals), canonical=True)
+        m, left, right = self.modulus, self._csc, other._csc
+        shape = (self.shape[0], other.shape[1])
+        r = _row_bits(shape)
+        count = np.diff(left.indptr)[right.indices]  # products of each right entry
+        end = np.cumsum(count)
+        # a block starts at the column of every MATMUL_BLOCK-th product
+        entry = np.searchsorted(end, np.arange(MATMUL_BLOCK, end[-1] if end.size else 0,
+                                               MATMUL_BLOCK), side="right")
+        cuts = np.unique(np.searchsorted(right.indptr, entry, side="right") - 1).tolist()
+        keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for lo, hi in zip([0] + cuts, cuts + [shape[1]]):
+            first, last = int(right.indptr[lo]), int(right.indptr[hi])
+            if first == last:
+                continue
+            c = count[first:last]
+            # the left entries that meet each right entry, in turn
+            _, at = _segments(left.indptr[right.indices[first:last]].astype(np.int64), c)
+            col = _col_of_entries(right.indptr[lo:hi + 1] - first) + lo
+            key = np.repeat(col << r, c)
+            key |= left.indices[at]
+            key, v = _summed(shape, m, key,
+                             _mulmod(left.data[at], np.repeat(right.data[first:last], c), m))
+            keys.append(key)
+            vals.append(v)
+        return ModMatrix._of(shape, m, _csc_of_sorted(shape, np.concatenate(keys),
+                                                      np.concatenate(vals)))
 
     def _plus(self, other: "ModMatrix", sign: int) -> "ModMatrix":
         self._join(other)
         if self.shape != other.shape:
             raise ShapeError(f"cannot combine {self.shape} and {other.shape}")
         (r0, c0, v0), (r1, c1, v1) = self.coo(), other.coo()
-        return ModMatrix(self.shape, self.modulus, _from_coo(
+        return ModMatrix._of(self.shape, self.modulus, _from_coo(
             self.shape, self.modulus, np.concatenate([r0, r1]), np.concatenate([c0, c1]),
-            np.concatenate([v0, v1 if sign > 0 else self.modulus - v1])), canonical=True)
+            np.concatenate([v0, v1 if sign > 0 else self.modulus - v1])))
 
     def __add__(self, other: "ModMatrix") -> "ModMatrix":
         return self._plus(other, 1)
@@ -479,8 +482,7 @@ class ModMatrix:
         key = indices.astype(np.int64)
         key <<= _row_bits(shape)
         key |= _col_of_entries(indptr)
-        return ModMatrix(shape, self.modulus, _from_keys(shape, self.modulus, key, data),
-                         canonical=True)
+        return ModMatrix._of(shape, self.modulus, _from_keys(shape, self.modulus, key, data))
 
     @property
     def T(self) -> "ModMatrix":
@@ -488,8 +490,8 @@ class ModMatrix:
 
     def restrict(self, rows: np.ndarray | None = None,
                  cols: np.ndarray | None = None) -> "ModMatrix":
-        """Submatrix on the given index arrays (or boolean selectors); cols
-        may repeat a column, rows may not repeat a row."""
+        """Submatrix on the given index arrays (or boolean selectors); an
+        index array may repeat an index."""
         indptr, indices, data = self._csc
         n_rows, n_cols = self.shape
         # columns first: a column gather of CSC is a slice per column
@@ -499,28 +501,27 @@ class ModMatrix:
             n_cols = cols.size
             idx = _index_dtype((n_rows, n_cols), at.size)
             indptr, indices, data = ptr.astype(idx), indices[at].astype(idx, copy=False), data[at]
-        if rows is None:
-            return ModMatrix((n_rows, n_cols), self.modulus, CSC(indptr, indices, data),
-                             canonical=True)
-        rows = _selector(rows, n_rows)
-        renumber = np.full(n_rows, -1, dtype=np.int64)
-        renumber[rows] = np.arange(rows.size)
-        if np.count_nonzero(renumber >= 0) != rows.size:
-            raise ShapeError("restrict repeats a row")
-        new = renumber[indices]
-        kept = new >= 0
-        shape = (rows.size, n_cols)
-        key = _col_of_entries(indptr)[kept]
-        key <<= _row_bits(shape)
-        key |= new[kept]
-        # the rows keep their order within a column unless rows does not increase
-        return ModMatrix(shape, self.modulus, _from_keys(shape, self.modulus, key, data[kept]),
-                         canonical=True)
+        if rows is not None:
+            rows = _selector(rows, n_rows)
+            # row i of self is row t of the result for every t in
+            # order[first[i]:first[i] + count[i]]
+            order = np.argsort(rows, kind="stable")
+            count = np.bincount(rows, minlength=n_rows)
+            first = np.cumsum(count) - count
+            c = count[indices]
+            _, at = _segments(first[indices], c)
+            n_rows = rows.size
+            key = np.repeat(_col_of_entries(indptr) << _row_bits((n_rows, n_cols)), c)
+            key |= order[at]
+            indptr, indices, data = _from_keys((n_rows, n_cols), self.modulus, key,
+                                               np.repeat(data, c))
+        return ModMatrix._of((n_rows, n_cols), self.modulus, CSC(indptr, indices, data))
 
 
 def _mulmod(x, y, m: int) -> np.ndarray:
     """x * y mod m for residue arrays, exact for m < 2**32 (products fit uint64)."""
-    # residues are not negative, so their int64 bits read as uint64 unchanged
+    # residues are not negative, so their int64 bits read as uint64 unchanged;
+    # numpy divides by a scalar faster than it takes %
     prod = (np.asarray(x, dtype=np.int64).view(np.uint64)
             * np.asarray(y, dtype=np.int64).view(np.uint64))
     prod -= prod // np.uint64(m) * np.uint64(m)
@@ -595,10 +596,10 @@ def hstack(mats: Sequence[ModMatrix]) -> ModMatrix:
     idx = _index_dtype(shape, int(offsets[-1]))
     indptr = np.concatenate([np.zeros(1, dtype=idx)]
                             + [part.indptr[1:] + off for part, off in zip(parts, offsets)])
-    return ModMatrix(shape, m, CSC(
+    return ModMatrix._of(shape, m, CSC(
         indptr.astype(idx, copy=False),
         np.concatenate([part.indices for part in parts]).astype(idx, copy=False),
-        np.concatenate([part.data for part in parts])), canonical=True)
+        np.concatenate([part.data for part in parts])))
 
 
 # ---------------- dense elimination ----------------
