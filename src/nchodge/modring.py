@@ -434,12 +434,11 @@ class ModMatrix:
         # a block starts at the column of every MATMUL_BLOCK-th product
         entry = np.searchsorted(end, np.arange(MATMUL_BLOCK, end[-1] if end.size else 0,
                                                MATMUL_BLOCK), side="right")
-        cuts = np.unique(np.searchsorted(right.indptr, entry, side="right") - 1).tolist()
+        inner = np.searchsorted(right.indptr, entry, side="right") - 1
+        cuts = [0, *sorted(set(inner.tolist()) - {0}), shape[1]]
         keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for lo, hi in zip([0] + cuts, cuts + [shape[1]]):
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
             first, last = int(right.indptr[lo]), int(right.indptr[hi])
-            if first == last:
-                continue
             c = count[first:last]
             # the left entries that meet each right entry, in turn
             _, at = _segments(left.indptr[right.indices[first:last]].astype(np.int64), c)
