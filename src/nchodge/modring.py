@@ -11,11 +11,17 @@ and as a fallback when fill-in passes a density threshold. Kernels and
 solutions are dense only, and refuse matrices past TO_DENSE_LIMIT
 entries. No floating point is used anywhere.
 
-The column reduction works on the flat CSC arrays (PHAT's column
+The column reduction works on the CSC arrays (PHAT's column
 representation; Bauer, Kerber, Reininghaus and Wagner, J. Symbolic
-Comput. 78, 2017): a free column becomes a pivot as it stands, only a
-colliding column gets a working dict, and each pivot is scaled to lead 1
-once, when it is first used.
+Comput. 78, 2017). It runs in rounds, as in the chunked reduction of
+Bauer, Kerber and Reininghaus ("Clear and Compress", 2014): each round
+finds the owner of every column's low, the earliest column that ends
+there, and reduces every other column at that low by its owner at once,
+with one gather and one sort over numpy arrays. Once few columns collide,
+or a round leaves more than half of its columns colliding, the rest is
+reduced one column at a time: a free column becomes a pivot as it stands,
+only a colliding column gets a working dict, and each pivot is scaled to
+lead 1 once, when it is first used.
 
 Homology dimensions use clearing (Chen-Kerber, "Persistent homology
 computation with a twist", 2011): a wide differential d_out is reduced
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import isqrt
 from typing import NamedTuple, Sequence
 
@@ -51,6 +58,15 @@ FILL_THRESHOLD = 0.25
 TO_DENSE_LIMIT = 1 << 24
 # products a sparse matmul expands at once, about
 MATMUL_BLOCK = 1 << 15
+# a column reduction of fewer columns than this runs the dict step alone:
+# the benchmark's reductions of 32-66 columns take 1.5-2.2 times as long
+# with the rounds' numpy state, those of 155-241 columns about as long,
+# and those of 520-732 columns 1.1-3 times longer without it
+DICT_COLUMNS = 128
+# a column reduction runs rounds while at least this many columns collide
+ROUND_MIN = 32
+# entries a reduction round gathers at once, about
+ROUND_BLOCK = 1 << 20
 
 
 # Miller-Rabin with these bases is deterministic for n < 3.3 * 10**24
@@ -604,9 +620,11 @@ def hstack(mats: Sequence[ModMatrix]) -> ModMatrix:
 # ---------------- dense elimination ----------------
 
 def _dense_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p. Returns (rref, pivot column list)."""
+    """Reduced row echelon form mod p. Returns (rref, pivot column list).
+    Past (p - 1)**2 >= 2**63 the products are taken by `_mulmod`."""
     a = np.array(a, dtype=np.int64) % p
     m, n = a.shape
+    wide = (p - 1) ** 2 >= 1 << 63
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -620,12 +638,14 @@ def _dense_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), p - 2, p)
         if inv != 1:
-            a[r] = a[r] * inv % p
+            a[r] = _mulmod(a[r], inv, p) if wide else a[r] * inv % p
         col = a[:, c].copy()
         col[r] = 0
         nzcol = np.nonzero(col)[0]
         if nzcol.size:
-            a[nzcol] = (a[nzcol] - np.outer(col[nzcol], a[r])) % p
+            prod = (_mulmod(col[nzcol, None], a[r], p) if wide
+                    else np.outer(col[nzcol], a[r]))
+            a[nzcol] = (a[nzcol] - prod) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -658,43 +678,126 @@ def _column_reduce(csc: CSC, p: int, shape: tuple[int, int],
 
     Columns are processed in the given order, by default by increasing
     support size, ties by index (a cheap stand-in for Markowitz pivoting);
-    within a column the pivot row is the largest remaining row index, which
-    makes the reduction deterministic. Returns (rank, pivots): pivots maps
-    each pivot row to the index of the column that made it, in the order
-    the pivots were found.
+    the order may name a subset of the columns, and the others are left
+    out. A column's pivot row is its largest row once no column before it
+    in the order ends there, which makes the reduction deterministic.
+    Returns (rank, pivots): pivots maps each pivot row to the index of the
+    column that made it, in the order of those columns.
 
-    The CSC arrays become three flat lists once, and a pivot is a (lo, hi)
-    slice of them with its pivot row last. A column whose largest row holds
-    no pivot yet is free: it becomes a pivot as it stands, with no copy and
-    no scaling. Only a column that collides gets a {row: value} dict to
-    eliminate in. A pivot built from such a dict, and a free pivot the
-    first time a collision uses it, is scaled to carry 1 at its row and
-    appended to the flat lists, so each pivot is scaled at most once.
-    The fill counted against FILL_THRESHOLD is the size of every pivot,
-    free ones included.
+    Only earlier columns are ever added to later ones, so the pairs are
+    those of the column-by-column reduction however the work is batched: a
+    reduced R = D V with V upper triangular has the same lows and sources
+    for every such V. While at least ROUND_MIN columns collide, the
+    reduction runs in rounds over numpy arrays (`_Columns.round`); the rest
+    is left to `_dict_step`, one column at a time. The rounds stop when a
+    round, after the second, leaves more than half of its columns
+    colliding: then the chains of collisions are deep, and the dict step
+    walks them faster. The fill counted against FILL_THRESHOLD is the size
+    of every pivot, free ones included.
     """
     area = shape[0] * shape[1]
     limit = FILL_THRESHOLD * area if fill_guard and 0 < area <= DENSE_ENTRY_LIMIT else None
-    if order is None:
-        order = np.argsort(np.diff(csc.indptr), kind="stable").tolist()
-    ptr = csc.indptr.tolist()
-    rows = csc.indices.tolist()
-    vals = csc.data.tolist()
-    pivots: dict[int, tuple[int, int, int]] = {}  # pivot row -> (lo, hi, source)
-    fill = 0
-    for j in order:
-        lo, hi = ptr[j], ptr[j + 1]
+    if not csc.data.size:
+        return 0, {}
+    cols = _by_size(csc.indptr) if order is None else np.asarray(order, dtype=np.int64)
+    if cols.size < DICT_COLUMNS:
+        # the dict step takes every column as it stands, from lists of the
+        # CSC arrays
+        spans = list(zip(csc.indptr[cols].tolist(), csc.indptr[cols + 1].tolist()))
+        pivots = _dict_step(p, csc.indices.tolist(), csc.data.tolist(), range(cols.size),
+                            spans.__getitem__, None, 0, limit)
+        cols = cols.tolist()
+        # with every column queued in order, none is displaced, so the
+        # pivots were found in the order of their sources
+        return len(pivots), {r: cols[k] for r, (_, _, k) in pivots.items()}
+    red = _Columns(csc, p, shape, cols)
+    rounds = 0
+    while True:
+        if limit is not None and red.fill > limit:
+            raise _DenseRestart
+        left = red.active.size
+        if left < ROUND_MIN or (rounds >= 2 and 2 * left > red.taken):
+            break
+        red.round()
+        rounds += 1
+    rows: list[int] = []
+    vals: list[int] = []
+    pivots = _dict_step(p, rows, vals, red.active.tolist(), red.spans(rows, vals),
+                        red.owner, red.fill, limit)
+    own = red.own
+    own[np.fromiter(pivots, dtype=np.int64, count=len(pivots))] = [
+        k for _, _, k in pivots.values()]
+    # the pivots, by the position of their source
+    row_at = np.full(cols.size, -1, dtype=np.int64)
+    held = np.flatnonzero(own < cols.size)
+    row_at[own[held]] = held
+    pos = np.flatnonzero(row_at >= 0)
+    return pos.size, dict(zip(row_at[pos].tolist(), cols[pos].tolist()))
+
+
+def _by_size(indptr: np.ndarray) -> np.ndarray:
+    """The columns by increasing size, ties by index: one sort of
+    size << b | column."""
+    n = indptr.size - 1
+    b = max(n - 1, 0).bit_length()
+    key = np.diff(indptr).astype(np.int64) << b
+    key |= np.arange(n)
+    key.sort()
+    return key & ((1 << b) - 1)
+
+
+def _dict_step(p: int, rows: list[int], vals: list[int], queue, span,
+               owner, fill: int, limit: float | None) -> dict[int, tuple[int, int, int]]:
+    """Column reduction one column at a time, on two flat lists: the
+    positions of queue, increasing, are reduced in order, and each pivot is
+    a (lo, hi) slice of rows and vals with its pivot row last.
+
+    span(k) is the slice that holds position k's entries, appended first
+    if need be; owner(r), when given, is the position that owned row r
+    before the step, or None, and span(owner(r), True) appends its entries
+    scaled to lead 1. A column whose largest row no earlier position owns
+    is free: it becomes a pivot as it stands, with no copy and no scaling.
+    Only a column that collides gets a {row: value} dict to eliminate in. A
+    pivot built from such a dict, and a free pivot the first time a
+    collision uses it, is scaled to carry 1 at its row and appended to the
+    lists, so each pivot is scaled at most once. A column
+    that reaches a row a later position owns takes it over, and the later
+    one is queued again: it waits on a heap that is merged into the queue,
+    so every position before the one in hand is final. A working column
+    keeps its rows on a heap as well, so that finding its largest row is
+    not a scan of the column. Returns the pivots made or used here, as
+    {row: (lo, hi, position)}."""
+    pivots: dict[int, tuple[int, int, int]] = {}
+
+    def held(r):  # the pivot at r that owner names, brought into the lists
+        o = owner(r)
+        if o is not None:
+            pivots[r] = (*span(o, True), o)
+            return pivots[r]
+        return None
+
+    base = len(rows)  # what the lists held before the step
+    later: list[int] = []  # displaced positions, a heap
+    for j in _merged(queue, later):
+        lo, hi = span(j)
         if lo == hi:
             continue
         r = rows[hi - 1]
         hit = pivots.get(r)
-        if hit is None:  # a free column
+        if hit is None and owner is not None:
+            hit = held(r)
+        if hit is None or hit[2] > j:  # a free column
+            if hit is not None:
+                heappush(later, hit[2])
             pivots[r] = (lo, hi, j)
             fill += hi - lo
             if limit is not None and fill > limit:
                 raise _DenseRestart
             continue
         c = dict(zip(rows[lo:hi], vals[lo:hi]))
+        tops = [-rr for rr in reversed(rows[lo:hi])]  # c's rows negated: sorted, so a heap
+        if lo >= base and hi == len(rows):  # appended only to be read here
+            del rows[lo:], vals[lo:]
         while True:
             lo, hi, src = hit
             lead = vals[hi - 1]
@@ -706,16 +809,29 @@ def _column_reduce(csc: CSC, p: int, shape: tuple[int, int],
                 pivots[r] = (lo, hi, src)
             f = c.pop(r)
             for rr, vv in zip(rows[lo:hi - 1], vals[lo:hi - 1]):
-                nv = (c.get(rr, 0) - f * vv) % p
-                if nv:
-                    c[rr] = nv
+                x = c.get(rr)
+                if x is None:
+                    c[rr] = -f * vv % p
+                    heappush(tops, -rr)
                 else:
-                    c.pop(rr, None)
+                    nv = (x - f * vv) % p
+                    if nv:
+                        c[rr] = nv
+                    else:
+                        del c[rr]
             if not c:
                 break
-            r = max(c)
+            # every row of c is on the heap, pushed again when it comes back,
+            # so -tops[0] is max(c) once the rows not in c are popped
+            while -tops[0] not in c:
+                heappop(tops)
+            r = -tops[0]
             hit = pivots.get(r)
-            if hit is None:
+            if hit is None and owner is not None:
+                hit = held(r)
+            if hit is None or hit[2] > j:
+                if hit is not None:
+                    heappush(later, hit[2])
                 inv = pow(c.pop(r), p - 2, p)
                 lo = len(rows)
                 rows.extend(c)
@@ -727,7 +843,160 @@ def _column_reduce(csc: CSC, p: int, shape: tuple[int, int],
                 if limit is not None and fill > limit:
                     raise _DenseRestart
                 break
-    return len(pivots), {r: src for r, (_, _, src) in pivots.items()}
+    return pivots
+
+
+def _merged(queue, later: list[int]):
+    """The positions of queue, increasing, and those pushed on the heap
+    later meanwhile, in increasing order."""
+    for j in queue:
+        while later and later[0] < j:
+            yield heappop(later)
+        yield j
+    while later:
+        yield heappop(later)
+
+
+class _Columns:
+    """The state of a column reduction in rounds. Position k stands for
+    column cols[k], the k-th in the order. Its current entries are the
+    slice beg[k]:end[k] of the CSC arrays, or of the pool once a round
+    rewrote them; low[k] and lead[k] are its largest row and the value
+    there. own[r] is the position that holds row r as its pivot, the
+    earliest one ending at r, and n where none does. active lists,
+    increasing, the positions that end at a row an earlier one owns."""
+
+    def __init__(self, csc: CSC, p: int, shape: tuple[int, int], cols: np.ndarray):
+        n = cols.size
+        self.p, self.shape, self.n = p, shape, n
+        self.rows, self.vals = csc.indices, csc.data
+        self.beg = csc.indptr[cols].astype(np.int64)
+        self.end = csc.indptr[cols + 1].astype(np.int64)
+        self.pooled = np.zeros(n, dtype=bool)
+        self.pool_rows, self.pool_vals = csc.indices[:0], csc.data[:0]
+        self.dead = 0  # pool entries no position reads any more
+        live = np.flatnonzero(self.end > self.beg)
+        self.low = np.full(n, -1, dtype=np.int64)
+        self.low[live] = csc.indices[self.end[live] - 1]
+        self.lead = np.zeros(n, dtype=np.int64)
+        self.lead[live] = csc.data[self.end[live] - 1]
+        self.own = np.full(shape[0], n, dtype=np.int64)
+        self.fill = 0
+        self.taken = 0  # the positions the last round took
+        self.active = self._claim(live)
+
+    def _claim(self, ks: np.ndarray) -> np.ndarray:
+        """Let each position of ks, increasing and none of them an owner,
+        own its low unless an earlier position does; an owner that a
+        position of ks precedes is displaced. Returns the positions left
+        colliding, increasing."""
+        # by low, each low's positions increasing: one sort of low << b | k
+        b = max(self.n - 1, 0).bit_length()
+        key = self.low[ks] << b
+        key |= ks
+        key.sort()
+        ks, low = key & ((1 << b) - 1), key >> b
+        first = np.ones(ks.size, dtype=bool)
+        np.not_equal(low[1:], low[:-1], out=first[1:])
+        head, at = ks[first], low[first]
+        held = self.own[at]
+        win = head < held
+        out = held[win]
+        out = out[out < self.n]
+        won = head[win]
+        self.own[at[win]] = won
+        self.fill += int((self.end[won] - self.beg[won]).sum()
+                         - (self.end[out] - self.beg[out]).sum())
+        return np.sort(np.concatenate([ks[~first], head[~win], out]))
+
+    def _entries(self, ks: np.ndarray, tag: np.ndarray, coef: np.ndarray, r: int
+                 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Keys tag[t] << r | row and values coef[t] * v mod p of the
+        entries (row, v) of each position ks[t], one part per source."""
+        keys, vals = [], []
+        pooled = self.pooled[ks]
+        for rows, data, sel in ((self.rows, self.vals, ~pooled),
+                                (self.pool_rows, self.pool_vals, pooled)):
+            if not sel.any():
+                continue
+            k = ks[sel]
+            count = self.end[k] - self.beg[k]
+            _, at = _segments(self.beg[k], count)
+            key = np.repeat(tag[sel] << r, count)
+            key |= rows[at]
+            keys.append(key)
+            vals.append(_mulmod(data[at], np.repeat(coef[sel], count), self.p))
+        return keys, vals
+
+    def round(self) -> None:
+        """Reduce every active position c by the owner o of its low at once:
+        c <- lead(o) c - lead(c) o, which clears that row with no inverse.
+        The positions are taken in blocks of about ROUND_BLOCK entries, and
+        each block is summed by one sort; the new entries go to the pool."""
+        ks, p = self.active, self.p
+        self.taken = ks.size
+        own = self.own[self.low[ks]]
+        size = self.end - self.beg
+        # blocks cut at every ROUND_BLOCK-th entry that the gathers read
+        end = np.cumsum(size[ks] + size[own])
+        cuts = np.searchsorted(end, np.arange(ROUND_BLOCK, end[-1], ROUND_BLOCK), side="right")
+        cuts = [0, *sorted(set(cuts.tolist()) - {0, ks.size}), ks.size]
+        rows_out, vals_out, count = [], [], []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            c, o = ks[lo:hi], own[lo:hi]
+            shape = (self.shape[0], hi - lo)
+            r = _row_bits(shape)
+            tag = np.arange(hi - lo, dtype=np.int64)
+            kc, vc = self._entries(c, tag, self.lead[o], r)
+            ko, vo = self._entries(o, tag, p - self.lead[c], r)
+            key, val = _summed(shape, p, np.concatenate(kc + ko), np.concatenate(vc + vo))
+            count.append(np.bincount(key >> r, minlength=hi - lo))
+            key &= (1 << r) - 1
+            rows_out.append(key.astype(self.rows.dtype))
+            vals_out.append(val)
+        count = np.concatenate(count)
+        # the entries ks held in the pool are dead; the pool is compacted
+        # once the dead outnumber the live
+        self.dead += int(size[ks[self.pooled[ks]]].sum())
+        self.pooled[ks] = False
+        if 2 * self.dead > self.pool_vals.size:
+            self._compact()
+        base = self.pool_vals.size
+        self.pool_rows = np.concatenate([self.pool_rows, *rows_out])
+        self.pool_vals = np.concatenate([self.pool_vals, *vals_out])
+        self.end[ks] = base + np.cumsum(count)
+        self.beg[ks] = self.end[ks] - count
+        self.pooled[ks] = True
+        left = ks[count > 0]
+        self.low[left] = self.pool_rows[self.end[left] - 1]
+        self.lead[left] = self.pool_vals[self.end[left] - 1]
+        self.active = self._claim(left)
+
+    def _compact(self) -> None:
+        ks = np.flatnonzero(self.pooled)
+        ptr, at = _segments(self.beg[ks], self.end[ks] - self.beg[ks])
+        self.pool_rows, self.pool_vals = self.pool_rows[at], self.pool_vals[at]
+        self.beg[ks], self.end[ks] = ptr[:-1], ptr[1:]
+        self.dead = 0
+
+    def owner(self, r: int) -> int | None:
+        o = int(self.own[r])
+        return o if o < self.n else None
+
+    def spans(self, rows: list[int], vals: list[int]):
+        """span(k, unit) for `_dict_step`: appends position k's entries to
+        the lists, scaled to lead 1 if unit, and returns where they went."""
+        def span(k: int, unit: bool = False) -> tuple[int, int]:
+            lo, hi = int(self.beg[k]), int(self.end[k])
+            src_rows, src_vals = ((self.pool_rows, self.pool_vals) if self.pooled[k]
+                                  else (self.rows, self.vals))
+            rows.extend(src_rows[lo:hi].tolist())
+            v = src_vals[lo:hi]
+            if unit and v[-1] != 1:
+                v = _mulmod(v, pow(int(v[-1]), self.p - 2, self.p), self.p)
+            vals.extend(v.tolist())
+            return len(rows) - (hi - lo), len(rows)
+        return span
 
 
 def _prime_of(mat: ModMatrix) -> int:

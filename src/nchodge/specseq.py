@@ -102,7 +102,7 @@ def _pairing(filt: IncreasingFiltration, lev: dict[int, np.ndarray],
         keep[cleared] = False
         cod = d.T.restrict(rows=rows)
         _, pivots = _column_reduce(cod.csc(), _prime_of(d), cod.shape,
-                                   fill_guard=False, order=order[keep[order]].tolist())
+                                   fill_guard=False, order=order[keep[order]])
         tau = rows[np.fromiter(pivots, dtype=np.int64, count=len(pivots))]
         sigma = np.fromiter(pivots.values(), dtype=np.int64, count=len(pivots))
         out[n] = (sigma, tau, lev[n][tau] - lev[n - 1][sigma])

@@ -3,8 +3,10 @@ unsubdivided and the p-fold subdivided level maps, the subdivided faces and
 degeneracies composed of p ordinary ones by matmul, the periodic
 two-column bicomplex whose totalization recomputes cyclic homology, and
 the (b, B) bicomplex of a mixed complex, whose totalization and block
-tables are the reference of `complexes.filtration_by_columns`, and the
-algebra seen relative to the ground field (`over_k`).
+tables are the reference of `complexes.filtration_by_columns`, the
+algebra seen relative to the ground field (`over_k`), and the
+column-by-column reduction that `modring._column_reduce` replaced
+(`reference_column_reduce`).
 
 The package builds its operators by index arithmetic and certifies the
 algebra (associativity, unit) when it is loaded. These sweeps multiply the
@@ -16,6 +18,7 @@ level, and an empty list when every identity holds.
 from __future__ import annotations
 
 import copy
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +30,8 @@ from nchodge.complexes import (BicomplexWindow, IncreasingFiltration, LazyDiffs,
 from nchodge.conventions import cyclic_sign
 from nchodge.hochcyc import (CyclicLevelMaps, degeneracy_matrix, face_matrix, hc_dims,
                              rotation_matrix)
-from nchodge.modring import ModMatrix
+from nchodge.modring import (CSC, DENSE_ENTRY_LIMIT, FILL_THRESHOLD, ModMatrix,
+                             _DenseRestart)
 
 
 def matpow(mat: ModMatrix, k: int) -> ModMatrix:
@@ -267,3 +271,86 @@ def over_k(a):
     out = copy.copy(a)
     out.idempotents = BasisIdempotents.ground(a)
     return out
+
+
+def reference_column_reduce(csc: CSC, p: int, shape: tuple[int, int],
+                            fill_guard: bool = True, order: Sequence[int] | None = None
+                            ) -> tuple[int, dict[int, int]]:
+    """The column-by-column reduction that `modring._column_reduce` replaced,
+    kept as its reference: the same arguments, the same (rank, pivots).
+
+    Persistence-style column reduction mod p of the columns of csc, the
+    canonical CSC of a ModMatrix.
+
+    Columns are processed in the given order, by default by increasing
+    support size, ties by index (a cheap stand-in for Markowitz pivoting);
+    within a column the pivot row is the largest remaining row index, which
+    makes the reduction deterministic. Returns (rank, pivots): pivots maps
+    each pivot row to the index of the column that made it, in the order
+    the pivots were found.
+
+    The CSC arrays become three flat lists once, and a pivot is a (lo, hi)
+    slice of them with its pivot row last. A column whose largest row holds
+    no pivot yet is free: it becomes a pivot as it stands, with no copy and
+    no scaling. Only a column that collides gets a {row: value} dict to
+    eliminate in. A pivot built from such a dict, and a free pivot the
+    first time a collision uses it, is scaled to carry 1 at its row and
+    appended to the flat lists, so each pivot is scaled at most once.
+    The fill counted against FILL_THRESHOLD is the size of every pivot,
+    free ones included.
+    """
+    area = shape[0] * shape[1]
+    limit = FILL_THRESHOLD * area if fill_guard and 0 < area <= DENSE_ENTRY_LIMIT else None
+    if order is None:
+        order = np.argsort(np.diff(csc.indptr), kind="stable").tolist()
+    ptr = csc.indptr.tolist()
+    rows = csc.indices.tolist()
+    vals = csc.data.tolist()
+    pivots: dict[int, tuple[int, int, int]] = {}  # pivot row -> (lo, hi, source)
+    fill = 0
+    for j in order:
+        lo, hi = ptr[j], ptr[j + 1]
+        if lo == hi:
+            continue
+        r = rows[hi - 1]
+        hit = pivots.get(r)
+        if hit is None:  # a free column
+            pivots[r] = (lo, hi, j)
+            fill += hi - lo
+            if limit is not None and fill > limit:
+                raise _DenseRestart
+            continue
+        c = dict(zip(rows[lo:hi], vals[lo:hi]))
+        while True:
+            lo, hi, src = hit
+            lead = vals[hi - 1]
+            if lead != 1:  # a free pivot's first use: scale it once
+                inv = pow(lead, p - 2, p)
+                vals.extend([v * inv % p for v in vals[lo:hi]])
+                rows.extend(rows[lo:hi])
+                lo, hi = len(rows) - (hi - lo), len(rows)
+                pivots[r] = (lo, hi, src)
+            f = c.pop(r)
+            for rr, vv in zip(rows[lo:hi - 1], vals[lo:hi - 1]):
+                nv = (c.get(rr, 0) - f * vv) % p
+                if nv:
+                    c[rr] = nv
+                else:
+                    c.pop(rr, None)
+            if not c:
+                break
+            r = max(c)
+            hit = pivots.get(r)
+            if hit is None:
+                inv = pow(c.pop(r), p - 2, p)
+                lo = len(rows)
+                rows.extend(c)
+                rows.append(r)
+                vals.extend([v * inv % p for v in c.values()] if inv != 1 else c.values())
+                vals.append(1)
+                pivots[r] = (lo, len(rows), j)
+                fill += len(rows) - lo
+                if limit is not None and fill > limit:
+                    raise _DenseRestart
+                break
+    return len(pivots), {r: src for r, (_, _, src) in pivots.items()}

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nchodge.errors import ModulusError, NotAComplexError, ResourceError, ShapeError
 from nchodge.modring import (
@@ -26,6 +27,7 @@ from nchodge.modring import (
 )
 
 from .oracles import ref_rank
+from .sweeps import reference_column_reduce
 
 
 def dense(mat):
@@ -434,30 +436,57 @@ WIDE_PRIME = 2 ** 31 - 1
 def suffix_lows(data: list[list[int]], p: int) -> set[int]:
     """Lows of the column space of data: the rows i where the rank of rows
     i.. exceeds that of rows i+1.. (a reduced column ending at i lies in the
-    span of e_0 .. e_i and not below)."""
-    ranks = [ref_rank(data[i:], p) if i < len(data) else 0 for i in range(len(data) + 1)]
-    return {i for i in range(len(data)) if ranks[i] > ranks[i + 1]}
+    span of e_0 .. e_i and not below), that is, the rows independent of the
+    rows below them, found by inserting the rows from the bottom up."""
+    basis: dict[int, dict[int, int]] = {}  # leading column -> row with 1 there
+    lows = set()
+    for i in reversed(range(len(data))):
+        row = {c: v % p for c, v in enumerate(data[i]) if v % p}
+        while row:
+            lead = min(row)
+            piv = basis.get(lead)
+            if piv is None:
+                inv = pow(row[lead], p - 2, p)
+                basis[lead] = {c: v * inv % p for c, v in row.items()}
+                lows.add(i)
+                break
+            f = row[lead]
+            for c, v in piv.items():
+                x = (row.get(c, 0) - f * v) % p
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return lows
 
 
 def column_data(data: list[list[int]], cols: list[int]) -> list[list[int]]:
     return [[row[j] for j in cols] for row in data] if cols else [[] for _ in data]
 
 
+# the largest prime below 2**32: lead times residue fills a uint64
+TOP_PRIME = 4294967291
+
+
 @st.composite
 def sparse_matrix(draw):
     """(p, rows of residues): mostly zeros, with empty columns, columns that
-    repeat another one's low up to a scalar, and leads other than 1."""
-    p = draw(st.sampled_from([2, 3, 5, 7, WIDE_PRIME]))
-    n_rows = draw(st.integers(min_value=1, max_value=8))
-    n_cols = draw(st.integers(min_value=1, max_value=8))
+    repeat another one's low up to a scalar, chains of such columns each on
+    the one before it, and leads other than 1. Up to 8 x 8, or up to
+    40 x 40, where rounds of the column reduction run and displace owners."""
+    p = draw(st.sampled_from([2, 3, 5, 7, WIDE_PRIME, TOP_PRIME]))
+    most = draw(st.sampled_from([8, 40]))
+    n_rows = draw(st.integers(min_value=1, max_value=most))
+    n_cols = draw(st.integers(min_value=1, max_value=most))
     entry = st.one_of(st.just(0), st.just(0), st.just(1), st.integers(1, p - 1))
     cols = [draw(st.lists(entry, min_size=n_rows, max_size=n_rows)) for _ in range(n_cols)]
     for j in range(1, n_cols):
-        how = draw(st.sampled_from(["keep", "empty", "multiple"]))
+        how = draw(st.sampled_from(["keep", "empty", "multiple", "chain"]))
         if how == "empty":
             cols[j] = [0] * n_rows
-        elif how == "multiple":  # the low of an earlier column, another lead
-            src, k = draw(st.integers(0, j - 1)), draw(st.integers(1, p - 1))
+        elif how in ("multiple", "chain"):  # the low of an earlier column, another lead
+            src = j - 1 if how == "chain" else draw(st.integers(0, j - 1))
+            k = draw(st.integers(1, p - 1))
             low = max((i for i, v in enumerate(cols[src]) if v), default=-1)
             cols[j] = [(k * cols[src][i] + (cols[j][i] if i < low else 0)) % p
                        for i in range(n_rows)]
@@ -484,10 +513,30 @@ def shuffled_csc(data: list[list[int]], p: int, rng) -> CSC:
     return CSC(np.array(ptr), np.array(rows, dtype=np.int64), np.array(vals, dtype=np.int64))
 
 
-@given(sparse_matrix(), st.booleans(), st.randoms(use_true_random=False))
+# in the order by size (columns 0, 1, 4, 5, 2, 3), column 2 reaches row 3,
+# owned by column 1, in its first round, and row 2, owned by column 3,
+# only in its second: it takes row 2 over, and column 3 is reduced by it in
+# a third round. Columns 4 and 5 reduce to zero in rounds 1 and 2, so that
+# round 2 leaves no more than half of its columns and the rounds go on.
+DISPLACED_IN_ROUND_2 = [[0, 0, 0, 1, 0, 0],
+                        [0, 0, 0, 1, 0, 0],
+                        [0, 0, 1, 1, 0, 0],
+                        [0, 1, 1, 0, 0, 1],
+                        [1, 0, 1, 0, 2, 1]]
+# how the column reduction runs: as it is; with the rounds' numpy state
+# and no round, so the dict step starts from the owners; in rounds of
+# every size, cut into blocks of about 16 entries
+KERNELS = {"as is": {}, "no round": {"DICT_COLUMNS": 0},
+           "rounds": {"DICT_COLUMNS": 0, "ROUND_MIN": 1, "ROUND_BLOCK": 16}}
+
+
+@given(sparse_matrix(), st.booleans(), st.randoms(use_true_random=False),
+       st.sampled_from(list(KERNELS)))
+@example((3, DISPLACED_IN_ROUND_2), False, random.Random(0), "rounds")
+@example((3, DISPLACED_IN_ROUND_2), False, random.Random(0), "no round")
 @settings(max_examples=200, deadline=None)
-def test_column_reduce_finds_the_rank_the_lows_and_their_sources(pm, ordered, rnd):
-    from nchodge.modring import _column_reduce
+def test_column_reduce_finds_the_rank_the_lows_and_their_sources(pm, ordered, rnd, kernel):
+    from nchodge import modring
 
     p, data = pm
     n_rows, n_cols = len(data), len(data[0])
@@ -496,38 +545,60 @@ def test_column_reduce_finds_the_rank_the_lows_and_their_sources(pm, ordered, rn
     if ordered:
         order = list(range(n_cols))
         rnd.shuffle(order)
-    rank, pivots = _column_reduce(csc, p, (n_rows, n_cols), False, order)
-    assert rank == len(pivots) == ref_rank(data, p)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in KERNELS[kernel].items():
+            mp.setattr(modring, name, value)
+        rank, pivots = modring._column_reduce(csc, p, (n_rows, n_cols), False, order)
+        # the constructor reads unsorted row indices and a split entry as
+        # the same matrix
+        messy = ModMatrix((n_rows, n_cols), p,
+                          shuffled_csc(data, p, np.random.default_rng(rnd.randrange(2 ** 32))))
+        assert messy == ModMatrix.from_dense(data, p)
+        assert modring._column_reduce(messy.csc(), p, (n_rows, n_cols), False,
+                                      order) == (rank, pivots)
+    assert rank == len(pivots)
     assert set(pivots) == suffix_lows(data, p)
+    assert (rank, pivots) == reference_column_reduce(csc, p, (n_rows, n_cols), False, order)
     # each source made its pivot: the row is a low of the columns taken up
-    # to the source and not of those taken before it
+    # to the source and not of those taken before it (on the small
+    # matrices; the reference kernel stands for this on the large ones)
     if order is None:
         order = sorted(range(n_cols), key=lambda j: (sum(1 for row in data if row[j]), j))
     sources = list(pivots.values())
     assert len(set(sources)) == len(sources)
+    assert sorted(sources, key=order.index) == sources  # in the order of the sources
+    if n_cols > 8:
+        return
+    assert rank == ref_rank(data, p)
     for r, j in pivots.items():
         k = order.index(j)
         made = suffix_lows(column_data(data, order[:k + 1]), p)
         assert r in made - suffix_lows(column_data(data, order[:k]), p)
-    # the constructor reads unsorted row indices and a split entry as the
-    # same matrix
-    messy = ModMatrix((n_rows, n_cols), p,
-                      shuffled_csc(data, p, np.random.default_rng(rnd.randrange(2 ** 32))))
-    assert messy == ModMatrix.from_dense(data, p)
-    assert _column_reduce(messy.csc(), p, (n_rows, n_cols), False, order) == (rank, pivots)
 
 
 def test_column_reduce_restarts_densely_past_the_fill_threshold():
-    from nchodge.modring import FILL_THRESHOLD, _column_reduce, _DenseRestart
+    from nchodge import modring
 
     p = 5
     sparse_enough = ModMatrix.identity(8, p).csc()  # fill 8 of 64 entries
-    assert 8 <= FILL_THRESHOLD * 64
-    assert _column_reduce(sparse_enough, p, (8, 8))[0] == 8
-    full = ModMatrix.from_dense(np.triu(np.full((8, 8), 3)), p).csc()  # fill 36 > 16
-    with pytest.raises(_DenseRestart):
-        _column_reduce(full, p, (8, 8))
-    assert _column_reduce(full, p, (8, 8), False)[0] == 8
+    assert 8 <= modring.FILL_THRESHOLD * 64
+    # every column of the triangle is free: fill 36 > 16 before any step
+    triangle = np.triu(np.full((8, 8), 3))
+    # every column ends at row 7, so the fill starts at 8; the reduced
+    # columns stay dense, and it passes 16 in the dict step or, with
+    # rounds of every size, after the second round
+    dense = np.random.default_rng(1).integers(1, p, size=(8, 8))
+    assert ref_rank(dense.tolist(), p) == 8
+    for names in KERNELS.values():
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in names.items():
+                mp.setattr(modring, name, value)
+            assert modring._column_reduce(sparse_enough, p, (8, 8))[0] == 8
+            for data in (triangle, dense):
+                full = ModMatrix.from_dense(data, p).csc()
+                with pytest.raises(modring._DenseRestart):
+                    modring._column_reduce(full, p, (8, 8))
+                assert modring._column_reduce(full, p, (8, 8), False)[0] == 8
 
 
 @given(sparse_matrix(), st.booleans())
@@ -545,3 +616,45 @@ def test_rank_records_the_lows_of_the_row_space_on_either_path(pm, sparse_only):
         assert rank_fp(mat) == ref_rank(data, p)
     if len(wide) < len(data) and mat.nnz:  # a zero matrix returns at once
         assert set(mat._pivot_rows.tolist()) == suffix_lows(data, p)
+
+
+def test_column_reduce_matches_the_reference_on_the_commands(monkeypatch):
+    """(rank, pivots) of `_column_reduce` against the column-by-column
+    reference on every matrix the commands reduce: `conjugate -N 1`,
+    `hodge -N 4 --pages` and `sbi -N 6` over the corpus at p = 3, 5, 7,
+    `conjugate trunc-poly-3 -N 3` (its 551,880 x 19,711 top reduction runs
+    rounds, compaction and the dict step), and `conjugate_ss` of group-z3
+    at N = 2 in the group basis, whose chains of collisions are deep; each
+    matrix is reduced as the kernel is and in the ways of KERNELS."""
+    import contextlib
+    import io
+
+    from nchodge import cli, modring, specseq
+    from nchodge.cartier import conjugate_ss
+    from nchodge.corpus import build, corpus_names
+
+    real = modring._column_reduce
+    seen = []
+
+    def recording(csc, p, shape, fill_guard=True, order=None):
+        seen.append((csc, p, shape, None if order is None else list(order)))
+        return real(csc, p, shape, fill_guard, order)
+
+    monkeypatch.setattr(modring, "_column_reduce", recording)
+    monkeypatch.setattr(specseq, "_column_reduce", recording)
+    runs = [[command, name, "-N", n, "-p", str(p)]
+            for p in (3, 5, 7) for name in corpus_names()
+            for command, n in (("conjugate", "1"), ("hodge", "4"), ("sbi", "6"))]
+    runs.append(["conjugate", "trunc-poly-3", "-N", "3"])
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv + (["--pages"] if argv[0] == "hodge" else []) + ["--quiet"])
+    conjugate_ss(build("group-z3", 3), 2)
+    assert (551880, 19711) in {shape for _, _, shape, _ in seen}
+    for csc, p, shape, order in seen:
+        want = reference_column_reduce(csc, p, shape, False, order)
+        for kernel, names in KERNELS.items():
+            with pytest.MonkeyPatch.context() as mp:
+                for name, value in names.items():
+                    mp.setattr(modring, name, value)
+                assert real(csc, p, shape, False, order) == want, (shape, p, kernel)
