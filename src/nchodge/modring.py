@@ -4,12 +4,12 @@ Matrices carry their modulus and store their entries as three numpy
 arrays in compressed sparse column format (`CSC`), kept canonical;
 products, sums, transposes and row selections are rebuilt from
 coordinates with one sort on an int64 key. Ranks and homology dimensions
-are computed by exact Gaussian elimination: a sparse column-reduction pass
-(columns processed by increasing support, pivot rows chosen
-deterministically) with a dense numpy elimination path for small matrices
-and as a fallback when fill-in passes a density threshold. Kernels and
-solutions are dense only, and refuse matrices past TO_DENSE_LIMIT
-entries. No floating point is used anywhere.
+are computed by exact Gaussian elimination: every rank starts in a sparse
+column reduction (columns processed by increasing support, pivot rows
+chosen deterministically), and restarts in dense numpy elimination only
+when its fill-in passes a limit (`_column_reduce`). Kernels and solutions
+are dense only, and refuse matrices past TO_DENSE_LIMIT entries. No
+floating point is used anywhere.
 
 The column reduction works on the CSC arrays (PHAT's column
 representation; Bauer, Kerber, Reininghaus and Wagner, J. Symbolic
@@ -26,7 +26,7 @@ lead 1 once, when it is first used.
 Homology dimensions use clearing (Chen-Kerber, "Persistent homology
 computation with a twist", 2011): a wide differential d_out is reduced
 transposed, and the rows where its reduced columns end (its pivot rows,
-the lows of its row space, which the dense path reads off an rref with
+the lows of its row space, which a dense restart reads off an rref with
 the columns reversed) are kept on the matrix as an int64 array. Once
 d_out d_in = 0 is certified, `homology_dim` ranks d_in with those rows
 left out. This is exact: a reduced column v of d_out^T whose largest row
@@ -48,11 +48,9 @@ import numpy as np
 
 from .errors import ModulusError, NotAComplexError, ResourceError, ShapeError
 
-# dense elimination is used outright below this entry count
-DENSE_SMALL = 1 << 12
-# dense elimination is allowed as a path or fallback up to this entry count
+# a column reduction may restart densely up to this entry count
 DENSE_ENTRY_LIMIT = 1 << 21
-# fill fraction beyond which sparse elimination restarts densely
+# a column reduction restarts densely once its fill passes nnz and this share of the area
 FILL_THRESHOLD = 0.25
 # refuse accidental huge densification
 TO_DENSE_LIMIT = 1 << 24
@@ -692,20 +690,25 @@ def _column_reduce(csc: CSC, p: int, shape: tuple[int, int],
     is left to `_dict_step`, one column at a time. The rounds stop when a
     round, after the second, leaves more than half of its columns
     colliding: then the chains of collisions are deep, and the dict step
-    walks them faster. The fill counted against FILL_THRESHOLD is the size
-    of every pivot, free ones included.
+    walks them faster. With fill_guard, a matrix of 0 < area <=
+    DENSE_ENTRY_LIMIT entries raises _DenseRestart once its pivots, free
+    ones included, hold more than max(FILL_THRESHOLD * area, nnz) entries:
+    free pivots never hold more than nnz, so only fill-in restarts.
     """
     area = shape[0] * shape[1]
-    limit = FILL_THRESHOLD * area if fill_guard and 0 < area <= DENSE_ENTRY_LIMIT else None
+    limit = (max(FILL_THRESHOLD * area, csc.data.size)
+             if fill_guard and 0 < area <= DENSE_ENTRY_LIMIT else None)
     if not csc.data.size:
         return 0, {}
     cols = _by_size(csc.indptr) if order is None else np.asarray(order, dtype=np.int64)
     if cols.size < DICT_COLUMNS:
-        # the dict step takes every column as it stands, from lists of the
-        # CSC arrays
-        spans = list(zip(csc.indptr[cols].tolist(), csc.indptr[cols + 1].tolist()))
-        pivots = _dict_step(p, csc.indices.tolist(), csc.data.tolist(), range(cols.size),
-                            spans.__getitem__, None, 0, limit)
+        # the dict step takes every column as it stands, from lists of
+        # those columns' entries alone
+        beg = csc.indptr[cols].astype(np.int64)
+        ptr, at = _segments(beg, csc.indptr[cols + 1] - beg)
+        spans = list(zip(ptr[:-1].tolist(), ptr[1:].tolist()))
+        pivots = _dict_step(p, csc.indices[at].tolist(), csc.data[at].tolist(),
+                            range(cols.size), spans.__getitem__, None, 0, limit)
         cols = cols.tolist()
         # with every column queued in order, none is displaced, so the
         # pivots were found in the order of their sources
@@ -1015,7 +1018,7 @@ def rank_fp(mat: ModMatrix, clear: np.ndarray | None = None) -> int:
     it reduces mat^T, and records on mat the rows where its reduced columns
     end (column indices of mat), for `homology_dim` to clear the next
     differential with. They are the lows of the row space of mat, whatever
-    the path: the dense path reads them off an rref of the kept rows with
+    the path: a dense restart reads them off an rref of the kept rows with
     the columns reversed.
     """
     p = _prime_of(mat)
@@ -1031,19 +1034,14 @@ def rank_fp(mat: ModMatrix, clear: np.ndarray | None = None) -> int:
     work = mat.T if transposed else mat
     if keep is not None:
         work = work.restrict(cols=keep) if transposed else work.restrict(rows=keep)
-    area = rows * cols
-    # the density of the whole matrix stands in for that of its kept rows
-    if area <= DENSE_SMALL or (area <= DENSE_ENTRY_LIMIT and mat.density >= FILL_THRESHOLD):
+    try:
+        rank, pivots = _column_reduce(work.csc(), p, work.shape)
+    except _DenseRestart:
         dense = work.to_dense()
     else:
-        try:
-            rank, pivots = _column_reduce(work.csc(), p, work.shape)
-        except _DenseRestart:
-            dense = work.to_dense()
-        else:
-            if transposed:
-                mat._pivot_rows = np.fromiter(pivots, dtype=np.int64, count=len(pivots))
-            return rank
+        if transposed:
+            mat._pivot_rows = np.fromiter(pivots, dtype=np.int64, count=len(pivots))
+        return rank
     if not transposed:
         return len(_dense_rref(dense, p)[1])
     # dense holds the kept rows of mat as its columns; with the columns of

@@ -6,7 +6,8 @@ the (b, B) bicomplex of a mixed complex, whose totalization and block
 tables are the reference of `complexes.filtration_by_columns`, the
 algebra seen relative to the ground field (`over_k`), and the
 column-by-column reduction that `modring._column_reduce` replaced
-(`reference_column_reduce`).
+(`reference_column_reduce`), and a stand-in for it whose fill guard always
+fires (`forced_restart`).
 
 The package builds its operators by index arithmetic and certifies the
 algebra (associativity, unit) when it is loaded. These sweeps multiply the
@@ -31,7 +32,7 @@ from nchodge.conventions import cyclic_sign
 from nchodge.hochcyc import (CyclicLevelMaps, degeneracy_matrix, face_matrix, hc_dims,
                              rotation_matrix)
 from nchodge.modring import (CSC, DENSE_ENTRY_LIMIT, FILL_THRESHOLD, ModMatrix,
-                             _DenseRestart)
+                             _column_reduce, _DenseRestart)
 
 
 def matpow(mat: ModMatrix, k: int) -> ModMatrix:
@@ -273,6 +274,18 @@ def over_k(a):
     return out
 
 
+def forced_restart(csc: CSC, p: int, shape: tuple[int, int],
+                   fill_guard: bool = True, order: Sequence[int] | None = None
+                   ) -> tuple[int, dict[int, int]]:
+    """Stands in for `modring._column_reduce` with a fill guard that fires
+    at once wherever it applies, so every rank of a matrix of
+    0 < area <= DENSE_ENTRY_LIMIT entries takes the dense restart, which
+    reads the lows of the row space off a reversed rref."""
+    if fill_guard and 0 < shape[0] * shape[1] <= DENSE_ENTRY_LIMIT:
+        raise _DenseRestart
+    return _column_reduce(csc, p, shape, fill_guard, order)
+
+
 def reference_column_reduce(csc: CSC, p: int, shape: tuple[int, int],
                             fill_guard: bool = True, order: Sequence[int] | None = None
                             ) -> tuple[int, dict[int, int]]:
@@ -296,11 +309,13 @@ def reference_column_reduce(csc: CSC, p: int, shape: tuple[int, int],
     eliminate in. A pivot built from such a dict, and a free pivot the
     first time a collision uses it, is scaled to carry 1 at its row and
     appended to the flat lists, so each pivot is scaled at most once.
-    The fill counted against FILL_THRESHOLD is the size of every pivot,
-    free ones included.
+    With fill_guard, a matrix of 0 < area <= DENSE_ENTRY_LIMIT entries
+    raises _DenseRestart once its pivots, free ones included, hold more
+    than max(FILL_THRESHOLD * area, nnz) entries.
     """
     area = shape[0] * shape[1]
-    limit = FILL_THRESHOLD * area if fill_guard and 0 < area <= DENSE_ENTRY_LIMIT else None
+    limit = (max(FILL_THRESHOLD * area, csc.data.size)
+             if fill_guard and 0 < area <= DENSE_ENTRY_LIMIT else None)
     if order is None:
         order = np.argsort(np.diff(csc.indptr), kind="stable").tolist()
     ptr = csc.indptr.tolist()

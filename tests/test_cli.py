@@ -5,10 +5,11 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nchodge.algebra import from_json_dict
+from nchodge.algebra import from_json_dict, matrix_algebra
 from nchodge.cli import main
 from nchodge.errors import NCHodgeError
 from .test_algebra import MALFORMED_FIELDS, dual_numbers_description, json_description
+from .test_normalize import random_basis_change, rebase
 
 
 def run(capsys, *argv):
@@ -50,6 +51,23 @@ def test_hc_frozen_dims(capsys):
     rc, payload = run_json(capsys, "hc", "dual-numbers", "-N", "6")
     assert rc == 0
     assert payload["dims"] == [[0, 2], [1, 0], [2, 2], [3, 1], [4, 3]]
+
+
+def test_m3_in_a_random_basis_has_the_homology_of_the_ground_field(capsys, tmp_path):
+    # 475 of the 729 structure constants are nonzero, and M_3 is simple, so
+    # normalization splits off no block and the differentials stay dense:
+    # b_1 is 9 x 72 with 381 entries, which the column reduction ranks, and
+    # b_2 is 72 x 576 with 8,805, whose fill sends it to the dense restart.
+    # By Morita invariance HH and HC are those of F_3: HH is F_3 in degree
+    # 0, HC in every even degree.
+    a = rebase(matrix_algebra(3, 3), random_basis_change(9, 3, 0))
+    assert (a.constants != 0).sum() == 475
+    path = tmp_path / "m3.json"
+    path.write_text(json.dumps(json_description(a)))
+    rc, payload = run_json(capsys, "hh", str(path), "-N", "2")
+    assert rc == 0 and payload["dims"] == [[0, 1], [1, 0]]
+    rc, payload = run_json(capsys, "hc", str(path), "-N", "3")
+    assert rc == 0 and payload["dims"] == [[0, 1], [1, 0]]
 
 
 def test_json_output_deterministic(capsys):

@@ -27,7 +27,7 @@ from nchodge.corpus import build, corpus_names
 from nchodge.errors import NotAComplexError, ShapeError, WindowError
 from nchodge.hochcyc import CyclicLevelMaps, NormalizedMixedComplex, b_complex, hc_dims
 from nchodge.modring import ModMatrix
-from .sweeps import bB_bicomplex, bB_filtration, two_column_bicomplex
+from .sweeps import bB_bicomplex, bB_filtration, forced_restart, two_column_bicomplex
 
 
 def three_term(p=5):
@@ -334,10 +334,9 @@ def test_cleared_ranks_equal_uncleared_ranks(p, sparse_only, monkeypatch):
         return real(mat, clear)
 
     monkeypatch.setattr(modring, "rank_fp", counting)
-    if sparse_only:
-        # every rank takes the sparse reduction, so every wide d clears the next
-        monkeypatch.setattr(modring, "DENSE_SMALL", 0)
-        monkeypatch.setattr(modring, "FILL_THRESHOLD", 2.0)
+    if not sparse_only:
+        # every rank restarts densely, and its lows clear the next
+        monkeypatch.setattr(modring, "_column_reduce", forced_restart)
     for name in corpus_names():
         for kind, c in cleared_complexes(build(name, p)):
             c.homology_dims()  # increasing degrees: each rank clears the next

@@ -591,21 +591,30 @@ def test_homology_outside_window_rejected():
 def test_a_dense_predecessor_clears_the_next_rank(monkeypatch):
     from nchodge import modring
 
-    # the normalized b_3 of group-z4 is 36 x 108, under DENSE_SMALL, so the
-    # dense path ranks it; the lows of its row space still clear b_4
-    # (108 x 324), which the sparse reduction takes
+    # the normalized b_3 of group-z4 is 36 x 108, reduced transposed (108
+    # rows, one column per kept row of b_3); its reduction is made to
+    # restart, so the dense path ranks it, and the lows of its row space
+    # still clear b_4 (108 x 324), which the sparse reduction takes
     c = b_complex(NormalizedMixedComplex(build("group-z4", 3), 7))
     d3, d4 = c.d(3), c.d(4)
-    assert d3.shape == (36, 108) and d3.shape[0] * d3.shape[1] <= modring.DENSE_SMALL
-    real = modring.rank_fp
-    cleared = {}
+    assert d3.shape == (36, 108)
+    real, real_reduce = modring.rank_fp, modring._column_reduce
+    cleared, restarted = {}, []
 
     def recording(mat, clear=None):
         cleared[mat.shape] = None if clear is None else clear.size
         return real(mat, clear)
 
+    def restarting_b3(csc, p, shape, *args):
+        if shape[0] == 108:
+            restarted.append(shape)
+            raise modring._DenseRestart
+        return real_reduce(csc, p, shape, *args)
+
     monkeypatch.setattr(modring, "rank_fp", recording)
+    monkeypatch.setattr(modring, "_column_reduce", restarting_b3)
     assert c.homology_dims() == {0: 4, **{n: 0 for n in range(1, 7)}}
+    assert len(restarted) == 1
     assert cleared[(108, 324)] == d3.rank() > 0
     assert d4.rank() == real(ModMatrix(d4.shape, 3, d4.csc()))
 

@@ -27,7 +27,7 @@ from nchodge.modring import (
 )
 
 from .oracles import ref_rank
-from .sweeps import reference_column_reduce
+from .sweeps import forced_restart, reference_column_reduce
 
 
 def dense(mat):
@@ -373,10 +373,9 @@ def test_cleared_homology_of_a_conjugated_elementary_complex(cx, sparse_only):
         d[np.arange(ranks[n]), dims[n] - ranks[n] + np.arange(ranks[n])] = 1
         diffs[n] = ModMatrix.from_dense(basis[n - 1][0] @ d % p @ basis[n][1], p)
     with pytest.MonkeyPatch.context() as mp:
-        if sparse_only:
-            # every rank takes the sparse reduction, so every wide d clears the next
-            mp.setattr(modring, "DENSE_SMALL", 0)
-            mp.setattr(modring, "FILL_THRESHOLD", 2.0)
+        if not sparse_only:
+            # every rank restarts densely, and its lows clear the next
+            mp.setattr(modring, "_column_reduce", forced_restart)
         got = [homology_dim(diffs[n + 1], diffs[n]) if n else
                homology_dim(diffs[1], ModMatrix.zeros(0, dims[0], p)) for n in range(top)]
     assert got == betti[:top]
@@ -396,8 +395,6 @@ def test_clearing_leaves_out_the_pivot_rows_of_the_outgoing_differential(monkeyp
     assert (d_out @ d_in).is_zero()
     seen = []
     real = modring.rank_fp
-    monkeypatch.setattr(modring, "DENSE_SMALL", 0)
-    monkeypatch.setattr(modring, "FILL_THRESHOLD", 2.0)
     monkeypatch.setattr(modring, "rank_fp", lambda mat, clear=None: seen.append(
         None if clear is None else sorted(clear.tolist())) or real(mat, clear))
     assert homology_dim(d_in, d_out) == 6 - 2 - 3
@@ -414,8 +411,6 @@ def test_a_non_complex_is_refused_before_any_cleared_rank(monkeypatch):
     p = 3
     d_out = ModMatrix.from_dense([[1, 1, 0, 0, 0, 0, 0, 0, 0]], p)
     good = ModMatrix.from_dense([[1], [2], [0], [0], [0], [0], [0], [0], [0]], p)
-    monkeypatch.setattr(modring, "DENSE_SMALL", 0)
-    monkeypatch.setattr(modring, "FILL_THRESHOLD", 2.0)
     assert homology_dim(good, d_out) == 9 - 1 - 1
     bad = ModMatrix.from_dense([[0], [1], [0], [0], [0], [0], [0], [0], [0]], p)
     calls = []
@@ -530,10 +525,21 @@ KERNELS = {"as is": {}, "no round": {"DICT_COLUMNS": 0},
            "rounds": {"DICT_COLUMNS": 0, "ROUND_MIN": 1, "ROUND_BLOCK": 16}}
 
 
-@given(sparse_matrix(), st.booleans(), st.randoms(use_true_random=False),
+# a matrix of more than DICT_COLUMNS columns; an order of a few of them
+# makes the dict step gather those columns alone
+_rng = np.random.default_rng(2)
+WIDER_THAN_DICT_COLUMNS = ((_rng.random((60, 300)) < 0.1)
+                           * _rng.integers(1, 5, (60, 300))).tolist()
+# the order of the columns: by size (None), all of them shuffled, or up to
+# 16 of them shuffled
+ORDERS = ["by size", "shuffled", "short"]
+
+
+@given(sparse_matrix(), st.sampled_from(ORDERS), st.randoms(use_true_random=False),
        st.sampled_from(list(KERNELS)))
-@example((3, DISPLACED_IN_ROUND_2), False, random.Random(0), "rounds")
-@example((3, DISPLACED_IN_ROUND_2), False, random.Random(0), "no round")
+@example((3, DISPLACED_IN_ROUND_2), "by size", random.Random(0), "rounds")
+@example((3, DISPLACED_IN_ROUND_2), "by size", random.Random(0), "no round")
+@example((5, WIDER_THAN_DICT_COLUMNS), "short", random.Random(0), "as is")
 @settings(max_examples=200, deadline=None)
 def test_column_reduce_finds_the_rank_the_lows_and_their_sources(pm, ordered, rnd, kernel):
     from nchodge import modring
@@ -542,9 +548,11 @@ def test_column_reduce_finds_the_rank_the_lows_and_their_sources(pm, ordered, rn
     n_rows, n_cols = len(data), len(data[0])
     csc = ModMatrix.from_dense(data, p).csc()
     order = None
-    if ordered:
+    if ordered != "by size":
         order = list(range(n_cols))
         rnd.shuffle(order)
+        if ordered == "short":
+            order = order[:rnd.randint(0, 16)]
     with pytest.MonkeyPatch.context() as mp:
         for name, value in KERNELS[kernel].items():
             mp.setattr(modring, name, value)
@@ -557,19 +565,20 @@ def test_column_reduce_finds_the_rank_the_lows_and_their_sources(pm, ordered, rn
         assert modring._column_reduce(messy.csc(), p, (n_rows, n_cols), False,
                                       order) == (rank, pivots)
     assert rank == len(pivots)
-    assert set(pivots) == suffix_lows(data, p)
     assert (rank, pivots) == reference_column_reduce(csc, p, (n_rows, n_cols), False, order)
     # each source made its pivot: the row is a low of the columns taken up
     # to the source and not of those taken before it (on the small
     # matrices; the reference kernel stands for this on the large ones)
     if order is None:
         order = sorted(range(n_cols), key=lambda j: (sum(1 for row in data if row[j]), j))
+    taken = column_data(data, order)
+    assert set(pivots) == suffix_lows(taken, p)
     sources = list(pivots.values())
     assert len(set(sources)) == len(sources)
     assert sorted(sources, key=order.index) == sources  # in the order of the sources
-    if n_cols > 8:
+    if len(order) > 8:
         return
-    assert rank == ref_rank(data, p)
+    assert rank == ref_rank(taken, p)
     for r, j in pivots.items():
         k = order.index(j)
         made = suffix_lows(column_data(data, order[:k + 1]), p)
@@ -582,13 +591,20 @@ def test_column_reduce_restarts_densely_past_the_fill_threshold():
     p = 5
     sparse_enough = ModMatrix.identity(8, p).csc()  # fill 8 of 64 entries
     assert 8 <= modring.FILL_THRESHOLD * 64
-    # every column of the triangle is free: fill 36 > 16 before any step
+    # every column of the triangle is free: fill 36, its own entry count,
+    # past a quarter of its area but not past its input
     triangle = np.triu(np.full((8, 8), 3))
-    # every column ends at row 7, so the fill starts at 8; the reduced
-    # columns stay dense, and it passes 16 in the dict step or, with
-    # rounds of every size, after the second round
+    # every column ends at row 7; the reduced columns stay dense, but the
+    # pivots hold 8 + 7 + ... + 1 = 36 of the 64 entries of the input
     dense = np.random.default_rng(1).integers(1, p, size=(8, 8))
     assert ref_rank(dense.tolist(), p) == 8
+    # sparse (1,304 of 10,000 entries), but three full rows make the
+    # reduction fill in past a quarter of the area
+    rng = np.random.default_rng(0)
+    grows = (rng.random((100, 100)) < 0.1) * rng.integers(1, 7, (100, 100))
+    grows[-3:, :] = rng.integers(1, 7, (3, 100))
+    grows = ModMatrix.from_dense(grows, 7)
+    assert grows.nnz < modring.FILL_THRESHOLD * 100 * 100
     for names in KERNELS.values():
         with pytest.MonkeyPatch.context() as mp:
             for name, value in names.items():
@@ -596,9 +612,15 @@ def test_column_reduce_restarts_densely_past_the_fill_threshold():
             assert modring._column_reduce(sparse_enough, p, (8, 8))[0] == 8
             for data in (triangle, dense):
                 full = ModMatrix.from_dense(data, p).csc()
-                with pytest.raises(modring._DenseRestart):
-                    modring._column_reduce(full, p, (8, 8))
-                assert modring._column_reduce(full, p, (8, 8), False)[0] == 8
+                rank, pivots = modring._column_reduce(full, p, (8, 8))
+                assert rank == 8
+                assert (rank, pivots) == reference_column_reduce(full, p, (8, 8))
+            with pytest.raises(modring._DenseRestart):
+                modring._column_reduce(grows.csc(), 7, grows.shape)
+            assert modring._column_reduce(grows.csc(), 7, grows.shape, False)[0] == 100
+    with pytest.raises(modring._DenseRestart):
+        reference_column_reduce(grows.csc(), 7, grows.shape)
+    assert rank_fp(grows) == 100
 
 
 @given(sparse_matrix(), st.booleans())
@@ -609,9 +631,8 @@ def test_rank_records_the_lows_of_the_row_space_on_either_path(pm, sparse_only):
     p, data = pm
     wide = [list(col) for col in zip(*data)]  # fewer rows than columns unless square
     with pytest.MonkeyPatch.context() as mp:
-        if sparse_only:
-            mp.setattr(modring, "DENSE_SMALL", 0)
-            mp.setattr(modring, "FILL_THRESHOLD", 2.0)
+        if not sparse_only:
+            mp.setattr(modring, "_column_reduce", forced_restart)
         mat = ModMatrix.from_dense(wide, p)
         assert rank_fp(mat) == ref_rank(data, p)
     if len(wide) < len(data) and mat.nnz:  # a zero matrix returns at once
