@@ -10,8 +10,7 @@ linear algebra, no simplicial machinery involved.
 from nchodge.cartier import ZpModuleAction, block_rotation, iota_iso, zp_homology_dims
 
 for p, dim in ((3, 2), (3, 4), (5, 3)):
-    sigma = block_rotation(dim, p, 1, p)
-    act = ZpModuleAction(sigma, p)
+    act = ZpModuleAction(block_rotation(dim, p, 1, p), p)  # an index array
     hom = zp_homology_dims(act, l_max=4)
     print(f"dim V = {dim}, p = {p}: V^(x p) has dim {act.dim}, "
           f"H_l = {[hom[l] for l in range(5)]} for l = 0..4")

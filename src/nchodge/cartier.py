@@ -9,8 +9,10 @@ commuting with the whole simplicial structure.
 
 Every Z/p action here is such a block rotation, a permutation of the
 monomial basis, so the Z/p toolkit (`ZpModuleAction` and the homology,
-invariants, coinvariants and norm complex built on it) takes permutation
-actions only and reads everything off the orbit partition.
+invariants, coinvariants and norm complex built on it) takes the
+permutation itself, an index array, and no matrix of sigma is ever built:
+the orbits, the order certificate sigma^p = 1, 1 - sigma, the norm and
+the check that b commutes with sigma are all index arithmetic on it.
 
 Fixed monomials of the block rotation are exactly the p-fold repeated
 words, so the span of fixed monomials at level n is a copy of the level-n
@@ -56,77 +58,71 @@ from .modring import (CSC, ModMatrix, hstack, is_prime, kron_power, kron_power_a
 # ---------------- Z/p actions ----------------
 
 class ZpModuleAction:
-    """A permutation matrix sigma of order p acting on F_p coordinates.
+    """A permutation sigma of order p of F_p coordinates, given by its index
+    array: sigma sends basis vector i to basis vector perm[i].
 
-    Ranks, invariants and coinvariants read off the orbit partition instead
-    of row reduction, and the norm is written straight from the
-    permutation. 1 - sigma and the norm are built once and shared by every
-    caller. A matrix that is not a permutation raises ShapeError; a
-    permutation whose p-th power is not the identity raises OrderError.
+    One pass over the p - 1 powers of perm gives the orbit partition and
+    sigma^p, which must be the identity, so it certifies the order and that
+    perm is a bijection. Ranks, invariants and coinvariants read off the
+    orbits; 1 - sigma and the norm are written straight from perm, once.
+    ShapeError: not a 1-D array of indices into itself, or one that repeats
+    an index. OrderError: sigma^p is not the identity.
     """
 
-    def __init__(self, sigma: ModMatrix, p: int):
+    def __init__(self, perm: np.ndarray, p: int):
         if not is_prime(p):
             raise OrderError(f"group order {p} is not prime")
-        if sigma.modulus != p:
-            raise ModulusError("action must live over F_p for the group Z/p")
-        if sigma.shape[0] != sigma.shape[1]:
-            raise ShapeError("action matrix must be square")
-        self.sigma = sigma
-        self.p = p
-        self.dim = sigma.shape[0]
-        self.perm = self._as_permutation(sigma)
-        self._check_order()
-        self._orbit: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        perm = np.asarray(perm)
+        if perm.ndim != 1 or perm.dtype.kind not in "iu":
+            raise ShapeError(f"action must be a 1-D index array, got {perm.dtype} "
+                             f"of shape {perm.shape}")
+        if perm.dtype != np.int32:
+            perm = perm.astype(np.int64, copy=False)
+        n = perm.shape[0]
+        if n and (perm.min() < 0 or perm.max() >= n):
+            raise ShapeError(f"action on {n} coordinates sends one outside [0, {n})")
+        self.perm, self.p, self.dim = perm, p, n
+        # reps[i] ends as the smallest index in the orbit of i, cur as sigma^p
+        idx = np.arange(n, dtype=perm.dtype)
+        reps, cur = idx.copy(), perm
+        for _ in range(p - 1):
+            np.minimum(reps, cur, out=reps)
+            cur = np.take(perm, cur)
+        if not np.array_equal(cur, idx):
+            if np.count_nonzero(np.bincount(perm, minlength=n)) != n:
+                raise ShapeError(f"action on {n} coordinates repeats an index")
+            raise OrderError(f"action does not have order {p}")
+        # the representatives are the i with reps[i] == i; a running count
+        # over them numbers the orbits in increasing order
+        is_rep = reps == idx
+        number = np.cumsum(is_rep, dtype=perm.dtype)
+        number -= 1
+        self._orbit = (idx[is_rep], number[reps], perm == idx)
         self._one_minus: ModMatrix | None = None
         self._norm: ModMatrix | None = None
 
-    @staticmethod
-    def _as_permutation(sigma: ModMatrix) -> np.ndarray:
-        n = sigma.shape[0]
-        csc = sigma.csc()
-        if np.any(np.diff(csc.indptr) != 1) or np.any(csc.data % sigma.modulus != 1):
-            raise ShapeError(
-                f"action on {n} coordinates is not a permutation matrix "
-                f"({sigma.nnz} entries)")
-        perm = csc.indices.astype(np.int64)
-        # n columns with one entry each: a permutation iff every row is hit
-        if np.count_nonzero(np.bincount(perm, minlength=n)) != n:
-            raise ShapeError(f"action on {n} coordinates repeats a row index")
-        return perm
-
-    def _check_order(self) -> None:
-        cur = self.perm
-        for _ in range(self.p - 1):
-            cur = self.perm[cur]
-        if not np.array_equal(cur, np.arange(self.dim, dtype=np.int64)):
-            raise OrderError(f"action does not have order {self.p}")
-
-    # orbit partition: reps[i] is the smallest index in the orbit of i
     def orbit_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._orbit is None:
-            idx = np.arange(self.dim, dtype=np.int64)
-            reps = idx.copy()
-            cur = self.perm
-            for _ in range(self.p - 1):
-                reps = np.minimum(reps, cur)
-                cur = self.perm[cur]
-            fixed = self.perm == idx
-            # the representatives are the i with reps[i] == i; a running
-            # count over them numbers the orbits in increasing order
-            is_rep = reps == idx
-            self._orbit = (idx[is_rep], np.cumsum(is_rep)[reps] - 1, fixed)
+        """(reps, number, fixed): the smallest index of each orbit in
+        increasing order, the orbit number of each index, and the mask of
+        the fixed indices."""
         return self._orbit
 
     def n_orbits(self) -> int:
-        return self.orbit_data()[0].shape[0]
+        return self._orbit[0].shape[0]
 
     def n_fixed(self) -> int:
-        return int(np.count_nonzero(self.orbit_data()[2]))
+        return int(np.count_nonzero(self._orbit[2]))
 
     def one_minus(self) -> ModMatrix:
+        """1 - sigma, written straight into CSC: the column of a moved word
+        i holds 1 at row i and -1 at row perm[i]; that of a fixed word is
+        empty."""
         if self._one_minus is None:
-            self._one_minus = ModMatrix.identity(self.dim, self.p) - self.sigma
+            moved = np.flatnonzero(~self._orbit[2])
+            image = self.perm[moved]
+            first = np.where(image < moved, self.p - 1, 1)
+            rows = np.stack([np.minimum(moved, image), np.maximum(moved, image)], axis=1)
+            self._one_minus = self._on_moved(rows, np.stack([first, self.p - first], axis=1))
         return self._one_minus
 
     def norm(self) -> ModMatrix:
@@ -136,26 +132,32 @@ class ZpModuleAction:
         fixed word the p terms sum to p = 0, so its column is empty.
         """
         if self._norm is None:
-            moved = ~self.orbit_data()[2]
-            images = [np.flatnonzero(moved)]
+            images = [np.flatnonzero(~self._orbit[2])]
             for _ in range(self.p - 1):
                 images.append(self.perm[images[-1]])
-            rows = np.stack(images, axis=1).ravel()
-            indptr = np.zeros(self.dim + 1, dtype=np.int64)
-            np.cumsum(moved * self.p, out=indptr[1:])
-            # ModMatrix sorts the rows within each column
-            self._norm = ModMatrix((self.dim, self.dim), self.p,
-                                   CSC(indptr, rows, np.ones(rows.shape[0], dtype=np.int64)))
+            rows = np.stack(images, axis=1)
+            rows.sort(axis=1)
+            self._norm = self._on_moved(rows, np.ones(rows.shape, dtype=np.int64))
         return self._norm
 
+    def _on_moved(self, rows: np.ndarray, vals: np.ndarray) -> ModMatrix:
+        """The dim x dim matrix whose column of the k-th moved word holds
+        vals[k] at the rows rows[k], increasing; fixed words' columns are
+        empty."""
+        indptr = np.zeros(self.dim + 1, dtype=np.int64)
+        np.cumsum(~self._orbit[2] * rows.shape[1], out=indptr[1:])
+        return ModMatrix((self.dim, self.dim), self.p, CSC(indptr, rows.ravel(), vals.ravel()))
+
     def intertwines(self, mat: ModMatrix, source: "ZpModuleAction") -> bool:
-        """sigma @ mat == mat @ source.sigma, in O(nnz): mat's rows relabeled
-        through this permutation against its columns gathered through the source's."""
+        """Whether sigma mat = mat tau for the source's permutation tau, in
+        O(nnz): sigma mat tau^-1 carries the entry of mat at (r, c) to
+        (perm[r], tau[c]), so the relabeled entries, sorted once, must be mat."""
         if mat.shape != (self.dim, source.dim):
             raise ShapeError(f"{mat.shape} does not map {source.dim} to {self.dim} coordinates")
         csc = mat.csc()
-        moved = ModMatrix(mat.shape, mat.modulus, csc._replace(indices=self.perm[csc.indices]))
-        return moved == mat.restrict(cols=source.perm)
+        moved = ModMatrix.from_arrays(mat.shape, mat.modulus, self.perm[csc.indices],
+                                      np.repeat(source.perm, np.diff(csc.indptr)), csc.data)
+        return moved == mat
 
 
 def zp_invariants(act: ZpModuleAction) -> ModMatrix:
@@ -244,8 +246,7 @@ def iota_iso(dim: int, p: int, n: int = 0, l_max: int = 4,
     im(1 - sigma). Any failure raises CartierError.
     """
     length = p * (n + 1)
-    sigma = block_rotation(dim, length, n + 1, p)
-    act = ZpModuleAction(sigma, p)
+    act = ZpModuleAction(block_rotation(dim, length, n + 1, p), p)
     iota = iota_matrix(dim, n, p, p)
     D = iota.shape[1]
     one_minus, norm = act.one_minus(), act.norm()
@@ -290,15 +291,17 @@ def iota_iso(dim: int, p: int, n: int = 0, l_max: int = 4,
         raise CartierError("; ".join(failures))
 
 
-def block_rotation(dim: int, length: int, blocksize: int, p: int) -> ModMatrix:
-    """Rotation by one block, with the order sanity-checked against p."""
+def block_rotation(dim: int, length: int, blocksize: int, p: int) -> np.ndarray:
+    """Rotation by one block as an index array, int32 while the dim^length
+    words fit: a word goes to the word with its leading block of blocksize
+    digits moved to the end, so lead * S + rest goes to rest * B + lead for
+    B = dim^blocksize and S = dim^length / B. That is the S x B table of
+    the words, read down its columns."""
     if length != blocksize * p:
         raise ShapeError("word length must be blocksize * p")
     size = dim ** length
-    cols = np.arange(size, dtype=np.int64)
-    stride = dim ** (length - blocksize)
-    rows = cols // stride + (cols % stride) * dim ** blocksize
-    return ModMatrix.from_index_map(rows, size, p)
+    words = np.arange(size, dtype=np.int32 if size < 1 << 31 else np.int64)
+    return words.reshape(dim ** (length - blocksize), dim ** blocksize).T.ravel()
 
 
 # ---------------- the subdivided cyclic object ----------------
@@ -321,7 +324,8 @@ class PCyclicLevels:
     route reads b, the block rotation as a Z/p action and the repeated
     words; `edgewise-check` reads b alone. The cap charges b (`level_counts`)
     and a column per word; with L, the conjugate bicomplex: b in each of its
-    L + 1 columns, and p + 3 entries per word for sigma, 1 - sigma and N.
+    L + 1 columns, and p + 3 entries per word for the index array of sigma,
+    1 - sigma and N.
     """
 
     def __init__(self, a: StructureConstantsAlgebra, N: int, cap: int | None = None,
@@ -389,12 +393,11 @@ class PCyclicLevels:
     def t(self, n: int) -> ModMatrix:
         return self.rho(n).scale(cyclic_sign(n))
 
-    def sigma(self, n: int) -> ModMatrix:
-        return block_rotation(self.algebra.dim, self.p * (n + 1), n + 1, self.p)
-
     def action(self, n: int) -> ZpModuleAction:
+        """The block rotation of level n, the permutation sigma = rho^(n+1)."""
         if n not in self._actions:
-            self._actions[n] = ZpModuleAction(self.sigma(n), self.p)
+            self._actions[n] = ZpModuleAction(
+                block_rotation(self.algebra.dim, self.p * (n + 1), n + 1, self.p), self.p)
         return self._actions[n]
 
     def b(self, n: int) -> ModMatrix:

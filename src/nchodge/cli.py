@@ -361,7 +361,12 @@ def _add_common(sub, levels_default=None, levels_help="chain levels to build"):
     sub.add_argument("--quiet", action="store_true", help="no progress on stderr")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv. Every subcommand is added with its help line,
+    which is all the top-level help and errors print, but only the one
+    that argv names gets its arguments: the top level takes no option with
+    a value, so the first word of argv that is not an option is the
+    subcommand argparse runs."""
     parser = argparse.ArgumentParser(
         prog="nchodge",
         description="Hochschild and cyclic homology of finite F_p algebras, "
@@ -369,71 +374,59 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="exit codes: 0 clean, 1 flagged findings, 2 bad input, "
                "3 resource cap")
     subs = parser.add_subparsers(dest="command", required=True)
+    named = next((word for word in argv if not word.startswith("-")), None)
 
-    sub = subs.add_parser("corpus", help="list the builtin algebras")
-    sub.add_argument("-p", "--prime", type=_prime, default=3)
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sub.add_argument("--quiet", action="store_true")
-    sub.set_defaults(func=cmd_corpus)
+    def command(name: str, text: str, func):
+        """The subparser of name, to fill in when argv names it; else None."""
+        sub = subs.add_parser(name, help=text)
+        if name != named:
+            return None
+        sub.set_defaults(func=func)
+        return sub
 
-    sub = subs.add_parser("validate", help="associativity and unit laws")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_validate)
-
-    sub = subs.add_parser("hh", help="Hochschild homology dimensions")
-    _add_common(sub, levels_default=5)
-    sub.set_defaults(func=cmd_hh)
-
-    sub = subs.add_parser("hc", help="cyclic homology dimensions")
-    _add_common(sub, levels_default=5)
-    sub.set_defaults(func=cmd_hc)
-
-    sub = subs.add_parser("sbi", help="inclusion/shift/connecting rank checks")
-    _add_common(sub, levels_default=6)
-    sub.set_defaults(func=cmd_sbi)
-
-    sub = subs.add_parser("hodge", help="column filtration verdict")
-    _add_common(sub, levels_default=5)
-    sub.add_argument("--pages", action="store_true",
-                     help="attach certified page tables when affordable")
-    sub.add_argument("--pages-budget", type=_int_at_least(0), default=3000)
-    sub.add_argument("--r-max", type=_int_at_least(0), default=3)
-    sub.set_defaults(func=cmd_hodge)
-
-    sub = subs.add_parser("cartier0", help="power map on the commutator quotient")
-    _add_common(sub)
-    sub.add_argument("--samples", type=_int_at_least(1), default=1000)
-    sub.add_argument("--seed", type=_int_at_least(0), default=0)
-    sub.set_defaults(func=cmd_cartier0)
-
-    sub = subs.add_parser("edgewise-check",
-                          help="subdivided homology against the plain route")
-    _add_common(sub, levels_default=2)
-    sub.add_argument("--allow-p2", action="store_true")
-    sub.set_defaults(func=cmd_edgewise_check)
-
-    sub = subs.add_parser("conjugate", help="fiberwise filtration second page")
-    _add_common(sub, levels_default=2)
-    sub.add_argument("-L", "--columns", type=_int_at_least(0), default=None,
-                     help="horizontal extent (default 2p)")
-    sub.add_argument("--allow-p2", action="store_true")
-    sub.set_defaults(func=cmd_conjugate)
-
-    sub = subs.add_parser("ledger", help="degeneration ledger per degree")
-    _add_common(sub, levels_default=5)
-    sub.set_defaults(func=cmd_ledger)
-
-    sub = subs.add_parser("lift-check", help="verify a mod p**2 lift")
-    _add_common(sub)
-    sub.add_argument("--lift", default=None,
-                     help="JSON file with the lifted constants (default: literal)")
-    sub.set_defaults(func=cmd_lift_check)
+    if sub := command("corpus", "list the builtin algebras", cmd_corpus):
+        sub.add_argument("-p", "--prime", type=_prime, default=3)
+        sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        sub.add_argument("--quiet", action="store_true")
+    if sub := command("validate", "associativity and unit laws", cmd_validate):
+        _add_common(sub)
+    if sub := command("hh", "Hochschild homology dimensions", cmd_hh):
+        _add_common(sub, levels_default=5)
+    if sub := command("hc", "cyclic homology dimensions", cmd_hc):
+        _add_common(sub, levels_default=5)
+    if sub := command("sbi", "inclusion/shift/connecting rank checks", cmd_sbi):
+        _add_common(sub, levels_default=6)
+    if sub := command("hodge", "column filtration verdict", cmd_hodge):
+        _add_common(sub, levels_default=5)
+        sub.add_argument("--pages", action="store_true",
+                         help="attach certified page tables when affordable")
+        sub.add_argument("--pages-budget", type=_int_at_least(0), default=3000)
+        sub.add_argument("--r-max", type=_int_at_least(0), default=3)
+    if sub := command("cartier0", "power map on the commutator quotient", cmd_cartier0):
+        _add_common(sub)
+        sub.add_argument("--samples", type=_int_at_least(1), default=1000)
+        sub.add_argument("--seed", type=_int_at_least(0), default=0)
+    if sub := command("edgewise-check", "subdivided homology against the plain route",
+                      cmd_edgewise_check):
+        _add_common(sub, levels_default=2)
+        sub.add_argument("--allow-p2", action="store_true")
+    if sub := command("conjugate", "fiberwise filtration second page", cmd_conjugate):
+        _add_common(sub, levels_default=2)
+        sub.add_argument("-L", "--columns", type=_int_at_least(0), default=None,
+                         help="horizontal extent (default 2p)")
+        sub.add_argument("--allow-p2", action="store_true")
+    if sub := command("ledger", "degeneration ledger per degree", cmd_ledger):
+        _add_common(sub, levels_default=5)
+    if sub := command("lift-check", "verify a mod p**2 lift", cmd_lift_check):
+        _add_common(sub)
+        sub.add_argument("--lift", default=None,
+                         help="JSON file with the lifted constants (default: literal)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         payload, table, findings = args.func(args)
     except json.JSONDecodeError as exc:

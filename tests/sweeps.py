@@ -25,7 +25,7 @@ import numpy as np
 
 from nchodge.algebra import BasisIdempotents
 
-from nchodge.cartier import PCyclicLevels
+from nchodge.cartier import PCyclicLevels, ZpModuleAction
 from nchodge.complexes import (BicomplexWindow, IncreasingFiltration, LazyDiffs,
                                filtration_by_columns)
 from nchodge.conventions import cyclic_sign
@@ -145,6 +145,11 @@ def cyclic_identity_failures(cyc: CyclicLevelMaps, through: int | None = None) -
     return bad
 
 
+def sigma_matrix(act: ZpModuleAction) -> ModMatrix:
+    """The permutation matrix of an action: column i holds a 1 at row act.perm[i]."""
+    return ModMatrix.from_index_map(act.perm, act.dim, act.p)
+
+
 def subdivision_identity_failures(pcyc: PCyclicLevels, upto: int | None = None) -> list[str]:
     """Simplicial, rotation and mixed identities of the p-fold subdivision
     on levels up to `upto` (default: its top level N)."""
@@ -164,15 +169,15 @@ def subdivision_identity_failures(pcyc: PCyclicLevels, upto: int | None = None) 
             cur = rho @ cur
         if cur != ModMatrix.identity(pcyc.dim(n), mod):
             bad.append(f"rotation order at level {n}")
-        if pcyc.sigma(n) != matpow(rho, n + 1):
+        sig = sigma_matrix(pcyc.action(n))
+        if sig != matpow(rho, n + 1):
             bad.append(f"block rotation is not the (n+1)-st power at level {n}")
         for i in range(1, n + 1):
             if pcyc.face(n, i) @ rho != pcyc.rho(n - 1) @ pcyc.face(n, i - 1):
                 bad.append(f"rotation past face {i} at level {n}")
         if pcyc.face(n, 0) @ rho != pcyc.face(n, n):
             bad.append(f"rotation into the wrap face at level {n}")
-        sig = pcyc.sigma(n)
-        sig_low = pcyc.sigma(n - 1)
+        sig_low = sigma_matrix(pcyc.action(n - 1))
         for i in range(n + 1):
             if pcyc.face(n, i) @ sig != sig_low @ pcyc.face(n, i):
                 bad.append(f"block rotation past face {i} at level {n}")

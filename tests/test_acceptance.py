@@ -31,7 +31,7 @@ from nchodge.hochcyc import (
 )
 from nchodge.modring import ModMatrix
 from nchodge.witt import verify_w2_ring
-from .sweeps import bB_bicomplex, cyclic_identity_failures, lambda_p_hc, matpow
+from .sweeps import bB_bicomplex, cyclic_identity_failures, lambda_p_hc, matpow, sigma_matrix
 from .test_cartier import assert_tight
 from .test_hochcyc import FlippedB
 
@@ -51,13 +51,13 @@ def test_c01_operator_identities_full_corpus():
             assert not failures, (name, p, failures)
             bB_bicomplex(cyc).check_squares()
             # order-p block rotation on the degree-zero subdivided chains
-            sigma0 = block_rotation(a.dim, p, 1, p)
-            ident = ModMatrix.identity(sigma0.shape[0], p)
-            assert matpow(sigma0, p) == ident, (name, p)
+            perm0 = block_rotation(a.dim, p, 1, p)
+            sigma0 = ModMatrix.from_index_map(perm0, perm0.shape[0], p)
+            assert matpow(sigma0, p) == ModMatrix.identity(perm0.shape[0], p), (name, p)
             if p == 3 or a.dim <= 2:   # at p = 5, 7 level 1 has d^(2p) words
                 pcyc = PCyclicLevels(a, 1, allow_p2=True)
                 for n in (0, 1):
-                    sig = pcyc.sigma(n)
+                    sig = sigma_matrix(pcyc.action(n))
                     assert matpow(sig, p) == ModMatrix.identity(
                         sig.shape[0], p), (name, p, n)
     elapsed = time.time() - t0

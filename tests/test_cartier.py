@@ -2,9 +2,9 @@
 
 Group homology dimensions are pinned against the brute-force orbit
 oracle, and the whole Z/p toolkit against dense row reduction of the
-action matrix; the subdivided pipelines are pinned against the
-unsubdivided ones, which share no code with the Kronecker-power faces
-being tested.
+matrix of the action, built here from its index array; the subdivided
+pipelines are pinned against the unsubdivided ones, which share no code
+with the Kronecker-power faces being tested.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from nchodge.corpus import build, corpus_names
 from nchodge.errors import (
     CartierError,
     InternalCheckError,
-    ModulusError,
     OrderError,
     ParityError,
     ResourceError,
@@ -43,7 +42,7 @@ from nchodge.hochcyc import CyclicLevelMaps, face_matrix, hodge_ss, rotation_mat
 from nchodge.modring import ModMatrix, kron_power
 from .oracles import (ref_permutation_ranks, ref_rank, ref_zp_action_ranks,
                       ref_zp_homology_dims)
-from .sweeps import (composite_degeneracy, composite_face, lambda_p_hc, matpow,
+from .sweeps import (composite_degeneracy, composite_face, lambda_p_hc, matpow, sigma_matrix,
                      subdivision_identity_failures, two_column_bicomplex)
 
 
@@ -61,10 +60,6 @@ def order_p_permutation(n: int, p: int, seed: int, cycles: int | None = None) ->
         cycle = idx[c * p:(c + 1) * p]
         perm[cycle] = np.roll(cycle, -1)
     return perm
-
-
-def permutation_action(perm: np.ndarray, p: int) -> ZpModuleAction:
-    return ZpModuleAction(ModMatrix.from_index_map(perm, perm.shape[0], p), p)
 
 
 # ---------------- group homology against the orbit oracle ----------------
@@ -93,7 +88,7 @@ def test_homology_frozen_d3_p3():
 def check_against_dense_oracle(act: ZpModuleAction) -> None:
     """Homology, the orbit counts, invariants and coinvariants of act
     against pure-python ranks of its dense matrix."""
-    ref = ref_zp_action_ranks(act.sigma.to_dense().tolist(), act.p)
+    ref = ref_zp_action_ranks(sigma_matrix(act).to_dense().tolist(), act.p)
     n, r1, rn = ref["n"], ref["rank_one_minus"], ref["rank_norm"]
     h = n - r1 - rn
     assert zp_homology_dims(act, 3) == {0: n - r1, 1: h, 2: h, 3: h}
@@ -121,12 +116,12 @@ def test_zp_toolkit_matches_dense_oracle_on_random_permutations(p, n, cycles, se
     cycles = min(cycles, n // p)
     if cycles * p == n and cycles:
         cycles -= 1  # keep a fixed point
-    check_against_dense_oracle(permutation_action(order_p_permutation(n, p, seed, cycles), p))
+    check_against_dense_oracle(ZpModuleAction(order_p_permutation(n, p, seed, cycles), p))
 
 
 def test_orbit_numbering_equals_sorted_unique_representatives():
     acts = [rotation_action(dim, p, n) for dim, p, n in ((2, 3, 0), (3, 3, 1), (2, 5, 0), (2, 7, 0))]
-    acts += [permutation_action(order_p_permutation(n, p, seed, cycles), p)
+    acts += [ZpModuleAction(order_p_permutation(n, p, seed, cycles), p)
              for p in (3, 5, 7) for n, cycles, seed in ((40, None, 0), (p, 1, 1), (30, 0, 2))]
     for act in acts:
         uniq, inverse, fixed = act.orbit_data()
@@ -142,21 +137,22 @@ def test_orbit_numbering_equals_sorted_unique_representatives():
 
 def test_action_guards():
     with pytest.raises(OrderError):
-        ZpModuleAction(ModMatrix.identity(2, 3), 4)
-    with pytest.raises(ShapeError):
-        ZpModuleAction(ModMatrix.from_dense([[2, 0], [0, 1]], 3), 3)
+        ZpModuleAction(np.arange(2), 4)
+    with pytest.raises(ShapeError, match="1-D index array"):
+        ZpModuleAction(np.arange(4).reshape(2, 2), 3)
+    with pytest.raises(ShapeError, match="1-D index array"):
+        ZpModuleAction(np.array([1.0, 2.0, 0.0]), 3)
+    for out_of_range in ([1, 3, 0], [-1, 2, 0]):
+        with pytest.raises(ShapeError, match="outside"):
+            ZpModuleAction(np.array(out_of_range), 3)
     with pytest.raises(OrderError):
-        permutation_action(np.array([1, 2, 0]), 5)
+        ZpModuleAction(np.array([1, 2, 0]), 5)
     with pytest.raises(OrderError):
-        permutation_action(np.array([1, 0, 2]), 3)
-    with pytest.raises(ModulusError):
-        ZpModuleAction(ModMatrix.identity(2, 5), 3)
-    with pytest.raises(ShapeError):
-        ZpModuleAction(ModMatrix.zeros(2, 3, 3), 3)
+        ZpModuleAction(np.array([1, 0, 2]), 3)
 
 
 def test_invariants_and_coinvariants_are_consistent():
-    for act in (rotation_action(3, 3), permutation_action(order_p_permutation(20, 3, 5), 3)):
+    for act in (rotation_action(3, 3), ZpModuleAction(order_p_permutation(20, 3, 5), 3)):
         inc = zp_invariants(act)
         assert (act.one_minus() @ inc).is_zero()
         assert ref_rank(inc.to_dense().T.tolist(), act.p) == inc.shape[1]
@@ -168,24 +164,43 @@ def test_invariants_and_coinvariants_are_consistent():
 
 def test_index_arithmetic_operators_match_matmul_sums():
     acts = [rotation_action(dim, p, n) for dim, p, n in ((2, 3, 0), (3, 3, 1), (2, 5, 1))]
-    acts += [permutation_action(order_p_permutation(40, p, seed), p)
+    acts += [ZpModuleAction(order_p_permutation(40, p, seed), p)
              for p, seed in ((3, 0), (5, 1), (7, 2))]
     for act in acts:
         assert act.n_fixed() > 0
-        one = ModMatrix.identity(act.dim, act.p)
+        one, sigma = ModMatrix.identity(act.dim, act.p), sigma_matrix(act)
         norm, cur = one, one
         for _ in range(act.p - 1):
-            cur = act.sigma @ cur
+            cur = sigma @ cur
             norm = norm + cur
         assert act.norm() == norm
-        assert act.one_minus() == one - act.sigma
+        assert act.one_minus() == one - sigma
         assert act.norm() is act.norm() and act.one_minus() is act.one_minus()
 
 
 def test_permutation_test_rejects_a_repeated_index():
-    with pytest.raises(ShapeError):
-        permutation_action(np.array([1, 1, 2]), 3)
-    assert permutation_action(np.array([1, 2, 0]), 3).perm.tolist() == [1, 2, 0]
+    # sigma^p = 1 fails first; counting the images tells a repeat from a wrong order
+    for repeated in ([1, 1, 2], [0, 0, 0], [2, 0, 0, 3]):
+        for dtype in (np.int32, np.int64):
+            with pytest.raises(ShapeError, match="repeats an index"):
+                ZpModuleAction(np.array(repeated, dtype=dtype), 3)
+    assert ZpModuleAction(np.array([1, 2, 0]), 3).perm.tolist() == [1, 2, 0]
+
+
+def test_an_int32_permutation_gives_the_operators_of_its_int64_copy():
+    # a zero-dimensional algebra has no words at any level
+    cases = [(block_rotation(3, 6, 2, 3), 3), (block_rotation(2, 10, 2, 5), 5),
+             (order_p_permutation(60, 7, 3), 7), (block_rotation(0, 3, 1, 3), 3)]
+    assert cases[0][0].dtype == cases[1][0].dtype == np.int32
+    assert cases[3][0].shape == (0,)
+    for perm, p in cases:
+        narrow = ZpModuleAction(perm.astype(np.int32), p)
+        wide = ZpModuleAction(perm.astype(np.int64), p)
+        assert narrow.perm.dtype == narrow.orbit_data()[1].dtype == np.int32
+        assert wide.perm.dtype == wide.orbit_data()[1].dtype == np.int64
+        for x, y in zip(narrow.orbit_data(), wide.orbit_data()):
+            assert np.array_equal(x, y)
+        assert narrow.one_minus() == wide.one_minus() and narrow.norm() == wide.norm()
 
 
 def assert_tight(act: ZpModuleAction) -> None:
@@ -203,7 +218,7 @@ def test_orbit_counts_frozen_and_tight():
     act = rotation_action(3, 3)
     assert (act.n_orbits(), act.n_fixed()) == (11, 3)
     assert_tight(act)
-    assert_tight(permutation_action(order_p_permutation(12, 3, 1), 3))
+    assert_tight(ZpModuleAction(order_p_permutation(12, 3, 1), 3))
 
 
 # ---------------- repeated-word map ----------------
@@ -293,8 +308,8 @@ def test_kronecker_operators_match_the_composites(p):
 def test_intertwines_matches_the_matrix_products():
     rng = np.random.default_rng(6)
     for p, lo, hi in ((3, 12, 15), (5, 10, 10), (7, 14, 21)):
-        src = permutation_action(order_p_permutation(hi, p, 1), p)
-        dst = permutation_action(order_p_permutation(lo, p, 2), p)
+        src = ZpModuleAction(order_p_permutation(hi, p, 1), p)
+        dst = ZpModuleAction(order_p_permutation(lo, p, 2), p)
         for density in (0.0, 0.1, 0.5):
             dense_mat = rng.integers(1, p, (lo, hi)) * (rng.random((lo, hi)) < density)
             mat = ModMatrix.from_dense(dense_mat, p)
@@ -303,9 +318,9 @@ def test_intertwines_matches_the_matrix_products():
             s_lo, s_hi = ModMatrix.identity(lo, p), ModMatrix.identity(hi, p)
             for _ in range(p):
                 avg = avg + s_lo @ mat @ s_hi.T
-                s_lo, s_hi = dst.sigma @ s_lo, src.sigma @ s_hi
+                s_lo, s_hi = sigma_matrix(dst) @ s_lo, sigma_matrix(src) @ s_hi
             for m in (mat, avg):
-                want = dst.sigma @ m == m @ src.sigma
+                want = sigma_matrix(dst) @ m == m @ sigma_matrix(src)
                 assert dst.intertwines(m, src) == want
             assert dst.intertwines(avg, src)
     with pytest.raises(ShapeError):
@@ -318,7 +333,7 @@ def test_subdivision_levels_and_laziness():
     assert pcyc.dim(3) == 0
     with pytest.raises(WindowError):
         pcyc.face(3, 0)
-    assert pcyc.sigma(1) == matpow(pcyc.rho(1), 2)
+    assert sigma_matrix(pcyc.action(1)) == matpow(pcyc.rho(1), 2)
 
 
 def test_parity_guard():

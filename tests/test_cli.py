@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -460,6 +461,15 @@ def test_closed_stdout_exits_quietly_with_the_earned_code(argv, code):
 # rank, SBI rank or spot must be deliberate and update these. --r-max 50 runs
 # pages past the span, where only unpaired vectors are left.
 PINNED_PAYLOADS = {
+    "conjugate dual-numbers -N 3": (0, "752e50682acd9da96f9a202f6b1ed88f04f7fdd7aaf97e26abd2e3699210b167"),
+    "conjugate dual-numbers -N 3 -L 0": (0, "3bbd0aba46b920ff758f12fd38db10292901f42baba815cbf1642f15378000e4"),
+    "conjugate dual-numbers -N 3 -L 1": (0, "c96fd58da3046824091aa27cd7bd4946c0f793c79b4303f19d0194f40a21ccde"),
+    "conjugate dual-numbers -N 3 -L 3": (0, "0ca02d4a72a423e741c1bdd76f8084b3fae3cf8f30192bd4dede15813e157b15"),
+    "conjugate upper-tri-2 -N 2": (0, "2ec7ca5af095bd97c6ad9e030d1a51517662ec46acb61175f283cd09e9313750"),
+    "conjugate group-z3 -N 2": (0, "74243aa81081c9755c70f82264c949e63863b98fb5f4e187e79e0feebaac9f0d"),
+    "conjugate dual-numbers -N 2 -p 5": (0, "a4e758e302332a0688ede5f3ba59fb22afa1f6ac379578f02f082ab87d5c048c"),
+    "edgewise-check dual-numbers -N 4": (0, "a62da55bfd0f6eff7bf96e9c72c0cdb66524e2fb81b2e9ce7d82a103daf154d6"),
+    "edgewise-check m2 -N 2": (0, "17dedbbcf596e3c62c1eb16eb61316f88c21ce6f3f76d87f7e06de4c1d20425d"),
     "hc a2-path -N 6": (0, "a521f508fad684d161ddd1a085ccfe68f8e85792fb0e474edcb5b652accc4ee0"),
     "hc dual-numbers -N 6": (0, "b4eb4bef481d7c9ec5c7c3b00cd503377c244d04fde488a4b27ff1c96d9330e1"),
     "hc ground-field -N 6": (0, "4d2fb5e917bc671af47d96b04b0bf6c49b8ba0dec49c34b1ab16b1eb0b0d96da"),
@@ -511,6 +521,40 @@ def test_payload_bytes_are_pinned(capsys, command):
 
     rc, out, _ = run(capsys, *command.split(), "--format", "json", "--quiet")
     assert (rc, hashlib.sha256(out.encode()).hexdigest()) == PINNED_PAYLOADS[command]
+
+
+# the sha256 of every help text at COLUMNS=80, taken on Python 3.11; the
+# layout of argparse moves between versions (3.13 writes "-p, --prime PRIME"
+# where 3.11 writes "-p PRIME, --prime PRIME")
+PINNED_HELP = {
+    "--help": "01e4e25a8b7e2f7d48786b13fcda7e44a06c3b5b1d6ca272b848de05d0936a94",
+    "corpus --help": "72ea15b7abdd37435376021a1ae14463d7eb5268b9916dfe1059e0e64f25aaa3",
+    "validate --help": "70403cda369746006a9a5bc5b0951ece8d46a68271c5d7660354e2dd4235abdb",
+    "hh --help": "fef1ead5d68afae403011ec3cac12215aea0f80642fc3ae75c312d28d8cb07ac",
+    "hc --help": "dd9bd84bc28301070479d014df0c574fddd602c313d283cc5956e5d0fa29f8d8",
+    "sbi --help": "1a37ac056776f558b2cea9a83f4180eaaeefcfd6e0e9f58232ab7a3d2445f987",
+    "hodge --help": "7ab8b8ee93c89bd8fc8a20a84546c99971404fda7998ef768ad94e77ededb0fd",
+    "cartier0 --help": "348f49994980fe2c6dc02ae6fa1663557fce45ff117f2d04cfc7a960604ea21d",
+    "edgewise-check --help": "cedbaea73c19a2cae0efae9b20f041d07ab539bd76fb256e71028a55642c52fa",
+    "conjugate --help": "b63fe7aea337b7424daa60fc81db9a2273a4730ad6b11eb3e6dce93cdb80e427",
+    "ledger --help": "5364d80b43d5fc2984bd967b420c4e1b964cad8c91eff283087dc6bab3322007",
+    "lift-check --help": "43bfa0d24fd00cbfdc2ab8ffb7295ebb4e69f0eefe88253bfccc7f43dffa9c7b",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pins are of the 3.11 layout")
+@pytest.mark.parametrize("command", sorted(PINNED_HELP))
+def test_help_texts_are_pinned(capsys, monkeypatch, command):
+    # only the subcommand that argv names gets its arguments, so each text
+    # comes from a parser that holds no other command's
+    import hashlib
+
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HELP[command]
 
 
 def test_hodge_certifies_that_cyclic_homology_stays_under_the_stack(capsys, monkeypatch):
