@@ -16,20 +16,17 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from math import isqrt, prod
+from math import prod
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (ConstructionError, InternalCheckError, ModulusError,
                      ReductionMismatchError)
-from .modring import (ModMatrix, _dense_kernel, _dense_rref, is_prime, matmul_mod,
-                      split_modulus)
+from .modring import (TO_DENSE_LIMIT, ModMatrix, _dense_kernel, _dense_rref, is_prime,
+                      matmul_mod, split_modulus)
 
 MAX_VALIDATION_REPORTS = 20
-# the largest modulus m with (m - 1)**2 < 2**63: dense elimination and the
-# structure-constant tables multiply two residues in int64
-MAX_MODULUS = isqrt((1 << 63) - 1) + 1
 
 
 class StructureConstantsAlgebra:
@@ -38,10 +35,6 @@ class StructureConstantsAlgebra:
     def __init__(self, modulus: int, basis: Sequence[str], unit, constants,
                  name: str | None = None, check: bool = True):
         p, power = split_modulus(modulus)
-        if modulus > MAX_MODULUS:
-            raise ModulusError(
-                f"modulus {modulus} is too large: exact int64 arithmetic needs "
-                f"(m - 1)^2 < 2^63, i.e. m <= {MAX_MODULUS}")
         self.modulus = int(modulus)
         self.p = p
         self.power = power
@@ -141,9 +134,10 @@ def from_json_dict(data: dict, check: bool = True) -> StructureConstantsAlgebra:
     if power not in (1, 2):
         raise ModulusError(f"power must be 1 or 2, got {power}")
     modulus = p ** power
-    split_modulus(modulus)  # range check: residues below fit the int64 tables
-    if dim < 0:
-        raise ConstructionError(f"dim must be >= 0, got {dim}")
+    split_modulus(modulus)  # the modulus bound, before any table is allocated
+    if not 0 <= dim ** 3 <= TO_DENSE_LIMIT:
+        raise ConstructionError(f"dim must be >= 0 with dim^3 <= {TO_DENSE_LIMIT}, the "
+                                f"entries of the dense constants table, got {dim}")
     unit = data["unit"]
     if not _int_list(unit, dim):
         raise ConstructionError(f"unit must be a list of {dim} integers, got {unit!r}")

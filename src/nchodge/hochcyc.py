@@ -56,7 +56,7 @@ from .conventions import cyclic_sign, face_sum
 from .errors import (InternalCheckError, ModulusError, ResourceError, ShapeError,
                      WindowError)
 from .modring import ModMatrix
-from .specseq import UNPAIRED, SSPage, pages, pair_gaps
+from .specseq import UNPAIRED, SSPage, page_entries, pages, pair_gaps
 
 DEFAULT_ENTRY_CAP = 1 << 24
 
@@ -648,7 +648,8 @@ def hodge_ss(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
     abutment can never exceed that sum; if it does the pipeline is broken
     and this raises. Page tables from the generic spectral sequence engine
     are attached when pages_budget covers the sum of d^(m+1), the
-    coordinates of the cyclic object's levels. Projecting onto the
+    coordinates of the cyclic object's levels; their entries are charged
+    against cap before they are built. Projecting onto the
     normalized complex is a filtered quasi-isomorphism on b, so every E_r
     with r >= 1 is that of the cyclic object (Loday, Cyclic Homology, 2.1);
     the chain-level E_0 is reported for the cyclic object, in closed form
@@ -658,6 +659,12 @@ def hodge_ss(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
         raise WindowError("need N >= 2")
     carrier = NormalizedMixedComplex(a, N, cap=cap)
     filt = filtration_by_columns(carrier)
+    with_pages = sum(a.dim ** (m + 1) for m in range(N + 1)) <= pages_budget
+    if with_pages:
+        entries, limit = page_entries(filt, r_max), DEFAULT_ENTRY_CAP if cap is None else cap
+        if entries > limit:
+            raise ResourceError(f"the pages E_0 .. E_{r_max} pass the cap",
+                                count=entries, cap=limit)
     hh = hh_dims(a, N, carrier=carrier)
     hc = hc_dims(a, N, tot=filt.carrier)
     e1 = {(l, n): hh[n - 2 * l] for n in range(N - 1) for l in range(n // 2 + 1)}
@@ -668,7 +675,7 @@ def hodge_ss(a: StructureConstantsAlgebra, N: int, cap: int | None = None,
                 f"cyclic homology exceeds the Hodge stack in degree {n}: {hc[n]} > {total}")
     degenerate = all(hc[n] == sums[n] for n in sums)
     page_tables = None
-    if sum(a.dim ** (m + 1) for m in range(N + 1)) <= pages_budget:
+    if with_pages:
         page_tables = pages(filt, r_max=r_max)
         page_tables[0] = _cyclic_page_zero(page_tables[0], a.dim, hh)
     return HodgeSSReport(

@@ -1,6 +1,6 @@
-"""Exact linear algebra mod p and mod p**2.
+"""Exact linear algebra over F_p.
 
-Matrices carry their modulus and store their entries as three numpy
+Matrices carry their prime and store their entries as three numpy
 arrays in compressed sparse column format (`CSC`), kept canonical;
 products, sums, transposes and row selections are rebuilt from
 coordinates with one sort on an int64 key. Ranks and homology dimensions
@@ -38,7 +38,6 @@ dim ker d_out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import isqrt
@@ -95,16 +94,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# the largest modulus m with (m - 1)**2 < 2**63
+MAX_MODULUS = isqrt((1 << 63) - 1) + 1
+
+
 @lru_cache(maxsize=None)
 def split_modulus(m: int) -> tuple[int, int]:
     """Return (p, k) with m = p**k, k in {1, 2} and p prime.
 
-    Moduli must lie below 2**32: then the product of two residues fits in
-    uint64, and a sum of fewer than 2**31 residues fits in int64, which is
-    what ModMatrix.__matmul__ needs to stay exact.
+    This is the one bound on a modulus: (m - 1)**2 < 2**63, that is
+    m <= MAX_MODULUS. Then two residues multiply exactly in int64, as dense
+    elimination and the structure-constant tables do; and m < 2**32, so a
+    product of two residues fits in uint64 and a sum of fewer than 2**31
+    residues fits in int64, as ModMatrix.__matmul__ needs. A ModMatrix
+    takes k = 1 only; algebras keep k = 2 for their lifts.
     """
-    if not 2 <= m < 1 << 32:
-        raise ModulusError(f"modulus {m} is outside [2, 2^32)")
+    if not 2 <= m <= MAX_MODULUS:
+        raise ModulusError(f"modulus {m} is outside [2, {MAX_MODULUS}]: exact int64 "
+                           "arithmetic needs (m - 1)^2 < 2^63")
     if is_prime(m):
         return m, 1
     r = isqrt(m)
@@ -113,39 +120,11 @@ def split_modulus(m: int) -> tuple[int, int]:
     raise ModulusError(f"modulus {m} is not a prime or a prime square")
 
 
-@dataclass(frozen=True)
-class ResidueScalar:
-    """An integer residue carrying its modulus (a prime or a prime square)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        split_modulus(self.modulus)
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _join(self, other: "ResidueScalar | int") -> int:
-        if isinstance(other, ResidueScalar):
-            if other.modulus != self.modulus:
-                raise ModulusError(f"moduli differ: {self.modulus} vs {other.modulus}")
-            return other.value
-        return int(other) % self.modulus
-
-    def __add__(self, other):
-        return ResidueScalar((self.value + self._join(other)) % self.modulus, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ResidueScalar((self.value - self._join(other)) % self.modulus, self.modulus)
-
-    def __mul__(self, other):
-        return ResidueScalar((self.value * self._join(other)) % self.modulus, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ResidueScalar((-self.value) % self.modulus, self.modulus)
+def _prime(modulus: int) -> int:
+    """modulus, when `split_modulus` finds it prime."""
+    if split_modulus(modulus)[1] != 1:
+        raise ModulusError(f"a ModMatrix lives over F_p; {modulus} is a prime square")
+    return int(modulus)
 
 
 class CSC(NamedTuple):
@@ -298,19 +277,18 @@ def _selector(sel, n: int) -> np.ndarray:
 
 
 class ModMatrix:
-    """A matrix of residues mod a prime or prime square."""
+    """A matrix over F_p: residues mod a prime within `split_modulus`'s bound."""
 
     __slots__ = ("shape", "modulus", "_csc", "_rank", "_pivot_rows")
 
     def __init__(self, shape: tuple[int, int], modulus: int, csc):
         """csc is any object with CSC arrays indptr, indices and data; they
         are read, never written, and made canonical when they are not."""
-        split_modulus(modulus)
+        self.modulus = _prime(modulus)
         rows, cols = shape
         if rows < 0 or cols < 0:
             raise ShapeError(f"bad shape {shape}")
         self.shape = (int(rows), int(cols))
-        self.modulus = int(modulus)
         self._csc = _canonical_csc(self.shape, self.modulus, csc)
         self._rank: int | None = None
         # rows where the reduced columns of the transpose end (the lows of
@@ -344,7 +322,7 @@ class ModMatrix:
                     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> "ModMatrix":
         """The matrix with entries vals at (rows, cols), in any order;
         repeated positions are summed."""
-        split_modulus(modulus)
+        modulus = _prime(modulus)
         rows, cols = np.asarray(rows), np.asarray(cols)
         if rows.size and (rows.min() < 0 or rows.max() >= shape[0]
                           or cols.min() < 0 or cols.max() >= shape[1]):
@@ -532,7 +510,7 @@ class ModMatrix:
 
 
 def _mulmod(x, y, m: int) -> np.ndarray:
-    """x * y mod m for residue arrays, exact for m < 2**32 (products fit uint64)."""
+    """x * y mod m for residue arrays; exact, as m < 2**32 (`split_modulus`)."""
     # residues are not negative, so their int64 bits read as uint64 unchanged;
     # numpy divides by a scalar faster than it takes %
     prod = (np.asarray(x, dtype=np.int64).view(np.uint64)
@@ -571,7 +549,8 @@ def _limb_bits(k: int, m: int) -> int:
 
 
 def matmul_mod(left: np.ndarray, right: np.ndarray, m: int) -> np.ndarray:
-    """left @ right mod m for dense int64 residue arrays, exact for m < 2**32.
+    """left @ right mod m for dense int64 residue arrays, exact for every m
+    that `split_modulus` accepts, prime squares included.
 
     Below the int64 accumulation bound k * max(left) * max(right) < 2**63,
     k the inner dimension, this is one integer matmul (for 0/1 structure
@@ -618,11 +597,9 @@ def hstack(mats: Sequence[ModMatrix]) -> ModMatrix:
 # ---------------- dense elimination ----------------
 
 def _dense_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p. Returns (rref, pivot column list).
-    Past (p - 1)**2 >= 2**63 the products are taken by `_mulmod`."""
+    """Reduced row echelon form mod p. Returns (rref, pivot column list)."""
     a = np.array(a, dtype=np.int64) % p
     m, n = a.shape
-    wide = (p - 1) ** 2 >= 1 << 63
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -636,14 +613,12 @@ def _dense_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), p - 2, p)
         if inv != 1:
-            a[r] = _mulmod(a[r], inv, p) if wide else a[r] * inv % p
+            a[r] = a[r] * inv % p
         col = a[:, c].copy()
         col[r] = 0
         nzcol = np.nonzero(col)[0]
         if nzcol.size:
-            prod = (_mulmod(col[nzcol, None], a[r], p) if wide
-                    else np.outer(col[nzcol], a[r]))
-            a[nzcol] = (a[nzcol] - prod) % p
+            a[nzcol] = (a[nzcol] - np.outer(col[nzcol], a[r])) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -1002,13 +977,6 @@ class _Columns:
         return span
 
 
-def _prime_of(mat: ModMatrix) -> int:
-    p, k = split_modulus(mat.modulus)
-    if k != 1:
-        raise ModulusError("this operation requires a prime modulus")
-    return p
-
-
 def rank_fp(mat: ModMatrix, clear: np.ndarray | None = None) -> int:
     """Rank over F_p, exact.
 
@@ -1021,7 +989,7 @@ def rank_fp(mat: ModMatrix, clear: np.ndarray | None = None) -> int:
     the path: a dense restart reads them off an rref of the kept rows with
     the columns reversed.
     """
-    p = _prime_of(mat)
+    p = mat.modulus
     rows, cols = mat.shape
     if rows == 0 or cols == 0 or mat.nnz == 0:
         return 0
@@ -1055,19 +1023,19 @@ def rank_fp(mat: ModMatrix, clear: np.ndarray | None = None) -> int:
 def kernel_basis_fp(mat: ModMatrix) -> ModMatrix:
     """Matrix whose columns are a basis of the right kernel over F_p, by
     dense elimination (ResourceError past TO_DENSE_LIMIT entries)."""
-    p = _prime_of(mat)
+    p = mat.modulus
     rows, cols = mat.shape
     if cols == 0:
-        return ModMatrix.zeros(0, 0, mat.modulus)
+        return ModMatrix.zeros(0, 0, p)
     if rows == 0 or mat.nnz == 0:
-        return ModMatrix.identity(cols, mat.modulus)
+        return ModMatrix.identity(cols, p)
     return ModMatrix.from_dense(_dense_kernel(mat.to_dense(), p), p)
 
 
 def solve_fp(a: ModMatrix, b: ModMatrix) -> ModMatrix | None:
     """A particular solution X of a @ X = b over F_p, or None if inconsistent,
     by dense elimination of [a | b] (ResourceError past TO_DENSE_LIMIT entries)."""
-    p = _prime_of(a)
+    p = a.modulus
     a._join(b)
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"solve with mismatched row counts {a.shape} vs {b.shape}")
@@ -1094,7 +1062,6 @@ def homology_dim(d_in: ModMatrix, d_out: ModMatrix) -> int:
     """
     if d_in.modulus != d_out.modulus:
         raise ModulusError("differentials with different moduli")
-    _prime_of(d_out)
     if d_out.shape[1] != d_in.shape[0]:
         raise ShapeError(
             f"middle dimension mismatch: d_out has {d_out.shape[1]} columns, "

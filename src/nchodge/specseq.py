@@ -44,7 +44,7 @@ import numpy as np
 
 from .complexes import IncreasingFiltration
 from .errors import InternalCheckError, WindowError
-from .modring import _column_reduce, _prime_of, rank_fp
+from .modring import _column_reduce, rank_fp
 
 # the gap of an unpaired vector: past every page, so it counts on all of them
 UNPAIRED = np.iinfo(np.int64).max
@@ -101,7 +101,7 @@ def _pairing(filt: IncreasingFiltration, lev: dict[int, np.ndarray],
         keep = np.ones(order.size, dtype=bool)
         keep[cleared] = False
         cod = d.T.restrict(rows=rows)
-        _, pivots = _column_reduce(cod.csc(), _prime_of(d), cod.shape,
+        _, pivots = _column_reduce(cod.csc(), d.modulus, cod.shape,
                                    fill_guard=False, order=order[keep[order]])
         tau = rows[np.fromiter(pivots, dtype=np.int64, count=len(pivots))]
         sigma = np.fromiter(pivots.values(), dtype=np.int64, count=len(pivots))
@@ -147,6 +147,14 @@ def _check_first_page(filt: IncreasingFiltration, e1: SSPage) -> None:
             raise InternalCheckError(
                 f"page 1 entry ({l}, {n}) has dim {dim}, the homology of "
                 f"graded piece {l} has {want}")
+
+
+def page_entries(filt: IncreasingFiltration, r_max: int) -> int:
+    """The entries of the tables and differential ranks that `pages`
+    builds for E_0 .. E_{r_max}: page r holds (vhi + 1) width of the one
+    and (vhi + 2) (width + r) of the other."""
+    width, vhi = filt.levels[1] - filt.levels[0] + 1, filt.carrier.vhi
+    return (r_max + 1) * (2 * vhi + 3) * width + (vhi + 2) * r_max * (r_max + 1) // 2
 
 
 def pages(filt: IncreasingFiltration, r_max: int = 3) -> list[SSPage]:

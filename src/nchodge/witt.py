@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import ModulusError
-from .modring import ResidueScalar, is_prime
+from .modring import is_prime
 
 
 @lru_cache(maxsize=None)
@@ -101,17 +101,18 @@ def w2_neg(x: W2Element) -> W2Element:
     return W2Element(-x.a0, _carry(x.a0, -x.a0 % p, p) - x.a1, p)
 
 
-def teichmuller(a: int, p: int) -> ResidueScalar:
-    """The multiplicative lift a -> a**p taken mod p**2."""
+def teichmuller(a: int, p: int) -> int:
+    """The multiplicative lift a -> a**p, as a residue mod p**2."""
     if not is_prime(p):
         raise ModulusError(f"{p} is not prime")
-    return ResidueScalar(pow(a % p, p, p * p), p * p)
+    return pow(a % p, p, p * p)
 
 
-def w2_iso_zp2(x: W2Element) -> ResidueScalar:
-    """Ring isomorphism W2(F_p) -> Z/p**2, (a0, a1) -> a0**p + p*a1."""
+def w2_iso_zp2(x: W2Element) -> int:
+    """Ring isomorphism W2(F_p) -> Z/p**2, (a0, a1) -> a0**p + p*a1, as a
+    residue mod p**2."""
     q = x.p * x.p
-    return ResidueScalar((pow(x.a0, x.p, q) + x.p * x.a1) % q, q)
+    return (pow(x.a0, x.p, q) + x.p * x.a1) % q
 
 
 def verify_w2_ring(p: int) -> list[str]:
@@ -146,17 +147,18 @@ def verify_w2_ring(p: int) -> list[str]:
                     failures.append(f"multiplication not associative at {x}, {y}, {z}")
                 if w2_mul(x, w2_add(y, z)) != w2_add(w2_mul(x, y), w2_mul(x, z)):
                     failures.append(f"distributivity fails at {x}, {y}, {z}")
-    images = {w2_iso_zp2(x).value for x in elems}
-    if len(images) != p * p:
+    q = p * p
+    images = {w2_iso_zp2(x) for x in elems}
+    if len(images) != q:
         failures.append("iso to Z/p**2 is not injective")
     for x in elems:
         for y in elems:
             lhs = w2_iso_zp2(w2_add(x, y))
-            rhs = w2_iso_zp2(x) + w2_iso_zp2(y)
+            rhs = (w2_iso_zp2(x) + w2_iso_zp2(y)) % q
             if lhs != rhs:
                 failures.append(f"iso not additive at {x}, {y}")
             lhs = w2_iso_zp2(w2_mul(x, y))
-            rhs = w2_iso_zp2(x) * w2_iso_zp2(y)
+            rhs = w2_iso_zp2(x) * w2_iso_zp2(y) % q
             if lhs != rhs:
                 failures.append(f"iso not multiplicative at {x}, {y}")
     return failures

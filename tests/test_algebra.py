@@ -182,6 +182,8 @@ MALFORMED_FIELDS = {
     "basis-not-list": {"basis": 7},
     "unit-nested": {"unit": [[1], 0]},
     "float-p": {"p": 3.5},
+    # refused before the dim^3 constants table is allocated
+    "dim-past-the-dense-table": {"dim": 100000, "unit": [1] + [0] * 99999, "basis": None},
 }
 
 

@@ -174,6 +174,25 @@ def test_cap_exit_3_reports_sizes(capsys):
                    "at level 5 (3177 entries, cap is 1000)\n")
 
 
+def test_page_tables_past_the_cap_exit_3_before_they_are_built(capsys):
+    # E_0 .. E_R of dual-numbers at N = 3 hold 2 (R + 1) (R + 14) entries
+    rc, _, err = run(capsys, "hodge", "dual-numbers", "-N", "3", "--pages", "--r-max", "20000",
+                     "--quiet")
+    assert rc == 3
+    assert err == ("error: the pages E_0 .. E_20000 pass the cap "
+                   "(800600028 entries, cap is 16777216)\n")
+    rc, _, err = run(capsys, "hodge", "dual-numbers", "-N", "3", "--pages", "--r-max",
+                     str(10 ** 12), "--quiet")
+    assert rc == 3 and "(2000000000030000000000028 entries" in err
+    rc, _, err = run(capsys, "hodge", "dual-numbers", "-N", "3", "--pages", "--r-max", "3",
+                     "--cap", "135", "--quiet")
+    assert rc == 3 and "(136 entries, cap is 135)" in err
+    rc, payload = run_json(capsys, "hodge", "dual-numbers", "-N", "3", "--pages", "--r-max", "3",
+                           "--cap", "136")
+    assert rc == 1 and sum(len(page["entries"]) + len(page["d_ranks"])
+                           for page in payload["pages"]) == 136
+
+
 def test_a_window_too_small_exit_2(capsys):
     rc, _, err = run(capsys, "hc", "dual-numbers", "-N", "1", "--quiet")
     assert rc == 2 and err == "error: cyclic homology needs N >= 2\n"
@@ -193,10 +212,32 @@ def test_every_input_error_exits_2(capsys, monkeypatch, error):
     assert (rc, out, err) == (2, "", "error: refused here\n")
 
 
-def test_modulus_past_the_int64_bound_exit_2(capsys):
-    rc, _, err = run(capsys, "hh", "dual-numbers", "-p", "4294967291", "--quiet")
-    assert rc == 2
+def test_modulus_past_the_int64_bound_exit_2(capsys, tmp_path):
+    import tracemalloc
+
+    # the largest prime within (m - 1)^2 < 2^63 computes what a small prime does
+    rc_top, top = run_json(capsys, "hh", "dual-numbers", "-N", "5", "-p", "3037000493")
+    rc_ref, ref = run_json(capsys, "hh", "dual-numbers", "-N", "5", "-p", "16777213")
+    assert rc_top == rc_ref == 0
+    assert top["dims"] == ref["dims"] == [[0, 2], [1, 1], [2, 1], [3, 1], [4, 1]]
+    # the smallest prime past the bound, and a prime below 2^32 past it
+    for p in ("3037000507", "4294967291"):
+        rc, _, err = run(capsys, "hh", "dual-numbers", "-p", p, "--quiet")
+        assert rc == 2
+        assert "2^63" in err
+    # from a file, before the 256^3 constants table that dim 256 asks for
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"p": 3037000507, "dim": 256, "unit": [1] + [0] * 255,
+                                "constants": []}))
+    tracemalloc.start()
+    try:
+        rc, _, err = run(capsys, "hh", str(path), "--quiet")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and err.count("\n") == 1
     assert "2^63" in err
+    assert peak < 8 * 256 ** 3 // 16  # the table takes 8 bytes an entry
 
 
 def test_lift_modulus_past_the_int64_bound_exit_2(capsys):

@@ -18,7 +18,8 @@ from nchodge import modring
 from nchodge.errors import ShapeError
 from nchodge.modring import CSC, ModMatrix, hstack
 
-MODULI = (3, 5, 7, 9, 25, 2 ** 31 - 1, 4294967291, 65521 ** 2)
+# the largest prime within split_modulus's bound fills 32 bits
+MODULI = (3, 5, 7, 2 ** 31 - 1, 3037000493)
 DIMS = (0, 1, 2, 3, 5, 1 << 16)
 
 
@@ -189,7 +190,7 @@ def test_a_position_past_the_shape_is_refused():
 def test_construction_past_the_packed_key_bound_matches_scipy():
     # rows * cols * m >= 2**63: the keys are sorted without their values
     rng = np.random.default_rng(11)
-    for m, shape in ((4294967291, (1 << 16, 1 << 16)), (65521 ** 2, (1 << 20, 1 << 12)),
+    for m, shape in ((3037000493, (1 << 16, 1 << 16)), (3037000493, (1 << 20, 1 << 12)),
                      (2 ** 31 - 1, (1 << 17, 1 << 16))):
         assert shape[0] * shape[1] * m >= 1 << 63
         rows = rng.choice(rng.integers(0, shape[0], 40), 300)

@@ -14,7 +14,6 @@ from nchodge.modring import (
     CSC,
     TO_DENSE_LIMIT,
     ModMatrix,
-    ResidueScalar,
     homology_dim,
     hstack,
     is_prime,
@@ -30,6 +29,11 @@ from .oracles import ref_rank
 from .sweeps import forced_restart, reference_column_reduce
 
 
+# the largest prime with (p - 1)^2 < 2^63, the bound of split_modulus: its
+# residues fill 32 bits, so a lead times a residue fills a uint64
+TOP_PRIME = 3037000493
+
+
 def dense(mat):
     return mat.to_dense().tolist()
 
@@ -41,11 +45,28 @@ def test_split_modulus():
         split_modulus(12)
     with pytest.raises(ModulusError):
         split_modulus(8)
-    assert split_modulus(65521 ** 2) == (65521, 2)
-    with pytest.raises(ModulusError):
-        split_modulus(3037000453 ** 2)  # past 2^32; used to hang in trial division
-    with pytest.raises(ModulusError):
-        split_modulus(1 << 32)
+    # the largest prime and the largest prime square within the bound
+    assert split_modulus(TOP_PRIME) == (TOP_PRIME, 1)
+    assert split_modulus(55103 ** 2) == (55103, 2)
+    # the smallest prime past the bound, a prime square past it, a square
+    # past 2^32 (it used to hang in trial division) and 2^32
+    for past in (3037000507, 65521 ** 2, 3037000453 ** 2, 1 << 32):
+        with pytest.raises(ModulusError, match=r"\(m - 1\)\^2 < 2\^63"):
+            split_modulus(past)
+
+
+def test_every_constructor_refuses_a_modulus_that_is_not_a_supported_prime():
+    zero, one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    # a prime square, and a prime square and a prime past the bound
+    for m in (9, 65521 ** 2, 4294967291):
+        for build in (lambda: ModMatrix((1, 1), m, CSC(np.array([0, 1]), zero, one)),
+                      lambda: ModMatrix.zeros(1, 1, m),
+                      lambda: ModMatrix.identity(1, m),
+                      lambda: ModMatrix.from_arrays((1, 1), m, zero, zero, one),
+                      lambda: ModMatrix.from_dense([[1]], m),
+                      lambda: ModMatrix.from_index_map(zero, 1, m)):
+            with pytest.raises(ModulusError):
+                build()
 
 
 def test_is_prime_matches_trial_division():
@@ -59,17 +80,21 @@ def test_is_prime_matches_trial_division():
 
 
 def test_matmul_is_exact_past_the_int64_product_bound():
-    m = 65521 ** 2
+    m = TOP_PRIME  # a sum of two products of residues passes 2^63
     row = ModMatrix.from_dense([[m - 1, m - 1]], m)
     col = ModMatrix.from_dense([[m - 1], [m - 1]], m)
+    assert 2 * (m - 1) ** 2 >= 1 << 63
     assert dense(row @ col) == [[2]]
     assert dense(row.scale(-1)) == [[1, 1]]
+    assert matmul_mod(row.to_dense(), col.to_dense(), m).tolist() == [[2]]
     rng = np.random.default_rng(3)
-    for mod in (2 ** 31 - 1, 4294967291, m):
+    # the dense product also serves the algebras' prime squares
+    for mod in (2 ** 31 - 1, m, 55103 ** 2):
         a = rng.integers(0, mod, (7, 9))
         b = rng.integers(0, mod, (9, 5))
         want = [[sum(int(x) * int(y) for x, y in zip(r, c)) % mod for c in b.T] for r in a]
-        assert dense(ModMatrix.from_dense(a, mod) @ ModMatrix.from_dense(b, mod)) == want
+        if split_modulus(mod)[1] == 1:
+            assert dense(ModMatrix.from_dense(a, mod) @ ModMatrix.from_dense(b, mod)) == want
         assert matmul_mod(a, b, mod).tolist() == want
 
 
@@ -89,8 +114,7 @@ def test_matmul_of_a_zero_one_factor_at_a_wide_prime():
 
 def test_kron_power_matches_repeated_numpy_kron():
     rng = np.random.default_rng(8)
-    for mod, k in ((3, 3), (5, 2), (7, 4), (9, 3), (2 ** 31 - 1, 3), (3037000493, 2),
-                   (4294967291, 3), (65521 ** 2, 2)):
+    for mod, k in ((3, 3), (5, 2), (7, 4), (2 ** 31 - 1, 3), (TOP_PRIME, 2), (TOP_PRIME, 3)):
         a = rng.integers(0, mod, (2, 3)) * (rng.random((2, 3)) < 0.7)
         a[0, 0] = mod - 1
         want = np.array(a, dtype=object)
@@ -103,7 +127,7 @@ def test_kron_power_matches_repeated_numpy_kron():
 
 
 def test_from_arrays_sums_repeated_coordinates():
-    for mod in (5, 4294967291):
+    for mod in (5, TOP_PRIME):
         got = ModMatrix.from_arrays((2, 2), mod, np.array([0, 1, 0, 0]), np.array([1, 0, 1, 1]),
                                     np.array([mod - 1, 3, mod - 1, 2]))
         assert dense(got) == [[0, (2 * (mod - 1) + 2) % mod], [3, 0]]
@@ -139,16 +163,6 @@ def test_rank_is_computed_once_per_matrix(monkeypatch):
     d_out = ModMatrix.from_dense([[0, 1]], 5)
     assert homology_dim(d_in, d_out) == homology_dim(d_in, d_out) == 0
     assert len(calls) == 2
-
-
-def test_residue_scalar_arithmetic():
-    a = ResidueScalar(7, 9)
-    b = ResidueScalar(5, 9)
-    assert (a + b).value == 3
-    assert (a * b).value == 8
-    assert (-a).value == 2
-    with pytest.raises(ModulusError):
-        a + ResidueScalar(1, 25)
 
 
 def test_rank_small_frozen():
@@ -237,9 +251,9 @@ def test_homology_dim_two_periodic_dual_numbers():
 
 
 def test_requires_prime_modulus_for_rank():
-    m = ModMatrix.from_dense([[3]], 9)
+    # a matrix mod 9 is refused where it would be built, before any rank
     with pytest.raises(ModulusError):
-        rank_fp(m)
+        rank_fp(ModMatrix.from_dense([[3]], 9))
 
 
 def test_stack_and_block():
@@ -457,10 +471,6 @@ def suffix_lows(data: list[list[int]], p: int) -> set[int]:
 
 def column_data(data: list[list[int]], cols: list[int]) -> list[list[int]]:
     return [[row[j] for j in cols] for row in data] if cols else [[] for _ in data]
-
-
-# the largest prime below 2**32: lead times residue fills a uint64
-TOP_PRIME = 4294967291
 
 
 @st.composite
