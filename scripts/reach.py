@@ -10,8 +10,8 @@ also fails above it. The first N that fails is reported with its outcome:
 "timeout", or "exit 3" when the cap refuses it. The reached N comes with
 its time and the peak RSS of its process. Each row also gives, at the
 reached N, the entries that `hochcyc.level_counts` counts next to those
-the operators hand to `ModMatrix.from_arrays` before duplicates are
-summed: b (`hh`) or b and B of the normalized mixed complex, or the
+the operators hand to `modring._from_keys`, where every construction
+from entries starts, before duplicates are summed: b (`hh`) or b and B of the normalized mixed complex, or the
 subdivided b (`conjugate`, `edgewise-check`), on the algebra in the basis
 the command line runs (`algebra.normalize_basis`). The two agree; the cap
 charges a little more (one entry per face and rotation, and the words of
@@ -44,16 +44,16 @@ from nchodge.algebra import normalize_basis
 from nchodge.cartier import PCyclicLevels
 from nchodge.corpus import build
 from nchodge.hochcyc import NormalizedMixedComplex, level_counts
-from nchodge.modring import ModMatrix
+from nchodge import modring
 
 name, N, kind = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 a = normalize_basis(build(name, 3))
 lengths = []
-real = ModMatrix.from_arrays.__func__
+real = modring._from_keys
 
-def record(cls, shape, modulus, rows, cols, vals):
-    lengths.append(rows.shape[0])
-    return real(cls, shape, modulus, rows, cols, vals)
+def record(shape, m, key, vals=None):
+    lengths.append(key.shape[0])
+    return real(shape, m, key, vals)
 
 def built(op, levels):
     # an operator's last construction is itself, from its concatenated arrays
@@ -63,7 +63,7 @@ def built(op, levels):
         total += lengths[-1]
     return total
 
-with mock.patch.object(ModMatrix, "from_arrays", classmethod(record)):
+with mock.patch.object(modring, "_from_keys", record):
     if kind == "subdivided":
         count = sum(b for _, b, _ in level_counts(a, N, p=a.p))
         entries = built(PCyclicLevels(a, N).b, range(1, N + 1))

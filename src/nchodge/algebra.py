@@ -27,6 +27,8 @@ from .modring import (TO_DENSE_LIMIT, ModMatrix, _dense_kernel, _dense_rref, is_
                       matmul_mod, split_modulus)
 
 MAX_VALIDATION_REPORTS = 20
+# entries of the associativity products validate_algebra holds at once, about
+VALIDATION_BLOCK = 1 << 16
 
 
 class StructureConstantsAlgebra:
@@ -342,27 +344,29 @@ def normalize_basis(a: StructureConstantsAlgebra) -> StructureConstantsAlgebra:
 # ---------------- validation ----------------
 
 def validate_algebra(a: StructureConstantsAlgebra) -> list[str]:
-    """All associativity and unit failures, as readable strings."""
+    """All associativity and unit failures, as readable strings. The
+    products are taken in blocks of the first index i, about
+    VALIDATION_BLOCK entries each, so the working set is O(d^3), not d^4."""
     failures: list[str] = []
     c, m, d = a.constants, a.modulus, a.dim
     # (e_i e_j) e_k and e_i (e_j e_k) as exact mod-m matrix products
     flat = c.reshape(d * d, d)
-    swapped = c.transpose(1, 0, 2).reshape(d, d * d)  # [j, (i, k)] = c[i, j, k]
-    left = matmul_mod(flat, c.reshape(d, d * d), m).reshape(d, d, d, d)
-    right = matmul_mod(flat, swapped, m).reshape(d, d, d, d).transpose(2, 0, 1, 3)
-    bad = np.argwhere((left - right) % m != 0)
-    seen = set()
-    for i, j, k, _ in bad:
-        key = (int(i), int(j), int(k))
-        if key in seen:
-            continue
-        seen.add(key)
-        failures.append(f"associativity fails at ({a.basis[i]}, {a.basis[j]}, {a.basis[k]})")
-        if len(failures) >= MAX_VALIDATION_REPORTS:
-            failures.append("... further failures suppressed")
-            return failures
+    swapped = c.transpose(1, 0, 2)  # [j, i, k] = c[i, j, k]
+    step = max(1, VALIDATION_BLOCK // max(d, 1) ** 3)
+    for lo in range(0, d, step):
+        hi = min(d, lo + step)
+        left = matmul_mod(flat[lo * d:hi * d], c.reshape(d, d * d), m)
+        right = matmul_mod(flat, swapped[:, lo:hi].reshape(d, -1), m)
+        right = right.reshape(d, d, hi - lo, d).transpose(2, 0, 1, 3)
+        bad = ((left.reshape(hi - lo, d, d, d) - right) % m != 0).any(axis=3)
+        for i, j, k in np.argwhere(bad):
+            failures.append(f"associativity fails at "
+                            f"({a.basis[lo + i]}, {a.basis[j]}, {a.basis[k]})")
+            if len(failures) >= MAX_VALIDATION_REPORTS:
+                failures.append("... further failures suppressed")
+                return failures
     lu = matmul_mod(a.unit.reshape(1, d), c.reshape(d, d * d), m).reshape(d, d)
-    ru = matmul_mod(a.unit.reshape(1, d), swapped, m).reshape(d, d)
+    ru = matmul_mod(a.unit.reshape(1, d), swapped.reshape(d, d * d), m).reshape(d, d)
     eye = np.eye(a.dim, dtype=np.int64)
     for j in np.nonzero(np.any((lu - eye) % m != 0, axis=1))[0]:
         failures.append(f"left unit law fails at {a.basis[j]}")

@@ -51,8 +51,8 @@ from .hochcyc import (
     level_counts,
     rotation_matrix,
 )
-from .modring import (CSC, ModMatrix, hstack, is_prime, kron_power, kron_power_arrays, matmul_mod,
-                      rank_fp, solve_fp)
+from .modring import (CSC, ModMatrix, hstack, is_prime, kron_power, kron_sum,
+                      matmul_mod, rank_fp, solve_fp)
 
 
 # ---------------- Z/p actions ----------------
@@ -317,10 +317,10 @@ class PCyclicLevels:
     Matrices are built lazily; level n words have p(n + 1) digits, so the
     constructor only guards the entries. Face i < n and each degeneracy is
     the p-th Kronecker power of the ordinary one at level n, its entries
-    written by digit arithmetic (`kron_power_arrays`); the wrap face is
-    face 0 after the one-step rotation, its columns relabelled. b(n) is one
-    construction from the signed entries of all its faces, and keeps none
-    of them; `face` builds and caches one face for `bprime`. The conjugate
+    written by digit arithmetic; the wrap face is face 0 after the one-step
+    rotation, its columns relabelled. b(n) is one construction from the
+    packed keys of its signed faces, each written as it is produced, and
+    keeps no face; `face` builds and caches one face for `bprime`. The conjugate
     route reads b, the block rotation as a Z/p action and the repeated
     words; `edgewise-check` reads b alone. The cap charges b (`level_counts`)
     and a column per word; with L, the conjugate bicomplex: b in each of its
@@ -357,26 +357,28 @@ class PCyclicLevels:
     def face(self, n: int, i: int) -> ModMatrix:
         if not (1 <= n <= self.N) or not (0 <= i <= n):
             raise WindowError(f"no face ({n}, {i}) in the window")
-        key = (n, i)
-        if key not in self._faces:
-            shape = (self.dim(n - 1), self.dim(n))
-            self._faces[key] = ModMatrix.from_arrays(shape, self.algebra.modulus,
-                                                     *self._face_arrays(n, i))
-        return self._faces[key]
+        if (n, i) not in self._faces:
+            self._faces[(n, i)] = self._faces_sum(n, [(i, False)])
+        return self._faces[(n, i)]
 
-    def _face_arrays(self, n: int, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """COO arrays of face (n, i): the p-th Kronecker power of the
-        ordinary face for i < n; for the wrap face, those of face 0 wrapped."""
-        arrays = kron_power_arrays(face_matrix(self.algebra, n, 0 if i == n else i), self.p)
-        return self._wrapped(n, *arrays) if i == n else arrays
-
-    def _wrapped(self, n: int, rows: np.ndarray, cols: np.ndarray,
-                 vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The arrays of face (n, 0) with each column c moved to rho^-1(c),
-        as the wrap face is face 0 after the one-step rotation rho; rho^-1
-        moves the first digit to the end."""
-        d = self.algebra.dim
-        return rows, cols // d + cols % d * d ** (self.p * (n + 1) - 1), vals
+    def _faces_sum(self, n: int, faces: list[tuple[int, bool]]) -> ModMatrix:
+        """The sum of the faces (n, i), negated where asked, in one
+        `kron_sum`. Face i < n is the p-th Kronecker power of the ordinary
+        face. The wrap face is face 0 with column c moved to
+        c // d + (c % d) d^(p(n+1)-1): its first digit, in the last factor,
+        moved to the end."""
+        a, d = self.algebra, self.algebra.dim
+        shape = (self.dim(n - 1), self.dim(n))
+        terms = []
+        for i, negate in faces:
+            f = face_matrix(a, n, 0 if i == n else i)
+            rows, cols, vals = f.coo()
+            last = (rows, cols, vals, f.shape)
+            if i == n:
+                last = (rows, cols // d + cols % d * (shape[1] // d), vals,
+                        (f.shape[0], f.shape[1] // d))
+            terms.append(([(rows, cols, vals, f.shape)] * (self.p - 1) + [last], negate))
+        return kron_sum(shape, a.modulus, terms)
 
     def degeneracy(self, n: int, i: int) -> ModMatrix:
         if not (0 <= n < self.N) or not (0 <= i <= n):
@@ -402,15 +404,9 @@ class PCyclicLevels:
 
     def b(self, n: int) -> ModMatrix:
         """The alternating sum of the faces, one construction from their
-        concatenated arrays (duplicates are summed); no face is kept."""
+        packed keys (duplicates are summed); no face is kept."""
         if n not in self._b:
-            parts = [self._face_arrays(n, i) for i in range(n)]
-            parts.append(self._wrapped(n, *parts[0]))
-            vals = [v if i % 2 == 0 else -v for i, (_, _, v) in enumerate(parts)]
-            self._b[n] = ModMatrix.from_arrays(
-                (self.dim(n - 1), self.dim(n)), self.algebra.modulus,
-                np.concatenate([r for r, _, _ in parts]),
-                np.concatenate([c for _, c, _ in parts]), np.concatenate(vals))
+            self._b[n] = self._faces_sum(n, [(i, i % 2 == 1) for i in range(n + 1)])
         return self._b[n]
 
     def bprime(self, n: int) -> ModMatrix:

@@ -6,11 +6,11 @@ can be trusted (degrees whose neighbours are fully inside the window).
 A mixed complex (C, b, B) totalizes straight from its levels, filtered by
 columns (`filtration_by_columns`). The periodic bicomplex of the conjugate
 route is a first-quadrant window with every sign applied, totalized
-through a block table. Operators passed as `LazyDiffs` are built only when
-a degree is read. Nothing is checked on construction: `homology_dim`
-certifies d^2 = 0 on every degree it reads and keeps that degree's answer,
-and `check_differentials`, `check_squares` and
-`IncreasingFiltration.check` certify a whole window on request.
+through a block table; both stitch each d_n from its blocks. Operators
+passed as `LazyDiffs` are built only when a degree is read. Nothing is
+checked on construction: `homology_dim` certifies d^2 = 0 on every degree
+it reads, unless the window is certified, and keeps its answer; the
+`check_*` methods and `IncreasingFiltration.check` certify a whole window.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import NotAComplexError, ShapeError, WindowError
-from .modring import ModMatrix, homology_dim as _hdim
+from .modring import ModMatrix, homology_dim as _hdim, stitch
 
 
 class LazyDiffs(Mapping):
@@ -58,11 +58,12 @@ class LazyDiffs(Mapping):
 
 class ChainComplexWindow:
     """Degrees 0..hi with d_n: C_n -> C_{n-1} for 0 < n <= hi; homology is
-    trusted on [0, vhi], by default [0, hi - 1]."""
+    trusted on [0, vhi], by default [0, hi - 1]; certified: d^2 = 0 is
+    proved, and homology reads skip the d_n d_(n+1) products."""
 
     def __init__(self, hi: int, dims: dict[int, int],
                  diffs: Mapping[int, ModMatrix], modulus: int,
-                 vhi: int | None = None):
+                 vhi: int | None = None, certified: bool = False):
         if hi < 0:
             raise ShapeError(f"empty degree range [0, {hi}]")
         self.hi = hi
@@ -70,6 +71,7 @@ class ChainComplexWindow:
         self.dims = {n: int(dims.get(n, 0)) for n in range(hi + 1)}
         self.diffs = diffs
         self.vhi = hi - 1 if vhi is None else vhi
+        self.certified = certified
         self._homology: dict[int, int] = {}
 
     def dim(self, n: int) -> int:
@@ -96,7 +98,7 @@ class ChainComplexWindow:
         if not 0 <= n <= self.vhi:
             raise WindowError(f"degree {n} outside the trusted window [0, {self.vhi}]")
         if n not in self._homology:
-            self._homology[n] = _hdim(self.d(n + 1), self.d(n))
+            self._homology[n] = _hdim(self.d(n + 1), self.d(n), certified=self.certified)
         return self._homology[n]
 
     def homology_dims(self) -> dict[int, int]:
@@ -180,10 +182,15 @@ class BicomplexWindow:
 
         blocks[n] lists (x, y, offset, dim) for the cells on the
         antidiagonal x + y = n, in increasing x. The total differentials
-        are built on demand: d_n is assembled the first time the window
-        reads it (through `d`, `diffs` or a homology call) and is kept on
-        the window, so degrees nobody reads cost nothing, and neither do the
-        cell operators that only they read.
+        are built on demand: d_n is stitched from the cell operators the
+        first time the window reads it (through `d`, `diffs` or a homology
+        call) and is kept on the window, so degrees nobody reads cost
+        nothing, and neither do the cell operators that only they read. In
+        a column of cell (x, y) the rows of the horizontal target (x - 1, y)
+        precede those of the vertical one (x, y - 1). The window is
+        certified: the caller proves every square zero first
+        (`check_squares`, or `cartier.certify_conjugate_squares`), so
+        homology reads skip the d_n d_(n+1) products.
         """
         top = self.X + self.Y
         blocks: dict[int, list[tuple[int, int, int, int]]] = {}
@@ -201,29 +208,18 @@ class BicomplexWindow:
 
         def build(n: int) -> ModMatrix:
             target_offsets = {(x, y): off for x, y, off, _ in blocks[n - 1]}
-            rows_list, cols_list, vals_list = [], [], []
+            parts = []
             for x, y, off, d in blocks[n]:
                 if d == 0:
                     continue
-                for mat, tgt in ((self.dv(x, y), (x, y - 1)), (self.dh(x, y), (x - 1, y))):
-                    if tgt not in target_offsets or mat.nnz == 0:
-                        continue
-                    rows, cols, vals = mat.coo()
-                    rows_list.append(rows + target_offsets[tgt])
-                    cols_list.append(cols + off)
-                    vals_list.append(vals)
-            if rows_list:
-                rows = np.concatenate(rows_list)
-                cols = np.concatenate(cols_list)
-                vals = np.concatenate(vals_list)
-            else:
-                rows = cols = vals = np.zeros(0, dtype=np.int64)
-            return ModMatrix.from_arrays(
-                (tot_dims[n - 1], tot_dims[n]), self.modulus, rows, cols, vals)
+                for op, tgt in ((self.dh, (x - 1, y)), (self.dv, (x, y - 1))):
+                    if tgt in target_offsets and (mat := op(x, y)).nnz:
+                        parts.append((target_offsets[tgt], off, mat))
+            return stitch((tot_dims[n - 1], tot_dims[n]), self.modulus, parts)
 
         diffs = LazyDiffs(range(1, top + 1), build)
         tot = ChainComplexWindow(top, tot_dims, diffs, self.modulus,
-                                 vhi=min(self.X, self.Y) - 1)
+                                 vhi=min(self.X, self.Y) - 1, certified=True)
         return tot, blocks
 
 
@@ -276,7 +272,7 @@ def filtration_by_columns(mixed) -> IncreasingFiltration:
     the column before; bB + Bb = 0, so no sign is needed. So d_n =
     [[b_n, B_{n-2} 0], [0, d_{n-2}]]: below its first block row and column,
     d_n is d_{n-2}. Each level is a subcomplex, whose graded piece l is the
-    b complex shifted by 2l. d_n is built on its first read from the CSC
+    b complex shifted by 2l. d_n is stitched on its first read from the CSC
     arrays of b_n, B_{n-2} and d_{n-2}, upward from the highest degree of
     its parity already built, never by recursion; an empty level builds
     neither b nor B. Homology is trusted on [0, N - 1].
@@ -288,22 +284,16 @@ def filtration_by_columns(mixed) -> IncreasingFiltration:
     # every d_n built, read or not, from the zero maps out of degrees -1 and 0
     built = {-1: ModMatrix.zeros(0, 0, mod), 0: ModMatrix.zeros(0, size[0], mod)}
 
-    def shifted(op: ModMatrix, row: int, col: int):
-        rows, cols, vals = op.coo()
-        return rows + row, cols + col, vals
-
     def build(n: int) -> ModMatrix:
         low = n
         while low - 2 not in built:
             low -= 2
         for m in range(low, n + 1, 2):
-            parts = [shifted(built[m - 2], dims[m - 1], dims[m])]
-            if dims[m]:
-                parts.append(shifted(mixed.b(m), 0, 0))
-            if m >= 2 and dims[m - 2]:
-                parts.append(shifted(mixed.B(m - 2), 0, dims[m]))
-            built[m] = ModMatrix.from_arrays((size[m - 1], size[m]), mod,
-                                             *map(np.concatenate, zip(*parts)))
+            parts = [(0, 0, mixed.b(m))] if dims[m] else []
+            if m >= 2 and dims[m - 2]:  # above d_{m-2}, in the columns they share
+                parts.append((0, dims[m], mixed.B(m - 2)))
+            parts.append((dims[m - 1], dims[m], built[m - 2]))
+            built[m] = stitch((size[m - 1], size[m]), mod, parts)
         return built[n]
 
     tot = ChainComplexWindow(N, dict(enumerate(size)), LazyDiffs(range(1, N + 1), build), mod)

@@ -471,7 +471,7 @@ class NormalizedMixedComplex:
             rows = words[col][slot != high[i][:, None]].reshape(-1, n)
             rows.reshape(-1)[np.arange(0, rows.size, n) + low[i]] = k
             rows = self._position(n - 1, rows)
-            np.negative(v, out=v, where=i % 2 == 1)         # face_sign(i)
+            np.subtract(mod, v, out=v, where=i % 2 == 1)    # face_sign(i), as residues
             self._b[n] = ModMatrix.from_arrays((self.dims[n - 1], self.dims[n]), mod, rows, col, v)
         return self._b[n]
 
@@ -491,7 +491,7 @@ class NormalizedMixedComplex:
                 np.concatenate([bar_words, bar_words], axis=1), n + 1, axis=1)[t, i]], axis=1)
             rows = self._position(n + 1, rows)
             s = s * coef[t] % mod
-            np.negative(s, out=s, where=(i % 2 == 1) & (n % 2 == 1))
+            np.subtract(mod, s, out=s, where=(i % 2 == 1) & (n % 2 == 1))
             self._B[n] = ModMatrix.from_arrays(
                 (self.dims[n + 1], self.dims[n]), mod, rows, col[t], s)
         return self._B[n]

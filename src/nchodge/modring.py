@@ -1,10 +1,15 @@
 """Exact linear algebra over F_p.
 
 Matrices carry their prime and store their entries as three numpy
-arrays in compressed sparse column format (`CSC`), kept canonical;
-products, sums, transposes and row selections are rebuilt from
-coordinates with one sort on an int64 key. Ranks and homology dimensions
-are computed by exact Gaussian elimination: every rank starts in a sparse
+arrays in compressed sparse column format (`CSC`), kept canonical, the
+residues in the narrowest unsigned dtype that holds p - 1. Constructions
+sort one packed int64 key per entry, (col << r | row) << s | residue
+(`_key_bits`); the producers that compute their values (`kron_sum`, the
+reduction rounds) pack each entry as they produce it, the others when
+their entries need the sort. Values widen only where `_mulmod`
+multiplies or duplicates are summed. Block matrices are stitched from
+their blocks' arrays (`stitch`). Ranks and homology dimensions are
+computed by exact Gaussian elimination: every rank starts in a sparse
 column reduction (columns processed by increasing support, pivot rows
 chosen deterministically), and restarts in dense numpy elimination only
 when its fill-in passes a limit (`_column_reduce`). Kernels and solutions
@@ -131,8 +136,8 @@ class CSC(NamedTuple):
     """Compressed sparse columns: column j holds the rows
     indices[indptr[j]:indptr[j + 1]] with the values at the same positions
     of data. A ModMatrix keeps its CSC canonical: rows strictly increasing
-    within each column, values in [1, modulus), indptr and indices in int32
-    while the shape and the entry count fit."""
+    within each column, values in [1, modulus) as uint8, uint16 or uint32
+    (`_value_dtype`), indptr and indices int32 while the shape and nnz fit."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -141,6 +146,11 @@ class CSC(NamedTuple):
 
 def _index_dtype(shape: tuple[int, int], nnz: int):
     return np.int32 if max(shape[0], shape[1], nnz) < 1 << 31 else np.int64
+
+
+def _value_dtype(m: int):
+    """The narrowest unsigned dtype that holds the residues mod m; m < 2**32."""
+    return np.uint8 if m <= 1 << 8 else np.uint16 if m <= 1 << 16 else np.uint32
 
 
 def _col_of_entries(indptr: np.ndarray) -> np.ndarray:
@@ -170,43 +180,61 @@ def _row_bits(shape: tuple[int, int]) -> int:
     return r
 
 
+def _key_bits(shape: tuple[int, int], m: int) -> tuple[int, int]:
+    """(r, s) of the packed key (col << r | row) << s | residue; s = 0 when
+    that passes 63 bits, and the residues travel beside the positions."""
+    r, s = _row_bits(shape), (m - 1).bit_length()
+    return r, (s if max(shape[1] - 1, 0).bit_length() + r + s <= 63 else 0)
+
+
+def _packed(key: np.ndarray, vals, s: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(key, vals) for `_summed`: the residues vals packed into the
+    positions key in place, and None; unchanged when s = 0."""
+    if not s:
+        return key, vals
+    key <<= s
+    key |= vals
+    return key, None
+
+
 def _from_coo(shape: tuple[int, int], m: int, rows, cols, vals) -> CSC:
     """The canonical CSC of the entries (rows[t], cols[t], vals[t]), for
     integer values of any sign and size below 2**63."""
-    vals = np.asarray(vals, dtype=np.int64)
+    vals = np.asarray(vals)
     if vals.size and (vals.min() < 0 or vals.max() >= m):
-        vals = vals % m
+        vals = vals.astype(np.int64) % m
     key = np.asarray(cols, dtype=np.int64) << _row_bits(shape)
     key |= rows
     return _from_keys(shape, m, key, vals)
 
 
-def _from_keys(shape: tuple[int, int], m: int, key: np.ndarray, vals: np.ndarray) -> CSC:
-    """The canonical CSC of the residues vals[t] at the positions
-    key[t] = column << _row_bits(shape) | row, in any order. key is
-    overwritten."""
+def _from_keys(shape: tuple[int, int], m: int, key: np.ndarray,
+               vals: np.ndarray | None = None) -> CSC:
+    """The canonical CSC of the entries key, vals as `_summed` takes them:
+    every construction from entries comes here. key is overwritten."""
     return _csc_of_sorted(shape, *_summed(shape, m, key, vals))
 
 
-def _summed(shape: tuple[int, int], m: int, key: np.ndarray, vals: np.ndarray
+def _summed(shape: tuple[int, int], m: int, key: np.ndarray, vals: np.ndarray | None = None
             ) -> tuple[np.ndarray, np.ndarray]:
-    """(key, vals) with every position of key once, in increasing order,
-    carrying the sum mod m of the residues vals at it; zero sums dropped.
-    key is overwritten. A sum of fewer than 2**31 residues below 2**32
-    stays below 2**63."""
-    s = (m - 1).bit_length()
+    """(positions, vals): every position once, increasing, with the sum mod m
+    of its residues in the value dtype; zero sums dropped. key holds packed
+    entries (vals None), or positions with the residues in vals, packed
+    here only when they need the sort; past 63 bits (`_key_bits`) the
+    positions are argsorted. key is overwritten. Sums are taken in int64."""
     if key.size and not (key[1:] >= key[:-1]).all():
-        if _row_bits(shape) + max(shape[1] - 1, 0).bit_length() + s <= 63:
-            # one sort of each key with its residue in the low s bits
-            key <<= s
-            key |= vals
+        if vals is not None:
+            key, vals = _packed(key, vals, _key_bits(shape, m)[1])
+        if vals is None:
             key.sort()
-            vals = key & ((1 << s) - 1)
-            key >>= s
         else:
             order = np.argsort(key)
             key, vals = key[order], vals[order]
             del order
+    if vals is None:
+        s = (m - 1).bit_length()
+        vals = (key & ((1 << s) - 1)).astype(_value_dtype(m))
+        key >>= s
     if key.size:
         new = np.empty(key.size, dtype=bool)
         new[0] = True
@@ -214,11 +242,12 @@ def _summed(shape: tuple[int, int], m: int, key: np.ndarray, vals: np.ndarray
         if not new.all():
             starts = np.flatnonzero(new)
             del new
-            key, vals = key[starts], np.add.reduceat(vals, starts) % m
+            vals = np.add.reduceat(vals, starts, dtype=np.int64) % m
+            key = key[starts]
         nz = vals != 0
         if not nz.all():
             key, vals = key[nz], vals[nz]
-    return key, vals
+    return key, vals.astype(_value_dtype(m), copy=False)
 
 
 def _csc_of_sorted(shape: tuple[int, int], key: np.ndarray, vals: np.ndarray) -> CSC:
@@ -227,18 +256,17 @@ def _csc_of_sorted(shape: tuple[int, int], key: np.ndarray, vals: np.ndarray) ->
     r = _row_bits(shape)
     idx = _index_dtype(shape, key.size)
     indptr = np.zeros(shape[1] + 1, dtype=idx)
+    rows = (key & ((1 << r) - 1)).astype(idx)
     if not key.size:
-        return CSC(indptr, key.astype(idx), vals)
-    col = key >> r
-    key &= (1 << r) - 1  # now the row of each entry
+        return CSC(indptr, rows, vals)
+    key >>= r  # now the column of each entry
     # a column ends where the next entry's column differs; an empty column
     # ends where the one before it does
-    end = np.flatnonzero(col[1:] != col[:-1])
-    indptr[col[end] + 1] = end + 1
-    indptr[col[-1] + 1] = col.size
-    del col, end
+    end = np.flatnonzero(key[1:] != key[:-1])
+    indptr[1:][key[end]] = end + 1
+    indptr[key[-1] + 1] = key.size
     np.maximum.accumulate(indptr, out=indptr)
-    return CSC(indptr, key.astype(idx), vals)
+    return CSC(indptr, rows, vals)
 
 
 def _canonical_csc(shape: tuple[int, int], m: int, csc) -> CSC:
@@ -260,7 +288,7 @@ def _canonical_csc(shape: tuple[int, int], m: int, csc) -> CSC:
             return _from_coo(shape, m, indices, _col_of_entries(indptr), data)
     idx = _index_dtype(shape, data.size)
     return CSC(indptr.astype(idx, copy=False), indices.astype(idx, copy=False),
-               data.astype(np.int64, copy=False))
+               data.astype(_value_dtype(m), copy=False))
 
 
 def _selector(sel, n: int) -> np.ndarray:
@@ -363,7 +391,7 @@ class ModMatrix:
         return self._csc
 
     def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, vals) of the entries, column by column, as int64."""
+        """(rows, cols, vals) of the entries, column by column; rows, cols int64."""
         csc = self._csc
         return csc.indices.astype(np.int64), _col_of_entries(csc.indptr), csc.data
 
@@ -428,7 +456,7 @@ class ModMatrix:
                                                MATMUL_BLOCK), side="right")
         inner = np.searchsorted(right.indptr, entry, side="right") - 1
         cuts = [0, *sorted(set(inner.tolist()) - {0}), shape[1]]
-        keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=_value_dtype(m))]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             first, last = int(right.indptr[lo]), int(right.indptr[hi])
             c = count[first:last]
@@ -510,37 +538,50 @@ class ModMatrix:
 
 
 def _mulmod(x, y, m: int) -> np.ndarray:
-    """x * y mod m for residue arrays; exact, as m < 2**32 (`split_modulus`)."""
-    # residues are not negative, so their int64 bits read as uint64 unchanged;
-    # numpy divides by a scalar faster than it takes %
-    prod = (np.asarray(x, dtype=np.int64).view(np.uint64)
-            * np.asarray(y, dtype=np.int64).view(np.uint64))
+    """x * y mod m as int64, for residues of any dtype; exact, as m < 2**32."""
+    # residues are not negative, so they read as uint64 unchanged; numpy
+    # divides by a scalar faster than it takes %
+    prod = np.multiply(x, y, dtype=np.uint64, casting="unsafe")
     prod -= prod // np.uint64(m) * np.uint64(m)
     return prod.view(np.int64)
 
 
-def kron_power_arrays(mat: ModMatrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO arrays (rows, cols, vals) of mat (x) ... (x) mat with k factors,
-    by digit arithmetic on the entries of mat: the entry picking entries
-    e_1 .. e_k of mat sits at row sum_t row(e_t) R^(k-t), column
-    sum_t col(e_t) C^(k-t), for mat of shape (R, C), and carries the
-    product of their values. As in the Kronecker product, the first factor
-    acts on the most significant digits. No position repeats.
-    """
-    r0, c0, v0 = mat.coo()
-    rows, cols, vals = r0, c0, v0
-    for _ in range(k - 1):
-        rows = (rows[:, None] * mat.shape[0] + r0).ravel()
-        cols = (cols[:, None] * mat.shape[1] + c0).ravel()
-        vals = _mulmod(vals[:, None], v0[None, :], mat.modulus).ravel()
-    return rows, cols, vals
+def kron_sum(shape: tuple[int, int], m: int, terms) -> ModMatrix:
+    """The sum of the terms (factors, negate): the Kronecker product of the
+    factors (rows, cols, vals, (R, C)), negated where asked. The entry
+    picking (r_t, c_t, v_t) of each factor t carries the product of the v_t
+    at row (r_1 R_2 + r_2) R_3 + ... + r_k, and at the column read likewise
+    with C; with (R, C) each factor's shape this is the Kronecker product,
+    the first factor on the most significant digits, and a factor may give
+    other cols and C to relabel its columns. Each term broadcasts the
+    product of its first k - 1 factors against its last straight into the
+    packed keys of its slice of one key array: no int64 rows, columns or
+    values are concatenated, no negated copy is made, and one sort sums
+    the terms."""
+    r, s = _key_bits(shape, m)
+    ends = np.cumsum([0] + [np.prod([f[0].size for f in fs]) for fs, _ in terms]).tolist()
+    key = np.empty(ends[-1], dtype=np.int64)
+    vals = None if s else np.empty(ends[-1], dtype=_value_dtype(m))
+    for (factors, negate), lo, hi in zip(terms, ends, ends[1:]):
+        rows, cols, v = np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1, np.int64)
+        for r0, c0, v0, (R, C) in factors[:-1]:
+            rows = (rows[:, None] * R + r0).ravel()
+            cols = (cols[:, None] * C + c0).ravel()
+            v = _mulmod(v[:, None], v0, m).ravel()
+        r0, c0, v0, (R, C) = factors[-1]
+        out = key[lo:hi].reshape(rows.size, r0.size)
+        np.add(((cols * C << r) + rows * R)[:, None], (c0 << r) + r0, out=out)
+        # v0 lies in [1, m), so m - v0 wraps no unsigned value
+        _, v = _packed(out, _mulmod(v[:, None], m - v0 if negate else v0, m), s)
+        if v is not None:
+            vals[lo:hi] = v.ravel()
+    return ModMatrix._of(shape, m, _from_keys(shape, m, key, vals))
 
 
 def kron_power(mat: ModMatrix, k: int) -> ModMatrix:
-    """mat (x) ... (x) mat with k factors, one construction from the arrays
-    of `kron_power_arrays`."""
+    """mat (x) ... (x) mat with k >= 1 factors, one `kron_sum`."""
     shape = (mat.shape[0] ** k, mat.shape[1] ** k)
-    return ModMatrix.from_arrays(shape, mat.modulus, *kron_power_arrays(mat, k))
+    return kron_sum(shape, mat.modulus, [([(*mat.coo(), mat.shape)] * k, False)])
 
 
 def _limb_bits(k: int, m: int) -> int:
@@ -573,25 +614,49 @@ def matmul_mod(left: np.ndarray, right: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def stitch(shape: tuple[int, int], modulus: int,
+           blocks: Sequence[tuple[int, int, ModMatrix]]) -> ModMatrix:
+    """The shape matrix with each block mat at offsets (row, col), from the
+    blocks' CSC arrays with no key and no sort. Blocks sharing a column come
+    in increasing row, each wholly above the next; a block alone in its
+    columns is copied with offsets, the others scattered after the ones
+    before them."""
+    for row, col, mat in blocks:
+        if mat.modulus != modulus:
+            raise ModulusError(f"moduli differ: {modulus} vs {mat.modulus}")
+        if row + mat.shape[0] > shape[0] or col + mat.shape[1] > shape[1]:
+            raise ShapeError(f"a {mat.shape} block at {(row, col)} leaves the {shape} matrix")
+    nnz = sum(mat.nnz for _, _, mat in blocks)
+    idx = _index_dtype(shape, nnz)
+    indptr = np.zeros(shape[1] + 1, dtype=idx)
+    for row, col, mat in blocks:
+        indptr[col + 1:col + 1 + mat.shape[1]] += np.diff(mat._csc.indptr)
+    np.cumsum(indptr, out=indptr)
+    nxt = indptr[:-1].copy()  # where the next entry of each column goes
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz, dtype=_value_dtype(modulus))
+    for row, col, mat in blocks:
+        ptr, rows, vals = mat._csc
+        lo, hi = int(indptr[col]), int(indptr[col + mat.shape[1]])
+        if hi - lo == rows.size:  # the block fills its columns
+            np.add(rows, row, out=indices[lo:hi], dtype=idx)
+            data[lo:hi] = vals
+            continue
+        count, start = np.diff(ptr), nxt[col:col + mat.shape[1]]
+        at = np.repeat((start - ptr[:-1]).astype(idx, copy=False), count)
+        at += np.arange(at.size, dtype=idx)
+        indices[at] = np.add(rows, row, dtype=idx)
+        data[at] = vals
+        start += count
+    return ModMatrix._of(shape, modulus, CSC(indptr, indices, data))
+
+
 def hstack(mats: Sequence[ModMatrix]) -> ModMatrix:
-    if not mats:
-        raise ShapeError("hstack of nothing")
-    m, n_rows = mats[0].modulus, mats[0].shape[0]
-    for mm in mats:
-        if mm.modulus != m:
-            raise ModulusError("hstack with mixed moduli")
-        if mm.shape[0] != n_rows:
-            raise ShapeError("hstack with mixed row counts")
-    parts = [mm.csc() for mm in mats]
-    offsets = np.cumsum([0] + [part.data.size for part in parts])
-    shape = (n_rows, sum(mm.shape[1] for mm in mats))
-    idx = _index_dtype(shape, int(offsets[-1]))
-    indptr = np.concatenate([np.zeros(1, dtype=idx)]
-                            + [part.indptr[1:] + off for part, off in zip(parts, offsets)])
-    return ModMatrix._of(shape, m, CSC(
-        indptr.astype(idx, copy=False),
-        np.concatenate([part.indices for part in parts]).astype(idx, copy=False),
-        np.concatenate([part.data for part in parts])))
+    if not mats or any(mm.shape[0] != mats[0].shape[0] for mm in mats):
+        raise ShapeError("hstack of nothing, or with mixed row counts")
+    offsets = np.cumsum([0] + [mm.shape[1] for mm in mats]).tolist()
+    return stitch((mats[0].shape[0], offsets[-1]), mats[0].modulus,
+                  [(0, off, mm) for off, mm in zip(offsets, mats)])
 
 
 # ---------------- dense elimination ----------------
@@ -841,8 +906,9 @@ class _Columns:
     slice beg[k]:end[k] of the CSC arrays, or of the pool once a round
     rewrote them; low[k] and lead[k] are its largest row and the value
     there. own[r] is the position that holds row r as its pivot, the
-    earliest one ending at r, and n where none does. active lists,
-    increasing, the positions that end at a row an earlier one owns."""
+    earliest one ending at r, and n where none does, int32 while n fits.
+    active lists, increasing, the positions that end at a row an earlier
+    one owns. The pool keeps values in the value dtype."""
 
     def __init__(self, csc: CSC, p: int, shape: tuple[int, int], cols: np.ndarray):
         n = cols.size
@@ -858,7 +924,7 @@ class _Columns:
         self.low[live] = csc.indices[self.end[live] - 1]
         self.lead = np.zeros(n, dtype=np.int64)
         self.lead[live] = csc.data[self.end[live] - 1]
-        self.own = np.full(shape[0], n, dtype=np.int64)
+        self.own = np.full(shape[0], n, dtype=np.int32 if n < 1 << 31 else np.int64)
         self.fill = 0
         self.taken = 0  # the positions the last round took
         self.active = self._claim(live)
@@ -887,10 +953,11 @@ class _Columns:
                          - (self.end[out] - self.beg[out]).sum())
         return np.sort(np.concatenate([ks[~first], head[~win], out]))
 
-    def _entries(self, ks: np.ndarray, tag: np.ndarray, coef: np.ndarray, r: int
-                 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Keys tag[t] << r | row and values coef[t] * v mod p of the
-        entries (row, v) of each position ks[t], one part per source."""
+    def _entries(self, ks: np.ndarray, tag: np.ndarray, coef: np.ndarray, r: int, s: int
+                 ) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+        """Packed keys (tag[t] << r | row) << s | coef[t] * v mod p of the
+        entries (row, v) of each position ks[t], one part per source; with
+        s = 0, keys tag[t] << r | row and the values beside them."""
         keys, vals = [], []
         pooled = self.pooled[ks]
         for rows, data, sel in ((self.rows, self.vals, ~pooled),
@@ -902,8 +969,9 @@ class _Columns:
             _, at = _segments(self.beg[k], count)
             key = np.repeat(tag[sel] << r, count)
             key |= rows[at]
+            key, v = _packed(key, _mulmod(data[at], np.repeat(coef[sel], count), self.p), s)
             keys.append(key)
-            vals.append(_mulmod(data[at], np.repeat(coef[sel], count), self.p))
+            vals.append(v)
         return keys, vals
 
     def round(self) -> None:
@@ -923,11 +991,12 @@ class _Columns:
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             c, o = ks[lo:hi], own[lo:hi]
             shape = (self.shape[0], hi - lo)
-            r = _row_bits(shape)
+            r, s = _key_bits(shape, p)
             tag = np.arange(hi - lo, dtype=np.int64)
-            kc, vc = self._entries(c, tag, self.lead[o], r)
-            ko, vo = self._entries(o, tag, p - self.lead[c], r)
-            key, val = _summed(shape, p, np.concatenate(kc + ko), np.concatenate(vc + vo))
+            kc, vc = self._entries(c, tag, self.lead[o], r, s)
+            ko, vo = self._entries(o, tag, p - self.lead[c], r, s)
+            key, val = _summed(shape, p, np.concatenate(kc + ko),
+                               None if s else np.concatenate(vc + vo))
             count.append(np.bincount(key >> r, minlength=hi - lo))
             key &= (1 << r) - 1
             rows_out.append(key.astype(self.rows.dtype))
@@ -1049,16 +1118,16 @@ def solve_fp(a: ModMatrix, b: ModMatrix) -> ModMatrix | None:
     return ModMatrix.from_dense(x, p)
 
 
-def homology_dim(d_in: ModMatrix, d_out: ModMatrix) -> int:
+def homology_dim(d_in: ModMatrix, d_out: ModMatrix, certified: bool = False) -> int:
     """dim ker(d_out) - rank(d_in) for consecutive differentials.
 
     d_out maps the middle degree down, d_in maps into the middle degree.
-    Raises NotAComplexError unless d_out @ d_in = 0. Once that is
-    certified, d_in is ranked with d_out's pivot rows cleared (module
-    docstring): a reduced column v of d_out^T ending at row i gives
-    d_in^T v = 0, so row i of d_in is a combination of rows k < i, and by
-    induction every cleared row lies in the span of the kept ones. Reading
-    degrees in increasing order lets each differential clear the next.
+    Raises NotAComplexError unless d_out @ d_in = 0, a product skipped when
+    the caller certified it. Then d_in is ranked with d_out's pivot rows
+    cleared (module docstring): a reduced column v of d_out^T ending at row
+    i gives d_in^T v = 0, so row i of d_in is a combination of rows k < i,
+    and by induction every cleared row lies in the span of the kept ones.
+    Reading degrees in increasing order lets each differential clear the next.
     """
     if d_in.modulus != d_out.modulus:
         raise ModulusError("differentials with different moduli")
@@ -1066,7 +1135,7 @@ def homology_dim(d_in: ModMatrix, d_out: ModMatrix) -> int:
         raise ShapeError(
             f"middle dimension mismatch: d_out has {d_out.shape[1]} columns, "
             f"d_in has {d_in.shape[0]} rows")
-    if not (d_out @ d_in).is_zero():
+    if not certified and not (d_out @ d_in).is_zero():
         raise NotAComplexError("d_out @ d_in is not zero")
     rank_out = d_out.rank()
     dim = d_out.shape[1] - rank_out - d_in.rank(clear=d_out._pivot_rows)

@@ -6,8 +6,10 @@ the (b, B) bicomplex of a mixed complex, whose totalization and block
 tables are the reference of `complexes.filtration_by_columns`, the
 algebra seen relative to the ground field (`over_k`), and the
 column-by-column reduction that `modring._column_reduce` replaced
-(`reference_column_reduce`), and a stand-in for it whose fill guard always
-fires (`forced_restart`).
+(`reference_column_reduce`), a stand-in for it whose fill guard always
+fires (`forced_restart`), and the d^2 = 0 check of an assembled
+totalization (`total_square_failures`), which the conjugate abutment's
+homology reads skip once `certify_conjugate_squares` has passed.
 
 The package builds its operators by index arithmetic and certifies the
 algebra (associativity, unit) when it is loaded. These sweeps multiply the
@@ -235,7 +237,9 @@ def lambda_p_hc(a, N: int, L: int | None = None, cap: int | None = None
     0..min(L, N) - 1, and `hc_dims` on the same degrees."""
     L = N if L is None else L
     pcyc = PCyclicLevels(a, N, cap=cap)
-    tot, _ = two_column_bicomplex(pcyc, L).total_complex()
+    bicx = two_column_bicomplex(pcyc, L)
+    bicx.check_squares()  # the totalization's homology takes d^2 = 0 as proved
+    tot, _ = bicx.total_complex()
     top = min(L, N) - 1
     dims = {n: tot.homology_dim(n) for n in range(top + 1)}
     hc = hc_dims(a, top + 2, cap=cap)
@@ -269,6 +273,13 @@ def bB_filtration(cyc) -> IncreasingFiltration:
 def hc_of(cyc) -> dict[int, int]:
     """`hc_dims` read on a given mixed complex, normalized or not."""
     return hc_dims(cyc.algebra, cyc.N, tot=filtration_by_columns(cyc).carrier)
+
+
+def total_square_failures(tot) -> list[str]:
+    """The degrees n of a totalization, over its trusted window, whose
+    d_n d_(n+1) is not zero."""
+    return [f"d_{n} d_{n + 1} is not zero" for n in range(1, tot.vhi + 2)
+            if not (tot.d(n) @ tot.d(n + 1)).is_zero()]
 
 
 def over_k(a):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,9 +27,11 @@ from nchodge.complexes import (
 )
 from nchodge.corpus import build, corpus_names
 from nchodge.errors import NotAComplexError, ShapeError, WindowError
-from nchodge.hochcyc import CyclicLevelMaps, NormalizedMixedComplex, b_complex, hc_dims
-from nchodge.modring import ModMatrix
-from .sweeps import bB_bicomplex, bB_filtration, forced_restart, two_column_bicomplex
+from nchodge.hochcyc import (CyclicLevelMaps, NormalizedMixedComplex, b_complex, hc_dims,
+                             level_counts)
+from nchodge.modring import ModMatrix, homology_dim
+from .sweeps import (bB_bicomplex, bB_filtration, forced_restart, total_square_failures,
+                     two_column_bicomplex)
 
 
 def three_term(p=5):
@@ -199,8 +203,6 @@ def test_column_filtration_equals_the_bicomplex_route(p):
 def test_hc_of_a_long_window_of_empty_levels_stays_small():
     # relative to its two idempotents every level of kronecker from 1 on is
     # empty; the totalization keeps no table per cell of the N x N window
-    import tracemalloc
-
     a = normalize_basis(build("kronecker", 3))
     tracemalloc.start()
     try:
@@ -303,6 +305,60 @@ def test_on_demand_totalization_matches_eager(p):
             for n in want:
                 assert tot.d(n) == want[n], (name, n)
     assert subdivided >= (len(corpus_names()) if p == 3 else 6)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_stitched_conjugate_totals_equal_the_sorted_construction(p):
+    # every L the CLI's default 2p and the small windows reach; the
+    # certified window reads its homology with no product, and d^2 = 0 is
+    # checked on the assembled totalization here instead
+    compared = 0
+    for name in corpus_names():
+        pcyc = subdivision_window(build(name, p))
+        if pcyc is None:
+            continue
+        for L in sorted({0, 1, 2, 3, 2 * p}):
+            certify_conjugate_squares(pcyc, L)
+            bicx = conjugate_bicomplex(pcyc, L)
+            want = eager_total_diffs(bicx)
+            tot, _ = bicx.total_complex()
+            for n in want:
+                assert tot.d(n) == want[n], (name, L, n)
+            assert total_square_failures(tot) == [], (name, L)
+            with mock.patch.object(ModMatrix, "__matmul__", side_effect=AssertionError):
+                dims = tot.homology_dims()
+            assert dims == {n: homology_dim(tot.d(n + 1), tot.d(n)) for n in dims}, (name, L)
+            compared += 1
+    assert compared >= 5 * (len(corpus_names()) if p == 3 else 2)
+
+
+def allocated(build) -> tuple[object, int]:
+    """build() and the tracemalloc peak of its allocations."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conjugate_constructions_allocate_little_per_entry():
+    # b_3 of upper-tri-2 from packed face keys: 119 B per COO entry when the
+    # faces were concatenated as int64 rows, columns and values, 53 B now;
+    # the total d_3 with its cell operators built: 97 B per entry through a
+    # sorted key, 27 B stitched from the cells
+    a = build("upper-tri-2", 3)
+    pcyc = PCyclicLevels(a, 3)
+    b3, peak = allocated(lambda: pcyc.b(3))
+    coo = list(level_counts(a, 3, p=3))[3][1]
+    assert peak <= 80 * coo, peak / coo
+    bicx = conjugate_bicomplex(pcyc, 6)
+    tot, blocks = bicx.total_complex()
+    for x, y, _, _ in blocks[3]:
+        bicx.dv(x, y), bicx.dh(x, y)
+    d3, peak = allocated(lambda: tot.d(3))
+    assert d3.shape == (20439, 551880) and d3.nnz > b3.nnz
+    assert peak <= 48 * d3.nnz, peak / d3.nnz
 
 
 def cleared_complexes(a) -> list[tuple[str, ChainComplexWindow]]:

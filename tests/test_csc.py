@@ -4,7 +4,9 @@ Every operation must give the canonical arrays that scipy gives for the
 same matrix after summing duplicates, reducing mod m, dropping zeros and
 sorting the rows of each column. Shapes include 2**16 rows or columns, so
 that a key times the modulus passes 2**63 and the construction sorts the
-keys alone.
+keys alone. The moduli include the primes at the edges of the value
+dtypes: 251 and 257 on either side of uint8, 65521 and 65537 of uint16,
+and the largest prime within split_modulus's bound, which fills 32 bits.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from scipy import sparse as sp
 
 from nchodge import modring
 from nchodge.errors import ShapeError
-from nchodge.modring import CSC, ModMatrix, hstack
+from nchodge.modring import CSC, ModMatrix, hstack, kron_power, rank_fp
 
-# the largest prime within split_modulus's bound fills 32 bits
-MODULI = (3, 5, 7, 2 ** 31 - 1, 3037000493)
+from .oracles import ref_rank
+
+MODULI = (3, 5, 7, 251, 257, 65521, 65537, 2 ** 31 - 1, 3037000493)
 DIMS = (0, 1, 2, 3, 5, 1 << 16)
 
 
@@ -39,7 +42,9 @@ def assert_matches(ours: ModMatrix, ref, m: int) -> None:
     csc = ours.csc()
     for got, want in zip(csc, (ref.indptr, ref.indices, ref.data)):
         assert got.tolist() == want.tolist()
-    assert csc.data.dtype == np.int64
+    # values in the narrowest unsigned dtype that holds m - 1
+    assert csc.data.dtype == next(t for t in (np.uint8, np.uint16, np.uint32)
+                                  if m - 1 <= np.iinfo(t).max)
     # every shape here fits int32 indices, as the canonical form keeps them
     assert csc.indptr.dtype == csc.indices.dtype == np.int32
 
@@ -199,3 +204,39 @@ def test_construction_past_the_packed_key_bound_matches_scipy():
         ours = ModMatrix.from_arrays(shape, m, rows, cols, vals)
         assert_matches(ours, sp.coo_matrix((vals, (rows, cols)), shape=shape), m)
         assert_matches(ours.T, canonical(sp.coo_matrix((vals, (rows, cols)), shape=shape), m).T, m)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_kron_and_rank_match_scipy_and_the_oracle(data):
+    ours, ref, m = data.draw(matrix(shape=(data.draw(st.sampled_from(DIMS[:-1])),
+                                           data.draw(st.sampled_from(DIMS[:-1])))))
+    ref = canonical(ref, m)
+    assert_matches(kron_power(ours, 2), sp.kron(ref, ref, format="csc"), m)
+    assert rank_fp(ours) == ref_rank(ref.toarray().tolist(), m)
+
+
+def test_residues_beside_the_keys_give_the_same_matrices(monkeypatch):
+    # past 63 bits of position and residue the keys hold positions alone and
+    # an argsort orders them; every construction must give the same arrays
+    from nchodge import cartier
+    from nchodge.corpus import build
+
+    rng = np.random.default_rng(4)
+    m = 5
+    a = ModMatrix.from_arrays((300, 200), m, *rng.integers(0, 200, (2, 2000)) % [[300], [200]],
+                              rng.integers(0, m, 2000))
+    c = ModMatrix.from_arrays((200, 150), m, *rng.integers(0, 150, (2, 1500)),
+                              rng.integers(0, m, 1500))
+    pcyc = cartier.PCyclicLevels(build("upper-tri-2", 3), 2)
+    packed = [a @ c, a.T, a.restrict(rows=[5, 3, 3, 250]), pcyc.b(2), pcyc.face(2, 2)]
+    # both reductions run in rounds: their pivots and sources must agree
+    reduced = [modring._column_reduce(x.csc(), m, x.shape, False) for x in (a, a @ c)]
+
+    def apart(shape, m):
+        return modring._row_bits(shape), 0
+
+    monkeypatch.setattr(modring, "_key_bits", apart)
+    pcyc = cartier.PCyclicLevels(build("upper-tri-2", 3), 2)
+    assert [a @ c, a.T, a.restrict(rows=[5, 3, 3, 250]), pcyc.b(2), pcyc.face(2, 2)] == packed
+    assert [modring._column_reduce(x.csc(), m, x.shape, False) for x in (a, a @ c)] == reduced

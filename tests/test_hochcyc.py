@@ -34,7 +34,7 @@ from nchodge.hochcyc import (
     sbi_check,
     sbi_ranks,
 )
-from nchodge import hochcyc
+from nchodge import hochcyc, modring
 from nchodge.complexes import ChainComplexWindow, filtration_by_columns
 from nchodge.modring import ModMatrix
 from .oracles import ref_degeneracy_dense, ref_face_dense, ref_rotation_dense
@@ -178,7 +178,9 @@ def test_periodic_two_column_complex_matches_hc():
     for name in ("ground-field", "dual-numbers"):
         a = build(name, 3)
         hc = hc_dims(a, 6)
-        c = two_column_bicomplex(CyclicLevelMaps(a, 6), 8).total_complex()[0]
+        bicx = two_column_bicomplex(CyclicLevelMaps(a, 6), 8)
+        bicx.check_squares()
+        c = bicx.total_complex()[0]
         got = {n: c.homology_dim(n) for n in range(5)}
         assert got == hc, name
 
@@ -263,17 +265,18 @@ def test_normalized_dims_shrink():
 
 
 def coo_lengths(op, levels) -> list[int]:
-    """The entries op(n) hands to `ModMatrix.from_arrays`, before duplicates
-    are summed: its last construction is the operator itself."""
+    """The entries op(n) hands to `modring._from_keys`, the one entry point
+    of every construction from entries, before duplicates are summed: its
+    last construction is the operator itself."""
     seen = []
-    real = ModMatrix.from_arrays.__func__
+    real = modring._from_keys
 
-    def record(cls, shape, modulus, rows, cols, vals):
-        seen.append(rows.shape[0])
-        return real(cls, shape, modulus, rows, cols, vals)
+    def record(shape, m, key, vals=None):
+        seen.append(key.shape[0])
+        return real(shape, m, key, vals)
 
     out = []
-    with mock.patch.object(ModMatrix, "from_arrays", classmethod(record)):
+    with mock.patch.object(modring, "_from_keys", record):
         for n in levels:
             op(n)
             out.append(seen[-1])

@@ -112,6 +112,23 @@ def test_matmul_of_a_zero_one_factor_at_a_wide_prime():
     assert matmul_mod(a[:, :0], b[:0], m).tolist() == [[0] * 4] * 6
 
 
+def test_a_product_frees_each_block_of_products():
+    # 16 products at each of the 2^16 positions, in 32 blocks of
+    # MATMUL_BLOCK products, every sum 16 = 1 mod 5: a block's summed keys
+    # must be a compact copy, or each block's whole expansion (8 B a
+    # product, 8 MiB in all) stays alive until the blocks are joined
+    k, n = 16, 256
+    ones = ModMatrix.from_dense(np.ones((n, k), dtype=np.int64), 5)
+    tracemalloc.start()
+    try:
+        prod = ones @ ones.T
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prod == ModMatrix.from_dense(np.ones((n, n), dtype=np.int64), 5)
+    assert peak <= 4 << 20, peak
+
+
 def test_kron_power_matches_repeated_numpy_kron():
     rng = np.random.default_rng(8)
     for mod, k in ((3, 3), (5, 2), (7, 4), (2 ** 31 - 1, 3), (TOP_PRIME, 2), (TOP_PRIME, 3)):
