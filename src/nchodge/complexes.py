@@ -177,7 +177,8 @@ class BicomplexWindow:
                         self.dv(x - 1, y), self.dh(x, y), self.dh(x, y - 1), self.dv(x, y)):
                     raise NotAComplexError(f"square at {(x, y)} does not anticommute")
 
-    def total_complex(self) -> tuple[ChainComplexWindow, dict[int, list[tuple[int, int, int, int]]]]:
+    def total_complex(self, select: Mapping[tuple[int, int], np.ndarray] | None = None
+                      ) -> tuple[ChainComplexWindow, dict[int, list[tuple[int, int, int, int]]]]:
         """Totalize; returns the chain window plus per-degree block tables.
 
         blocks[n] lists (x, y, offset, dim) for the cells on the
@@ -191,8 +192,16 @@ class BicomplexWindow:
         certified: the caller proves every square zero first
         (`check_squares`, or `cartier.certify_conjugate_squares`), so
         homology reads skip the d_n d_(n+1) products.
+
+        select, if given, maps cells to the columns kept of them in degree
+        t = min(X, Y), the top one the trusted window ranks; the window ends
+        at t, and blocks[t] counts the kept columns. Each dropped column must
+        lie in the span of the kept ones (proved in `cartier.conjugate_ss`);
+        the rows, which clearing reads, are untouched. Lower degrees are never
+        restricted, as their pivot rows clear the next rank.
         """
-        top = self.X + self.Y
+        cut = min(self.X, self.Y) if select is not None else None
+        top = self.X + self.Y if cut is None else cut
         blocks: dict[int, list[tuple[int, int, int, int]]] = {}
         tot_dims: dict[int, int] = {}
         for n in range(top + 1):
@@ -200,7 +209,7 @@ class BicomplexWindow:
             offset = 0
             for x in range(max(0, n - self.Y), min(self.X, n) + 1):
                 y = n - x
-                d = self.dim(x, y)
+                d = len(select[(x, y)]) if n == cut and (x, y) in select else self.dim(x, y)
                 table.append((x, y, offset, d))
                 offset += d
             blocks[n] = table
@@ -214,6 +223,8 @@ class BicomplexWindow:
                     continue
                 for op, tgt in ((self.dh, (x - 1, y)), (self.dv, (x, y - 1))):
                     if tgt in target_offsets and (mat := op(x, y)).nnz:
+                        if n == cut and (x, y) in select:
+                            mat = mat.restrict(cols=select[(x, y)])
                         parts.append((target_offsets[tgt], off, mat))
             return stitch((tot_dims[n - 1], tot_dims[n]), self.modulus, parts)
 

@@ -632,7 +632,12 @@ def stitch(shape: tuple[int, int], modulus: int,
     for row, col, mat in blocks:
         indptr[col + 1:col + 1 + mat.shape[1]] += np.diff(mat._csc.indptr)
     np.cumsum(indptr, out=indptr)
-    nxt = indptr[:-1].copy()  # where the next entry of each column goes
+    # where the next entry goes, from the first to the last column of the
+    # blocks that share their columns
+    shared = [c for _, col, mat in blocks if indptr[col + mat.shape[1]] - indptr[col] != mat.nnz
+              for c in (col, col + mat.shape[1])]
+    c0 = min(shared, default=0)
+    nxt = indptr[c0:max(shared, default=0)].copy()
     indices = np.empty(nnz, dtype=idx)
     data = np.empty(nnz, dtype=_value_dtype(modulus))
     for row, col, mat in blocks:
@@ -642,7 +647,7 @@ def stitch(shape: tuple[int, int], modulus: int,
             np.add(rows, row, out=indices[lo:hi], dtype=idx)
             data[lo:hi] = vals
             continue
-        count, start = np.diff(ptr), nxt[col:col + mat.shape[1]]
+        count, start = np.diff(ptr), nxt[col - c0:col - c0 + mat.shape[1]]
         at = np.repeat((start - ptr[:-1]).astype(idx, copy=False), count)
         at += np.arange(at.size, dtype=idx)
         indices[at] = np.add(rows, row, dtype=idx)
